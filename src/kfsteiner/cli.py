@@ -186,7 +186,7 @@ def _parse_grid(text):
         ) from exc
 
 
-def _frame_writer(outdir, cadence, resolution):
+def _frame_writer(outdir, resolution):
     def callback(step, current):
         path = os.path.join(outdir, f"frame_{step}.pgm")
         if isinstance(current, RasterSet):
@@ -212,7 +212,7 @@ def cmd_process(args):
     os.makedirs(args.out, exist_ok=True)
     callback = None
     if args.frames:
-        callback = _frame_writer(args.out, args.cadence, min(args.resolution, 256))
+        callback = _frame_writer(args.out, min(args.resolution, 256))
     result = run_process(cfg, callback=callback)
     path = os.path.join(args.out, "trace.csv")
     _write(trace_csv(result.records), path)

@@ -75,7 +75,11 @@ def extreme_discrepancy(points):
 
     result = float(max(excess, deficit, 0.0))
     d_star = star_discrepancy(pts)
-    assert result >= d_star - 1e-12, "two-sided discrepancy fell below star"
+    if result < d_star - 1e-12:
+        raise AssertionError(
+            f"two-sided discrepancy {result!r} fell below the star "
+            f"discrepancy {d_star!r}"
+        )
     return result
 
 

@@ -12,7 +12,9 @@ pure permutations of cell values.
 Resampling pulls each target cell from the overlap of its unit-cell box
 with the source grid at the preimage of the cell center, which is the
 bilinear kernel; values stay in [0, 1] and mass drift before the final
-rescale is a fraction of a percent.
+rescale is a fraction of a percent. Resampling touches only the target
+cells within reach of the occupied disk and writes exact zeros
+elsewhere, so its output is identical to a full-grid gather.
 """
 
 from __future__ import annotations
@@ -114,6 +116,33 @@ class GridSpec:
         )
 
 
+def _support_box(mask):
+    """Row and column slices bounding the True cells of a mask; None if none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _content_radius(occ, grid, cutoff):
+    """Far-corner radius about the world origin of the cells with occ > cutoff.
+
+    The distance map is built on the bounding box of those cells only.
+    """
+    mask = occ > cutoff
+    box = _support_box(mask)
+    if box is None:
+        return 0.0
+    rows, cols = box
+    half = 0.5 * grid.h
+    rad = np.hypot(
+        np.abs(grid.x_centers()[cols])[None, :] + half,
+        np.abs(grid.y_centers()[rows])[:, None] + half,
+    )
+    return float(rad[mask[rows, cols]].max())
+
+
 class RasterSet:
     """Occupancy fractions on a GridSpec; row index grows with y."""
 
@@ -150,16 +179,7 @@ class RasterSet:
 
     def content_radius(self, cutoff=1e-15):
         """Largest distance from the origin to the far corner of an occupied cell."""
-        mask = self.occ > cutoff
-        if not mask.any():
-            return 0.0
-        xs = self.grid.x_centers()
-        ys = self.grid.y_centers()
-        half = 0.5 * self.grid.h
-        rad = np.hypot(
-            np.abs(xs)[None, :] + half, np.abs(ys)[:, None] + half
-        )
-        return float(rad[mask].max())
+        return _content_radius(self.occ, self.grid, cutoff)
 
     def with_occ(self, occ):
         return RasterSet(occ, self.grid)
@@ -370,18 +390,42 @@ def _bilinear_gather(occ, fi, fj):
     )
 
 
+def _reach_slice(n, origin, h, reach):
+    """Index range of the cells of one axis whose centers lie in [-reach, reach].
+
+    Rounded outward, clipped to the grid.
+    """
+    mid = (n - 1) / 2.0
+    lo = math.floor((-reach - origin) / h + mid)
+    hi = math.ceil((reach - origin) / h + mid) + 1
+    return slice(min(max(lo, 0), n), min(max(hi, 0), n))
+
+
 def _pull_linear(occ, grid, matrix):
-    """Resample under the world map p -> matrix @ p (about the origin)."""
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    tx = xs[None, :]
-    ty = ys[:, None]
+    """Resample under the world map p -> matrix @ p (about the origin).
+
+    Only target cells within reach of the occupied disk are gathered.
+    Every bilinear tap lies within sqrt(2) * h of the preimage of the
+    target center t, and |inv(matrix) @ t| >= |t| / ||matrix||_2, so a
+    target farther than ||matrix||_2 * (R + sqrt(2) * h) from the origin,
+    R the far-corner radius of the cells with occ > 0, reads four zero
+    taps. The rest of the grid is written as exact zeros, so the output
+    equals a full-grid gather bit for bit.
+    """
     inv = np.linalg.inv(matrix)
+    radius = _content_radius(occ, grid, 0.0)
+    reach = np.linalg.norm(matrix, 2) * (radius + math.sqrt(2.0) * grid.h)
+    rows = _reach_slice(grid.ny, grid.oy, grid.h, reach)
+    cols = _reach_slice(grid.nx, grid.ox, grid.h, reach)
+    tx = grid.x_centers()[None, cols]
+    ty = grid.y_centers()[rows, None]
     sx = inv[0, 0] * tx + inv[0, 1] * ty
     sy = inv[1, 0] * tx + inv[1, 1] * ty
     fj = (sx - grid.ox) / grid.h + (grid.nx - 1) / 2.0
     fi = (sy - grid.oy) / grid.h + (grid.ny - 1) / 2.0
-    return np.clip(_bilinear_gather(occ, fi, fj), 0.0, 1.0)
+    out = np.zeros((grid.ny, grid.nx))
+    out[rows, cols] = np.clip(_bilinear_gather(occ, fi, fj), 0.0, 1.0)
+    return out
 
 
 def _linear_map_pull(rs, matrix):
@@ -398,11 +442,19 @@ def _center_out_order(n):
 
 
 def _rearrange_columns(occ):
-    """Exact symmetric decreasing rearrangement of every column."""
+    """Exact symmetric decreasing rearrangement of every column.
+
+    occ must be nonnegative. Only the bounding box of the nonzero cells
+    is sorted: the zeros outside it sort to the far ends of every column.
+    """
+    out = np.zeros_like(occ)
+    box = _support_box(occ > 0.0)
+    if box is None:
+        return out
+    rows, cols = box
+    ranked = np.sort(occ[rows, cols], axis=0)[::-1, :]
     order = _center_out_order(occ.shape[0])
-    ranked = np.sort(occ, axis=0)[::-1, :]
-    out = np.empty_like(occ)
-    out[order, :] = ranked
+    out[order[: len(ranked)], cols] = ranked
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kfsteiner import discrepancy
 from kfsteiner.discrepancy import (
     discrepancy_curve,
     extreme_discrepancy,
@@ -132,3 +133,11 @@ def test_curve_rejects_bad_sizes():
 def test_extreme_cap_enforced():
     with pytest.raises(ValueError):
         extreme_discrepancy(np.linspace(0, 1, 1_000_001))
+
+
+def test_extreme_invariant_raises_even_without_assert(monkeypatch):
+    # a star discrepancy above the two-sided one breaks the sandwich; the
+    # check must be an explicit raise, which python -O does not strip
+    monkeypatch.setattr(discrepancy, "star_discrepancy", lambda pts: 1.0)
+    with pytest.raises(AssertionError, match="fell below the star"):
+        extreme_discrepancy([0.0, 0.25, 0.5, 0.75])

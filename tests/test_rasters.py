@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_raster
-from kfsteiner.metrics import d1, grid_tolerance
+from kfsteiner import rasters
+from kfsteiner.metrics import d1, grid_tolerance, perimeter_estimate
 from kfsteiner.polygons import Ball, ConvexPolygon
 from kfsteiner.rasters import (
+    AlignedRun,
     GridSpec,
     RasterSet,
     annulus_fixture,
@@ -17,6 +20,7 @@ from kfsteiner.rasters import (
     steiner_raster,
     write_pgm,
 )
+from kfsteiner.sequences import sequence_values
 
 
 def test_gridspec_validation():
@@ -262,3 +266,179 @@ def test_pgm_defaults_without_metadata(tmp_path):
     # top row first in the file: file row 0 is grid row 1
     assert rs.occ[1, 0] == 0.0 and rs.occ[1, 1] == 1.0
     assert rs.occ[0, 0] == 1.0 and rs.occ[0, 1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# support-windowed resampling against the full-grid oracles
+# ---------------------------------------------------------------------------
+
+
+def full_grid_pull(occ, grid, matrix):
+    """Bilinear pull that gathers every target cell of the grid."""
+    xs = grid.x_centers()
+    ys = grid.y_centers()
+    tx = xs[None, :]
+    ty = ys[:, None]
+    inv = np.linalg.inv(matrix)
+    sx = inv[0, 0] * tx + inv[0, 1] * ty
+    sy = inv[1, 0] * tx + inv[1, 1] * ty
+    fj = (sx - grid.ox) / grid.h + (grid.nx - 1) / 2.0
+    fi = (sy - grid.oy) / grid.h + (grid.ny - 1) / 2.0
+    return np.clip(rasters._bilinear_gather(occ, fi, fj), 0.0, 1.0)
+
+
+def full_grid_rearrange(occ):
+    """Column rearrangement that sorts every column in full."""
+    order = rasters._center_out_order(occ.shape[0])
+    ranked = np.sort(occ, axis=0)[::-1, :]
+    out = np.empty_like(occ)
+    out[order, :] = ranked
+    return out
+
+
+def full_map_radius(rs, cutoff):
+    """content_radius from a distance map over the whole grid."""
+    mask = rs.occ > cutoff
+    if not mask.any():
+        return 0.0
+    half = 0.5 * rs.grid.h
+    rad = np.hypot(
+        np.abs(rs.grid.x_centers())[None, :] + half,
+        np.abs(rs.grid.y_centers())[:, None] + half,
+    )
+    return float(rad[mask].max())
+
+
+@st.composite
+def raster_sets(draw, centered=False):
+    """Small rasters whose content is a random block, nothing, a full
+    block about the centre, or a band within two cells of the grid edge."""
+    ny = draw(st.integers(5, 40))
+    nx = draw(st.integers(5, 40))
+    h = draw(st.sampled_from([0.05, 0.1, 0.37, 1.0]))
+    ox = oy = 0.0
+    if not centered:
+        ox = draw(st.floats(-1.0, 1.0)) * nx * h
+        oy = draw(st.floats(-1.0, 1.0)) * ny * h
+    grid = GridSpec(nx=nx, ny=ny, h=h, ox=ox, oy=oy)
+    kind = draw(st.sampled_from(("random", "empty", "centre_block", "margin")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = np.zeros((ny, nx))
+    if kind == "random":
+        i0, i1 = sorted(draw(st.lists(st.integers(0, ny), min_size=2, max_size=2)))
+        j0, j1 = sorted(draw(st.lists(st.integers(0, nx), min_size=2, max_size=2)))
+        block = rng.random((i1 - i0, j1 - j0))
+        block[block < 0.3] = 0.0
+        occ[i0:i1, j0:j1] = block
+    elif kind == "centre_block":
+        occ[ny // 4 : ny - ny // 4, nx // 4 : nx - nx // 4] = 1.0
+    elif kind == "margin":
+        occ = rng.random((ny, nx))
+        occ[2 : ny - 2, 2 : nx - 2] = 0.0
+    return RasterSet(occ, grid)
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _reflection(angle):
+    ux, uy = math.cos(angle), math.sin(angle)
+    return np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
+                     [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
+
+
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
+
+
+@st.composite
+def linear_maps(draw):
+    kind = draw(st.sampled_from(("rotation", "reflection", "general")))
+    if kind == "rotation":
+        return _rotation(draw(angles))
+    if kind == "reflection":
+        return _reflection(draw(angles))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    mat = np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
+    assume(abs(np.linalg.det(mat)) >= 0.1)
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(raster_sets(), linear_maps())
+def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
+    out = rasters._pull_linear(rs.occ, rs.grid, matrix)
+    assert np.array_equal(out, full_grid_pull(rs.occ, rs.grid, matrix))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raster_sets())
+def test_windowed_rearrangement_is_bit_identical_to_full_sort(rs):
+    occ = rs.occ
+    assert np.array_equal(rasters._rearrange_columns(occ), full_grid_rearrange(occ))
+    assert np.array_equal(
+        rasters._rearrange_columns(occ.T), full_grid_rearrange(occ.T)
+    )
+
+
+def _outcome(fn):
+    """fn's result, or the message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raster_sets(centered=True), angles)
+def test_symmetral_reflection_and_perimeter_match_full_grid(rs, theta):
+    def outcomes():
+        return (
+            _outcome(lambda: steiner_raster(rs, theta).occ),
+            reflect_raster(rs, theta).occ,
+            perimeter_estimate(rs, n_directions=8),
+        )
+
+    windowed = outcomes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rasters, "_pull_linear", full_grid_pull)
+        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        full = outcomes()
+    # a symmetral refused for content near the margin is refused by both
+    assert type(windowed[0]) is type(full[0])
+    if isinstance(full[0], str):
+        assert windowed[0] == full[0]
+    else:
+        assert np.array_equal(windowed[0], full[0])
+    assert np.array_equal(windowed[1], full[1])
+    assert windowed[2] == full[2]
+
+
+def _kf_run(rs, steps):
+    run = AlignedRun(rs)
+    frames = []
+    for x in sequence_values("kf", steps):
+        run.apply(math.pi * float(x))
+        frames.append(run.occ.copy())
+    world = run.world_raster()
+    return frames, world.occ, perimeter_estimate(world)
+
+
+def test_aligned_run_trace_bit_identical_to_full_grid(unit_grid_128, rng):
+    rs = random_raster(rng, unit_grid_128)
+    frames, world, perimeter = _kf_run(rs, 30)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rasters, "_pull_linear", full_grid_pull)
+        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        ref_frames, ref_world, ref_perimeter = _kf_run(rs, 30)
+    for step, (got, want) in enumerate(zip(frames, ref_frames), start=1):
+        assert np.array_equal(got, want), f"step {step}"
+    assert np.array_equal(world, ref_world)
+    assert perimeter == ref_perimeter
+
+
+@settings(max_examples=150, deadline=None)
+@given(raster_sets(), st.sampled_from([0.0, 1e-15, 1e-2, 0.5]))
+def test_content_radius_matches_full_map(rs, cutoff):
+    assert rs.content_radius(cutoff=cutoff) == full_map_radius(rs, cutoff)
