@@ -10,6 +10,7 @@ are fully determined by argv.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -28,6 +29,7 @@ from .polygons import load_polygon, save_polygon, steiner_polygon
 from .process import (
     BUILTIN_SEEDS,
     ProcessConfig,
+    _fmt,
     compare_csv,
     compare_sequences,
     run_process,
@@ -36,7 +38,7 @@ from .process import (
 from .rasters import GridSpec, RasterSet, rasterize, read_pgm, steiner_raster, write_pgm
 from .sequences import (
     GAMMA,
-    SequenceSpec,
+    _parse_alpha,
     parse_sequence_id,
     sequence_values,
     to_direction,
@@ -45,14 +47,6 @@ from .sequences import (
 
 class SystemExit2(Exception):
     """Usage error detected after argparse: exits with status 2."""
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.15g}"
 
 
 def _write(text, out):
@@ -64,10 +58,8 @@ def _write(text, out):
 
 
 def _alpha_value(text):
-    if text.strip().lower() == "gamma":
-        return GAMMA
     try:
-        return float(text)
+        return _parse_alpha(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad alpha {text!r}") from exc
 
@@ -75,13 +67,9 @@ def _alpha_value(text):
 def _sequence_spec(args):
     spec = parse_sequence_id(args.kind)
     if getattr(args, "base", None) is not None:
-        spec = SequenceSpec(kind=spec.kind, base=args.base, alpha=spec.alpha,
-                            value=spec.value, start=spec.start, ratio=spec.ratio,
-                            seed=spec.seed, path=spec.path)
+        spec = dataclasses.replace(spec, base=args.base)
     if getattr(args, "alpha", None) is not None:
-        spec = SequenceSpec(kind=spec.kind, base=spec.base, alpha=args.alpha,
-                            value=spec.value, start=spec.start, ratio=spec.ratio,
-                            seed=spec.seed, path=spec.path)
+        spec = dataclasses.replace(spec, alpha=args.alpha)
     return spec
 
 
@@ -199,6 +187,8 @@ def _frame_writer(outdir, resolution):
 
 
 def cmd_process(args):
+    if args.resolution < 1:
+        raise SystemExit2("--resolution must be at least 1")
     cfg = ProcessConfig(
         sequence=args.kind,
         seed=args.seed,
@@ -220,6 +210,10 @@ def cmd_process(args):
 
 
 def cmd_compare(args):
+    if args.resolution < 1:
+        raise SystemExit2("--resolution must be at least 1")
+    if args.jobs < 1:
+        raise SystemExit2("--jobs must be at least 1")
     ids = [tok for tok in args.kinds.split(",") if tok]
     if len(ids) < 2:
         raise SystemExit2("--kinds must list at least two sequence ids")

@@ -234,108 +234,72 @@ def _check_bbox(grid, xmin, xmax, ymin, ymax):
         )
 
 
-def _clip_rect(pts, x0, x1, y0, y1):
-    """Sutherland-Hodgman clip of a polygon (list of xy pairs) to a rectangle."""
-    for fixed, keep_le, coord in (
-        (x0, False, 0),
-        (x1, True, 0),
-        (y0, False, 1),
-        (y1, True, 1),
-    ):
-        if not pts:
-            return pts
-        out = []
-        n = len(pts)
-        for i in range(n):
-            cur = pts[i]
-            nxt = pts[(i + 1) % n]
-            c_in = cur[coord] <= fixed if keep_le else cur[coord] >= fixed
-            n_in = nxt[coord] <= fixed if keep_le else nxt[coord] >= fixed
-            if c_in:
-                out.append(cur)
-            if c_in != n_in:
-                t = (fixed - cur[coord]) / (nxt[coord] - cur[coord])
-                out.append(
-                    (
-                        cur[0] + t * (nxt[0] - cur[0]),
-                        cur[1] + t * (nxt[1] - cur[1]),
-                    )
-                )
-        pts = out
-    return pts
+def _grid_crossings(p, q, axis):
+    """Every crossing of the edges p -> q with an integer line of one axis.
 
-
-def _poly_area(pts):
-    if len(pts) < 3:
-        return 0.0
-    arr = np.asarray(pts)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
-def _edge_cells(grid, p, q):
-    """Indices (i, j) of the cells an edge passes through."""
-    xe, ye = grid.x_edges(), grid.y_edges()
-    ts = [0.0, 1.0]
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx != 0.0:
-        t = (xe - p[0]) / dx
-        ts.extend(t[(t > 0.0) & (t < 1.0)])
-    if dy != 0.0:
-        t = (ye - p[1]) / dy
-        ts.extend(t[(t > 0.0) & (t < 1.0)])
-    ts = np.unique(ts)
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    mx = p[0] + mid * dx
-    my = p[1] + mid * dy
-    jj = np.clip(((mx - xe[0]) / grid.h).astype(int), 0, grid.nx - 1)
-    ii = np.clip(((my - ye[0]) / grid.h).astype(int), 0, grid.ny - 1)
-    return ii, jj
+    Returns the edge index and the point of each crossing strictly inside
+    an edge, with the crossed coordinate set to the exact integer.
+    """
+    lo = np.floor(np.minimum(p[:, axis], q[:, axis])) + 1.0
+    hi = np.ceil(np.maximum(p[:, axis], q[:, axis])) - 1.0
+    count = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+    edge = np.repeat(np.arange(len(p)), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    line = lo[edge] + (np.arange(len(edge)) - first)
+    t = (line - p[edge, axis]) / (q[edge, axis] - p[edge, axis])
+    pts = p[edge] + t[:, None] * (q[edge] - p[edge])
+    pts[:, axis] = line
+    return edge, pts
 
 
 def _rasterize_polygon(poly, grid):
+    """Covered fraction of every cell, by signed-area accumulation.
+
+    The edges are split at every grid line they cross, so each piece
+    lies in one cell. In grid units a piece with vertical extent dv and
+    mean column coordinate u in cell (i, j) sweeps dv * (j + 1 - u) of
+    its own cell and dv of every cell to its right in row i. The vertices
+    run counterclockwise, so the left boundary goes down and adds
+    coverage while the right boundary goes up and removes it. A cell's
+    coverage is minus the sum of its in-cell terms and of the full-cell
+    terms of the pieces to its left, a prefix sum along the row.
+    """
     v = poly.vertices
     _check_bbox(grid, v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
-    xe, ye = grid.x_edges(), grid.y_edges()
-
-    # classify grid corners: inside the convex polygon or not
-    p = v
-    q = np.roll(v, -1, axis=0)
-    gx = xe[None, :]
-    gy = ye[:, None]
-    inside = np.ones((grid.ny + 1, grid.nx + 1), dtype=bool)
-    for k in range(len(v)):
-        ex, ey = q[k, 0] - p[k, 0], q[k, 1] - p[k, 1]
-        inside &= (ex * (gy - p[k, 1]) - ey * (gx - p[k, 0])) >= 0.0
-    corner_count = (
-        inside[:-1, :-1].astype(np.int8)
-        + inside[:-1, 1:]
-        + inside[1:, :-1]
-        + inside[1:, 1:]
-    )
-
-    boundary = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for k in range(len(v)):
-        ii, jj = _edge_cells(grid, p[k], q[k])
-        boundary[ii, jj] = True
-    partial = boundary | ((corner_count > 0) & (corner_count < 4))
-
-    occ = np.zeros((grid.ny, grid.nx))
-    occ[(corner_count == 4) & ~partial] = 1.0
-
-    cell_area = grid.h**2
-    verts = [tuple(row) for row in v]
-    for i, j in zip(*np.nonzero(partial)):
-        clipped = _clip_rect(verts, xe[j], xe[j + 1], ye[i], ye[i + 1])
-        occ[i, j] = min(1.0, _poly_area(clipped) / cell_area)
-    return occ
+    # rows start at v = 1, so every v is a multiple of 2**-52 and each dv
+    # and every row sum of them is exact: cells that no edge enters come
+    # out exactly 0.0 or 1.0
+    p = (v - (grid.x_edges()[0], grid.y_edges()[0])) / grid.h + (0.0, 1.0)
+    q = np.roll(p, -1, axis=0)
+    cross_u, at_u = _grid_crossings(p, q, 0)
+    cross_v, at_v = _grid_crossings(p, q, 1)
+    edge = np.concatenate([np.arange(len(p)), cross_u, cross_v])
+    pts = np.concatenate([p, at_u, at_v])
+    # each coordinate is ordered along its edge on its own, so both are
+    # monotone and no piece crosses a grid line, even where two crossings
+    # near a grid corner round out of order
+    key = np.sign(q - p)[edge] * pts
+    a = np.column_stack([pts[np.lexsort((key[:, k], edge)), k] for k in (0, 1)])
+    b = np.roll(a, -1, axis=0)
+    lo = np.floor(np.minimum(a, b)).astype(np.int64)
+    j = np.clip(lo[:, 0], 0, grid.nx - 1)
+    i = np.clip(lo[:, 1] - 1, 0, grid.ny - 1)
+    dv = b[:, 1] - a[:, 1]
+    full = np.zeros((grid.ny, grid.nx + 1))
+    np.add.at(full, (i, j + 1), dv)
+    cell = np.zeros((grid.ny, grid.nx))
+    np.add.at(cell, (i, j), dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])))
+    return np.clip(-(np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
 
 
 def rasterize(shape, grid):
     """Exact-coverage raster of a convex polygon or an origin ball.
 
-    Polygon cells are clipped exactly; disk boundary cells use subcell
-    supersampling (see _disk_fraction).
+    Polygon coverage is one signed-area accumulation: each edge piece
+    deposits its exact trapezoid area into the cells of its row and a
+    prefix sum along the row gives the covered fractions (see
+    _rasterize_polygon). Disk boundary cells use subcell supersampling
+    (see _disk_fraction).
     """
     if isinstance(shape, ConvexPolygon):
         return RasterSet(_rasterize_polygon(shape, grid), grid)
@@ -499,6 +463,22 @@ def _require_centered(rs, op):
         raise ValueError(f"{op} requires a grid centered at the origin")
 
 
+def _check_margin(occ, grid):
+    """Refuse to rotate content that reaches within 1.5 cells of the grid edge.
+
+    The check watches substantive occupancy (above 1e-2); the thin skirt
+    that resampling spreads below it may clip at the border and is
+    absorbed harmlessly by the mass renormalization.
+    """
+    limit = min(grid.half_width, grid.half_height) - 1.5 * grid.h
+    radius = _content_radius(occ, grid, 1e-2)
+    if radius > limit:
+        raise ValueError(
+            f"content radius {radius:.4g} too close to the grid edge "
+            f"(limit {limit:.4g}); rebuild on a larger grid"
+        )
+
+
 def steiner_raster(rs, direction, report=False):
     """Symmetral of a raster set with respect to a direction.
 
@@ -522,18 +502,7 @@ def steiner_raster(rs, direction, report=False):
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
         out = _rearrange_columns(rs.occ.T).T
     else:
-        grid = rs.grid
-        margin = 1.5 * grid.h
-        limit = min(grid.half_width, grid.half_height)
-        # the check watches substantive occupancy; the thin skirt that
-        # resampling spreads below the cutoff may clip at the border and
-        # is absorbed harmlessly by the final renormalization
-        radius = rs.content_radius(cutoff=1e-2)
-        if radius > limit - margin:
-            raise ValueError(
-                f"content radius {radius:.4g} too close to the grid edge "
-                f"({limit:.4g}); rebuild on a larger grid"
-            )
+        _check_margin(rs.occ, rs.grid)
         phi = 0.5 * math.pi - theta
         c, s = math.cos(phi), math.sin(phi)
         fwd = np.array([[c, -s], [s, c]])
@@ -605,25 +574,13 @@ class AlignedRun:
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
 
-    def _check_margin(self):
-        # substantive occupancy must stay off the border; the low skirt
-        # may clip there and is restored by the mass renormalization
-        grid = self.grid
-        limit = min(grid.half_width, grid.half_height) - 1.5 * grid.h
-        radius = self.frame_raster().content_radius(cutoff=1e-2)
-        if radius > limit:
-            raise ValueError(
-                f"content radius {radius:.4g} too close to the grid edge; "
-                "rebuild on a larger grid"
-            )
-
     def apply(self, direction):
         theta = as_theta(direction)
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
         occ = self.occ
         if delta != 0.0:
-            self._check_margin()
+            _check_margin(occ, self.grid)
             c, s = math.cos(delta), math.sin(delta)
             occ = _pull_linear(occ, self.grid, np.array([[c, -s], [s, c]]))
         occ = _rearrange_columns(occ)

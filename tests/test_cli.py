@@ -159,6 +159,41 @@ def test_process_frames(tmp_path):
     read_pgm(outdir / "frame_4.pgm")
 
 
+def test_process_frames_of_a_polygon_keep_its_area(tmp_path):
+    outdir = tmp_path / "run"
+    assert main(["process", "--seed", "builtin:square", "--kind", "kf",
+                 "--steps", "6", "--cadence", "2", "--resolution", "128",
+                 "--frames", "--out", str(outdir)]) == 0
+    steps = [0, 2, 4, 6]
+    assert sorted(n for n in os.listdir(outdir) if n.endswith(".pgm")) == [
+        f"frame_{s}.pgm" for s in steps
+    ]
+    for step in steps:
+        rs = read_pgm(outdir / f"frame_{step}.pgm")
+        assert rs.grid.nx == 128
+        # full cells are stored exactly; a partial cell is rounded to the
+        # nearest of 65535 levels
+        partial = np.count_nonzero((rs.occ > 0.0) & (rs.occ < 1.0))
+        bound = 0.5 * partial / 65535 * rs.h**2 + 1e-12
+        assert abs(rs.area() - 1.0) <= bound, f"frame {step}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["process", "--seed", "builtin:square", "--kind", "kf", "--steps", "2",
+     "--resolution", "0"],
+    ["process", "--seed", "builtin:lshape", "--kind", "kf", "--steps", "2",
+     "--resolution", "-4"],
+    ["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2", "--steps", "2",
+     "--resolution", "0"],
+    ["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2", "--steps", "2",
+     "--jobs", "0"],
+])
+def test_nonpositive_resolution_or_jobs_is_a_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_process_unknown_builtin(tmp_path, capsys):
     code = main(["process", "--seed", "builtin:blob", "--kind", "kf",
                  "--steps", "3", "--out", str(tmp_path)])

@@ -1,13 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_raster
+from conftest import convex_hull, random_raster
 from kfsteiner import rasters
 from kfsteiner.metrics import d1, grid_tolerance, perimeter_estimate
-from kfsteiner.polygons import Ball, ConvexPolygon
+from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon
 from kfsteiner.rasters import (
     AlignedRun,
     GridSpec,
@@ -442,3 +443,237 @@ def test_aligned_run_trace_bit_identical_to_full_grid(unit_grid_128, rng):
 @given(raster_sets(), st.sampled_from([0.0, 1e-15, 1e-2, 0.5]))
 def test_content_radius_matches_full_map(rs, cutoff):
     assert rs.content_radius(cutoff=cutoff) == full_map_radius(rs, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# signed-area polygon rasterizer against per-cell clipping oracles
+# ---------------------------------------------------------------------------
+
+
+def _clip_rect(pts, x0, x1, y0, y1):
+    """Sutherland-Hodgman clip of a polygon (list of xy pairs) to a rectangle."""
+    for fixed, keep_le, coord in (
+        (x0, False, 0),
+        (x1, True, 0),
+        (y0, False, 1),
+        (y1, True, 1),
+    ):
+        if not pts:
+            return pts
+        out = []
+        n = len(pts)
+        for i in range(n):
+            cur = pts[i]
+            nxt = pts[(i + 1) % n]
+            c_in = cur[coord] <= fixed if keep_le else cur[coord] >= fixed
+            n_in = nxt[coord] <= fixed if keep_le else nxt[coord] >= fixed
+            if c_in:
+                out.append(cur)
+            if c_in != n_in:
+                t = (fixed - cur[coord]) / (nxt[coord] - cur[coord])
+                out.append(
+                    (
+                        cur[0] + t * (nxt[0] - cur[0]),
+                        cur[1] + t * (nxt[1] - cur[1]),
+                    )
+                )
+        pts = out
+    return pts
+
+
+def _poly_area(pts):
+    if len(pts) < 3:
+        return 0.0
+    arr = np.asarray(pts)
+    x, y = arr[:, 0], arr[:, 1]
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+def _edge_cells(grid, p, q):
+    """Indices (i, j) of the cells an edge passes through."""
+    xe, ye = grid.x_edges(), grid.y_edges()
+    ts = [0.0, 1.0]
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if dx != 0.0:
+        t = (xe - p[0]) / dx
+        ts.extend(t[(t > 0.0) & (t < 1.0)])
+    if dy != 0.0:
+        t = (ye - p[1]) / dy
+        ts.extend(t[(t > 0.0) & (t < 1.0)])
+    ts = np.unique(ts)
+    mid = 0.5 * (ts[:-1] + ts[1:])
+    mx = p[0] + mid * dx
+    my = p[1] + mid * dy
+    jj = np.clip(((mx - xe[0]) / grid.h).astype(int), 0, grid.nx - 1)
+    ii = np.clip(((my - ye[0]) / grid.h).astype(int), 0, grid.ny - 1)
+    return ii, jj
+
+
+def clipped_coverage(poly, grid):
+    """Polygon coverage from corner tests, edge walks and per-cell clipping.
+
+    Returns the coverage and the mask of the cells that were clipped;
+    every other cell is exactly 0.0 or 1.0 from its corners.
+    """
+    v = poly.vertices
+    xe, ye = grid.x_edges(), grid.y_edges()
+
+    # classify grid corners: inside the convex polygon or not
+    p = v
+    q = np.roll(v, -1, axis=0)
+    gx = xe[None, :]
+    gy = ye[:, None]
+    inside = np.ones((grid.ny + 1, grid.nx + 1), dtype=bool)
+    for k in range(len(v)):
+        ex, ey = q[k, 0] - p[k, 0], q[k, 1] - p[k, 1]
+        inside &= (ex * (gy - p[k, 1]) - ey * (gx - p[k, 0])) >= 0.0
+    corner_count = (
+        inside[:-1, :-1].astype(np.int8)
+        + inside[:-1, 1:]
+        + inside[1:, :-1]
+        + inside[1:, 1:]
+    )
+
+    boundary = np.zeros((grid.ny, grid.nx), dtype=bool)
+    for k in range(len(v)):
+        ii, jj = _edge_cells(grid, p[k], q[k])
+        boundary[ii, jj] = True
+    partial = boundary | ((corner_count > 0) & (corner_count < 4))
+
+    occ = np.zeros((grid.ny, grid.nx))
+    occ[(corner_count == 4) & ~partial] = 1.0
+
+    cell_area = grid.h**2
+    verts = [tuple(row) for row in v]
+    for i, j in zip(*np.nonzero(partial)):
+        clipped = _clip_rect(verts, xe[j], xe[j + 1], ye[i], ye[i + 1])
+        occ[i, j] = min(1.0, _poly_area(clipped) / cell_area)
+    return occ, partial
+
+
+def fraction_coverage(poly, grid, rows, cols):
+    """Coverage of the cells (rows[k], cols[k]) from exact rational clipping
+    of the float vertices and grid edges."""
+    verts = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
+    xe = [Fraction(x) for x in grid.x_edges()]
+    ye = [Fraction(y) for y in grid.y_edges()]
+    occ = []
+    for i, j in zip(rows, cols):
+        pts = _clip_rect(verts, xe[j], xe[j + 1], ye[i], ye[i + 1])
+        doubled = sum(
+            a[0] * b[1] - b[0] * a[1] for a, b in zip(pts, pts[1:] + pts[:1])
+        )
+        occ.append(abs(doubled) / 2 / ((xe[j + 1] - xe[j]) * (ye[i + 1] - ye[i])))
+    return np.array(occ, dtype=float)
+
+
+@st.composite
+def polygons_on_grids(draw, max_cells=40):
+    """A grid and a convex polygon inside it.
+
+    Kinds: the hull of random points; the hull of points on grid lines
+    (vertices on lines, axis-aligned edges); an axis-aligned rectangle;
+    a polygon inside one cell; a polygon whose bounding box is the grid
+    extent. Cell sizes include powers of two, where the grid lines of an
+    origin-centred grid are exact integers in grid units.
+    """
+    nx = draw(st.integers(1, max_cells))
+    ny = draw(st.integers(1, max_cells))
+    h = draw(st.sampled_from([0.25, 1.0, 0.1, 0.37, 2.5]))
+    ox = draw(st.floats(-3.0, 3.0)) * h
+    oy = draw(st.floats(-3.0, 3.0)) * h
+    grid = GridSpec(nx=nx, ny=ny, h=h, ox=ox, oy=oy)
+    xe, ye = grid.x_edges(), grid.y_edges()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "on_lines", "rectangle", "in_cell", "extent")))
+    n_points = draw(st.integers(3, 12))
+    if kind == "on_lines":
+        ix = rng.integers(0, nx + 1, n_points)
+        iy = rng.integers(0, ny + 1, n_points)
+        pts = np.column_stack([xe[ix], ye[iy]])
+    else:
+        if kind == "random":
+            w = rng.random((n_points, 2))
+        elif kind == "rectangle":
+            (x0, x1), (y0, y1) = np.sort(rng.random((2, 2)), axis=1)
+            w = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+        elif kind == "in_cell":
+            i, j = rng.integers(0, ny), rng.integers(0, nx)
+            w = (np.array([j, i]) + 0.05 + 0.9 * rng.random((n_points, 2))) / (nx, ny)
+        else:
+            # one vertex on each side of the grid box, plus interior points
+            side = rng.random(4)
+            w = np.vstack([
+                [[side[0], 0.0], [1.0, side[1]], [side[2], 1.0], [0.0, side[3]]],
+                rng.random((n_points, 2)),
+            ])
+        pts = np.column_stack([xe[0] + w[:, 0] * (xe[-1] - xe[0]),
+                               ye[0] + w[:, 1] * (ye[-1] - ye[0])])
+    # keep rounding from pushing a vertex past the grid box
+    pts[:, 0] = np.clip(pts[:, 0], xe[0], xe[-1])
+    pts[:, 1] = np.clip(pts[:, 1], ye[0], ye[-1])
+    pts = np.unique(pts, axis=0)
+    assume(len(pts) >= 3)
+    hull = convex_hull(pts)
+    assume(len(hull) >= 3)
+    try:
+        poly = ConvexPolygon(hull)
+    except ValueError:
+        assume(False)
+    return poly, grid
+
+
+def near(mask):
+    """The cells of a mask and their eight neighbours."""
+    padded = np.pad(mask, 1)
+    ny, nx = mask.shape
+    return np.any(
+        [padded[di : di + ny, dj : dj + nx] for di in range(3) for dj in range(3)],
+        axis=0,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygons_on_grids())
+def test_polygon_coverage_matches_clipping_oracle(case):
+    poly, grid = case
+    got = rasterize(poly, grid).occ
+    want, clipped = clipped_coverage(poly, grid)
+    assert np.abs(got - want).max() <= 1e-12
+    # cells away from the boundary are exactly empty or exactly full; an
+    # edge through a grid corner may leave an ulp-long piece in a diagonal
+    # neighbour of a clipped cell, with a coverage near 1e-30
+    away = ~near(clipped)
+    assert np.array_equal(got[away], want[away])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygons_on_grids(max_cells=10))
+def test_polygon_coverage_matches_exact_rational_clipping(case):
+    # grid coordinates below 16 carry rounding under 16 * 2**-53 each;
+    # 1e-13 per cell leaves a wide margin above the float error
+    poly, grid = case
+    got = rasterize(poly, grid).occ
+    rows, cols = np.indices(got.shape).reshape(2, -1)
+    assert np.abs(got[rows, cols] - fraction_coverage(poly, grid, rows, cols)).max() <= 1e-13
+
+
+def test_fine_grid_coverage_matches_exact_rational_clipping():
+    # on 512 cells the per-cell clipping oracle is about 3e-12 off exact;
+    # grid coordinates below 512 round by under 512 * 2**-53 (5.7e-14), and
+    # 2e-13 allows a few such roundings per cell
+    grid = GridSpec.cover(math.sqrt(0.5), n=512)
+    poly = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.0), (-0.5, 0.0)])
+    got = rasterize(poly, grid).occ
+    rows, cols = np.nonzero((got > 0.0) & (got < 1.0))
+    exact = fraction_coverage(poly, grid, rows, cols)
+    assert np.abs(got[rows, cols] - exact).max() <= 2e-13
+
+
+def test_saturated_polygon_area_is_exact():
+    poly = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+    for x in sequence_values("kf", 20):
+        poly = steiner_polygon(poly, math.pi * float(x))
+    assert len(poly) >= 30_000
+    rs = rasterize(poly, GridSpec.cover(poly.circumradius(), n=128))
+    assert abs(rs.area() - poly.area()) <= 1e-12 * poly.area()
