@@ -15,16 +15,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .discrepancy import discrepancy_curve
-from .partitions import (
-    TRIVIAL,
-    _maximal_mask,
-    alpha_refine,
-    interval_counts,
-    length_classes,
-)
+from .partitions import _refinement_levels, interval_counts, length_classes
 from .polygons import load_polygon, save_polygon, steiner_polygon
 from .process import (
     BUILTIN_SEEDS,
@@ -92,15 +84,11 @@ def cmd_partition(args):
         raise SystemExit2("--level must be nonnegative")
     golden = abs(args.alpha - GAMMA) <= 1e-15
     lines = ["level,t,l,s"]
-    part = TRIVIAL
-    for level in range(args.level + 1):
-        if level > 0:
-            n_split = int(np.count_nonzero(_maximal_mask(part.lengths)))
-            if part.n_intervals + n_split > args.max_intervals:
-                raise ValueError(
-                    f"level {level} exceeds the cap of {args.max_intervals} intervals"
-                )
-            part = alpha_refine(part, args.alpha)
+    levels = _refinement_levels(
+        args.alpha, args.level, args.max_intervals,
+        "level {level} exceeds the cap of {cap} intervals",
+    )
+    for level, part in enumerate(levels):
         if golden:
             t, long_n, short_n = interval_counts(part, level)
         else:
@@ -127,6 +115,8 @@ def cmd_disc(args):
         raise SystemExit2(f"bad --ns list {args.ns!r}") from exc
     if not ns:
         raise SystemExit2("--ns must list at least one size")
+    if min(ns) < 2:
+        raise SystemExit2("--ns sizes must be at least 2")
     spec = _sequence_spec(args)
     rows = discrepancy_curve(spec, ns, include_extreme=args.extreme)
     lines = ["N,d_star,d_extreme,normalized"]

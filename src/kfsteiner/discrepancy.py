@@ -38,9 +38,8 @@ def _validated(points):
     return pts
 
 
-def star_discrepancy(points):
-    """Anchored discrepancy sup_t |#{x < t}/N - t|, exact over [0, t) intervals."""
-    pts = np.sort(_validated(points))
+def _star_sorted(pts):
+    """Star discrepancy of a validated sample sorted in increasing order."""
     n = len(pts)
     idx = np.arange(1, n + 1)
     over = idx / n - pts
@@ -48,22 +47,28 @@ def star_discrepancy(points):
     return float(max(over.max(), under.max()))
 
 
-def extreme_discrepancy(points):
-    """Two-sided discrepancy over all nondegenerate subintervals of [0, 1].
+def star_discrepancy(points):
+    """Anchored discrepancy sup_t |#{x < t}/N - t|, exact over [0, t) intervals."""
+    return _star_sorted(np.sort(_validated(points)))
 
-    Exact for the family described in the module docstring; always at
-    least the star discrepancy and at most twice it.
-    """
-    pts = _validated(points)
+
+def _extreme_sorted(pts, d_star):
+    """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star."""
     n = len(pts)
     if n > EXTREME_CAP:
         raise ValueError(
             f"two-sided discrepancy limited to N <= {EXTREME_CAP}, got {n}"
         )
-    pts = np.sort(pts)
-    vals = np.unique(np.concatenate([[0.0], pts, [1.0]]))
-    cum_incl = np.searchsorted(pts, vals, side="right") / n  # #{x <= v}/N
-    cum_excl = np.searchsorted(pts, vals, side="left") / n   # #{x <  v}/N
+    # pts is sorted, so the value grid is the runs of equal values of
+    # ext = [0, pts, 1]. Below a run's first index lie the points < v and,
+    # past the first run, the added 0; up to its last index lie the points
+    # <= v, the added 0 and, in the last run only, the added 1.
+    ext = np.concatenate([[0.0], pts, [1.0]])
+    first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
+    last = np.append(first[1:], len(ext)) - 1
+    vals = ext[first]
+    cum_incl = (last - (last == n + 1)) / n     # #{x <= v}/N
+    cum_excl = np.maximum(first - 1, 0) / n     # #{x <  v}/N
 
     # excess: count both endpoints in, max over pairs a < b of
     #   (incl[b] - excl[a]) - (v[b] - v[a])
@@ -74,7 +79,6 @@ def extreme_discrepancy(points):
     deficit = np.max(vals[1:] - cum_excl[1:] + gain)
 
     result = float(max(excess, deficit, 0.0))
-    d_star = star_discrepancy(pts)
     if result < d_star - 1e-12:
         raise AssertionError(
             f"two-sided discrepancy {result!r} fell below the star "
@@ -83,26 +87,36 @@ def extreme_discrepancy(points):
     return result
 
 
+def extreme_discrepancy(points):
+    """Two-sided discrepancy over all nondegenerate subintervals of [0, 1].
+
+    Exact for the family described in the module docstring; always at
+    least the star discrepancy and at most twice it.
+    """
+    pts = np.sort(_validated(points))
+    return _extreme_sorted(pts, star_discrepancy(pts))
+
+
 def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
     """Discrepancy growth table for a sequence generator.
 
     Returns one row per N in `ns`: a dict with keys ``N``, ``d_star``,
     ``d_extreme`` (None when skipped) and ``normalized`` which is
-    N * d_star / log N.
+    N * d_star / log N. Each sample is sorted once for both columns.
     """
     ns = [int(n) for n in ns]
     if not ns:
         raise ValueError("need at least one sample size")
     if min(ns) < 2:
         raise ValueError("sample sizes must be at least 2")
-    pts = sequence_values(spec, max(ns))
+    pts = _validated(sequence_values(spec, max(ns)))
     rows = []
     for n in ns:
-        sample = pts[:n]
-        d_star = star_discrepancy(sample)
+        sample = np.sort(pts[:n])
+        d_star = _star_sorted(sample)
         d_ext = None
         if include_extreme and n <= extreme_cap:
-            d_ext = extreme_discrepancy(sample)
+            d_ext = _extreme_sorted(sample, d_star)
         rows.append(
             {
                 "N": n,

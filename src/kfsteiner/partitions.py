@@ -72,6 +72,15 @@ class Partition:
 TRIVIAL = Partition(np.array([0.0, 1.0]))
 
 
+def _refine(partition, lengths, split, alpha):
+    """Split the intervals selected by `split` in proportion alpha : 1 - alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    bp = partition.breakpoints
+    new_points = bp[:-1][split] + alpha * lengths[split]
+    return Partition(np.sort(np.concatenate([bp, new_points])))
+
+
 def alpha_refine(partition, alpha):
     """Split every longest interval of `partition` in proportion alpha : 1 - alpha.
 
@@ -79,27 +88,36 @@ def alpha_refine(partition, alpha):
     split in the same step, since exact ties drift apart in floating
     point.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    bp = partition.breakpoints
-    lengths = np.diff(bp)
-    split = _maximal_mask(lengths)
-    new_points = bp[:-1][split] + alpha * lengths[split]
-    return Partition(np.sort(np.concatenate([bp, new_points])))
+    lengths = partition.lengths
+    return _refine(partition, lengths, _maximal_mask(lengths), alpha)
+
+
+def _refinement_levels(alpha, n, max_intervals, cap_error):
+    """Yield the refinements of the trivial partition at levels 0 .. n.
+
+    Before refining to a level whose interval count would exceed
+    max_intervals, raise ValueError(cap_error.format(level=..., cap=...)).
+    """
+    part = TRIVIAL
+    yield part
+    for level in range(1, n + 1):
+        lengths = part.lengths
+        split = _maximal_mask(lengths)
+        if part.n_intervals + int(np.count_nonzero(split)) > max_intervals:
+            raise ValueError(cap_error.format(level=level, cap=max_intervals))
+        part = _refine(part, lengths, split, alpha)
+        yield part
 
 
 def kakutani_level(alpha, n, max_intervals=MAX_INTERVALS):
     """n-fold refinement of the trivial partition of [0, 1]."""
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    part = TRIVIAL
-    for _ in range(int(n)):
-        n_split = int(np.count_nonzero(_maximal_mask(part.lengths)))
-        if part.n_intervals + n_split > max_intervals:
-            raise ValueError(
-                f"refinement would exceed the cap of {max_intervals} intervals"
-            )
-        part = alpha_refine(part, alpha)
+    for part in _refinement_levels(
+        alpha, int(n), max_intervals,
+        "refinement would exceed the cap of {cap} intervals",
+    ):
+        pass
     return part
 
 

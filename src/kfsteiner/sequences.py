@@ -3,22 +3,34 @@
 Admissible integers are the positive integers whose binary expansion has
 no two adjacent ones. Mapping the k-th admissible integer through the
 golden-ratio radical inverse (sum of gamma**(j+1) over its set bits)
-yields the Kakutani-Fibonacci sequence of points in (0, 1). Van der
-Corput and Kronecker sequences are provided for comparison, and a point
-x in [0, 1] is turned into a planar direction via the angle pi * x.
+yields the Kakutani-Fibonacci sequence of points in (0, 1). The k-th
+admissible integer is the Zeckendorf representation of k read as binary
+digits: bit j stands for the Fibonacci number F(j+2).
+
+The sequence is built by doubling along the Fibonacci word, without
+scanning. Let W_m be the admissible integers below 2**m, with 0 first,
+in increasing order. Then |W_m| = F(m+2) and W_m is W_{m-1} followed by
+W_{m-2} + 2**(m-1), so the first N values fill one array of length N + 1
+in place, in O(N) time and memory, with no cache and no cap beyond the
+gamma-power table. The radical inverses are built the same way with
+gamma**m in place of 2**(m-1); each value adds its bits from the low bit
+up, exactly as a bit-by-bit evaluation does. A single index k is
+resolved by a greedy Zeckendorf pass instead.
+
+Van der Corput and Kronecker sequences are provided for comparison, and
+a point x in [0, 1] is turned into a planar direction via the angle
+pi * x.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GAMMA",
-    "ENUMERATION_CAP",
     "DirectionAngle",
     "SequenceSpec",
     "fib",
@@ -40,13 +52,9 @@ __all__ = [
 GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 """Inverse golden ratio, the root of 1 - g = g*g in (0, 1)."""
 
-# Admissible integers are found by scanning upward and bit-testing.
-# Python integers never overflow, so the cap only bounds scan cost;
-# it allows roughly 5.7 million sequence points.
-ENUMERATION_CAP = 1 << 32
-
-# _GAMMA_POWERS[k] == GAMMA ** (k + 1)
-_GAMMA_POWERS = np.cumprod(np.full(66, GAMMA))
+# _GAMMA_POWERS[j] == GAMMA ** (j + 1), one entry per Zeckendorf digit of
+# every index below F(94) > 2**64
+_GAMMA_POWERS = np.cumprod(np.full(92, GAMMA))
 
 
 def fib(n):
@@ -71,48 +79,37 @@ def is_admissible(n):
     return (n & (n >> 1)) == 0
 
 
-class _AdmissibleCache:
-    """Grow-on-demand sorted table of admissible integers."""
+def _fibonacci_doubling(count, digit_values):
+    """Images of 0 and the first `count` admissible integers, in order.
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._values = np.empty(0, dtype=np.int64)
-        self._scanned = 1  # every integer in [1, _scanned) is classified
-
-    def ensure(self, count=0, value=0):
-        with self._lock:
-            while len(self._values) < count or self._scanned <= value:
-                if self._scanned >= ENUMERATION_CAP:
-                    raise ValueError(
-                        "admissible-integer enumeration exceeds the cap "
-                        f"2**32 (requested count={count}, value={value})"
-                    )
-                hi = min(max(2 * self._scanned, 1 << 14), ENUMERATION_CAP)
-                block = np.arange(self._scanned, hi, dtype=np.int64)
-                good = block[(block & (block >> 1)) == 0]
-                self._values = np.concatenate([self._values, good])
-                self._scanned = hi
-            return self._values
-
-
-_CACHE = _AdmissibleCache()
+    Bit j of an admissible integer maps to digit_values[j], and the
+    images of its set bits are summed from the low bit up. Level m
+    appends the first F(m) entries plus digit_values[m - 1] to the first
+    F(m + 1) entries.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    n = int(count) + 1
+    if n > fib(len(digit_values) + 2):
+        raise ValueError(
+            f"{count} values need more than {len(digit_values)} binary digits"
+        )
+    out = np.empty(n, dtype=digit_values.dtype)
+    out[0] = 0
+    short, long = 1, 1  # F(m), F(m + 1)
+    for value in digit_values:
+        if long >= n:
+            break
+        stop = min(long + short, n)
+        np.add(out[: stop - long], value, out=out[long:stop])
+        short, long = long, long + short
+    return out
 
 
 def admissible_integers(count):
     """First `count` admissible integers, in increasing order."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _CACHE.ensure(count=count)[:count].copy()
-
-
-def _phi_gamma_array(ns):
-    ns = np.asarray(ns, dtype=np.int64)
-    out = np.zeros(len(ns))
-    if len(ns) == 0:
-        return out
-    for k in range(int(ns.max()).bit_length()):
-        out += _GAMMA_POWERS[k] * ((ns >> k) & 1)
-    return out
+    # every bit an int64 can carry: 2**0 .. 2**62
+    return _fibonacci_doubling(count, 1 << np.arange(63, dtype=np.int64))[1:]
 
 
 def gamma_radical_inverse(n):
@@ -124,6 +121,8 @@ def gamma_radical_inverse(n):
     if not is_admissible(n):
         raise ValueError(f"{n} has adjacent ones in binary and is not admissible")
     n = int(n)
+    if n.bit_length() > len(_GAMMA_POWERS):
+        raise ValueError(f"{n} has more than {len(_GAMMA_POWERS)} binary digits")
     total = 0.0
     k = 0
     while n:
@@ -136,32 +135,36 @@ def gamma_radical_inverse(n):
 
 def kf_points(count):
     """First `count` values of the golden-ratio splitting sequence."""
-    return _phi_gamma_array(admissible_integers(count))
+    return _fibonacci_doubling(count, _GAMMA_POWERS)[1:]
 
 
 def kf_point(k):
     """k-th sequence value (k >= 1): radical inverse of the k-th admissible integer."""
     if k < 1:
         raise ValueError(f"sequence index must be >= 1, got {k}")
-    vals = _CACHE.ensure(count=k)
-    return gamma_radical_inverse(int(vals[k - 1]))
+    k = int(k)
+    # greedy Zeckendorf digits of k: fibs[j] == F(j + 2) stands for bit j
+    fibs = [1, 2]
+    while fibs[-1] <= k:
+        fibs.append(fibs[-1] + fibs[-2])
+    n = 0
+    for j in reversed(range(len(fibs))):
+        if fibs[j] <= k:
+            k -= fibs[j]
+            n |= 1 << j
+    return gamma_radical_inverse(n)
 
 
 def checkpoint_index(k):
     """Sequence index where the value GAMMA**k first appears.
 
-    Found by enumeration: GAMMA**k is the image of 2**(k-1), so the index
-    is the position of 2**(k-1) among the admissible integers. Direct
-    enumeration confirms this equals fib(k+1).
+    GAMMA**k is the image of 2**(k-1), the first admissible integer with
+    k binary digits; the F(k+1) - 1 admissible integers below it are the
+    values of W_{k-1} other than 0, so its index is fib(k+1).
     """
     if k < 1:
         raise ValueError(f"checkpoint order must be >= 1, got {k}")
-    target = 1 << (k - 1)
-    if target >= ENUMERATION_CAP:
-        raise ValueError(f"checkpoint order {k} exceeds the enumeration cap")
-    vals = _CACHE.ensure(value=target)
-    idx = int(np.searchsorted(vals, target))
-    return idx + 1
+    return fib(k + 1)
 
 
 def vdc_point(n, base=2):

@@ -97,6 +97,42 @@ def test_disc_requires_ns(capsys):
     assert err.value.code == 2
 
 
+def test_disc_kf_two_million_points(tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(["disc", "--kind", "kf", "--ns", "2000000", "--out", str(out)]) == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert row[0] == "2000000"
+    assert 0.0 < float(row[3]) <= 3.0
+
+
+@pytest.mark.parametrize("ns", ["1", "0", "100,1", "1,1000"])
+def test_disc_sizes_below_two_are_a_usage_error(ns, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["disc", "--kind", "kf", "--ns", ns, "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partition_cap_names_the_level(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert main(["partition", "--alpha", "0.5", "--level", "10",
+                 "--max-intervals", "500", "--out", str(out)]) == 1
+    assert "level 9 exceeds the cap of 500 intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partition_dump_is_the_kakutani_level(tmp_path):
+    from kfsteiner.partitions import kakutani_level
+
+    for alpha, text in ((GAMMA, "gamma"), (0.3, "0.3")):
+        out, dump = tmp_path / "p.csv", tmp_path / "bp.txt"
+        assert main(["partition", "--alpha", text, "--level", "12",
+                     "--out", str(out), "--dump-breakpoints", str(dump)]) == 0
+        vals = np.array([float(v) for v in dump.read_text().split()])
+        # the dump is written at 15 significant digits
+        assert np.abs(vals - kakutani_level(alpha, 12).breakpoints).max() <= 1e-15
+
+
 def test_symmetrize_polygon(tmp_path):
     src = tmp_path / "sq.txt"
     src.write_text("0 0\n1 0\n1 1\n0 1\n")

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from kfsteiner import discrepancy
 from kfsteiner.discrepancy import (
+    EXTREME_CAP,
     discrepancy_curve,
     extreme_discrepancy,
     star_discrepancy,
 )
+from kfsteiner.sequences import sequence_values
 
 
 def star_brute_force(points, thresholds=100_000):
@@ -141,3 +143,66 @@ def test_extreme_invariant_raises_even_without_assert(monkeypatch):
     monkeypatch.setattr(discrepancy, "star_discrepancy", lambda pts: 1.0)
     with pytest.raises(AssertionError, match="fell below the star"):
         extreme_discrepancy([0.0, 0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("spec", ["kf", "vdc:3", "random:5", "kronecker:0.5"])
+def test_curve_columns_equal_the_public_functions(spec):
+    ns = [2, 3, 10, 377, 1000, 4181]
+    rows = discrepancy_curve(spec, ns, include_extreme=True, extreme_cap=1000)
+    pts = sequence_values(spec, max(ns))
+    for row in rows:
+        n = row["N"]
+        assert row["d_star"] == star_discrepancy(pts[:n])
+        if n <= 1000:
+            assert row["d_extreme"] == extreme_discrepancy(pts[:n])
+        else:
+            assert row["d_extreme"] is None
+
+
+def test_curve_checks_the_sandwich_against_its_star_column(monkeypatch):
+    monkeypatch.setattr(discrepancy, "_star_sorted", lambda pts: 1.0)
+    with pytest.raises(AssertionError, match="fell below the star"):
+        discrepancy_curve("kf", [10], include_extreme=True)
+    assert discrepancy_curve("kf", [10])[0]["d_star"] == 1.0
+
+
+def test_curve_rejects_an_extreme_cap_above_the_module_cap():
+    with pytest.raises(ValueError, match="limited to N"):
+        discrepancy_curve("kf", [EXTREME_CAP + 1], include_extreme=True,
+                          extreme_cap=EXTREME_CAP + 1)
+
+
+def extreme_by_search(points):
+    """Two-sided discrepancy with the value grid from np.unique and the
+    counts from binary search."""
+    pts = np.sort(np.asarray(points, dtype=float))
+    n = len(pts)
+    vals = np.unique(np.concatenate([[0.0], pts, [1.0]]))
+    cum_incl = np.searchsorted(pts, vals, side="right") / n
+    cum_excl = np.searchsorted(pts, vals, side="left") / n
+    gain = np.maximum.accumulate(vals - cum_excl)[:-1]
+    excess = np.max(cum_incl[1:] - vals[1:] + gain)
+    gain = np.maximum.accumulate(cum_incl - vals)[:-1]
+    deficit = np.max(vals[1:] - cum_excl[1:] + gain)
+    return float(max(excess, deficit, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1.0, 0.5, 0.25, 1.0 / 3.0])
+        | st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_extreme_equals_the_binary_search_formulation(sample):
+    assert extreme_discrepancy(sample) == extreme_by_search(sample)
+
+
+def test_extreme_equals_the_binary_search_formulation_on_kf_prefixes():
+    pts = sequence_values("kf", 17711)
+    for n in (1, 2, 5, 89, 1000, 17711):
+        assert extreme_discrepancy(pts[:n]) == extreme_by_search(pts[:n])
+    ties = np.repeat(sequence_values("vdc", 64), 3)
+    assert extreme_discrepancy(ties) == extreme_by_search(ties)

@@ -137,3 +137,19 @@ def test_first_points_match_partition_endpoints():
         interior = part.breakpoints[1:-1]
         assert len(pts) == len(interior)
         assert np.abs(pts - interior).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [G, 0.5, 0.3, 0.8])
+def test_kakutani_level_is_repeated_alpha_refine_bit_for_bit(alpha):
+    part = TRIVIAL
+    for n in range(16):
+        assert np.array_equal(kakutani_level(alpha, n).breakpoints, part.breakpoints)
+        part = alpha_refine(part, alpha)
+
+
+def test_kakutani_level_cap_message_and_bad_alpha():
+    with pytest.raises(ValueError, match="refinement would exceed the cap of 500"):
+        kakutani_level(0.5, 10, max_intervals=500)
+    assert kakutani_level(0.5, 9, max_intervals=512).n_intervals == 512
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        kakutani_level(1.5, 2)

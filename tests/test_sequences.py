@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kfsteiner import sequences
 from kfsteiner.sequences import (
     GAMMA,
     admissible_integers,
@@ -201,3 +203,132 @@ def test_sequence_values_deterministic():
     assert np.array_equal(a, b)
     c = sequence_values("geomdecay:0.9:0.5", 4)
     assert np.allclose(c, [0.9, 0.45, 0.225, 0.1125])
+
+
+# ---------------------------------------------------------------------------
+# Fibonacci-word doubling against the scan enumeration
+# ---------------------------------------------------------------------------
+
+
+def scan_admissible(count, chunk=1 << 20):
+    """First `count` admissible integers, found by testing every integer upward."""
+    found = [np.empty(0, dtype=np.int64)]
+    have, lo = 0, 1
+    while have < count:
+        block = np.arange(lo, lo + chunk, dtype=np.int64)
+        good = block[(block & (block >> 1)) == 0]
+        found.append(good)
+        have += len(good)
+        lo += chunk
+    return np.concatenate(found)[:count]
+
+
+def bitwise_radical_inverse(ns):
+    """Radical inverses adding GAMMA**(k+1) for every bit k, low bit first."""
+    out = np.zeros(len(ns))
+    if len(ns) == 0:
+        return out
+    for k in range(int(ns.max()).bit_length()):
+        out += sequences._GAMMA_POWERS[k] * ((ns >> k) & 1)
+    return out
+
+
+def zeckendorf_oracle(k):
+    """Admissible integer whose bit j is the digit of F(j+2) in the greedy
+    Zeckendorf representation of k, built as a digit string."""
+    fibs = [1, 2]
+    while fibs[-1] + fibs[-2] <= k:
+        fibs.append(fibs[-1] + fibs[-2])
+    digits = ""
+    for f in reversed(fibs):
+        if f <= k:
+            digits += "1"
+            k -= f
+        else:
+            digits += "0"
+    if k:
+        raise AssertionError("greedy pass left a remainder")
+    return int(digits, 2)
+
+
+def test_doubling_matches_the_scan_at_fib_25_points():
+    count = fib(25)
+    ints = scan_admissible(count)
+    got = admissible_integers(count)
+    assert got.dtype == np.int64 and np.array_equal(got, ints)
+    pts = kf_points(count)
+    assert pts.dtype == np.float64 and np.array_equal(pts, bitwise_radical_inverse(ints))
+
+
+def test_doubling_matches_the_scan_at_every_small_count():
+    ref = scan_admissible(200)
+    for count in range(201):
+        ints = admissible_integers(count)
+        assert ints.shape == (count,) and np.array_equal(ints, ref[:count]), count
+        pts = kf_points(count)
+        assert pts.shape == (count,), count
+        assert np.array_equal(pts, bitwise_radical_inverse(ref[:count])), count
+
+
+def test_kf_point_is_the_last_of_kf_points():
+    pts = kf_points(3000)
+    for k in range(1, 3001):
+        assert kf_point(k) == pts[k - 1], k
+
+
+_BIG_INDICES = sorted(
+    {fib(n) + d for n in range(2, 75) for d in (-1, 0, 1) if 1 <= fib(n) + d <= 10**15}
+    | {10**15, 10**15 - 1, 2**49, 7 * 10**14 + 12345}
+)
+
+
+def _check_against_zeckendorf(k):
+    n = zeckendorf_oracle(k)
+    assert is_admissible(n)
+    assert sum(fib(j + 2) for j in range(n.bit_length()) if n >> j & 1) == k
+    got = kf_point(k)
+    assert got == gamma_radical_inverse(n)
+    exact = sum(G ** (j + 1) for j in range(n.bit_length()) if n >> j & 1)
+    assert abs(got - exact) < 1e-12
+
+
+def test_kf_point_matches_zeckendorf_oracle_at_fibonacci_edges():
+    for k in _BIG_INDICES:
+        _check_against_zeckendorf(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**15))
+def test_kf_point_matches_zeckendorf_oracle(k):
+    _check_against_zeckendorf(k)
+
+
+def test_checkpoint_index_is_closed_form_past_the_old_scan_cap():
+    assert checkpoint_index(60) == fib(61)
+    assert kf_point(checkpoint_index(60)) == sequences._GAMMA_POWERS[59]
+    # the first point with k binary digits is GAMMA**k, exactly
+    for k in range(1, 26):
+        assert kf_points(checkpoint_index(k))[-1] == sequences._GAMMA_POWERS[k - 1]
+
+
+def test_kf_points_peak_memory_is_a_small_multiple_of_its_output():
+    count = fib(26)
+    tracemalloc.start()
+    try:
+        pts = kf_points(count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == count
+    assert peak <= 3 * pts.nbytes
+
+
+def test_past_the_digit_tables_is_a_value_error():
+    with pytest.raises(ValueError, match="binary digits"):
+        kf_points(fib(len(sequences._GAMMA_POWERS) + 2))
+    with pytest.raises(ValueError, match="binary digits"):
+        admissible_integers(fib(65))
+    with pytest.raises(ValueError, match="binary digits"):
+        gamma_radical_inverse(1 << len(sequences._GAMMA_POWERS))
+    with pytest.raises(ValueError):
+        kf_points(-1)
