@@ -41,10 +41,12 @@ def _validated(points):
 def _star_sorted(pts):
     """Star discrepancy of a validated sample sorted in increasing order."""
     n = len(pts)
-    idx = np.arange(1, n + 1)
-    over = idx / n - pts
-    under = pts - (idx - 1) / n
-    return float(max(over.max(), under.max()))
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n  # steps[i] == i / N
+    gap = steps[1:] - pts
+    over = gap.max()
+    np.subtract(pts, steps[:-1], out=gap)
+    return float(max(over, gap.max()))
 
 
 def star_discrepancy(points):
@@ -52,33 +54,52 @@ def star_discrepancy(points):
     return _star_sorted(np.sort(_validated(points)))
 
 
-def _extreme_sorted(pts, d_star):
-    """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star."""
+def _scratch(size):
+    """Arrays `_extreme_sorted` works in, for samples of up to `size` points."""
+    return np.arange(size + 1, dtype=float), np.empty(size + 2), np.empty(size + 2)
+
+
+def _extreme_sorted(pts, d_star, scratch=None):
+    """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star.
+
+    `scratch` is `_scratch(M)` for some M >= N; a caller that evaluates
+    many samples passes one, so that its pages are touched only once.
+    """
     n = len(pts)
     if n > EXTREME_CAP:
         raise ValueError(
             f"two-sided discrepancy limited to N <= {EXTREME_CAP}, got {n}"
         )
-    # pts is sorted, so the value grid is the runs of equal values of
-    # ext = [0, pts, 1]. Below a run's first index lie the points < v and,
-    # past the first run, the added 0; up to its last index lie the points
-    # <= v, the added 0 and, in the last run only, the added 1.
-    ext = np.concatenate([[0.0], pts, [1.0]])
-    first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
-    last = np.append(first[1:], len(ext)) - 1
-    vals = ext[first]
-    cum_incl = (last - (last == n + 1)) / n     # #{x <= v}/N
-    cum_excl = np.maximum(first - 1, 0) / n     # #{x <  v}/N
+    # The value grid is the runs of equal values of ext = [0, pts, 1]. At
+    # index i the points below ext[i] number i - 1 (0 for i = 0) if i
+    # starts its run, and the points up to it number i (N for i = N + 1)
+    # if i ends it. So the run starting at a gives lead = v_a - #{x < v_a}/N
+    # and the run ending at b gives lag = #{x <= v_b}/N - v_b; both are
+    # exactly 0 at i = 0 and i = N + 1.
+    counts, lead, lag = _scratch(n) if scratch is None else scratch
+    lead, lag = lead[: n + 2], lag[: n + 2]
+    lead[0] = lead[-1] = lag[0] = lag[-1] = 0.0
+    np.divide(counts[:n], n, out=lead[1:-1])
+    np.subtract(pts, lead[1:-1], out=lead[1:-1])
+    np.divide(counts[1 : n + 1], n, out=lag[1:-1])
+    np.subtract(lag[1:-1], pts, out=lag[1:-1])
+    if pts[0] == 0.0 or pts[-1] == 1.0 or np.any(pts[1:] == pts[:-1]):
+        ext = np.concatenate([[0.0], pts, [1.0]])
+        first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
+        lead, lag = lead[first], lag[np.append(first[1:], n + 2) - 1]
 
-    # excess: count both endpoints in, max over pairs a < b of
-    #   (incl[b] - excl[a]) - (v[b] - v[a])
-    gain = np.maximum.accumulate(vals - cum_excl)[:-1]
-    excess = np.max(cum_incl[1:] - vals[1:] + gain)
-    # deficit: count both endpoints out
-    gain = np.maximum.accumulate(cum_incl - vals)[:-1]
-    deficit = np.max(vals[1:] - cum_excl[1:] + gain)
+    # Runs a < b give the excess of the closed interval [v_a, v_b] and runs
+    # a > b the deficit of the open interval (v_b, v_a); both equal
+    # lead[a] + lag[b]. Rounded addition is monotone, so the largest such
+    # sum over a != b pairs the two maxima unless one run holds both.
+    a, b = int(np.argmax(lead)), int(np.argmax(lag))
+    if a != b:
+        best = lead[a] + lag[b]
+    else:
+        best = max(lead[a] + np.delete(lag, a).max(),
+                   np.delete(lead, a).max() + lag[a])
 
-    result = float(max(excess, deficit, 0.0))
+    result = float(max(best, 0.0))
     if result < d_star - 1e-12:
         raise AssertionError(
             f"two-sided discrepancy {result!r} fell below the star "
@@ -110,13 +131,19 @@ def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
     if min(ns) < 2:
         raise ValueError("sample sizes must be at least 2")
     pts = _validated(sequence_values(spec, max(ns)))
+    # every sample is sorted, and its value grid built, in these arrays
+    buffer = np.empty_like(pts)
+    extreme_ns = [n for n in ns if n <= extreme_cap] if include_extreme else []
+    scratch = _scratch(max(extreme_ns)) if extreme_ns else None
     rows = []
     for n in ns:
-        sample = np.sort(pts[:n])
+        sample = buffer[:n]
+        sample[:] = pts[:n]
+        sample.sort()
         d_star = _star_sorted(sample)
         d_ext = None
         if include_extreme and n <= extreme_cap:
-            d_ext = _extreme_sorted(sample, d_star)
+            d_ext = _extreme_sorted(sample, d_star, scratch)
         rows.append(
             {
                 "N": n,

@@ -54,7 +54,7 @@ class Partition:
             raise ValueError("a partition needs at least the two endpoints")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0.0):
+        if np.any(bp[1:] <= bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         bp = bp.copy()
         bp.setflags(write=False)
@@ -77,8 +77,13 @@ def _refine(partition, lengths, split, alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     bp = partition.breakpoints
-    new_points = bp[:-1][split] + alpha * lengths[split]
-    return Partition(np.sort(np.concatenate([bp, new_points])))
+    idx = np.flatnonzero(split)
+    new_points = lengths[idx]
+    new_points *= alpha
+    new_points += bp[idx]
+    merged = np.concatenate([bp, new_points])
+    merged.sort(kind="stable")  # two sorted runs: a merge
+    return Partition(merged)
 
 
 def alpha_refine(partition, alpha):

@@ -206,3 +206,26 @@ def test_extreme_equals_the_binary_search_formulation_on_kf_prefixes():
         assert extreme_discrepancy(pts[:n]) == extreme_by_search(pts[:n])
     ties = np.repeat(sequence_values("vdc", 64), 3)
     assert extreme_discrepancy(ties) == extreme_by_search(ties)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 0.5, 0.25])
+            | st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            min_size=1,
+            max_size=40,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_extreme_with_reused_scratch_equals_the_binary_search_formulation(samples):
+    # one scratch, larger than any sample, carries over from one sample to
+    # the next as it does in discrepancy_curve
+    scratch = discrepancy._scratch(50)
+    for sample in samples:
+        pts = np.sort(np.asarray(sample, dtype=float))
+        d_star = star_discrepancy(pts)
+        assert discrepancy._extreme_sorted(pts, d_star, scratch) == extreme_by_search(pts)
