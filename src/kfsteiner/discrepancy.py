@@ -115,7 +115,7 @@ def extreme_discrepancy(points):
     least the star discrepancy and at most twice it.
     """
     pts = np.sort(_validated(points))
-    return _extreme_sorted(pts, star_discrepancy(pts))
+    return _extreme_sorted(pts, _star_sorted(pts))
 
 
 def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):

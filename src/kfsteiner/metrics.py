@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rasters as _rasters
 from .polygons import (
     Ball,
     ConvexPolygon,
+    _rotation,
     ball_hausdorff,
     disk_intersection_area,
 )
-from .rasters import RasterSet, _disk_fraction, _linear_map_pull, resample_to
+from .rasters import RasterSet, _disk_fraction, resample_to
 
 __all__ = [
     "MetricsRecord",
@@ -174,9 +176,9 @@ def perimeter_estimate(rs, n_directions=64):
         elif theta <= 1e-12:
             vals = rs.occ.T
         else:
-            phi = 0.5 * math.pi - theta
-            c, s = math.cos(phi), math.sin(phi)
-            vals = _linear_map_pull(rs, np.array([[c, -s], [s, c]]))
+            # looked up at call time, so a substituted _pull_linear reaches here
+            rot = _rotation(0.5 * math.pi - theta)
+            vals = _rasters._pull_linear(rs.occ, rs.grid, rot)
         padded = np.pad(vals, ((1, 1), (0, 0)))
         totals.append(np.abs(np.diff(padded, axis=0)).sum() * h)
     return 0.5 * math.pi * float(np.mean(totals))

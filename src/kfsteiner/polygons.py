@@ -56,6 +56,19 @@ def as_theta(direction):
     return theta
 
 
+def _rotation(angle):
+    """Matrix of the counterclockwise rotation by `angle` radians."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _reflection(theta):
+    """Matrix of the reflection across the line orthogonal to angle theta."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    return np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
+                     [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
+
+
 def _shoelace(v):
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -255,9 +268,7 @@ def steiner_polygon(poly, direction):
     area0 = poly.area()
     if area0 < DEGENERATE_AREA:
         raise ValueError(f"degenerate polygon with area {area0!r}")
-    phi = 0.5 * math.pi - theta
-    c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
+    rot = _rotation(0.5 * math.pi - theta)
     v = poly.vertices @ rot.T
     xs, ell = _chord_profile(v)
     xs, ell = _simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * area0)
@@ -268,10 +279,7 @@ def steiner_polygon(poly, direction):
 
 def reflect_polygon(poly, direction):
     """Reflect across the line through the origin orthogonal to `direction`."""
-    theta = as_theta(direction)
-    ux, uy = math.cos(theta), math.sin(theta)
-    mat = np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
-                    [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
+    mat = _reflection(as_theta(direction))
     return ConvexPolygon((poly.vertices @ mat.T)[::-1])
 
 

@@ -2,8 +2,10 @@
 
 A run is fully determined by its configuration: the direction sequence,
 the seed (builtin fixture or file), the step count, and the recording
-cadence. Polygon seeds use the exact chord backend; raster seeds use
-the occupancy-grid backend. Checkpoint probing verifies that at the
+cadence. Polygon seeds use the exact chord backend (PolygonRun); raster
+seeds use the occupancy-grid backend (rasters.AlignedRun). Both backends
+run through one step loop, `_walk`, which run_process and
+checkpoint_probe share. Checkpoint probing verifies that at the
 enumerated checkpoint steps the applied direction is pi * gamma**k and
 measures the reflection defect of the current set about that line.
 """
@@ -11,7 +13,6 @@ measures the reflection defect of the current set about that line.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ BUILTIN_SEEDS = (
     "two-component",
     "annulus",
 )
+
+#: Largest gap allowed between a checkpoint value and gamma**order.
+CHECKPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,42 @@ def load_seed(spec, resolution=512, grid=None):
     return load_polygon(spec)
 
 
+class PolygonRun:
+    """Exact chord symmetrals of one polygon, with AlignedRun's methods.
+
+    The polygon keeps no frame: both accessors return it.
+    """
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.theta = None  # angle of the last applied direction
+
+    def apply(self, direction):
+        self.poly = steiner_polygon(self.poly, direction)
+        self.theta = direction
+        return self
+
+    def frame_raster(self):
+        return self.poly
+
+    world_raster = frame_raster
+
+    def reflection_defect(self):
+        """Vertex mismatch against the reflection about the last direction."""
+        return symmetry_defect(self.poly, self.theta)
+
+
+def _walk(seed, xs):
+    """Yield (0, None, None, run), then (k, x, theta, run) after step k,
+    theta = pi * x; `run` is one AlignedRun or PolygonRun throughout."""
+    run = AlignedRun(seed) if isinstance(seed, RasterSet) else PolygonRun(seed)
+    yield 0, None, None, run
+    for k, x in enumerate(xs, start=1):
+        x = float(x)
+        theta = math.pi * x
+        yield k, x, theta, run.apply(theta)
+
+
 def run_process(cfg, snapshot_steps=(), callback=None):
     """Run the composed symmetrization described by `cfg`.
 
@@ -173,53 +213,31 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
 
     ball_occ = None
-    driver = None
     if isinstance(seed, RasterSet):
         r = math.sqrt(seed.area() / math.pi)
         ball_occ = _disk_fraction(seed.grid, r)
-        driver = AlignedRun(seed)
 
     wanted = set(int(s) for s in snapshot_steps)
     snapshots = {}
     records = []
-    current = seed
-
-    def _measurable():
-        return driver.frame_raster() if driver is not None else current
-
-    def _worldly():
-        return driver.world_raster() if driver is not None else current
-
-    def _record(step, x, theta):
-        rec = _metrics.measure(
-            _measurable(),
-            with_hausdorff=cfg.with_hausdorff,
-            with_perimeter=cfg.with_perimeter,
-            ball_occ=ball_occ,
-        )
-        records.append(TraceRecord(step=step, x=x, theta=theta, metrics=rec))
-        if callback is not None:
-            callback(step, _worldly())
-
-    _record(0, None, None)
-    if 0 in wanted:
-        snapshots[0] = _worldly()
-    for k in range(1, cfg.steps + 1):
-        x = float(xs[k - 1])
-        theta = math.pi * x
-        if driver is not None:
-            driver.apply(theta)
-        else:
-            current = steiner_polygon(current, theta)
+    for k, x, theta, run in _walk(seed, xs):
         if k in wanted:
-            snapshots[k] = _worldly()
+            snapshots[k] = run.world_raster()
         if k % cfg.cadence == 0 or k == cfg.steps:
-            _record(k, x, theta)
-    return ProcessResult(final=_worldly(), records=tuple(records),
+            rec = _metrics.measure(
+                run.frame_raster(),
+                with_hausdorff=cfg.with_hausdorff,
+                with_perimeter=cfg.with_perimeter,
+                ball_occ=ball_occ,
+            )
+            records.append(TraceRecord(step=k, x=x, theta=theta, metrics=rec))
+            if callback is not None:
+                callback(k, run.world_raster())
+    return ProcessResult(final=run.world_raster(), records=tuple(records),
                          snapshots=snapshots)
 
 
-def checkpoint_probe(cfg, tol=1e-12):
+def checkpoint_probe(cfg):
     """Verify checkpoint directions and measure reflection defects.
 
     Only meaningful for the golden-ratio sequence: at the enumerated
@@ -233,52 +251,30 @@ def checkpoint_probe(cfg, tol=1e-12):
     if seq.kind != "kf":
         raise ValueError("checkpoint probing requires the kf sequence")
     xs = sequence_values(seq, cfg.steps)
-    probe_steps = {}
+    orders = {}
     k = 1
-    while True:
-        p = checkpoint_index(k)
-        if p > cfg.steps:
-            break
-        probe_steps[p] = k
+    while checkpoint_index(k) <= cfg.steps:
+        orders[checkpoint_index(k)] = k
         k += 1
-    for p, order in probe_steps.items():
-        if abs(float(xs[p - 1]) - GAMMA**order) > tol:
+    for p, order in orders.items():
+        if abs(float(xs[p - 1]) - GAMMA**order) > CHECKPOINT_TOL:
             raise AssertionError(
                 f"checkpoint {order}: value at step {p} is {xs[p - 1]!r}, "
                 f"expected gamma**{order}"
             )
 
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
-    driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
-    current = seed
-    out = []
-    for step in range(1, max(probe_steps) + 1):
-        theta = math.pi * float(xs[step - 1])
-        if driver is not None:
-            driver.apply(theta)
-        else:
-            current = steiner_polygon(current, theta)
-        if step in probe_steps:
-            order = probe_steps[step]
-            if driver is not None:
-                defect = driver.reflection_defect()
-            else:
-                defect = symmetry_defect(current, theta)
-            out.append(
-                CheckpointRecord(
-                    order=order, step=step, theta=math.pi * GAMMA**order,
-                    defect=defect,
-                )
-            )
-    return out
-
-
-def _run_one(cfg):
-    return run_process(cfg)
+    return [
+        CheckpointRecord(order=orders[step], step=step,
+                         theta=math.pi * GAMMA ** orders[step],
+                         defect=run.reflection_defect())
+        for step, _, _, run in _walk(seed, xs[: max(orders)])
+        if step in orders
+    ]
 
 
 def compare_sequences(seed, sequence_ids, steps, cadence=1, resolution=512,
-                      jobs=1, with_perimeter=False):
+                      jobs=1):
     """Run several sequences on the same seed and align their traces.
 
     Returns (ids, rows) where each row is a dict with the step and, per
@@ -294,15 +290,16 @@ def compare_sequences(seed, sequence_ids, steps, cadence=1, resolution=512,
             steps=steps,
             cadence=cadence,
             resolution=resolution,
-            with_perimeter=with_perimeter,
         )
         for sid in ids
     ]
     if jobs > 1:
+        # only parallel runs pay for importing the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, cfgs))
+            results = list(pool.map(run_process, cfgs))
     else:
-        results = [_run_one(c) for c in cfgs]
+        results = [run_process(c) for c in cfgs]
     steps_axis = [rec.step for rec in results[0].records]
     rows = []
     for i, step in enumerate(steps_axis):

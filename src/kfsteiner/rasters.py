@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygons import Ball, ConvexPolygon, as_theta
+from .polygons import Ball, ConvexPolygon, _reflection, _rotation, as_theta
 
 __all__ = [
     "GridSpec",
@@ -392,10 +392,6 @@ def _pull_linear(occ, grid, matrix):
     return out
 
 
-def _linear_map_pull(rs, matrix):
-    return _pull_linear(rs.occ, rs.grid, matrix)
-
-
 def _center_out_order(n):
     """Cell indices ordered by distance from the grid midline, positive side first."""
     idx = np.arange(n)
@@ -503,13 +499,9 @@ def steiner_raster(rs, direction, report=False):
         out = _rearrange_columns(rs.occ.T).T
     else:
         _check_margin(rs.occ, rs.grid)
-        phi = 0.5 * math.pi - theta
-        c, s = math.cos(phi), math.sin(phi)
-        fwd = np.array([[c, -s], [s, c]])
-        back = np.array([[c, s], [-s, c]])
-        aligned = _linear_map_pull(rs, fwd)
-        rearranged = _rearrange_columns(aligned)
-        out = _linear_map_pull(rs.with_occ(rearranged), back)
+        fwd = _rotation(0.5 * math.pi - theta)
+        rearranged = _rearrange_columns(_pull_linear(rs.occ, rs.grid, fwd))
+        out = _pull_linear(rearranged, rs.grid, fwd.T)
         out[out < DUST_FLOOR] = 0.0  # keeps the fringe from creeping outward
         info["resampled"] = True
         drift = (out.sum() - mass0) / mass0 if mass0 > 0 else 0.0
@@ -532,10 +524,7 @@ def reflect_raster(rs, direction):
         return rs.with_occ(rs.occ[::-1, :].copy())  # u vertical: flip y
     if mod <= 1e-12 or math.pi - mod <= 1e-12:
         return rs.with_occ(rs.occ[:, ::-1].copy())  # u horizontal: flip x
-    ux, uy = math.cos(theta), math.sin(theta)
-    mat = np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
-                    [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
-    return rs.with_occ(_linear_map_pull(rs, mat))
+    return rs.with_occ(_pull_linear(rs.occ, rs.grid, _reflection(theta)))
 
 
 def resample_to(rs, grid):
@@ -581,8 +570,7 @@ class AlignedRun:
         occ = self.occ
         if delta != 0.0:
             _check_margin(occ, self.grid)
-            c, s = math.cos(delta), math.sin(delta)
-            occ = _pull_linear(occ, self.grid, np.array([[c, -s], [s, c]]))
+            occ = _pull_linear(occ, self.grid, _rotation(delta))
         occ = _rearrange_columns(occ)
         occ[occ < DUST_FLOOR] = 0.0
         self.occ = _match_mass(occ, self.target_mass)
@@ -596,8 +584,7 @@ class AlignedRun:
         delta = math.remainder(-self.frame, 2.0 * math.pi)
         if delta == 0.0:
             return self.frame_raster()
-        c, s = math.cos(delta), math.sin(delta)
-        occ = _pull_linear(self.occ, self.grid, np.array([[c, -s], [s, c]]))
+        occ = _pull_linear(self.occ, self.grid, _rotation(delta))
         occ[occ < DUST_FLOOR] = 0.0
         return RasterSet(_match_mass(occ, self.target_mass), self.grid)
 

@@ -247,7 +247,10 @@ class SequenceSpec:
 def _parse_alpha(text):
     if text.strip().lower() == "gamma":
         return GAMMA
-    return float(text)
+    alpha = float(text)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {text!r}")
+    return alpha
 
 
 def parse_sequence_id(text):
@@ -326,7 +329,7 @@ def sequence_values(spec, count):
                 f"schedule file {spec.path!r} has {len(vals)} values, need {count}"
             )
         vals = vals[:count]
-        if np.any((vals < 0.0) | (vals > 1.0)):
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
             raise ValueError(f"schedule file {spec.path!r} has values outside [0, 1]")
         return vals
     raise ValueError(f"unknown sequence kind {spec.kind!r}")

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kfsteiner
 from kfsteiner.cli import build_parser, main
 from kfsteiner.polygons import Ball, load_polygon
 from kfsteiner.rasters import GridSpec, rasterize, read_pgm, write_pgm
@@ -39,6 +42,40 @@ def test_seq_vdc(tmp_path):
 def test_seq_rejects_zero_n(capsys):
     assert main(["seq", "--kind", "kf", "--n", "0"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["kronecker:nan", "kronecker:inf", "file"])
+def test_seq_rejects_non_finite_values(kind, tmp_path, capsys):
+    if kind == "file":
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0.5\nnan\n0.25\n")
+        kind = f"file:{sched}"
+    out = tmp_path / "seq.csv"
+    assert main(["seq", "--kind", kind, "--n", "3", "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_seq_non_finite_alpha_is_a_usage_error(alpha, tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["seq", "--kind", "kronecker", "--alpha", alpha, "--n", "3",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert "bad alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only `compare --jobs N` with N > 1 needs concurrent.futures.process
+    src = os.path.dirname(os.path.dirname(kfsteiner.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, kfsteiner.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_partition_gamma_table(tmp_path):

@@ -140,7 +140,7 @@ def test_extreme_cap_enforced():
 def test_extreme_invariant_raises_even_without_assert(monkeypatch):
     # a star discrepancy above the two-sided one breaks the sandwich; the
     # check must be an explicit raise, which python -O does not strip
-    monkeypatch.setattr(discrepancy, "star_discrepancy", lambda pts: 1.0)
+    monkeypatch.setattr(discrepancy, "_star_sorted", lambda pts: 1.0)
     with pytest.raises(AssertionError, match="fell below the star"):
         extreme_discrepancy([0.0, 0.25, 0.5, 0.75])
 

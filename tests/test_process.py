@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from kfsteiner.metrics import grid_tolerance
-from kfsteiner.polygons import Ball, ConvexPolygon
+from kfsteiner.metrics import grid_tolerance, measure
+from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
 from kfsteiner.process import (
     BUILTIN_SEEDS,
+    CheckpointRecord,
     ProcessConfig,
+    TraceRecord,
     builtin_seed,
     checkpoint_probe,
     compare_csv,
@@ -15,8 +18,15 @@ from kfsteiner.process import (
     run_process,
     trace_csv,
 )
-from kfsteiner.rasters import GridSpec, rasterize, write_pgm
-from kfsteiner.sequences import GAMMA
+from kfsteiner.rasters import (
+    AlignedRun,
+    GridSpec,
+    RasterSet,
+    _disk_fraction,
+    rasterize,
+    write_pgm,
+)
+from kfsteiner.sequences import GAMMA, checkpoint_index, sequence_values
 
 
 def test_config_validation():
@@ -208,3 +218,106 @@ def test_every_builtin_seed_moves_toward_the_ball(name):
     )
     res = run_process(cfg)
     assert res.records[-1].metrics.d1_to_ball <= res.records[0].metrics.d1_to_ball
+
+
+# ---------------------------------------------------------------------------
+# one loop per backend, as run_process and checkpoint_probe were written
+# before both ran through one loop: the oracle for that loop
+# ---------------------------------------------------------------------------
+
+
+def _looped_process(cfg, snapshot_steps):
+    """(records, snapshots, callback calls, final set) of a run."""
+    xs = sequence_values(cfg.sequence, cfg.steps)
+    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    ball_occ = driver = None
+    if isinstance(seed, RasterSet):
+        ball_occ = _disk_fraction(seed.grid, math.sqrt(seed.area() / math.pi))
+        driver = AlignedRun(seed)
+    current = seed
+
+    def frame():
+        return driver.frame_raster() if driver is not None else current
+
+    def world():
+        return driver.world_raster() if driver is not None else current
+
+    records, snapshots, calls = [], {}, []
+
+    def record(step, x, theta):
+        rec = measure(frame(), with_hausdorff=cfg.with_hausdorff,
+                      with_perimeter=cfg.with_perimeter, ball_occ=ball_occ)
+        records.append(TraceRecord(step=step, x=x, theta=theta, metrics=rec))
+        calls.append((step, world()))
+
+    record(0, None, None)
+    if 0 in snapshot_steps:
+        snapshots[0] = world()
+    for k in range(1, cfg.steps + 1):
+        x = float(xs[k - 1])
+        theta = math.pi * x
+        if driver is not None:
+            driver.apply(theta)
+        else:
+            current = steiner_polygon(current, theta)
+        if k in snapshot_steps:
+            snapshots[k] = world()
+        if k % cfg.cadence == 0 or k == cfg.steps:
+            record(k, x, theta)
+    return records, snapshots, calls, world()
+
+
+def _looped_checkpoints(cfg):
+    xs = sequence_values(cfg.sequence, cfg.steps)
+    probe = {}
+    k = 1
+    while checkpoint_index(k) <= cfg.steps:
+        probe[checkpoint_index(k)] = k
+        k += 1
+    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
+    current = seed
+    out = []
+    for step in range(1, max(probe) + 1):
+        theta = math.pi * float(xs[step - 1])
+        if driver is not None:
+            driver.apply(theta)
+        else:
+            current = steiner_polygon(current, theta)
+        if step in probe:
+            defect = (driver.reflection_defect() if driver is not None
+                      else symmetry_defect(current, theta))
+            out.append(CheckpointRecord(order=probe[step], step=step,
+                                        theta=math.pi * GAMMA ** probe[step],
+                                        defect=defect))
+    return out
+
+
+def _same_set(a, b):
+    if isinstance(a, ConvexPolygon):
+        return isinstance(b, ConvexPolygon) and np.array_equal(a.vertices, b.vertices)
+    return a.grid == b.grid and np.array_equal(a.occ, b.occ)
+
+
+@pytest.mark.parametrize("seed, steps, resolution", [
+    ("builtin:offset-square", 40, 512),
+    ("builtin:lshape", 34, 96),
+])
+def test_shared_loop_equals_the_per_backend_loops(seed, steps, resolution):
+    cfg = ProcessConfig(sequence="kf", seed=seed, steps=steps, cadence=3,
+                        resolution=resolution, with_hausdorff=True,
+                        with_perimeter=True)
+    wanted = (0, 13, steps)
+    calls = []
+    res = run_process(cfg, snapshot_steps=wanted,
+                      callback=lambda k, s: calls.append((k, s)))
+    records, snapshots, ref_calls, final = _looped_process(cfg, wanted)
+    assert list(res.records) == records
+    assert sorted(res.snapshots) == sorted(snapshots) == list(wanted)
+    for k in wanted:
+        assert _same_set(res.snapshots[k], snapshots[k]), k
+    assert [k for k, _ in calls] == [k for k, _ in ref_calls]
+    for (k, got), (_, want) in zip(calls, ref_calls):
+        assert _same_set(got, want), k
+    assert _same_set(res.final, final)
+    assert checkpoint_probe(cfg) == _looped_checkpoints(cfg)

@@ -183,6 +183,20 @@ def test_checkpoint_values():
     assert abs(kf_point(checkpoint_index(2) + 1) - G**3) < 1e-15
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_kronecker_alpha_is_rejected(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_sequence_id(f"kronecker:{text}")
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.25"])
+def test_schedule_file_values_must_lie_in_the_unit_interval(value, tmp_path):
+    path = tmp_path / "sched.txt"
+    path.write_text(f"0.5\n{value}\n0.25\n")
+    with pytest.raises(ValueError, match="outside"):
+        sequence_values(f"file:{path}", 3)
+
+
 def test_parse_sequence_ids():
     assert parse_sequence_id("kf").kind == "kf"
     assert parse_sequence_id("vdc2").base == 2
