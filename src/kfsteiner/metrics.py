@@ -40,6 +40,10 @@ __all__ = [
 #: Multiplier in the per-test grid tolerance C * h * perimeter.
 GRID_TOL_FACTOR = 8.0
 
+#: Point-vertex pairs per block in `_dist_to_polygon`, which bounds its
+#: temporaries to a few MiB whatever the sample and vertex counts.
+DIST_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -100,9 +104,7 @@ def d1_to_ball(obj):
     the ball is rasterized on the same grid.
     """
     if isinstance(obj, ConvexPolygon):
-        a = obj.area()
-        r = math.sqrt(a / math.pi)
-        return 2.0 * (a - disk_intersection_area(obj, r))
+        return _polygon_d1_to_ball(obj, obj.area())
     if isinstance(obj, RasterSet):
         a = obj.area()
         if a <= 0.0:
@@ -111,6 +113,13 @@ def d1_to_ball(obj):
         ball_occ = _disk_fraction(obj.grid, r)
         return float(np.abs(obj.occ - ball_occ).sum() * obj.grid.h**2)
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
+
+
+def _polygon_d1_to_ball(poly, a):
+    """Exact d1 of a polygon of area a to the origin ball of that area."""
+    r = math.sqrt(a / math.pi)
+    # module-global lookup, so a substituted disk_intersection_area is used
+    return 2.0 * (a - disk_intersection_area(poly, r))
 
 
 def _boundary_samples(poly, spacing):
@@ -125,17 +134,28 @@ def _boundary_samples(poly, spacing):
 
 
 def _dist_to_polygon(points, poly):
-    """Distance from each point to the polygon as a set (0 inside)."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    rel = points[:, None, :] - v[None, :, :]
-    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross >= -1e-12, axis=1)
-    ee = (e * e).sum(axis=1)
-    t = np.clip((rel * e[None, :, :]).sum(axis=2) / ee[None, :], 0.0, 1.0)
-    foot = rel - t[:, :, None] * e[None, :, :]
-    dist = np.sqrt((foot * foot).sum(axis=2)).min(axis=1)
-    dist[inside] = 0.0
+    """Distance from each point to the polygon as a set (0 inside).
+
+    Points are taken in blocks of about DIST_BLOCK_PAIRS point-vertex
+    pairs, so memory stays bounded; each point's value does not depend
+    on the block it falls in.
+    """
+    vx, vy = poly.vertices[:, 0], poly.vertices[:, 1]
+    ex, ey = np.roll(vx, -1) - vx, np.roll(vy, -1) - vy
+    ee = ex * ex + ey * ey
+    dist = np.empty(len(points))
+    step = max(1, DIST_BLOCK_PAIRS // len(vx))
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        rx = block[:, 0, None] - vx
+        ry = block[:, 1, None] - vy
+        inside = np.all(ex * ry - ey * rx >= -1e-12, axis=1)
+        t = np.clip((rx * ex + ry * ey) / ee, 0.0, 1.0)
+        rx -= t * ex
+        ry -= t * ey
+        d = np.sqrt(rx * rx + ry * ry).min(axis=1)
+        d[inside] = 0.0
+        dist[start:start + step] = d
     return dist
 
 
@@ -204,10 +224,9 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, ball_occ=None):
     haus = None
     perim = None
     if isinstance(obj, ConvexPolygon):
-        r = math.sqrt(a / math.pi)
-        dball = 2.0 * (a - disk_intersection_area(obj, r))
+        dball = _polygon_d1_to_ball(obj, a)
         if with_hausdorff:
-            haus = ball_hausdorff(obj, r)
+            haus = ball_hausdorff(obj, math.sqrt(a / math.pi))
         if with_perimeter:
             perim = obj.perimeter()
     else:

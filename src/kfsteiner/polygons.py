@@ -9,6 +9,11 @@ the area by less than a tiny fraction of the total are merged; without
 the merge the vertex count would double with every application. The
 result is rescaled about the origin so the area matches the input
 exactly, which keeps long composition chains drift-free.
+
+Vertices are stored column-major: the x and y coordinates are two
+contiguous arrays, and every per-vertex kernel (validation, shoelace,
+second moment, disk intersection, chord profile) works on those two
+columns with 1-D rolls instead of reducing over the length-2 axis.
 """
 
 from __future__ import annotations
@@ -80,21 +85,22 @@ class ConvexPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        v = np.array(vertices, dtype=float)
+        # column-major, so v[:, 0] and v[:, 1] are contiguous
+        v = np.array(vertices, dtype=float, order="F")
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("need at least 3 vertices of shape (m, 2)")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        span = float(np.ptp(v, axis=0).max())
+        x, y = v[:, 0], v[:, 1]
+        span = max(float(x.max() - x.min()), float(y.max() - y.min()))
         if span <= 0.0:
             raise ValueError("degenerate polygon with zero extent")
-        edges = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * span):
+        ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+        if np.any(np.hypot(ex, ey) <= 1e-12 * span):
             raise ValueError("repeated consecutive vertices")
         if _shoelace(v) <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
-        nxt = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+        cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
         if np.any(cross < -COLLINEAR_REL_TOL * span * span):
             raise ValueError("polygon is not convex")
         v.setflags(write=False)
@@ -110,8 +116,8 @@ class ConvexPolygon:
         return _shoelace(self.vertices)
 
     def perimeter(self):
-        edges = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.hypot(edges[:, 0], edges[:, 1]).sum())
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        return float(np.hypot(np.roll(x, -1) - x, np.roll(y, -1) - y).sum())
 
     def moment_about_origin(self):
         """Integral of x**2 + y**2 over the polygon, exact.
@@ -119,10 +125,10 @@ class ConvexPolygon:
         Sum over edges of the apex-triangle second moment about the
         origin: cross(p, q) * (|p|^2 + p.q + |q|^2) / 12.
         """
-        p = self.vertices
-        q = np.roll(p, -1, axis=0)
-        cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-        terms = (p * p).sum(axis=1) + (p * q).sum(axis=1) + (q * q).sum(axis=1)
+        px, py = self.vertices[:, 0], self.vertices[:, 1]
+        qx, qy = np.roll(px, -1), np.roll(py, -1)
+        cross = px * qy - py * qx
+        terms = (px * px + py * py) + (px * qx + py * qy) + (qx * qx + qy * qy)
         return float(np.sum(cross * terms) / 12.0)
 
     def circumradius(self):
@@ -130,10 +136,9 @@ class ConvexPolygon:
         return float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
 
     def contains_origin(self):
-        p = self.vertices
-        q = np.roll(p, -1, axis=0)
-        d = q - p
-        return bool(np.all(d[:, 0] * -p[:, 1] - d[:, 1] * -p[:, 0] >= 0.0))
+        px, py = self.vertices[:, 0], self.vertices[:, 1]
+        dx, dy = np.roll(px, -1) - px, np.roll(py, -1) - py
+        return bool(np.all(dx * -py - dy * -px >= 0.0))
 
     def translated(self, dx, dy):
         return ConvexPolygon(self.vertices + np.array([dx, dy]))
@@ -175,10 +180,8 @@ def regular_polygon(radius, n=128, center=(0.0, 0.0)):
 # ---------------------------------------------------------------------------
 
 
-def _chain_envelope(chain, span, take_min):
+def _chain_envelope(x, y, span, take_min):
     """Collapse a monotone-x chain to strictly increasing x with min or max y."""
-    x = chain[:, 0]
-    y = chain[:, 1]
     new = np.empty(len(x), dtype=bool)
     new[0] = True
     new[1:] = np.diff(x) > 1e-12 * span
@@ -191,15 +194,20 @@ def _chain_envelope(chain, span, take_min):
 def _chord_profile(v):
     """Breakpoints and vertical chord lengths of a convex polygon."""
     m = len(v)
-    order = np.lexsort((v[:, 1], v[:, 0]))
-    i_lo, i_hi = int(order[0]), int(order[-1])
-    idx = (np.arange(m) + i_lo) % m
-    vr = v[idx]
-    j = int(np.nonzero(idx == i_hi)[0][0])
-    lower = vr[: j + 1]
-    upper = np.concatenate([vr[j:], vr[:1]])[::-1]
+    x, y = v[:, 0], v[:, 1]
+    # the chains run from the leftmost vertex (lowest among ties, then
+    # first) to the rightmost (highest among ties, then last)
+    left = np.flatnonzero(x == x.min())
+    i_lo = int(left[np.argmin(y[left])])
+    right = np.flatnonzero(x == x.max())[::-1]
+    i_hi = int(right[np.argmax(y[right])])
+    xr, yr = np.roll(x, -i_lo), np.roll(y, -i_lo)
+    j = (i_hi - i_lo) % m
+    lower = xr[: j + 1], yr[: j + 1]
+    upper = (np.concatenate([xr[j:], xr[:1]])[::-1],
+             np.concatenate([yr[j:], yr[:1]])[::-1])
 
-    xs = np.unique(v[:, 0])
+    xs = np.unique(x)
     span = xs[-1] - xs[0]
     if span <= 0.0:
         raise ValueError("polygon collapses to a vertical segment in this frame")
@@ -208,8 +216,8 @@ def _chord_profile(v):
     keep[1:] = np.diff(xs) > 1e-12 * span
     xs = xs[keep]
 
-    lo_x, lo_y = _chain_envelope(lower, span, take_min=True)
-    up_x, up_y = _chain_envelope(upper, span, take_min=False)
+    lo_x, lo_y = _chain_envelope(*lower, span, take_min=True)
+    up_x, up_y = _chain_envelope(*upper, span, take_min=False)
     lo = np.interp(xs, lo_x, lo_y)
     up = np.interp(xs, up_x, up_y)
     return xs, np.maximum(up - lo, 0.0)
@@ -291,12 +299,13 @@ def _directed_vertex_gap(a, b, window=32):
     nearest vertex shares the x coordinate up to rounding.
     """
     order = np.argsort(a[:, 0], kind="stable")
-    ax = a[order]
-    idx = np.searchsorted(ax[:, 0], b[:, 0])
+    ax, ay = a[:, 0][order], a[:, 1][order]
+    bx, by = b[:, 0], b[:, 1]
+    idx = np.searchsorted(ax, bx)
     best = np.full(len(b), np.inf)
     for off in range(-window, window + 1):
         j = np.clip(idx + off, 0, len(ax) - 1)
-        best = np.minimum(best, np.hypot(ax[j, 0] - b[:, 0], ax[j, 1] - b[:, 1]))
+        best = np.minimum(best, np.hypot(ax[j] - bx, ay[j] - by))
     return float(best.max())
 
 
@@ -353,12 +362,12 @@ def disk_intersection_area(poly, radius):
     """
     if radius <= 0.0:
         return 0.0
-    p = poly.vertices
-    q = np.roll(p, -1, axis=0)
-    d = q - p
-    a = (d * d).sum(axis=1)
-    b = (p * d).sum(axis=1)
-    c = (p * p).sum(axis=1) - radius**2
+    px, py = poly.vertices[:, 0], poly.vertices[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    dx, dy = qx - px, qy - py
+    a = dx * dx + dy * dy
+    b = px * dx + py * dy
+    c = (px * px + py * py) - radius**2
     disc = b * b - a * c
     root = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,16 +376,16 @@ def disk_intersection_area(poly, radius):
     miss = disc <= 0.0
     t0 = np.where(miss, 0.0, t0)
     t1 = np.where(miss, 0.0, t1)
-    entry = p + t0[:, None] * d
-    exit_ = p + t1[:, None] * d
+    entry = px + t0 * dx, py + t0 * dy
+    exit_ = px + t1 * dx, py + t1 * dy
 
-    def _sector(u, w):
-        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-        dot = (u * w).sum(axis=1)
+    def _sector(ux, uy, wx, wy):
+        cross = ux * wy - uy * wx
+        dot = ux * wx + uy * wy
         return 0.5 * radius**2 * np.arctan2(cross, dot)
 
-    straight = 0.5 * (entry[:, 0] * exit_[:, 1] - entry[:, 1] * exit_[:, 0])
-    total = _sector(p, entry) + straight + _sector(exit_, q)
+    straight = 0.5 * (entry[0] * exit_[1] - entry[1] * exit_[0])
+    total = _sector(px, py, *entry) + straight + _sector(*exit_, qx, qy)
     return float(np.sum(total))
 
 
@@ -389,12 +398,12 @@ def ball_hausdorff(poly, radius, n_fallback=2048):
     is exact. Otherwise the minimum is taken over sampled directions.
     """
     v = poly.vertices
-    hi = float(np.hypot(v[:, 0], v[:, 1]).max())
+    px, py = v[:, 0], v[:, 1]
+    hi = float(np.hypot(px, py).max())
     if poly.contains_origin():
-        p = v
-        q = np.roll(v, -1, axis=0)
-        cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-        lengths = np.hypot(*(q - p).T)
+        qx, qy = np.roll(px, -1), np.roll(py, -1)
+        cross = px * qy - py * qx
+        lengths = np.hypot(qx - px, qy - py)
         lo = float((np.abs(cross) / lengths).min())
     else:
         ang = np.linspace(0.0, 2.0 * math.pi, n_fallback, endpoint=False)

@@ -311,7 +311,14 @@ def sequence_values(spec, count):
     if spec.kind == "vdc":
         return vdc_points(count, base=spec.base)
     if spec.kind == "kronecker":
-        return kronecker_points(count, alpha=spec.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = kronecker_points(count, alpha=spec.alpha)
+        if not np.all(np.isfinite(vals)):  # k * alpha overflowed
+            raise ValueError(
+                f"kronecker alpha {spec.alpha!r} is too large: k * alpha "
+                f"overflows within the first {count} values"
+            )
+        return vals
     if spec.kind == "constant":
         if not 0.0 <= spec.value <= 1.0:
             raise ValueError("constant schedule value must lie in [0, 1]")

@@ -56,6 +56,15 @@ def test_seq_rejects_non_finite_values(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seq_overflowing_kronecker_alpha_fails(tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    assert main(["seq", "--kind", "kronecker:1e308", "--n", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kronecker alpha 1e+308" in err
+    assert "nan" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_seq_non_finite_alpha_is_a_usage_error(alpha, tmp_path, capsys):
     out = tmp_path / "seq.csv"

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_convex_polygon
+from conftest import convex_hull, random_convex_polygon
 from kfsteiner.metrics import hausdorff
 from kfsteiner.polygons import (
+    COLLINEAR_REL_TOL,
     Ball,
     ConvexPolygon,
+    _chord_profile,
+    _rotation,
+    _shoelace,
     ball_hausdorff,
     ball_of_same_area,
     convex_intersection_area,
@@ -19,6 +24,7 @@ from kfsteiner.polygons import (
     steiner_polygon,
     symmetry_defect,
 )
+from kfsteiner.sequences import sequence_values
 
 CENTERED_SQUARE = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
 
@@ -32,8 +38,25 @@ def test_constructor_validation():
         ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])  # repeated vertex
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])  # reflex vertex
+    with pytest.raises(ValueError, match="finite"):
+        ConvexPolygon([(0, 0), (1, 0), (np.nan, 1)])
+    with pytest.raises(ValueError, match="finite"):
+        ConvexPolygon([(0, 0), (1, 0), (0, np.inf)])
+    with pytest.raises(ValueError, match="zero extent"):
+        ConvexPolygon([(0.3, 0.7)] * 3)
+    with pytest.raises(ValueError, match="shape"):
+        ConvexPolygon([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     # near-collinear vertices are tolerated
     ConvexPolygon([(0, 0), (0.5, -1e-12), (1, 0), (1, 1), (0, 1)])
+
+
+def test_vertices_are_read_only_columns():
+    poly = ConvexPolygon(np.array(CENTERED_SQUARE))
+    v = poly.vertices
+    assert v.shape == (4, 2)
+    assert v.flags.f_contiguous
+    assert not v.flags.writeable
+    assert np.array_equal(v, CENTERED_SQUARE)
 
 
 def test_area_perimeter_moment():
@@ -202,3 +225,240 @@ def test_polygon_file_roundtrip(tmp_path):
     bad.write_text("0 0\n1 0\n")
     with pytest.raises(ValueError):
         load_polygon(bad)
+
+
+# ---------------------------------------------------------------------------
+# The row-major kernels as they were before the vertices became two
+# contiguous columns, kept as oracles: the column kernels must give the
+# same bits.
+# ---------------------------------------------------------------------------
+
+
+def oracle_shoelace(v):
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def oracle_validate(vertices):
+    """The ConvexPolygon checks on a row-major array; returns the array."""
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        raise ValueError("need at least 3 vertices of shape (m, 2)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vertices must be finite")
+    span = float(np.ptp(v, axis=0).max())
+    if span <= 0.0:
+        raise ValueError("degenerate polygon with zero extent")
+    edges = np.roll(v, -1, axis=0) - v
+    if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * span):
+        raise ValueError("repeated consecutive vertices")
+    if oracle_shoelace(v) <= 0.0:
+        raise ValueError("vertices must be ordered counterclockwise")
+    nxt = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    if np.any(cross < -COLLINEAR_REL_TOL * span * span):
+        raise ValueError("polygon is not convex")
+    return v
+
+
+def oracle_moment(v):
+    p = np.ascontiguousarray(v)
+    q = np.roll(p, -1, axis=0)
+    cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    terms = (p * p).sum(axis=1) + (p * q).sum(axis=1) + (q * q).sum(axis=1)
+    return float(np.sum(cross * terms) / 12.0)
+
+
+def oracle_disk_intersection_area(v, radius):
+    if radius <= 0.0:
+        return 0.0
+    p = np.ascontiguousarray(v)
+    q = np.roll(p, -1, axis=0)
+    d = q - p
+    a = (d * d).sum(axis=1)
+    b = (p * d).sum(axis=1)
+    c = (p * p).sum(axis=1) - radius**2
+    disc = b * b - a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = np.clip(np.where(a > 0.0, (-b - root) / a, 0.0), 0.0, 1.0)
+        t1 = np.clip(np.where(a > 0.0, (-b + root) / a, 0.0), 0.0, 1.0)
+    miss = disc <= 0.0
+    t0 = np.where(miss, 0.0, t0)
+    t1 = np.where(miss, 0.0, t1)
+    entry = p + t0[:, None] * d
+    exit_ = p + t1[:, None] * d
+
+    def _sector(u, w):
+        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        dot = (u * w).sum(axis=1)
+        return 0.5 * radius**2 * np.arctan2(cross, dot)
+
+    straight = 0.5 * (entry[:, 0] * exit_[:, 1] - entry[:, 1] * exit_[:, 0])
+    total = _sector(p, entry) + straight + _sector(exit_, q)
+    return float(np.sum(total))
+
+
+def oracle_chain_envelope(chain, span, take_min):
+    x = chain[:, 0]
+    y = chain[:, 1]
+    new = np.empty(len(x), dtype=bool)
+    new[0] = True
+    new[1:] = np.diff(x) > 1e-12 * span
+    starts = np.nonzero(new)[0]
+    gx = x[starts]
+    gy = np.minimum.reduceat(y, starts) if take_min else np.maximum.reduceat(y, starts)
+    return gx, gy
+
+
+def oracle_chord_profile(v):
+    m = len(v)
+    order = np.lexsort((v[:, 1], v[:, 0]))
+    i_lo, i_hi = int(order[0]), int(order[-1])
+    idx = (np.arange(m) + i_lo) % m
+    vr = v[idx]
+    j = int(np.nonzero(idx == i_hi)[0][0])
+    lower = vr[: j + 1]
+    upper = np.concatenate([vr[j:], vr[:1]])[::-1]
+
+    xs = np.unique(v[:, 0])
+    span = xs[-1] - xs[0]
+    if span <= 0.0:
+        raise ValueError("polygon collapses to a vertical segment in this frame")
+    keep = np.empty(len(xs), dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(xs) > 1e-12 * span
+    xs = xs[keep]
+
+    lo_x, lo_y = oracle_chain_envelope(lower, span, take_min=True)
+    up_x, up_y = oracle_chain_envelope(upper, span, take_min=False)
+    lo = np.interp(xs, lo_x, lo_y)
+    up = np.interp(xs, up_x, up_y)
+    return xs, np.maximum(up - lo, 0.0)
+
+
+def assert_kernels_match_oracles(poly, thetas):
+    v = np.ascontiguousarray(poly.vertices)
+    assert np.array_equal(oracle_validate(v), poly.vertices)
+    assert poly.area() == oracle_shoelace(v)
+    assert _shoelace(poly.vertices) == oracle_shoelace(v)
+    assert poly.moment_about_origin() == oracle_moment(v)
+    r_eq = math.sqrt(poly.area() / math.pi)
+    for r in (0.0, 0.05, 0.5 * r_eq, r_eq, 1.5 * r_eq, 2.0 * poly.circumradius()):
+        assert disk_intersection_area(poly, r) == oracle_disk_intersection_area(v, r)
+    for theta in thetas:
+        # the frame steiner_polygon hands to the chord profile
+        rot = _rotation(0.5 * math.pi - theta)
+        frame = poly.vertices @ rot.T
+        xs, ell = _chord_profile(frame)
+        want_xs, want_ell = oracle_chord_profile(frame)
+        assert np.array_equal(xs, want_xs)
+        assert np.array_equal(ell, want_ell)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Hulls of random points: real-valued, on a small lattice (many
+    vertical and horizontal edges, so x ties at both extremes), thin, and
+    far from the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "lattice", "thin", "offset")))
+    n = draw(st.integers(3, 40))
+    if kind == "lattice":
+        pts = rng.integers(-4, 5, (n, 2)).astype(float) * 0.25
+    else:
+        pts = rng.random((n, 2)) * 2.0 - 1.0
+        if kind == "thin":
+            pts[:, 1] *= 1e-3
+        elif kind == "offset":
+            pts += rng.uniform(-5.0, 5.0, 2)
+    pts = np.unique(pts, axis=0)
+    assume(len(pts) >= 3)
+    hull = convex_hull(pts)
+    assume(len(hull) >= 3)
+    try:
+        oracle_validate(hull)
+    except ValueError:
+        assume(False)
+    return ConvexPolygon(hull)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_polygons(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=4))
+def test_column_kernels_match_row_major_oracles(poly, thetas):
+    assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
+
+
+@st.composite
+def vertex_lists(draw):
+    """Arbitrary point lists, so every constructor check gets hit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(-3, 4, (draw(st.integers(1, 12)), 2)).astype(float)
+    kind = draw(st.sampled_from(("points", "hull", "reversed", "repeat", "non-finite")))
+    if kind in ("hull", "reversed", "repeat"):
+        uniq = np.unique(pts, axis=0)
+        pts = convex_hull(uniq) if len(uniq) >= 3 else uniq
+        if kind == "reversed":
+            pts = pts[::-1]
+        elif kind == "repeat":
+            pts = np.insert(pts, 1, pts[0], axis=0)
+    elif kind == "non-finite":
+        pts[rng.integers(0, len(pts))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_lists())
+def test_constructor_checks_match_row_major_oracle(pts):
+    try:
+        want = oracle_validate(pts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            ConvexPolygon(pts)
+        assert str(err.value) == str(exc)
+    else:
+        assert np.array_equal(ConvexPolygon(pts).vertices, want)
+
+
+@pytest.fixture(scope="module")
+def saturated_kf_polygon():
+    poly = ConvexPolygon(CENTERED_SQUARE)
+    for x in sequence_values("kf", 40):
+        poly = steiner_polygon(poly, math.pi * float(x))
+    return poly
+
+
+def test_column_kernels_match_oracles_on_saturated_polygon(saturated_kf_polygon):
+    poly = saturated_kf_polygon
+    assert len(poly) >= 40_000
+    thetas = [math.pi * float(x) for x in sequence_values("kf", 41)[-3:]]
+    assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
+
+
+@pytest.mark.parametrize("theta", [0.5 * math.pi, 0.0])
+def test_chord_profile_on_axis_aligned_square(theta):
+    # vertical edges at both x extremes: the lexsort tie-breaks decide
+    # where the lower and upper chains start and end
+    rot = _rotation(0.5 * math.pi - theta)
+    frame = ConvexPolygon(CENTERED_SQUARE).vertices @ rot.T
+    for k in range(4):
+        v = np.roll(frame, k, axis=0)
+        xs, ell = _chord_profile(v)
+        want_xs, want_ell = oracle_chord_profile(v)
+        assert np.array_equal(xs, want_xs)
+        assert np.array_equal(ell, want_ell)
+    assert np.array_equal(ell, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("verts", [
+    [(0, 0), (2, -1), (3, 1), (0, 2)],  # leftmost x shared by two vertices
+    [(0, 2), (0, 1), (0, 0), (2, -1), (3, 1)],  # ... by three, collinear
+    [(0, 0), (3, -1), (3, 0), (3, 1), (1, 1)],  # rightmost x shared by three
+])
+def test_chord_profile_with_shared_extreme_x(verts):
+    for k in range(len(verts)):
+        v = np.roll(ConvexPolygon(verts).vertices, k, axis=0)
+        xs, ell = _chord_profile(v)
+        want_xs, want_ell = oracle_chord_profile(np.ascontiguousarray(v))
+        assert np.array_equal(xs, want_xs)
+        assert np.array_equal(ell, want_ell)

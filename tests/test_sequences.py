@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from kfsteiner.sequences import (
     kf_point,
     kf_points,
     kronecker_point,
+    kronecker_points,
     parse_sequence_id,
     sequence_values,
     to_direction,
@@ -187,6 +189,20 @@ def test_checkpoint_values():
 def test_non_finite_kronecker_alpha_is_rejected(text):
     with pytest.raises(ValueError, match="finite"):
         parse_sequence_id(f"kronecker:{text}")
+
+
+@pytest.mark.parametrize("alpha", [1e308, -1e308, 9e307])
+def test_overflowing_kronecker_alpha_is_rejected(alpha):
+    # k * alpha overflows to inf, and inf mod 1 is NaN
+    with pytest.raises(ValueError, match=re.escape(f"kronecker alpha {alpha!r}")):
+        sequence_values(f"kronecker:{alpha!r}", 3)
+
+
+@pytest.mark.parametrize("alpha,count", [(1e308, 1), (1e300, 50), (0.3, 100), (-G, 100)])
+def test_finite_kronecker_values_pass_through(alpha, count):
+    got = sequence_values(f"kronecker:{alpha!r}", count)
+    assert np.array_equal(got, kronecker_points(count, alpha=alpha))
+    assert np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.25"])
