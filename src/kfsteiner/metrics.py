@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,16 +68,52 @@ def area(obj):
     raise TypeError(f"no area for {type(obj).__name__}")
 
 
-def moment_of_inertia(obj):
-    """Integral of x**2 + y**2 over the set, about the origin."""
+class RasterPlan:
+    """What the raster functionals need on one grid, built once per run.
+
+    Holds the rasterized origin ball of the given area, the per-cell
+    second-moment weight y**2 + x**2 + h**2 / 6 and one scratch plane;
+    the ball and the weight are built on first use. run_process builds
+    one per raster run. The raster functionals build a throwaway one
+    when none is passed, so both ways compute the same expressions.
+    """
+
+    def __init__(self, grid, area):
+        self.grid = grid
+        self.area = area
+        self.scratch = np.empty((grid.ny, grid.nx))
+
+    @cached_property
+    def ball(self):
+        return _disk_fraction(self.grid, math.sqrt(self.area / math.pi))
+
+    @cached_property
+    def r2(self):
+        g = self.grid
+        xs = g.x_centers()
+        ys = g.y_centers()
+        return ys[:, None] ** 2 + xs[None, :] ** 2 + g.h**2 / 6.0
+
+
+def _plan_for(rs, plan):
+    if plan is None:
+        return RasterPlan(rs.grid, rs.area())
+    if plan.grid != rs.grid:
+        raise ValueError("the raster plan was built for another grid")
+    return plan
+
+
+def moment_of_inertia(obj, plan=None):
+    """Integral of x**2 + y**2 over the set, about the origin.
+
+    A raster reads its cell weights from `plan` (see RasterPlan).
+    """
     if isinstance(obj, ConvexPolygon):
         return obj.moment_about_origin()
     if isinstance(obj, RasterSet):
-        g = obj.grid
-        xs = g.x_centers()
-        ys = g.y_centers()
-        r2 = ys[:, None] ** 2 + xs[None, :] ** 2 + g.h**2 / 6.0
-        return float((obj.occ * r2).sum() * g.h**2)
+        plan = _plan_for(obj, plan)
+        np.multiply(obj.occ, plan.r2, out=plan.scratch)
+        return float(plan.scratch.sum() * obj.grid.h**2)
     if isinstance(obj, Ball):
         return 0.5 * math.pi * obj.radius**4
     raise TypeError(f"no moment for {type(obj).__name__}")
@@ -97,21 +134,21 @@ def d1(a, b, resample=False):
     return float(np.abs(a.occ - b.occ).sum() * a.grid.h**2)
 
 
-def d1_to_ball(obj):
+def d1_to_ball(obj, plan=None):
     """d1 distance to the origin ball of equal area.
 
     Exact for polygons via the polygon-disk intersection; for rasters
-    the ball is rasterized on the same grid.
+    the ball is rasterized on the same grid. A raster reads the ball
+    from `plan`, whose area is the one a run keeps constant.
     """
     if isinstance(obj, ConvexPolygon):
         return _polygon_d1_to_ball(obj, obj.area())
     if isinstance(obj, RasterSet):
-        a = obj.area()
-        if a <= 0.0:
-            return 0.0
-        r = math.sqrt(a / math.pi)
-        ball_occ = _disk_fraction(obj.grid, r)
-        return float(np.abs(obj.occ - ball_occ).sum() * obj.grid.h**2)
+        plan = _plan_for(obj, plan)
+        diff = plan.scratch
+        np.subtract(obj.occ, plan.ball, out=diff)
+        np.abs(diff, out=diff)
+        return float(diff.sum() * obj.grid.h**2)
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
 
 
@@ -177,30 +214,57 @@ def perimeter(poly):
     return poly.perimeter()
 
 
+def _total_variation(vals, diff=None):
+    """Sum of |steps| down every column of vals between zero rows.
+
+    diff receives np.diff of vals padded with a zero row above and
+    below, in the layout np.pad gives that padded array, so the sum
+    adds the same terms in the same order.
+    """
+    n, m = vals.shape
+    if diff is None:
+        diff = np.empty((n + 1, m), order="F" if vals.flags.fnc else "C")
+    diff[0] = vals[0]
+    np.subtract(vals[1:], vals[:-1], out=diff[1:n])
+    np.subtract(0.0, vals[-1], out=diff[n])
+    np.abs(diff, out=diff)
+    return diff.sum()
+
+
 def perimeter_estimate(rs, n_directions=64):
     """Integral-geometry perimeter estimate of a raster set.
 
     For each of n_directions line directions the grid is sampled in a
     frame where the lines are vertical, the total variation of the
     occupancy along every line is summed and weighted by the line
-    spacing, and the directional average is multiplied by pi/2.
+    spacing, and the directional average is multiplied by pi/2. The
+    support radius is taken once, and every rotated sample is gathered
+    into one reused plane.
     """
-    if not rs.occ.any():
+    box = _rasters._support_box(rs.occ > 0.0)
+    if box[0].start == box[0].stop:
         return 0.0
-    h = rs.grid.h
+    g = rs.grid
+    ws = _rasters._Workspace(g)
+    (radius,) = _rasters._content_radii(rs.occ, box, (0.0,), ws)
+    ws.load(rs.occ, box)
+    pulled = np.zeros((g.ny, g.nx))
+    diff = np.empty((g.ny + 1, g.nx))
+    window = _rasters._EMPTY_BOX
     totals = []
     for k in range(n_directions):
         theta = math.pi * k / n_directions
         if abs(theta - 0.5 * math.pi) <= 1e-12:
-            vals = rs.occ
+            total = _total_variation(rs.occ)
         elif theta <= 1e-12:
-            vals = rs.occ.T
+            total = _total_variation(rs.occ.T)
         else:
-            # looked up at call time, so a substituted _pull_linear reaches here
+            pulled[window] = 0.0
             rot = _rotation(0.5 * math.pi - theta)
-            vals = _rasters._pull_linear(rs.occ, rs.grid, rot)
-        padded = np.pad(vals, ((1, 1), (0, 0)))
-        totals.append(np.abs(np.diff(padded, axis=0)).sum() * h)
+            # looked up at call time, so a substituted _pull_linear reaches here
+            window = _rasters._pull_linear(rs.occ, g, rot, radius, pulled, ws)
+            total = _total_variation(pulled, diff)
+        totals.append(total * g.h)
     return 0.5 * math.pi * float(np.mean(totals))
 
 
@@ -213,14 +277,17 @@ def grid_tolerance(rs, factor=GRID_TOL_FACTOR, n_directions=8):
     return factor * rs.grid.h * perimeter_estimate(rs, n_directions=n_directions)
 
 
-def measure(obj, with_hausdorff=False, with_perimeter=False, ball_occ=None):
+def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
     """Bundle the standard diagnostics for one set into a MetricsRecord.
 
-    `ball_occ` lets callers reuse a rasterized comparison ball when the
-    area is constant along a run.
+    For rasters, `plan` (a RasterPlan) lets a run build its comparison
+    ball, moment weights and scratch once, since the area is constant
+    along a run.
     """
     a = area(obj)
-    mu = moment_of_inertia(obj)
+    if isinstance(obj, RasterSet):
+        plan = _plan_for(obj, plan)
+    mu = moment_of_inertia(obj, plan)
     haus = None
     perim = None
     if isinstance(obj, ConvexPolygon):
@@ -230,10 +297,7 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, ball_occ=None):
         if with_perimeter:
             perim = obj.perimeter()
     else:
-        if ball_occ is not None:
-            dball = float(np.abs(obj.occ - ball_occ).sum() * obj.grid.h**2)
-        else:
-            dball = d1_to_ball(obj)
+        dball = d1_to_ball(obj, plan)
         if with_perimeter:
             perim = perimeter_estimate(obj)
     return MetricsRecord(

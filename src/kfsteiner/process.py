@@ -29,7 +29,6 @@ from .rasters import (
     AlignedRun,
     GridSpec,
     RasterSet,
-    _disk_fraction,
     annulus_fixture,
     rasterize,
     read_pgm,
@@ -212,10 +211,9 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     xs = sequence_values(seq, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
 
-    ball_occ = None
+    plan = None
     if isinstance(seed, RasterSet):
-        r = math.sqrt(seed.area() / math.pi)
-        ball_occ = _disk_fraction(seed.grid, r)
+        plan = _metrics.RasterPlan(seed.grid, seed.area())
 
     wanted = set(int(s) for s in snapshot_steps)
     snapshots = {}
@@ -228,7 +226,7 @@ def run_process(cfg, snapshot_steps=(), callback=None):
                 run.frame_raster(),
                 with_hausdorff=cfg.with_hausdorff,
                 with_perimeter=cfg.with_perimeter,
-                ball_occ=ball_occ,
+                plan=plan,
             )
             records.append(TraceRecord(step=k, x=x, theta=theta, metrics=rec))
             if callback is not None:

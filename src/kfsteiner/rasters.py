@@ -14,7 +14,19 @@ with the source grid at the preimage of the cell center, which is the
 bilinear kernel; values stay in [0, 1] and mass drift before the final
 rescale is a fraction of a percent. Resampling touches only the target
 cells within reach of the occupied disk and writes exact zeros
-elsewhere, so its output is identical to a full-grid gather.
+elsewhere, so its output is identical to a full-grid gather. The
+support radius that sets that reach comes from the same pass as the
+margin check.
+
+Every kernel writes into buffers it is given: a _Workspace holds the
+zero-bordered source plane, the distance map and the gather's scratch.
+AlignedRun allocates its planes and its workspace once and carries, from
+step to step, the box of each plane that may hold nonzero cells, so a
+step touches that box and no grid-sized array is allocated or scanned
+in full, except for the mass sum, which stays a sum over the whole
+plane so that every value keeps its bits. frame_raster() is a read-only
+view of the run's plane, valid until the next apply; world_raster()
+returns a plane the caller owns.
 """
 
 from __future__ import annotations
@@ -116,31 +128,89 @@ class GridSpec:
         )
 
 
+#: Rows of target cells per block of the windowed gather. Its scratch
+#: arrays hold this many grid rows, so they stay small and in cache.
+GATHER_ROWS = 64
+
+#: The box of a plane with no nonzero cell.
+_EMPTY_BOX = (slice(0, 0), slice(0, 0))
+
+
+def _whole_box(occ):
+    """The box of every cell. One-shot symmetrals and reflections load
+    the whole input into the gather's source, as a full copy would, so
+    even the sign of their zeros matches a full-grid gather."""
+    return slice(0, occ.shape[0]), slice(0, occ.shape[1])
+
+
 def _support_box(mask):
-    """Row and column slices bounding the True cells of a mask; None if none."""
+    """Row and column slices bounding the True cells of a mask."""
     rows = np.flatnonzero(mask.any(axis=1))
     if len(rows) == 0:
-        return None
+        return _EMPTY_BOX
     cols = np.flatnonzero(mask.any(axis=0))
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def _content_radius(occ, grid, cutoff):
-    """Far-corner radius about the world origin of the cells with occ > cutoff.
+class _Workspace:
+    """Buffers that resampling and rearrangement on one grid reuse.
 
-    The distance map is built on the bounding box of those cells only.
+    - padded: the source plane inside a zero border, which the gather
+      reads (see load)
+    - dist: the far-corner distance of every cell from the world origin
+    - coords, real, base: the windowed gather's scratch for GATHER_ROWS
+      grid rows
+    - plane, mask: one float and one bool plane of scratch for column
+      sorts, radii and cell masks
+
+    Nothing here is allocated again after construction, so a run that
+    keeps one workspace touches its memory once.
     """
-    mask = occ > cutoff
-    box = _support_box(mask)
-    if box is None:
-        return 0.0
-    rows, cols = box
-    half = 0.5 * grid.h
-    rad = np.hypot(
-        np.abs(grid.x_centers()[cols])[None, :] + half,
-        np.abs(grid.y_centers()[rows])[:, None] + half,
-    )
-    return float(rad[mask[rows, cols]].max())
+
+    def __init__(self, grid):
+        ny, nx = grid.ny, grid.nx
+        half = 0.5 * grid.h
+        self.padded = np.zeros((ny + 3, nx + 3))
+        self.loaded = _EMPTY_BOX
+        self.dist = np.hypot(
+            np.abs(grid.x_centers())[None, :] + half,
+            np.abs(grid.y_centers())[:, None] + half,
+        )
+        block = GATHER_ROWS * nx
+        self.coords = np.empty((2, block))
+        self.real = np.empty((5, block))
+        self.base = np.empty(block, dtype=np.int64)
+        self.plane = np.empty(ny * nx)
+        self.mask = np.empty(ny * nx, dtype=bool)
+
+    def load(self, occ, box):
+        """Make the padded interior equal occ, which is zero outside box."""
+        inner = self.padded[1:-2, 1:-2]
+        inner[self.loaded] = 0.0
+        inner[box] = occ[box]
+        self.loaded = box
+
+    def scratch(self, shape):
+        """Float and bool views of the given shape on plane and mask."""
+        n = shape[0] * shape[1]
+        return self.plane[:n].reshape(shape), self.mask[:n].reshape(shape)
+
+
+def _content_radii(occ, box, cutoffs, ws):
+    """Far-corner radius about the world origin of the cells with occ > c,
+    for each c in cutoffs.
+
+    box must hold every cell of occ above the smallest cutoff. Every
+    cutoff reads the same distance map, ws.dist, over that box only.
+    """
+    sub, dist = occ[box], ws.dist[box]
+    prod, mask = ws.scratch(sub.shape)
+    radii = []
+    for cutoff in cutoffs:
+        np.greater(sub, cutoff, out=mask)
+        np.multiply(dist, mask, out=prod)  # distances are positive
+        radii.append(float(prod.max()) if prod.size else 0.0)
+    return radii
 
 
 class RasterSet:
@@ -179,7 +249,19 @@ class RasterSet:
 
     def content_radius(self, cutoff=1e-15):
         """Largest distance from the origin to the far corner of an occupied cell."""
-        return _content_radius(self.occ, self.grid, cutoff)
+        box = _support_box(self.occ > cutoff)
+        return _content_radii(self.occ, box, (cutoff,), _Workspace(self.grid))[0]
+
+    @classmethod
+    def _trusted(cls, occ, grid):
+        """A RasterSet on occ as it is, without validation or copy.
+
+        For planes this module builds with values in [0, 1].
+        """
+        rs = object.__new__(cls)
+        rs.occ = occ
+        rs.grid = grid
+        return rs
 
     def with_occ(self, occ):
         return RasterSet(occ, self.grid)
@@ -326,32 +408,50 @@ def annulus_fixture(r_inner, r_outer, grid):
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_gather(occ, fi, fj):
-    """Sample occ at fractional row/col coordinates; outside reads zero.
+def _bilinear_gather(padded, fi, fj, out, real, base):
+    """Sample a zero-bordered source at fractional row/col coordinates.
 
-    The source is placed inside a zero border so out-of-range taps read
-    zero without per-tap masking.
+    padded holds an ny-by-nx source at [1:ny+1, 1:nx+1] inside a zero
+    border (shape (ny + 3, nx + 3)), so out-of-range taps read zero
+    without per-tap masking. fi and fj broadcast to out's shape and are
+    only read. The work happens in real (five float rows) and base (one
+    int64 row), flat arrays of at least out.size entries, one operation
+    at a time as in (1 - di) * ((1 - dj) * v00 + dj * v01)
+    + di * ((1 - dj) * v10 + dj * v11), so each value is the same bits.
     """
-    ny, nx = occ.shape
-    padded = np.zeros((ny + 3, nx + 3))
-    padded[1 : ny + 1, 1 : nx + 1] = occ
-    fi = np.clip(fi, -1.0, float(ny)) + 1.0
-    fj = np.clip(fj, -1.0, float(nx)) + 1.0
-    i0 = np.floor(fi).astype(np.int64)
-    j0 = np.floor(fj).astype(np.int64)
-    di = fi - i0
-    dj = fj - j0
+    ny, nx = padded.shape[0] - 3, padded.shape[1] - 3
     stride = nx + 3
-    base = i0 * stride + j0
     flat = padded.ravel()
-    v00 = flat[base]
-    v01 = flat[base + 1]
-    v10 = flat[base + stride]
-    v11 = flat[base + stride + 1]
-    return (
-        (1.0 - di) * ((1.0 - dj) * v00 + dj * v01)
-        + di * ((1.0 - dj) * v10 + dj * v11)
-    )
+    n = out.size
+    di, dj, w, v, u = (a[:n].reshape(out.shape) for a in real)
+    idx = base[:n].reshape(out.shape)
+    np.clip(fi, -1.0, float(ny), out=di)
+    di += 1.0
+    np.floor(di, out=w)
+    np.subtract(di, w, out=di)
+    np.clip(fj, -1.0, float(nx), out=dj)
+    dj += 1.0
+    np.floor(dj, out=v)
+    np.subtract(dj, v, out=dj)
+    w *= stride
+    w += v  # i0 * stride + j0, exact in floating point
+    idx[...] = w
+    np.subtract(1.0, dj, out=w)
+    np.take(flat, idx, out=v, mode="clip")
+    np.multiply(w, v, out=out)
+    np.take(flat[1:], idx, out=v, mode="clip")
+    v *= dj
+    out += v
+    np.subtract(1.0, di, out=v)
+    out *= v
+    np.take(flat[stride:], idx, out=v, mode="clip")
+    v *= w
+    np.take(flat[stride + 1 :], idx, out=u, mode="clip")
+    u *= dj
+    v += u
+    v *= di
+    out += v
+    return out
 
 
 def _reach_slice(n, origin, h, reach):
@@ -365,31 +465,42 @@ def _reach_slice(n, origin, h, reach):
     return slice(min(max(lo, 0), n), min(max(hi, 0), n))
 
 
-def _pull_linear(occ, grid, matrix):
-    """Resample under the world map p -> matrix @ p (about the origin).
+def _pull_linear(occ, grid, matrix, radius, out, ws):
+    """Resample occ under the world map p -> matrix @ p (about the origin).
 
-    Only target cells within reach of the occupied disk are gathered.
-    Every bilinear tap lies within sqrt(2) * h of the preimage of the
-    target center t, and |inv(matrix) @ t| >= |t| / ||matrix||_2, so a
-    target farther than ||matrix||_2 * (R + sqrt(2) * h) from the origin,
-    R the far-corner radius of the cells with occ > 0, reads four zero
-    taps. The rest of the grid is written as exact zeros, so the output
+    radius is the far-corner radius of the cells with occ > 0, and
+    ws.padded must hold occ (see _Workspace.load). Only target cells
+    within reach of the occupied disk are gathered. Every bilinear tap
+    lies within sqrt(2) * h of the preimage of the target center t, and
+    |inv(matrix) @ t| >= |t| / ||matrix||_2, so a target farther than
+    ||matrix||_2 * (radius + sqrt(2) * h) from the origin reads four zero
+    taps. The gather writes that window of out, in blocks of GATHER_ROWS
+    rows, and returns it; the caller keeps out zero elsewhere, so out
     equals a full-grid gather bit for bit.
     """
     inv = np.linalg.inv(matrix)
-    radius = _content_radius(occ, grid, 0.0)
     reach = np.linalg.norm(matrix, 2) * (radius + math.sqrt(2.0) * grid.h)
     rows = _reach_slice(grid.ny, grid.oy, grid.h, reach)
     cols = _reach_slice(grid.nx, grid.ox, grid.h, reach)
     tx = grid.x_centers()[None, cols]
     ty = grid.y_centers()[rows, None]
-    sx = inv[0, 0] * tx + inv[0, 1] * ty
-    sy = inv[1, 0] * tx + inv[1, 1] * ty
-    fj = (sx - grid.ox) / grid.h + (grid.nx - 1) / 2.0
-    fi = (sy - grid.oy) / grid.h + (grid.ny - 1) / 2.0
-    out = np.zeros((grid.ny, grid.nx))
-    out[rows, cols] = np.clip(_bilinear_gather(occ, fi, fj), 0.0, 1.0)
-    return out
+    sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
+    sy_x, sy_y = inv[1, 0] * tx, inv[1, 1] * ty
+    for top in range(rows.start, rows.stop, GATHER_ROWS):
+        dst = out[top : min(top + GATHER_ROWS, rows.stop), cols]
+        blk = slice(top - rows.start, top - rows.start + dst.shape[0])
+        fj, fi = (a[: dst.size].reshape(dst.shape) for a in ws.coords)
+        np.add(sx_x, sx_y[blk], out=fj)
+        fj -= grid.ox
+        fj /= grid.h
+        fj += (grid.nx - 1) / 2.0
+        np.add(sy_x, sy_y[blk], out=fi)
+        fi -= grid.oy
+        fi /= grid.h
+        fi += (grid.ny - 1) / 2.0
+        _bilinear_gather(ws.padded, fi, fj, dst, ws.real, ws.base)
+        np.clip(dst, 0.0, 1.0, out=dst)
+    return rows, cols
 
 
 def _center_out_order(n):
@@ -401,56 +512,90 @@ def _center_out_order(n):
     return np.lexsort((prefer, dist))
 
 
-def _rearrange_columns(occ):
-    """Exact symmetric decreasing rearrangement of every column.
+def _rearrange_columns(occ, out, box, ws):
+    """Exact symmetric decreasing rearrangement of every column, into out.
 
-    occ must be nonnegative. Only the bounding box of the nonzero cells
-    is sorted: the zeros outside it sort to the far ends of every column.
+    occ must be nonnegative and zero outside box; out must be zero
+    wherever this call does not write. Only the bounding box of the
+    nonzero cells is sorted: the zeros outside it sort to the far ends
+    of every column. Returns the box of out that holds the rearranged
+    block.
     """
-    out = np.zeros_like(occ)
-    box = _support_box(occ > 0.0)
-    if box is None:
-        return out
-    rows, cols = box
-    ranked = np.sort(occ[rows, cols], axis=0)[::-1, :]
-    order = _center_out_order(occ.shape[0])
-    out[order[: len(ranked)], cols] = ranked
-    return out
+    sub = occ[box]
+    _, mask = ws.scratch(sub.shape)
+    tight = _support_box(np.greater(sub, 0.0, out=mask))
+    rows = slice(box[0].start + tight[0].start, box[0].start + tight[0].stop)
+    cols = slice(box[1].start + tight[1].start, box[1].start + tight[1].stop)
+    k, width = rows.stop - rows.start, cols.stop - cols.start
+    if k == 0:
+        return _EMPTY_BOX
+    # each column is sorted as a contiguous row of the transposed block
+    ranked = ws.plane[: k * width].reshape(width, k)
+    np.copyto(ranked, occ[rows, cols].T)
+    ranked.sort(axis=1)
+    order = _center_out_order(occ.shape[0])[:k]
+    out[order, cols] = ranked.T[::-1, :]
+    return slice(int(order.min()), int(order.max()) + 1), cols
 
 
-def _match_mass(occ, target):
-    """Rescale occupancy by one global factor so the mass equals target.
+def _floor_dust(occ, box, ws):
+    """Zero the cells of occ[box] below DUST_FLOOR."""
+    sub = occ[box]
+    _, mask = ws.scratch(sub.shape)
+    sub[np.less(sub, DUST_FLOOR, out=mask)] = 0.0
 
-    Scaling down is a plain multiplication. Scaling up clips at 1, so
-    the factor solves sum(min(s * occ, 1)) == target exactly: with the
-    k largest values saturated the mass is linear in s, and the right k
-    is found from the sorted values.
+
+def _match_mass(occ, target, box):
+    """Rescale occ in place by one global factor so the mass equals target.
+
+    occ is zero outside box, so the clip and the factor touch the box
+    only; the mass is the sum over the whole plane. Scaling down is a
+    plain multiplication. Scaling up clips at 1, so the factor solves
+    sum(min(s * occ, 1)) == target exactly: with the k largest values
+    saturated the mass is linear in s, and the right k is found from the
+    sorted values.
     """
-    occ = np.clip(occ, 0.0, 1.0)
+    sub = occ[box]
+    np.clip(sub, 0.0, 1.0, out=sub)
     if target <= 0.0:
-        return np.zeros_like(occ)
+        sub[...] = 0.0
+        return
     m = occ.sum()
     if m <= 0.0:
         raise ValueError("cannot renormalize an empty raster to positive mass")
     if m >= target:
-        return occ * (target / m)
-    vals = np.sort(occ[occ > 0.0])[::-1]
-    if target >= len(vals):
+        sub *= target / m
+        return
+    vals = sub[sub > 0.0]
+    vals.sort()
+    vals = vals[::-1]
+    n = len(vals)
+    if target >= n:
         raise ValueError("target mass exceeds the occupied capacity of the grid")
-    prefix = np.concatenate([[0.0], np.cumsum(vals)])
-    ks = np.arange(len(vals))
-    remaining = prefix[-1] - prefix[ks]
+    # k = 0..n-1 saturated cells: scales[k] = (target - k) / (mass of the
+    # rest), the rest summed as the total minus the prefix sum of the k
+    # largest; the buffer holds the prefix sums, then the rest, then
+    # products
+    work = np.empty(n + 1)
+    work[0] = 0.0
+    np.cumsum(vals, out=work[1:])
+    rest = np.subtract(work[-1], work[:-1], out=work[:-1])
+    scales = np.arange(n, dtype=float)
+    np.subtract(target, scales, out=scales)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scales = (target - ks) / remaining
+        np.divide(scales, rest, out=scales)
     # with k cells saturated the scale is valid when the k-th largest value
     # clips (s * vals[k-1] >= 1) while the next one does not
-    lower_ok = np.concatenate([[True], scales[1:] * vals[:-1] >= 1.0 - 1e-12])
-    upper_ok = scales * vals <= 1.0 + 1e-12
-    valid = np.nonzero(lower_ok & upper_ok & (scales >= 1.0 - 1e-12))[0]
-    if len(valid) == 0:
+    ok = scales >= 1.0 - 1e-12
+    prod = np.multiply(scales, vals, out=work[:n])
+    ok &= prod <= 1.0 + 1e-12
+    np.multiply(scales[1:], vals[:-1], out=prod[1:])
+    ok[1:] &= prod[1:] >= 1.0 - 1e-12
+    k = int(np.argmax(ok))
+    if not ok[k]:
         raise ValueError("mass renormalization failed to bracket a scale factor")
-    s = float(scales[valid[0]])
-    return np.minimum(occ * s, 1.0)
+    sub *= float(scales[k])
+    np.minimum(sub, 1.0, out=sub)
 
 
 def _require_centered(rs, op):
@@ -459,20 +604,35 @@ def _require_centered(rs, op):
         raise ValueError(f"{op} requires a grid centered at the origin")
 
 
-def _check_margin(occ, grid):
+def _check_margin(occ, grid, box, ws):
     """Refuse to rotate content that reaches within 1.5 cells of the grid edge.
 
     The check watches substantive occupancy (above 1e-2); the thin skirt
     that resampling spreads below it may clip at the border and is
-    absorbed harmlessly by the mass renormalization.
+    absorbed harmlessly by the mass renormalization. Returns the radius
+    of all occupied cells (above 0), from the same pass.
     """
     limit = min(grid.half_width, grid.half_height) - 1.5 * grid.h
-    radius = _content_radius(occ, grid, 1e-2)
+    radius, reach = _content_radii(occ, box, (1e-2, 0.0), ws)
     if radius > limit:
         raise ValueError(
             f"content radius {radius:.4g} too close to the grid edge "
             f"(limit {limit:.4g}); rebuild on a larger grid"
         )
+    return reach
+
+
+def _resample(occ, grid, box, matrix, out, ws, check=False):
+    """Pull occ, zero outside box, under matrix into out, which must be
+    zero; returns the window written. With check, content near the grid
+    edge is refused first (see _check_margin), from the same radius pass.
+    """
+    if check:
+        radius = _check_margin(occ, grid, box, ws)
+    else:
+        radius = _content_radii(occ, box, (0.0,), ws)[0]
+    ws.load(occ, box)
+    return _pull_linear(occ, grid, matrix, radius, out, ws)
 
 
 def steiner_raster(rs, direction, report=False):
@@ -487,26 +647,33 @@ def steiner_raster(rs, direction, report=False):
     """
     theta = as_theta(direction)
     _require_centered(rs, "symmetrization")
+    grid = rs.grid
     mass0 = rs.mass()
     info = {"mass_drift": 0.0, "resampled": False}
+    ws = _Workspace(grid)
+    out = np.zeros((grid.ny, grid.nx))
+    whole = _whole_box(rs.occ)
 
     mod = math.fmod(theta, math.pi)
     if mod < 0.0:
         mod += math.pi
     if abs(mod - 0.5 * math.pi) <= 1e-12:
-        out = _rearrange_columns(rs.occ)
+        box = _rearrange_columns(rs.occ, out, whole, ws)
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
-        out = _rearrange_columns(rs.occ.T).T
+        box = _rearrange_columns(rs.occ.T, out.T, whole[::-1], ws)[::-1]
     else:
-        _check_margin(rs.occ, rs.grid)
         fwd = _rotation(0.5 * math.pi - theta)
-        rearranged = _rearrange_columns(_pull_linear(rs.occ, rs.grid, fwd))
-        out = _pull_linear(rearranged, rs.grid, fwd.T)
-        out[out < DUST_FLOOR] = 0.0  # keeps the fringe from creeping outward
+        pulled = np.zeros_like(out)
+        window = _resample(rs.occ, grid, whole, fwd, pulled, ws, check=True)
+        box = _rearrange_columns(pulled, out, window, ws)
+        pulled[window] = 0.0
+        box = _resample(out, grid, box, fwd.T, pulled, ws)
+        out = pulled
+        _floor_dust(out, box, ws)  # keeps the fringe from creeping outward
         info["resampled"] = True
         drift = (out.sum() - mass0) / mass0 if mass0 > 0 else 0.0
         info["mass_drift"] = float(drift)
-    out = _match_mass(out, mass0)
+    _match_mass(out, mass0, box)
     result = rs.with_occ(out)
     if report:
         return result, info
@@ -524,7 +691,10 @@ def reflect_raster(rs, direction):
         return rs.with_occ(rs.occ[::-1, :].copy())  # u vertical: flip y
     if mod <= 1e-12 or math.pi - mod <= 1e-12:
         return rs.with_occ(rs.occ[:, ::-1].copy())  # u horizontal: flip x
-    return rs.with_occ(_pull_linear(rs.occ, rs.grid, _reflection(theta)))
+    out = np.zeros_like(rs.occ)
+    _resample(rs.occ, rs.grid, _whole_box(rs.occ), _reflection(theta), out,
+              _Workspace(rs.grid))
+    return rs.with_occ(out)
 
 
 def resample_to(rs, grid):
@@ -536,11 +706,16 @@ def resample_to(rs, grid):
     fi = (ys[:, None] - src.oy) / src.h + (src.ny - 1) / 2.0
     fj = np.broadcast_to(fj, (grid.ny, grid.nx))
     fi = np.broadcast_to(fi, (grid.ny, grid.nx))
-    occ = np.clip(_bilinear_gather(rs.occ, fi, fj), 0.0, 1.0)
+    padded = np.zeros((src.ny + 3, src.nx + 3))
+    padded[1 : src.ny + 1, 1 : src.nx + 1] = rs.occ
+    n = grid.ny * grid.nx
+    occ = np.empty((grid.ny, grid.nx))
+    _bilinear_gather(padded, fi, fj, occ, np.empty((5, n)), np.empty(n, np.int64))
+    np.clip(occ, 0.0, 1.0, out=occ)
     scale = (src.h / grid.h) ** 2
     if abs(scale - 1.0) > 1e-12:
         # different cell sizes change the mass-to-area ratio; keep the area
-        occ = _match_mass(occ, rs.mass() * scale)
+        _match_mass(occ, rs.mass() * scale, (slice(None), slice(None)))
     return RasterSet(occ, grid)
 
 
@@ -554,39 +729,78 @@ class AlignedRun:
     depend on distances from the origin (area, second moment, distance
     to the centered ball) can be read off the frame raster directly; the
     world-frame raster is materialized on demand.
+
+    The run allocates its grid-sized memory once: two occupancy planes
+    and a _Workspace. A step gathers the current plane into the other
+    one and rearranges it back, and it carries from step to step the box
+    of each plane that may hold nonzero cells, so the margin check, the
+    gather, the rearrangement, the dust floor and the rescale touch that
+    box and not the whole grid. Before a plane is written, only its old
+    box is cleared.
     """
 
     def __init__(self, rs):
         _require_centered(rs, "symmetrization")
         self.grid = rs.grid
-        self.occ = rs.occ.copy()
+        occ = rs.occ.copy()
+        self._planes = (occ, np.zeros_like(occ))
+        self._boxes = [_support_box(occ > 0.0), _EMPTY_BOX]
+        self._current = 0
+        self._ws = _Workspace(self.grid)
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
+
+    def _cleared(self, i):
+        self._planes[i][self._boxes[i]] = 0.0
+        self._boxes[i] = _EMPTY_BOX
+        return self._planes[i]
 
     def apply(self, direction):
         theta = as_theta(direction)
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
-        occ = self.occ
+        src = self._current
         if delta != 0.0:
-            _check_margin(occ, self.grid)
-            occ = _pull_linear(occ, self.grid, _rotation(delta))
-        occ = _rearrange_columns(occ)
-        occ[occ < DUST_FLOOR] = 0.0
-        self.occ = _match_mass(occ, self.target_mass)
+            dst = 1 - src
+            self._boxes[dst] = _resample(
+                self._planes[src], self.grid, self._boxes[src], _rotation(delta),
+                self._cleared(dst), self._ws, check=True,
+            )
+            src = dst
+        dst = 1 - src
+        occ = self._cleared(dst)
+        box = _rearrange_columns(self._planes[src], occ, self._boxes[src], self._ws)
+        self._boxes[dst] = box
+        _floor_dust(occ, box, self._ws)
+        _match_mass(occ, self.target_mass, box)
+        self._current = dst
         self.frame = target
         return self
 
+    @property
+    def occ(self):
+        """Read-only view of the current plane, valid until the next apply."""
+        view = self._planes[self._current].view()
+        view.flags.writeable = False
+        return view
+
     def frame_raster(self):
-        return RasterSet(self.occ, self.grid)
+        """The set in the current frame, on a read-only view of the run's
+        plane: no copy and no validation, valid until the next apply."""
+        return RasterSet._trusted(self.occ, self.grid)
 
     def world_raster(self):
+        """The set in the world frame, on a plane the caller owns."""
         delta = math.remainder(-self.frame, 2.0 * math.pi)
+        occ = self._planes[self._current]
         if delta == 0.0:
-            return self.frame_raster()
-        occ = _pull_linear(self.occ, self.grid, _rotation(delta))
-        occ[occ < DUST_FLOOR] = 0.0
-        return RasterSet(_match_mass(occ, self.target_mass), self.grid)
+            return RasterSet._trusted(occ.copy(), self.grid)
+        out = np.zeros_like(occ)
+        box = _resample(occ, self.grid, self._boxes[self._current],
+                        _rotation(delta), out, self._ws)
+        _floor_dust(out, box, self._ws)
+        _match_mass(out, self.target_mass, box)
+        return RasterSet._trusted(out, self.grid)
 
     def reflection_defect(self):
         """d1 between the set and its reflection across the line
@@ -657,9 +871,14 @@ def read_pgm(path):
             pos += 1
         tokens.append(data[start:pos])
     nx, ny, maxval = (int(t) for t in tokens)
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     if binary:
         pos += 1  # single whitespace after maxval
-        dtype = ">u2" if maxval > 255 else np.uint8
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        count = max(len(data) - pos, 0) // dtype.itemsize
+        if count < nx * ny:
+            raise ValueError(f"{path}: expected {nx * ny} samples, got {count}")
         vals = np.frombuffer(data, dtype=dtype, count=nx * ny, offset=pos)
     else:
         vals = np.array(data[pos:].split(), dtype=np.int64)

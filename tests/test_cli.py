@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,29 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
         main(["symmetrize", "--in", str(src), "--x", "0.5", "--theta", "1.0",
               "--out", str(tmp_path / "o.txt")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n4 4\n255\n" + bytes(10), "expected 16 samples, got 10"),
+        (b"P5\n2 2\n65535\n" + bytes(7), "expected 4 samples, got 3"),
+        (b"P2\n2 2\n0\n0 0\n0 0\n", "maxval 0 outside 1..65535"),
+        (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 outside 1..65535"),
+    ],
+    ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big"],
+)
+def test_symmetrize_malformed_pgm_names_the_file(data, message, tmp_path, capsys):
+    src = tmp_path / "bad.pgm"
+    src.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["symmetrize", "--in", str(src), "--theta", "1.1",
+                     "--out", str(tmp_path / "out.pgm")])
+    assert code == 1
+    assert f"error: {src}: {message}" in capsys.readouterr().err
+    assert caught == []
+    assert not (tmp_path / "out.pgm").exists()
 
 
 def test_symmetrize_unparseable_input(tmp_path, capsys):

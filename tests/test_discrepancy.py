@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,3 +231,46 @@ def test_extreme_with_reused_scratch_equals_the_binary_search_formulation(sample
         pts = np.sort(np.asarray(sample, dtype=float))
         d_star = star_discrepancy(pts)
         assert discrepancy._extreme_sorted(pts, d_star, scratch) == extreme_by_search(pts)
+
+
+def star_sorted_whole(pts):
+    """_star_sorted as two N-length passes: the oracle for the blocked one."""
+    n = len(pts)
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n
+    gap = steps[1:] - pts
+    over = gap.max()
+    np.subtract(pts, steps[:-1], out=gap)
+    return float(max(over, gap.max()))
+
+
+# few distinct values, so samples carry ties, 0.0 and 1.0
+tied_samples = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 / 3.0]),
+              st.floats(0.0, 1.0)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples, st.sampled_from([1, 2, 3, 7, 1 << 15]))
+def test_blocked_star_is_bit_identical_to_whole_passes(points, block):
+    pts = np.sort(np.asarray(points, dtype=float))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancy, "STAR_BLOCK", block)
+        got = discrepancy._star_sorted(pts)
+    assert got == star_sorted_whole(pts)
+
+
+def test_star_temporaries_are_bounded():
+    # the whole-sample passes held two float arrays of N + 1 entries,
+    # 16 MB at a million points
+    pts = np.sort(sequence_values("kf", 10**6))
+    assert discrepancy._star_sorted(pts) == star_sorted_whole(pts)
+    tracemalloc.start()
+    try:
+        discrepancy._star_sorted(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"

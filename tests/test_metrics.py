@@ -157,6 +157,17 @@ def test_perimeter_estimates(unit_grid_256):
     assert perimeter_estimate(empty) == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_total_variation_adds_the_padded_differences_in_their_order(ny, nx, seed):
+    rng = np.random.default_rng(seed)
+    occ = rng.random((ny, nx)) * (rng.random((ny, nx)) < 0.6)
+    for vals in (occ, occ.T):
+        padded = np.pad(vals, ((1, 1), (0, 0)))
+        want = np.abs(np.diff(padded, axis=0)).sum()
+        assert metrics._total_variation(vals) == want
+
+
 def test_perimeter_never_grows_much(unit_grid_128, rng):
     for _ in range(10):
         rs = random_raster(rng, unit_grid_128)

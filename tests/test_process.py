@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kfsteiner.metrics import grid_tolerance, measure
+from kfsteiner.metrics import RasterPlan, grid_tolerance, measure
 from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
 from kfsteiner.process import (
     BUILTIN_SEEDS,
@@ -22,7 +22,6 @@ from kfsteiner.rasters import (
     AlignedRun,
     GridSpec,
     RasterSet,
-    _disk_fraction,
     rasterize,
     write_pgm,
 )
@@ -230,9 +229,9 @@ def _looped_process(cfg, snapshot_steps):
     """(records, snapshots, callback calls, final set) of a run."""
     xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
-    ball_occ = driver = None
+    plan = driver = None
     if isinstance(seed, RasterSet):
-        ball_occ = _disk_fraction(seed.grid, math.sqrt(seed.area() / math.pi))
+        plan = RasterPlan(seed.grid, seed.area())
         driver = AlignedRun(seed)
     current = seed
 
@@ -246,7 +245,7 @@ def _looped_process(cfg, snapshot_steps):
 
     def record(step, x, theta):
         rec = measure(frame(), with_hausdorff=cfg.with_hausdorff,
-                      with_perimeter=cfg.with_perimeter, ball_occ=ball_occ)
+                      with_perimeter=cfg.with_perimeter, plan=plan)
         records.append(TraceRecord(step=step, x=x, theta=theta, metrics=rec))
         calls.append((step, world()))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import convex_hull, random_raster
 from kfsteiner import rasters
-from kfsteiner.metrics import d1, grid_tolerance, perimeter_estimate
-from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon
+from kfsteiner.metrics import (
+    RasterPlan,
+    d1,
+    grid_tolerance,
+    measure,
+    perimeter_estimate,
+)
+from kfsteiner.polygons import Ball, ConvexPolygon, regular_polygon, steiner_polygon
+from kfsteiner.process import builtin_seed
 from kfsteiner.rasters import (
     AlignedRun,
     GridSpec,
@@ -274,8 +282,41 @@ def test_pgm_defaults_without_metadata(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def full_grid_pull(occ, grid, matrix):
-    """Bilinear pull that gathers every target cell of the grid."""
+def allocating_gather(occ, fi, fj):
+    """The bilinear gather as one expression over fresh arrays."""
+    ny, nx = occ.shape
+    padded = np.zeros((ny + 3, nx + 3))
+    padded[1 : ny + 1, 1 : nx + 1] = occ
+    fi = np.clip(fi, -1.0, float(ny)) + 1.0
+    fj = np.clip(fj, -1.0, float(nx)) + 1.0
+    i0 = np.floor(fi).astype(np.int64)
+    j0 = np.floor(fj).astype(np.int64)
+    di = fi - i0
+    dj = fj - j0
+    stride = nx + 3
+    base = i0 * stride + j0
+    flat = padded.ravel()
+    v00 = flat[base]
+    v01 = flat[base + 1]
+    v10 = flat[base + stride]
+    v11 = flat[base + stride + 1]
+    return (
+        (1.0 - di) * ((1.0 - dj) * v00 + dj * v01)
+        + di * ((1.0 - dj) * v10 + dj * v11)
+    )
+
+
+def _whole(out):
+    return slice(0, out.shape[0]), slice(0, out.shape[1])
+
+
+def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
+    """Bilinear pull that gathers every target cell of the grid.
+
+    Takes the arguments of rasters._pull_linear but ignores the radius
+    and the workspace: it fills all of `out` from its own full-grid
+    gather and reports the whole grid as written.
+    """
     xs = grid.x_centers()
     ys = grid.y_centers()
     tx = xs[None, :]
@@ -285,15 +326,45 @@ def full_grid_pull(occ, grid, matrix):
     sy = inv[1, 0] * tx + inv[1, 1] * ty
     fj = (sx - grid.ox) / grid.h + (grid.nx - 1) / 2.0
     fi = (sy - grid.oy) / grid.h + (grid.ny - 1) / 2.0
-    return np.clip(rasters._bilinear_gather(occ, fi, fj), 0.0, 1.0)
+    full = np.clip(allocating_gather(occ, fi, fj), 0.0, 1.0)
+    if out is None:
+        return full
+    out[...] = full
+    return _whole(out)
 
 
-def full_grid_rearrange(occ):
-    """Column rearrangement that sorts every column in full."""
+def full_grid_rearrange(occ, out=None, box=None, ws=None):
+    """Column rearrangement that sorts every column in full.
+
+    Takes the arguments of rasters._rearrange_columns but ignores the
+    box: it fills all of `out` and reports the whole grid as written.
+    """
     order = rasters._center_out_order(occ.shape[0])
     ranked = np.sort(occ, axis=0)[::-1, :]
-    out = np.empty_like(occ)
-    out[order, :] = ranked
+    full = np.empty_like(occ)
+    full[order, :] = ranked
+    if out is None:
+        return full
+    out[...] = full
+    return _whole(out)
+
+
+def windowed_pull(occ, grid, matrix):
+    """rasters._pull_linear on a fresh plane, with the radius it is given
+    in a run: one pass over the support box."""
+    ws = rasters._Workspace(grid)
+    box = rasters._support_box(occ > 0.0)
+    (radius,) = rasters._content_radii(occ, box, (0.0,), ws)
+    ws.load(occ, box)
+    out = np.zeros_like(occ)
+    rasters._pull_linear(occ, grid, matrix, radius, out, ws)
+    return out
+
+
+def windowed_rearrange(occ):
+    out = np.zeros_like(occ)
+    rasters._rearrange_columns(occ, out, rasters._support_box(occ > 0.0),
+                               rasters._Workspace(GridSpec(*occ.shape[::-1], h=1.0)))
     return out
 
 
@@ -369,7 +440,7 @@ def linear_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(raster_sets(), linear_maps())
 def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
-    out = rasters._pull_linear(rs.occ, rs.grid, matrix)
+    out = windowed_pull(rs.occ, rs.grid, matrix)
     assert np.array_equal(out, full_grid_pull(rs.occ, rs.grid, matrix))
 
 
@@ -377,10 +448,8 @@ def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
 @given(raster_sets())
 def test_windowed_rearrangement_is_bit_identical_to_full_sort(rs):
     occ = rs.occ
-    assert np.array_equal(rasters._rearrange_columns(occ), full_grid_rearrange(occ))
-    assert np.array_equal(
-        rasters._rearrange_columns(occ.T), full_grid_rearrange(occ.T)
-    )
+    assert np.array_equal(windowed_rearrange(occ), full_grid_rearrange(occ))
+    assert np.array_equal(windowed_rearrange(occ.T), full_grid_rearrange(occ.T))
 
 
 def _outcome(fn):
@@ -416,6 +485,23 @@ def test_symmetral_reflection_and_perimeter_match_full_grid(rs, theta):
     assert windowed[2] == full[2]
 
 
+def test_reflection_keeps_the_sign_of_zeros_of_a_full_grid_gather():
+    # rasterized polygons hold -0.0 in their empty cells; within the
+    # occupied disk a one-shot reflection reads them as a full-grid
+    # gather does (outside the gathered window it writes +0.0)
+    grid = GridSpec.cover(1.0, n=64)
+    rs = rasterize(regular_polygon(0.7, 7, center=(0.1, -0.05)), grid)
+    assert np.signbit(rs.occ).any()
+    disk = (np.hypot(grid.x_centers()[None, :], grid.y_centers()[:, None])
+            <= rs.content_radius(0.0))
+    for theta in (0.3, 1.1, 2.9):
+        got = reflect_raster(rs, theta).occ
+        want = full_grid_pull(rs.occ, grid, _reflection(theta))
+        assert np.array_equal(got, want)
+        assert np.signbit(want[disk]).any()
+        assert np.array_equal(np.signbit(got[disk]), np.signbit(want[disk]))
+
+
 def _kf_run(rs, steps):
     run = AlignedRun(rs)
     frames = []
@@ -437,6 +523,116 @@ def test_aligned_run_trace_bit_identical_to_full_grid(unit_grid_128, rng):
         assert np.array_equal(got, want), f"step {step}"
     assert np.array_equal(world, ref_world)
     assert perimeter == ref_perimeter
+
+
+@st.composite
+def rim_rasters(draw):
+    """Centred rasters whose content reaches out to about the margin limit
+    (1.5 cells inside the grid edge), so that the resampling skirt crosses
+    it after zero, one or several steps; some carry random speckle."""
+    n = draw(st.integers(12, 40))
+    h = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    grid = GridSpec(nx=n, ny=n, h=h)
+    radius = (0.5 * n - 1.5 + draw(st.floats(-3.0, 0.5))) * h
+    occ = rasters._disk_fraction(grid, radius)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        occ = occ * rng.random(occ.shape)
+    return RasterSet(occ, grid)
+
+
+def _run_frames(rs, thetas):
+    """Every frame of an AlignedRun, then its world raster; a step that
+    raises ends the list with the error message."""
+    run = AlignedRun(rs)
+    frames = []
+    for theta in thetas:
+        try:
+            run.apply(theta)
+        except ValueError as exc:
+            frames.append(str(exc))
+            break
+        frames.append(run.occ.copy())
+    frames.append(run.world_raster().occ)
+    return frames
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(raster_sets(centered=True), rim_rasters()),
+       st.lists(st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi])),
+                min_size=1, max_size=8))
+def test_carried_box_run_equals_full_grid_run_frame_by_frame(rs, thetas):
+    windowed = _run_frames(rs, thetas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rasters, "_pull_linear", full_grid_pull)
+        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        full = _run_frames(rs, thetas)
+    assert len(windowed) == len(full)
+    for step, (got, want) in enumerate(zip(windowed, full), start=1):
+        assert type(got) is type(want), f"step {step}"
+        if isinstance(want, str):
+            assert got == want, f"step {step}"
+        else:
+            assert np.array_equal(got, want), f"step {step}"
+            assert np.array_equal(np.signbit(got), np.signbit(want)), f"step {step}"
+
+
+# ---------------------------------------------------------------------------
+# a run keeps its memory: no grid-sized temporaries per step
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    """Bytes fn allocates at its peak beyond what was live before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_run_steps_allocate_no_grid_planes():
+    seed = builtin_seed("lshape", resolution=512)
+    plane = seed.occ.nbytes
+    run = AlignedRun(seed)
+    plan = RasterPlan(seed.grid, seed.area())
+    xs = sequence_values("kf", 10)
+    measure(run.frame_raster(), plan=plan)
+    run.apply(math.pi * float(xs[0]))
+    tracemalloc.start()
+    try:
+        for x in xs[1:]:
+            apply_peak = _traced_peak(lambda: run.apply(math.pi * float(x)))
+            assert apply_peak < 2 * plane, f"apply peak {apply_peak / plane:.2f} planes"
+            measure_peak = _traced_peak(lambda: measure(run.frame_raster(), plan=plan))
+            assert measure_peak < 0.5 * plane, (
+                f"measure peak {measure_peak / plane:.2f} planes"
+            )
+    finally:
+        tracemalloc.stop()
+
+
+def test_frame_raster_is_a_read_only_view_and_world_raster_a_copy():
+    seed = builtin_seed("lshape", resolution=128)
+    run = AlignedRun(seed)
+    for x in sequence_values("kf", 3):
+        run.apply(math.pi * float(x))
+    frame = run.frame_raster()
+    with pytest.raises(ValueError):
+        frame.occ[0, 0] = 1.0
+    before = run.occ.copy()
+    world = run.world_raster()
+    kept = world.occ.copy()
+    world.occ[...] = 0.5
+    assert np.array_equal(run.occ, before)
+    assert np.array_equal(run.world_raster().occ, kept)
+    # the frame view follows the run; a world raster does not
+    run.apply(math.pi * 0.3)
+    assert np.array_equal(frame.occ, run.occ)
+    # with no rotation to undo, the world raster is still the caller's own
+    unrotated = AlignedRun(seed)
+    copy = unrotated.world_raster()
+    copy.occ[...] = 0.0
+    assert np.array_equal(unrotated.occ, seed.occ)
 
 
 @settings(max_examples=150, deadline=None)
