@@ -22,6 +22,7 @@ from .polygons import (
     _rotation,
     ball_hausdorff,
     disk_intersection_area,
+    hausdorff,
 )
 from .rasters import RasterSet, _disk_fraction, resample_to
 
@@ -33,7 +34,6 @@ __all__ = [
     "d1_to_ball",
     "hausdorff",
     "perimeter_estimate",
-    "perimeter",
     "grid_tolerance",
     "measure",
 ]
@@ -41,9 +41,9 @@ __all__ = [
 #: Multiplier in the per-test grid tolerance C * h * perimeter.
 GRID_TOL_FACTOR = 8.0
 
-#: Point-vertex pairs per block in `_dist_to_polygon`, which bounds its
-#: temporaries to a few MiB whatever the sample and vertex counts.
-DIST_BLOCK_PAIRS = 1 << 16
+#: Line directions of the perimeter estimate inside grid_tolerance; a
+#: coarse count is enough for an error budget.
+GRID_TOL_DIRECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -159,61 +159,6 @@ def _polygon_d1_to_ball(poly, a):
     return 2.0 * (a - disk_intersection_area(poly, r))
 
 
-def _boundary_samples(poly, spacing):
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    pts = []
-    for p, q in zip(v, nxt):
-        steps = max(1, int(math.ceil(math.hypot(*(q - p)) / spacing)))
-        t = np.arange(steps) / steps
-        pts.append(p + t[:, None] * (q - p))
-    return np.concatenate(pts)
-
-
-def _dist_to_polygon(points, poly):
-    """Distance from each point to the polygon as a set (0 inside).
-
-    Points are taken in blocks of about DIST_BLOCK_PAIRS point-vertex
-    pairs, so memory stays bounded; each point's value does not depend
-    on the block it falls in.
-    """
-    vx, vy = poly.vertices[:, 0], poly.vertices[:, 1]
-    ex, ey = np.roll(vx, -1) - vx, np.roll(vy, -1) - vy
-    ee = ex * ex + ey * ey
-    dist = np.empty(len(points))
-    step = max(1, DIST_BLOCK_PAIRS // len(vx))
-    for start in range(0, len(points), step):
-        block = points[start:start + step]
-        rx = block[:, 0, None] - vx
-        ry = block[:, 1, None] - vy
-        inside = np.all(ex * ry - ey * rx >= -1e-12, axis=1)
-        t = np.clip((rx * ex + ry * ey) / ee, 0.0, 1.0)
-        rx -= t * ex
-        ry -= t * ey
-        d = np.sqrt(rx * rx + ry * ry).min(axis=1)
-        d[inside] = 0.0
-        dist[start:start + step] = d
-    return dist
-
-
-def hausdorff(a, b, spacing=1e-3):
-    """Hausdorff distance between two convex polygons.
-
-    Boundaries are sampled at most `spacing` apart and the two directed
-    point-to-set distances are maximized.
-    """
-    pa = _boundary_samples(a, spacing)
-    pb = _boundary_samples(b, spacing)
-    d_ab = float(_dist_to_polygon(pa, b).max())
-    d_ba = float(_dist_to_polygon(pb, a).max())
-    return max(d_ab, d_ba)
-
-
-def perimeter(poly):
-    """Exact perimeter of a convex polygon."""
-    return poly.perimeter()
-
-
 def _total_variation(vals, diff=None):
     """Sum of |steps| down every column of vals between zero rows.
 
@@ -268,13 +213,14 @@ def perimeter_estimate(rs, n_directions=64):
     return 0.5 * math.pi * float(np.mean(totals))
 
 
-def grid_tolerance(rs, factor=GRID_TOL_FACTOR, n_directions=8):
+def grid_tolerance(rs):
     """Discretization tolerance C * h * perimeter for raster assertions.
 
-    A coarse direction count is enough here; the estimate only sets an
-    error budget proportional to the boundary length.
+    The perimeter estimate uses GRID_TOL_DIRECTIONS directions; it only
+    sets an error budget proportional to the boundary length.
     """
-    return factor * rs.grid.h * perimeter_estimate(rs, n_directions=n_directions)
+    return GRID_TOL_FACTOR * rs.grid.h * perimeter_estimate(
+        rs, n_directions=GRID_TOL_DIRECTIONS)
 
 
 def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):

@@ -34,6 +34,7 @@ __all__ = [
     "convex_intersection_area",
     "disk_intersection_area",
     "ball_hausdorff",
+    "hausdorff",
     "symmetry_defect",
     "load_polygon",
     "save_polygon",
@@ -139,9 +140,6 @@ class ConvexPolygon:
         px, py = self.vertices[:, 0], self.vertices[:, 1]
         dx, dy = np.roll(px, -1) - px, np.roll(py, -1) - py
         return bool(np.all(dx * -py - dy * -px >= 0.0))
-
-    def translated(self, dx, dy):
-        return ConvexPolygon(self.vertices + np.array([dx, dy]))
 
 
 @dataclass(frozen=True)
@@ -291,34 +289,13 @@ def reflect_polygon(poly, direction):
     return ConvexPolygon((poly.vertices @ mat.T)[::-1])
 
 
-def _directed_vertex_gap(a, b, window=32):
-    """Max over rows of b of the distance to the nearest row of a.
-
-    Candidates are limited to an x-sorted window, which is ample here:
-    callers compare a polygon against its own reflection, where the
-    nearest vertex shares the x coordinate up to rounding.
-    """
-    order = np.argsort(a[:, 0], kind="stable")
-    ax, ay = a[:, 0][order], a[:, 1][order]
-    bx, by = b[:, 0], b[:, 1]
-    idx = np.searchsorted(ax, bx)
-    best = np.full(len(b), np.inf)
-    for off in range(-window, window + 1):
-        j = np.clip(idx + off, 0, len(ax) - 1)
-        best = np.minimum(best, np.hypot(ax[j] - bx, ay[j] - by))
-    return float(best.max())
-
-
 def symmetry_defect(poly, direction):
-    """Largest vertex displacement between the polygon and its reflection.
+    """Hausdorff distance between the polygon and its reflection.
 
-    Both directed nearest-vertex gaps are taken; for a polygon that is
-    symmetric about the line orthogonal to `direction` the defect is
-    floating-point noise.
+    The reflection is across the line orthogonal to `direction`; for a
+    polygon symmetric about that line the defect is floating-point noise.
     """
-    a = poly.vertices
-    b = reflect_polygon(poly, direction).vertices
-    return max(_directed_vertex_gap(a, b), _directed_vertex_gap(b, a))
+    return hausdorff(poly, reflect_polygon(poly, direction))
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +366,77 @@ def disk_intersection_area(poly, radius):
     return float(np.sum(total))
 
 
-def ball_hausdorff(poly, radius, n_fallback=2048):
-    """Hausdorff distance between a convex polygon and an origin ball.
+def ball_hausdorff(poly, radius):
+    """Hausdorff distance between a convex polygon and an origin ball, exact.
 
     For convex sets this is the largest gap between support functions.
-    The maximum of the polygon support is the farthest vertex; when the
-    origin is inside, the minimum is the closest edge line, so the value
-    is exact. Otherwise the minimum is taken over sampled directions.
+    The maximum of the polygon support is the farthest vertex. The
+    minimum is the distance to the closest edge line when the origin is
+    inside, and minus the distance from the origin to the closest edge
+    when it is outside.
     """
-    v = poly.vertices
-    px, py = v[:, 0], v[:, 1]
+    px, py = poly.vertices[:, 0], poly.vertices[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
     hi = float(np.hypot(px, py).max())
     if poly.contains_origin():
-        qx, qy = np.roll(px, -1), np.roll(py, -1)
         cross = px * qy - py * qx
         lengths = np.hypot(qx - px, qy - py)
         lo = float((np.abs(cross) / lengths).min())
     else:
-        ang = np.linspace(0.0, 2.0 * math.pi, n_fallback, endpoint=False)
-        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-        lo = float((v @ dirs.T).max(axis=0).min())
+        ex, ey = qx - px, qy - py
+        t = np.clip(-(px * ex + py * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        lo = -float(np.hypot(px + t * ex, py + t * ey).min())
     return max(hi - radius, radius - lo, 0.0)
+
+
+def _edge_normals(poly):
+    """Unit outward normals of the edges v[i] -> v[i+1], and their angles."""
+    x, y = poly.vertices[:, 0], poly.vertices[:, 1]
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    length = np.hypot(ex, ey)
+    nx, ny = ey / length, -ex / length
+    return nx, ny, np.arctan2(ny, nx)
+
+
+def _support_vertices(angles, t):
+    """Index of a support vertex in each direction of angle t.
+
+    Vertex i supports the directions from the normal of edge i - 1 to
+    the normal of edge i, so it is the start of the first edge whose
+    normal angle is at or after t, wrapping past pi.
+    """
+    order = np.argsort(angles, kind="stable")
+    return order[np.searchsorted(angles[order], t) % len(angles)]
+
+
+def hausdorff(a, b):
+    """Hausdorff distance between two convex polygons, exact.
+
+    For convex sets it is the largest support-function gap, the maximum
+    over unit u of |h_a(u) - h_b(u)|. Between consecutive outward edge
+    normals of either polygon both support vertices p and q are fixed,
+    so the gap is (p - q).u. Such an arc is shorter than pi, so the
+    modulus peaks at an end of it, or equals |p - q| where +-(p - q)
+    points into it.
+    """
+    ax, ay, a_ang = _edge_normals(a)
+    bx, by, b_ang = _edge_normals(b)
+    ang = np.concatenate([a_ang, b_ang])
+    order = np.argsort(ang, kind="stable")
+    ang = ang[order]
+    ux = np.concatenate([ax, bx])[order]
+    uy = np.concatenate([ay, by])[order]
+    vx, vy = np.roll(ux, -1), np.roll(uy, -1)
+    # arc k runs from normal k to normal k + 1, the last one across the cut at pi
+    end = np.append(ang[1:], ang[0] + 2.0 * math.pi)
+    i = _support_vertices(a_ang, end)
+    j = _support_vertices(b_ang, end)
+    dx = a.vertices[i, 0] - b.vertices[j, 0]
+    dy = a.vertices[i, 1] - b.vertices[j, 1]
+    gap = np.maximum(np.abs(dx * ux + dy * uy), np.abs(dx * vx + dy * vy))
+    # +-(p - q) is strictly inside the arc when it lies on the inner side of both ends
+    inner = (ux * dy - uy * dx) * (dx * vy - dy * vx) > 0.0
+    return float(np.where(inner, np.hypot(dx, dy), gap).max())
 
 
 # ---------------------------------------------------------------------------

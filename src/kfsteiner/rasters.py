@@ -63,6 +63,11 @@ DISK_SUPERSAMPLES = 16
 #: sorted rearrangement keeps extending a heavy tail of dust cells.
 DUST_FLOOR = 1e-7
 
+#: GridSpec.cover widens the content radius by the larger of COVER_PAD
+#: and COVER_PAD_CELLS / n, so coarse grids still get margin cells.
+COVER_PAD = 0.10
+COVER_PAD_CELLS = 32.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -81,20 +86,19 @@ class GridSpec:
             raise ValueError(f"cell size must be positive, got {self.h}")
 
     @classmethod
-    def cover(cls, radius, n=512, pad=None):
+    def cover(cls, radius, n=512):
         """Origin-centered n-by-n grid whose inscribed disk covers radius.
 
         The margin rule: the half extent is the circumradius about the
-        origin times `pad`, so rotations and symmetrization keep content
+        origin times a pad, so rotations and symmetrization keep content
         inside the grid (a symmetral of a subset of B(o, r) stays inside
-        B(o, r)). The default pad guarantees roughly a dozen margin
-        cells even on coarse grids, which absorbs the low-occupancy
-        fringe that resampling spreads around the content.
+        B(o, r)). The pad guarantees roughly a dozen margin cells even
+        on coarse grids, which absorbs the low-occupancy fringe that
+        resampling spreads around the content.
         """
         if radius <= 0.0:
             raise ValueError("content radius must be positive")
-        if pad is None:
-            pad = 1.0 + max(0.10, 32.0 / n)
+        pad = 1.0 + max(COVER_PAD, COVER_PAD_CELLS / n)
         half = radius * pad
         return cls(nx=n, ny=n, h=2.0 * half / n)
 
@@ -592,9 +596,15 @@ def _match_mass(occ, target, box):
     np.multiply(scales[1:], vals[:-1], out=prod[1:])
     ok[1:] &= prod[1:] >= 1.0 - 1e-12
     k = int(np.argmax(ok))
-    if not ok[k]:
+    if ok[k]:
+        scale = float(scales[k])
+    elif work[-1] >= target:
+        # the pairwise sum m fell below target but the sequential total
+        # did not: the gap is rounding, so no saturated count brackets it
+        scale = target / m
+    else:
         raise ValueError("mass renormalization failed to bracket a scale factor")
-    sub *= float(scales[k])
+    sub *= scale
     np.minimum(sub, 1.0, out=sub)
 
 
@@ -869,8 +879,15 @@ def read_pgm(path):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        tokens.append(data[start:pos])
+        tok = data[start:pos]
+        if not tok:
+            raise ValueError(f"{path}: header ends before width, height and maxval")
+        if not tok.isdigit():
+            raise ValueError(f"{path}: header token {tok!r} is not an integer")
+        tokens.append(tok)
     nx, ny, maxval = (int(t) for t in tokens)
+    if nx < 1 or ny < 1:
+        raise ValueError(f"{path}: image size {nx}x{ny} has no cells")
     if not 1 <= maxval <= PGM_MAXVAL:
         raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     if binary:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,52 @@ def random_convex_polygon(rng, n_points=8, scale=1.0, center=(0.0, 0.0)):
         hull = convex_hull(pts)
         if len(hull) >= 3:
             return ConvexPolygon(hull)
+
+
+#: Largest gap allowed between the exact Hausdorff distance and the
+#: sampled oracle, relative to max(1, oracle). Both reach the maximum at a
+#: vertex (the distance to a convex set is convex along an edge, and t = 0
+#: is always sampled), so they differ only by rounding.
+ORACLE_REL_TOL = 1e-14
+
+
+def oracle_boundary_samples(poly, spacing):
+    """Boundary points at most `spacing` apart, every vertex included."""
+    v = np.ascontiguousarray(poly.vertices)
+    nxt = np.roll(v, -1, axis=0)
+    pts = []
+    for p, q in zip(v, nxt):
+        steps = max(1, int(math.ceil(math.hypot(*(q - p)) / spacing)))
+        t = np.arange(steps) / steps
+        pts.append(p + t[:, None] * (q - p))
+    return np.concatenate(pts)
+
+
+def oracle_dist_to_polygon(points, poly):
+    """Distance from each point to the polygon as a set (0 inside), all pairs."""
+    v = np.ascontiguousarray(poly.vertices)
+    e = np.roll(v, -1, axis=0) - v
+    rel = points[:, None, :] - v[None, :, :]
+    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+    inside = np.all(cross >= -1e-12, axis=1)
+    ee = (e * e).sum(axis=1)
+    t = np.clip((rel * e[None, :, :]).sum(axis=2) / ee[None, :], 0.0, 1.0)
+    foot = rel - t[:, :, None] * e[None, :, :]
+    dist = np.sqrt((foot * foot).sum(axis=2)).min(axis=1)
+    dist[inside] = 0.0
+    return dist
+
+
+def oracle_hausdorff(a, b, spacing):
+    """Sampled Hausdorff distance: both directed sample-to-set maxima."""
+    pa = oracle_boundary_samples(a, spacing)
+    pb = oracle_boundary_samples(b, spacing)
+    return max(float(oracle_dist_to_polygon(pa, b).max()),
+               float(oracle_dist_to_polygon(pb, a).max()))
+
+
+def assert_matches_oracle(d, oracle):
+    assert abs(d - oracle) <= ORACLE_REL_TOL * max(1.0, oracle)
 
 
 def random_raster(rng, grid, max_disks=3):

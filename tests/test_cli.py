@@ -221,8 +221,12 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
         (b"P5\n2 2\n65535\n" + bytes(7), "expected 4 samples, got 3"),
         (b"P2\n2 2\n0\n0 0\n0 0\n", "maxval 0 outside 1..65535"),
         (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 outside 1..65535"),
+        (b"P5\n4", "header ends before width, height and maxval"),
+        (b"P5\nx 2\n255\n" + bytes(4), "header token b'x' is not an integer"),
+        (b"P5\n0 2\n255\n", "image size 0x2 has no cells"),
     ],
-    ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big"],
+    ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big",
+         "header-ends-early", "width-not-a-number", "width-zero"],
 )
 def test_symmetrize_malformed_pgm_names_the_file(data, message, tmp_path, capsys):
     src = tmp_path / "bad.pgm"

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 
@@ -6,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_convex_polygon, random_raster
+from conftest import (
+    assert_matches_oracle,
+    oracle_hausdorff,
+    random_convex_polygon,
+    random_raster,
+)
 from kfsteiner import metrics
 from kfsteiner.metrics import (
     MetricsRecord,
@@ -131,19 +135,15 @@ def test_moment_equality_for_symmetric_raster(unit_grid_256):
 
 def test_hausdorff_examples():
     sq_a = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert hausdorff(sq_a, sq_a, spacing=5e-3) == 0.0
+    assert hausdorff(sq_a, sq_a) == 0.0
     for t in (0.1, 0.35):
         sq_b = ConvexPolygon([(t, 0), (1 + t, 0), (1 + t, 1), (t, 1)])
-        assert hausdorff(sq_a, sq_b, spacing=5e-3) == pytest.approx(t, abs=1e-6)
+        assert hausdorff(sq_a, sq_b) == pytest.approx(t, abs=1e-6)
 
 
 def test_hausdorff_square_vs_ball_polygon_stable_across_resolutions():
     expected = math.sqrt(0.5) - _R  # corner excess dominates
-    vals = []
-    for n in (256, 512):
-        ball_poly = regular_polygon(_R, n)
-        for spacing in (2e-3, 1e-3):
-            vals.append(hausdorff(CENTERED_SQUARE, ball_poly, spacing=spacing))
+    vals = [hausdorff(CENTERED_SQUARE, regular_polygon(_R, n)) for n in (256, 512)]
     assert max(vals) - min(vals) <= 0.01 * expected
     assert vals[-1] == pytest.approx(expected, rel=1e-3)
 
@@ -188,67 +188,38 @@ def test_measure_bundles(unit_grid_128):
     assert poly_rec.hausdorff_to_ball == pytest.approx(math.sqrt(0.5) - _R, abs=1e-12)
 
 
-def oracle_dist_to_polygon(points, poly):
-    """The all-pairs distance as it was before blocking, kept as the oracle."""
-    v = np.ascontiguousarray(poly.vertices)
-    e = np.roll(v, -1, axis=0) - v
-    rel = points[:, None, :] - v[None, :, :]
-    cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross >= -1e-12, axis=1)
-    ee = (e * e).sum(axis=1)
-    t = np.clip((rel * e[None, :, :]).sum(axis=2) / ee[None, :], 0.0, 1.0)
-    foot = rel - t[:, :, None] * e[None, :, :]
-    dist = np.sqrt((foot * foot).sum(axis=2)).min(axis=1)
-    dist[inside] = 0.0
-    return dist
-
-
-def oracle_hausdorff(a, b, spacing):
-    pa = metrics._boundary_samples(a, spacing)
-    pb = metrics._boundary_samples(b, spacing)
-    return max(float(oracle_dist_to_polygon(pa, b).max()),
-               float(oracle_dist_to_polygon(pb, a).max()))
-
-
-@contextlib.contextmanager
-def block_pairs(block):
-    saved = metrics.DIST_BLOCK_PAIRS
-    metrics.DIST_BLOCK_PAIRS = block
-    try:
-        yield
-    finally:
-        metrics.DIST_BLOCK_PAIRS = saved
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, 1 << 16]))
-def test_blocked_distance_equals_all_pairs_oracle(seed, block):
-    # block sizes below the vertex count, uneven and above the sample count
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["nested", "overlapping", "disjoint"]))
+def test_hausdorff_matches_sampled_oracle(seed, layout):
     rng = np.random.default_rng(seed)
-    a = random_convex_polygon(rng, n_points=int(rng.integers(3, 30)))
-    b = random_convex_polygon(rng, n_points=int(rng.integers(3, 30)),
-                              center=tuple(rng.uniform(-0.5, 0.5, 2)))
-    points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 300)), 2))
-    with block_pairs(block):
-        assert np.array_equal(metrics._dist_to_polygon(points, a),
-                              oracle_dist_to_polygon(points, a))
-        assert hausdorff(a, b, spacing=0.05) == oracle_hausdorff(a, b, 0.05)
+    a = random_convex_polygon(rng, n_points=int(rng.integers(3, 40)))
+    if layout == "nested":
+        b = random_convex_polygon(rng, n_points=int(rng.integers(3, 40)), scale=0.3)
+    else:
+        shift = 0.5 if layout == "overlapping" else 3.0  # hulls lie in [-1, 1]**2
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        center = (shift * math.cos(angle), shift * math.sin(angle))
+        b = random_convex_polygon(rng, n_points=int(rng.integers(3, 40)), center=center)
+    d = hausdorff(a, b)
+    assert_matches_oracle(d, oracle_hausdorff(a, b, 0.05))
+    assert_matches_oracle(hausdorff(b, a), d)
+    assert hausdorff(a, ConvexPolygon(a.vertices)) == 0.0
 
 
 def test_hausdorff_memory_is_bounded_at_2000_vertices():
-    # 1000 boundary samples against 2000 vertices: the all-pairs form
-    # holds 2e6-pair float arrays, about 137 MiB at its tracemalloc peak;
-    # blocked, the temporaries stay near 3 MiB
+    # the sampled all-pairs form held (samples x vertices) float arrays,
+    # about 137 MiB at its tracemalloc peak here; the exact form holds a
+    # few arrays of the vertex count
     ball_poly = regular_polygon(0.5, 2000)
     square = ConvexPolygon([(-0.4, -0.4), (0.4, -0.4), (0.4, 0.4), (-0.4, 0.4)])
     tracemalloc.start()
     try:
-        d = hausdorff(square, ball_poly, spacing=3.2e-3)
+        d = hausdorff(square, ball_poly)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
-    assert d == oracle_hausdorff(square, ball_poly, 3.2e-3)
+    assert_matches_oracle(d, oracle_hausdorff(square, ball_poly, 3.2e-3))
 
 
 def test_measure_and_d1_to_ball_agree_on_polygons(rng):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import convex_hull, random_convex_polygon
+from conftest import (
+    assert_matches_oracle,
+    convex_hull,
+    oracle_hausdorff,
+    random_convex_polygon,
+)
 from kfsteiner.metrics import hausdorff
 from kfsteiner.polygons import (
     COLLINEAR_REL_TOL,
@@ -105,7 +110,7 @@ def test_ball_polygon_fixed_point_on_axes():
     for k in (0, 9, 32, 41):
         out = steiner_polygon(ball, k * math.pi / 64)
         assert symmetry_defect(out, k * math.pi / 64) < 1e-12
-        assert hausdorff(ball, out, spacing=2e-3) < 1e-9
+        assert hausdorff(ball, out) < 1e-9
 
 
 def test_ball_polygon_near_fixed_generic_direction():
@@ -114,7 +119,7 @@ def test_ball_polygon_near_fixed_generic_direction():
     ball = regular_polygon(0.7, m)
     out = steiner_polygon(ball, 1.0)
     bound = 2.0 * 0.7 * (2 * math.pi / m) ** 2
-    assert hausdorff(ball, out, spacing=2e-3) < bound
+    assert hausdorff(ball, out) < bound
 
 
 def test_degenerate_polygon_rejected():
@@ -202,10 +207,17 @@ def test_ball_hausdorff_square():
     sq = ConvexPolygon(CENTERED_SQUARE)
     r = math.sqrt(1.0 / math.pi)
     assert ball_hausdorff(sq, r) == pytest.approx(math.sqrt(0.5) - r, abs=1e-12)
-    # origin outside the polygon: fall back to sampled support
+    # origin outside the polygon: the support minimum is minus its distance
     off = ConvexPolygon([(2, 2), (3, 2), (3, 3), (2, 3)])
     d = ball_hausdorff(off, 0.5)
-    assert d == pytest.approx(math.hypot(3, 3) - 0.5, abs=1e-3)
+    assert d == pytest.approx(math.hypot(3, 3) - 0.5, abs=1e-12)
+    # balls large enough that the support minimum decides, in directions
+    # off any regular sampling: nearest at a vertex, then inside an edge
+    corner = ConvexPolygon([(2, 1.3), (3, 1.3), (3, 2.3), (2, 2.3)])
+    assert ball_hausdorff(corner, 5.0) == pytest.approx(5.0 + math.hypot(2, 1.3), abs=1e-12)
+    strip = ConvexPolygon([(-1, 1), (1, 1.2), (1, 2), (-1, 2)])
+    want = 3.0 + 2.2 / math.hypot(2, 0.2)
+    assert ball_hausdorff(strip, 3.0) == pytest.approx(want, abs=1e-12)
 
 
 def test_polygon_file_roundtrip(tmp_path):
@@ -387,6 +399,21 @@ def convex_polygons(draw):
 @given(convex_polygons(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=4))
 def test_column_kernels_match_row_major_oracles(poly, thetas):
     assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
+
+
+def reflected_oracle(poly, theta):
+    """The polygon reflected point by point, v - 2 (v.u) u, reordered CCW."""
+    u = np.array([math.cos(theta), math.sin(theta)])
+    v = np.ascontiguousarray(poly.vertices)
+    return ConvexPolygon((v - 2.0 * np.outer(v @ u, u))[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_polygons(), st.floats(0.0, math.pi))
+def test_symmetry_defect_is_the_gap_to_the_reflected_set(poly, theta):
+    for p in (poly, steiner_polygon(poly, theta)):
+        assert_matches_oracle(symmetry_defect(p, theta),
+                              oracle_hausdorff(p, reflected_oracle(p, theta), 0.05))
 
 
 @st.composite

@@ -67,6 +67,14 @@ def test_polygon_square_run_converges():
     assert res.records[-1].metrics.d1_to_ball / areas[0] < 0.02
 
 
+def test_vdc_lshape_run_renormalizes_through_a_rounding_gap():
+    # at step 73 the pairwise and the sequential mass sums straddle the
+    # target, which once stopped the run
+    cfg = ProcessConfig(sequence="vdc", seed="builtin:lshape", steps=80, cadence=80)
+    res = run_process(cfg)
+    assert res.records[-1].step == 80
+
+
 def test_raster_lshape_run_improves():
     cfg = ProcessConfig(
         sequence="kf", seed="builtin:lshape", steps=80, cadence=4, resolution=256

@@ -158,6 +158,20 @@ def test_mass_exact_after_renormalization(unit_grid_128, rng):
         assert abs(info["mass_drift"]) <= 0.01
 
 
+def test_match_mass_when_the_pairwise_sum_sits_an_ulp_below_target():
+    # occ.sum() (pairwise) is just below the target, so the upscale branch
+    # runs, but the sequential cumsum of the sorted values is not: no
+    # saturated-cell count brackets a scale, and the gap is rounding
+    occ = np.zeros((400, 400))
+    flat = occ.reshape(-1)
+    flat[:131072] = 0.5
+    flat[131072:151072] = 0.6 * 2.0**-36
+    target = np.nextafter(occ.sum(), np.inf)
+    rasters._match_mass(occ, target, (slice(None), slice(None)))
+    assert abs(occ.sum() - target) <= 1e-12 * target
+    assert occ.min() >= 0.0 and occ.max() <= 1.0
+
+
 def test_oblique_idempotence_within_grid_tolerance(unit_grid_128, rng):
     rs = random_raster(rng, unit_grid_128)
     theta = 0.7
