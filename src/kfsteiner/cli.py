@@ -17,17 +17,18 @@ import sys
 
 from .discrepancy import discrepancy_curve
 from .partitions import _refinement_levels, interval_counts, length_classes
-from .polygons import load_polygon, save_polygon, steiner_polygon
+from .polygons import save_polygon, steiner_polygon
 from .process import (
     BUILTIN_SEEDS,
     ProcessConfig,
     _fmt,
+    _read_set,
     compare_csv,
     compare_sequences,
     run_process,
     trace_csv,
 )
-from .rasters import GridSpec, RasterSet, rasterize, read_pgm, steiner_raster, write_pgm
+from .rasters import GridSpec, RasterSet, rasterize, steiner_raster, write_pgm
 from .sequences import (
     GAMMA,
     _parse_alpha,
@@ -129,21 +130,8 @@ def cmd_disc(args):
     return 0
 
 
-def _sniff_set(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic in (b"P2", b"P5"):
-        return read_pgm(path)
-    try:
-        return load_polygon(path)
-    except ValueError as exc:
-        raise ValueError(
-            f"{path}: neither a P2/P5 PGM raster nor a polygon text file ({exc})"
-        ) from exc
-
-
 def cmd_symmetrize(args):
-    shape = _sniff_set(args.infile)
+    shape = _read_set(args.infile)
     theta = args.theta if args.theta is not None else to_direction(args.x).theta
     if isinstance(shape, RasterSet):
         write_pgm(args.out, steiner_raster(shape, theta), binary=not args.ascii)

@@ -24,7 +24,7 @@ from .polygons import (
     disk_intersection_area,
     hausdorff,
 )
-from .rasters import RasterSet, _disk_fraction, resample_to
+from .rasters import RasterSet, _disk_fraction
 
 __all__ = [
     "MetricsRecord",
@@ -119,18 +119,10 @@ def moment_of_inertia(obj, plan=None):
     raise TypeError(f"no moment for {type(obj).__name__}")
 
 
-def d1(a, b, resample=False):
-    """L1 distance of two rasters' occupancy functions.
-
-    The grids must agree; pass resample=True to pull b onto a's grid
-    first (bilinear, documented approximation).
-    """
+def d1(a, b):
+    """L1 distance of two rasters' occupancy functions on one grid."""
     if not a.grid.same_geometry(b.grid):
-        if not resample:
-            raise ValueError(
-                "rasters live on different grids; pass resample=True to compare"
-            )
-        b = resample_to(b, a.grid)
+        raise ValueError("rasters live on different grids")
     return float(np.abs(a.occ - b.occ).sum() * a.grid.h**2)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "regular_polygon",
     "steiner_polygon",
     "reflect_polygon",
-    "convex_intersection_area",
     "disk_intersection_area",
     "ball_hausdorff",
     "hausdorff",
@@ -301,33 +300,6 @@ def symmetry_defect(poly, direction):
 # ---------------------------------------------------------------------------
 # exact intersection helpers
 # ---------------------------------------------------------------------------
-
-
-def convex_intersection_area(a, b):
-    """Area of the intersection of two convex polygons (clip a by b)."""
-    pts = [tuple(p) for p in a.vertices]
-    clip = b.vertices
-    for i in range(len(clip)):
-        px, py = clip[i]
-        qx, qy = clip[(i + 1) % len(clip)]
-        ex, ey = qx - px, qy - py
-        out = []
-        n = len(pts)
-        for j in range(n):
-            cx, cy = pts[j]
-            nx, ny = pts[(j + 1) % n]
-            c1 = ex * (cy - py) - ey * (cx - px)
-            c2 = ex * (ny - py) - ey * (nx - px)
-            if c1 >= 0.0:
-                out.append((cx, cy))
-            if (c1 > 0.0 > c2) or (c1 < 0.0 < c2):
-                t = c1 / (c1 - c2)
-                out.append((cx + t * (nx - cx), cy + t * (ny - cy)))
-        pts = out
-        if len(pts) < 3:
-            return 0.0
-    arr = np.asarray(pts)
-    return max(0.0, _shoelace(arr))
 
 
 def disk_intersection_area(poly, radius):

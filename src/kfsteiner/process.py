@@ -149,13 +149,26 @@ def builtin_seed(name, resolution=512, grid=None):
     )
 
 
+def _read_set(path):
+    """A P2/P5 PGM raster or a polygon text file, told apart by the first
+    two bytes of the file."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    if magic in (b"P2", b"P5"):
+        return read_pgm(path)
+    try:
+        return load_polygon(path)
+    except ValueError as exc:
+        raise ValueError(
+            f"{path}: neither a P2/P5 PGM raster nor a polygon text file ({exc})"
+        ) from exc
+
+
 def load_seed(spec, resolution=512, grid=None):
-    """Resolve a seed spec: ``builtin:NAME``, a PGM path, or a polygon file."""
+    """Resolve a seed spec: ``builtin:NAME``, a PGM file or a polygon file."""
     if spec.startswith("builtin:"):
         return builtin_seed(spec[len("builtin:") :], resolution=resolution, grid=grid)
-    if spec.endswith(".pgm"):
-        return read_pgm(spec)
-    return load_polygon(spec)
+    return _read_set(spec)
 
 
 class PolygonRun:

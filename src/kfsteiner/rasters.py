@@ -9,6 +9,10 @@ resamples back, and rescales the occupancy so the total mass matches
 the input exactly. Axis-aligned directions skip the resampling and are
 pure permutations of cell values.
 
+Rasterization is exact up to rounding and has one coverage path: a
+signed-area accumulation over polygon edges. An origin ball is the
+polygon of its grid-line crossings plus one circular segment per edge.
+
 Resampling pulls each target cell from the overlap of its unit-cell box
 with the source grid at the preimage of the cell center, which is the
 bilinear kernel; values stay in [0, 1] and mass drift before the final
@@ -47,15 +51,11 @@ __all__ = [
     "annulus_fixture",
     "steiner_raster",
     "reflect_raster",
-    "resample_to",
     "read_pgm",
     "write_pgm",
 ]
 
 PGM_MAXVAL = 65535
-
-#: Subsamples per axis for partially covered disk cells.
-DISK_SUPERSAMPLES = 16
 
 #: Occupancy below this is zeroed after a resampled symmetrization. The
 #: removed mass (at most cells * floor * h**2 per step) sits orders of
@@ -276,36 +276,6 @@ class RasterSet:
 # ---------------------------------------------------------------------------
 
 
-def _disk_fraction(grid, radius):
-    """Per-cell covered fraction of the origin-centered disk.
-
-    Cells entirely inside or outside are decided from corner distances;
-    the boundary band is supersampled on a DISK_SUPERSAMPLES**2 lattice
-    of subcell midpoints.
-    """
-    if radius <= 0.0:
-        return np.zeros((grid.ny, grid.nx))
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    half = 0.5 * grid.h
-    ax = np.abs(xs)[None, :]
-    ay = np.abs(ys)[:, None]
-    near = np.hypot(np.maximum(ax - half, 0.0), np.maximum(ay - half, 0.0))
-    far = np.hypot(ax + half, ay + half)
-    occ = np.zeros((grid.ny, grid.nx))
-    occ[far <= radius] = 1.0
-    partial = (near < radius) & (far > radius)
-    if partial.any():
-        ii, jj = np.nonzero(partial)
-        k = DISK_SUPERSAMPLES
-        off = (np.arange(k) + 0.5) / k * grid.h - half
-        px = xs[jj][:, None, None] + off[None, None, :]
-        py = ys[ii][:, None, None] + off[None, :, None]
-        inside = (px * px + py * py) <= radius * radius
-        occ[ii, jj] = inside.mean(axis=(1, 2))
-    return occ
-
-
 def _check_bbox(grid, xmin, xmax, ymin, ymax):
     if (
         xmin < grid.ox - grid.half_width
@@ -338,8 +308,9 @@ def _grid_crossings(p, q, axis):
     return edge, pts
 
 
-def _rasterize_polygon(poly, grid):
-    """Covered fraction of every cell, by signed-area accumulation.
+def _rasterize_polygon(v, grid):
+    """Covered fraction of every cell of the polygon with the vertices v,
+    by signed-area accumulation.
 
     The edges are split at every grid line they cross, so each piece
     lies in one cell. In grid units a piece with vertical extent dv and
@@ -348,9 +319,9 @@ def _rasterize_polygon(poly, grid):
     run counterclockwise, so the left boundary goes down and adds
     coverage while the right boundary goes up and removes it. A cell's
     coverage is minus the sum of its in-cell terms and of the full-cell
-    terms of the pieces to its left, a prefix sum along the row.
+    terms of the pieces to its left, a prefix sum along the row; cells
+    that no edge enters read +0.0, as in np.zeros.
     """
-    v = poly.vertices
     _check_bbox(grid, v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
     # rows start at v = 1, so every v is a multiple of 2**-52 and each dv
     # and every row sum of them is exact: cells that no edge enters come
@@ -375,24 +346,54 @@ def _rasterize_polygon(poly, grid):
     np.add.at(full, (i, j + 1), dv)
     cell = np.zeros((grid.ny, grid.nx))
     np.add.at(cell, (i, j), dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])))
-    return np.clip(-(np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
+    return np.clip(0.0 - (np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
+
+
+def _disk_fraction(grid, r):
+    """Per-cell covered fraction of the origin disk of radius r, exact up
+    to rounding.
+
+    The disk is the convex polygon through (r, 0) and every point where
+    the circle crosses a grid line, plus, for each polygon edge, the
+    circular segment between the edge and its arc, r**2 / 2 * (phi -
+    sin(phi)) for an arc of angle phi. Consecutive points bound an arc
+    inside one cell, so the polygon goes through _rasterize_polygon and
+    each segment is added to the cell that holds the middle of its arc:
+    cells the circle misses come out exactly 0.0 or 1.0.
+    """
+    _check_bbox(grid, -r, r, -r, r)
+    xe, ye = grid.x_edges(), grid.y_edges()
+    xs, ys = xe[np.abs(xe) < r], ye[np.abs(ye) < r]
+    at_x = np.sqrt((r - xs) * (r + xs))
+    at_y = np.sqrt((r - ys) * (r + ys))
+    x = np.concatenate([[r], xs, xs, at_y, -at_y])
+    y = np.concatenate([[0.0], at_x, -at_x, ys, ys])
+    angle = np.arctan2(y, x)
+    order = np.argsort(angle)
+    angle = angle[order]
+    phi = np.diff(angle, append=angle[0] + 2.0 * math.pi)
+    mid = angle + 0.5 * phi
+    j = np.floor((r * np.cos(mid) - xe[0]) / grid.h).astype(np.int64)
+    i = np.floor((r * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
+    occ = _rasterize_polygon(np.column_stack([x[order], y[order]]), grid)
+    segment = 0.5 * (r / grid.h) ** 2 * (phi - np.sin(phi))
+    np.add.at(occ, (np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)), segment)
+    return np.clip(occ, 0.0, 1.0, out=occ)
 
 
 def rasterize(shape, grid):
     """Exact-coverage raster of a convex polygon or an origin ball.
 
-    Polygon coverage is one signed-area accumulation: each edge piece
-    deposits its exact trapezoid area into the cells of its row and a
-    prefix sum along the row gives the covered fractions (see
-    _rasterize_polygon). Disk boundary cells use subcell supersampling
-    (see _disk_fraction).
+    Coverage is one signed-area accumulation: each edge piece deposits
+    its exact trapezoid area into the cells of its row and a prefix sum
+    along the row gives the covered fractions (see _rasterize_polygon).
+    A ball is its polygon of grid-line crossings plus the exact circular
+    segment of each edge (see _disk_fraction).
     """
     if isinstance(shape, ConvexPolygon):
-        return RasterSet(_rasterize_polygon(shape, grid), grid)
+        return RasterSet(_rasterize_polygon(shape.vertices, grid), grid)
     if isinstance(shape, Ball):
-        r = shape.radius
-        _check_bbox(grid, -r, r, -r, r)
-        return RasterSet(_disk_fraction(grid, r), grid)
+        return RasterSet(_disk_fraction(grid, shape.radius), grid)
     raise TypeError(f"cannot rasterize {type(shape).__name__}")
 
 
@@ -402,7 +403,6 @@ def annulus_fixture(r_inner, r_outer, grid):
         raise ValueError(
             f"need 0 <= r_inner < r_outer, got ({r_inner}, {r_outer})"
         )
-    _check_bbox(grid, -r_outer, r_outer, -r_outer, r_outer)
     occ = _disk_fraction(grid, r_outer) - _disk_fraction(grid, r_inner)
     return RasterSet(np.clip(occ, 0.0, 1.0), grid)
 
@@ -574,7 +574,7 @@ def _match_mass(occ, target, box):
     vals.sort()
     vals = vals[::-1]
     n = len(vals)
-    if target >= n:
+    if target > n:
         raise ValueError("target mass exceeds the occupied capacity of the grid")
     # k = 0..n-1 saturated cells: scales[k] = (target - k) / (mass of the
     # rest), the rest summed as the total minus the prefix sum of the k
@@ -707,28 +707,6 @@ def reflect_raster(rs, direction):
     return rs.with_occ(out)
 
 
-def resample_to(rs, grid):
-    """Bilinear resample of a raster onto another grid (no rotation)."""
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    src = rs.grid
-    fj = (xs[None, :] - src.ox) / src.h + (src.nx - 1) / 2.0
-    fi = (ys[:, None] - src.oy) / src.h + (src.ny - 1) / 2.0
-    fj = np.broadcast_to(fj, (grid.ny, grid.nx))
-    fi = np.broadcast_to(fi, (grid.ny, grid.nx))
-    padded = np.zeros((src.ny + 3, src.nx + 3))
-    padded[1 : src.ny + 1, 1 : src.nx + 1] = rs.occ
-    n = grid.ny * grid.nx
-    occ = np.empty((grid.ny, grid.nx))
-    _bilinear_gather(padded, fi, fj, occ, np.empty((5, n)), np.empty(n, np.int64))
-    np.clip(occ, 0.0, 1.0, out=occ)
-    scale = (src.h / grid.h) ** 2
-    if abs(scale - 1.0) > 1e-12:
-        # different cell sizes change the mass-to-area ratio; keep the area
-        _match_mass(occ, rs.mass() * scale, (slice(None), slice(None)))
-    return RasterSet(occ, grid)
-
-
 class AlignedRun:
     """Incremental driver for long composed symmetrizations of one raster.
 
@@ -752,7 +730,7 @@ class AlignedRun:
     def __init__(self, rs):
         _require_centered(rs, "symmetrization")
         self.grid = rs.grid
-        occ = rs.occ.copy()
+        occ = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
         self._planes = (occ, np.zeros_like(occ))
         self._boxes = [_support_box(occ > 0.0), _EMPTY_BOX]
         self._current = 0

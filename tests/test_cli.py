@@ -312,6 +312,28 @@ def test_process_unknown_builtin(tmp_path, capsys):
     assert "square" in msg and "annulus" in msg  # lists the builtins
 
 
+def test_process_reads_a_pgm_seed_without_the_suffix(tmp_path):
+    # raster or polygon is decided by the P2/P5 magic, not by the name
+    grid = GridSpec.cover(1.0, n=64)
+    seed = tmp_path / "blob.img"
+    write_pgm(seed, rasterize(Ball(0.6), grid))
+    outdir = tmp_path / "run"
+    assert main(["process", "--seed", str(seed), "--kind", "kf",
+                 "--steps", "3", "--out", str(outdir)]) == 0
+    lines = (outdir / "trace.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+
+def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
+    seed = tmp_path / "blob.img"
+    seed.write_bytes(b"\xfa\x00\x01\x02junk")
+    code = main(["process", "--seed", str(seed), "--kind", "kf",
+                 "--steps", "3", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {seed}: neither a P2/P5 PGM raster nor a polygon text file" in err
+
+
 def test_compare_writes_csv(tmp_path):
     outdir = tmp_path / "cmp"
     assert main(["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2",

@@ -20,7 +20,6 @@ from kfsteiner.polygons import (
     _shoelace,
     ball_hausdorff,
     ball_of_same_area,
-    convex_intersection_area,
     disk_intersection_area,
     load_polygon,
     reflect_polygon,
@@ -165,15 +164,6 @@ def test_reflect_polygon():
     got = out.vertices[np.lexsort((out.vertices[:, 1], out.vertices[:, 0]))]
     want = want[np.lexsort((want[:, 1], want[:, 0]))]
     assert np.abs(got - want).max() < 1e-12
-
-
-def test_convex_intersection_area():
-    a = ConvexPolygon(CENTERED_SQUARE)
-    b = ConvexPolygon([(0, -0.5), (1, -0.5), (1, 0.5), (0, 0.5)])
-    assert convex_intersection_area(a, b) == pytest.approx(0.5)
-    far = ConvexPolygon([(10, 10), (11, 10), (11, 11), (10, 11)])
-    assert convex_intersection_area(a, far) == 0.0
-    assert convex_intersection_area(a, a) == pytest.approx(1.0)
 
 
 def test_disk_intersection_against_segment_oracle():

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import convex_hull, random_raster
+from conftest import convex_hull, random_convex_polygon, random_raster
 from kfsteiner import rasters
 from kfsteiner.metrics import (
     RasterPlan,
@@ -25,7 +26,6 @@ from kfsteiner.rasters import (
     rasterize,
     read_pgm,
     reflect_raster,
-    resample_to,
     steiner_raster,
     write_pgm,
 )
@@ -68,10 +68,17 @@ def test_rasterize_triangle_exact():
     assert abs(rs.area() - 0.5) < 1e-6
 
 
+#: Relative rounding bound on the area of an exactly covered disk: about
+#: 8 r / h boundary cells, each within 1e-13 of exact (see
+#: test_disk_fraction_matches_decimal_oracle), err by at most
+#: 8e-13 * h / (pi * r) of the area; the other cells are exact.
+DISK_AREA_RTOL = 1e-12
+
+
 def test_rasterize_ball_mass():
     g = GridSpec(nx=220, ny=220, h=0.01)
     rs = rasterize(Ball(1.0), g)
-    assert abs(rs.area() - math.pi) < 1e-3
+    assert abs(rs.area() - math.pi) <= DISK_AREA_RTOL * math.pi
 
 
 def test_rasterize_bounds_check():
@@ -83,9 +90,9 @@ def test_rasterize_bounds_check():
 def test_annulus_fixture():
     g = GridSpec.cover(1.0, n=256)
     disk = annulus_fixture(0.0, 1.0, g)
-    assert abs(disk.area() - math.pi) < 1e-3
+    assert abs(disk.area() - math.pi) <= DISK_AREA_RTOL * math.pi
     ring = annulus_fixture(0.5, 1.0, g)
-    assert abs(ring.area() - math.pi * 0.75) < 1e-3
+    assert abs(ring.area() - math.pi * 0.75) <= DISK_AREA_RTOL * math.pi * 0.75
     with pytest.raises(ValueError):
         annulus_fixture(1.0, 1.0, g)
     with pytest.raises(ValueError):
@@ -170,6 +177,19 @@ def test_match_mass_when_the_pairwise_sum_sits_an_ulp_below_target():
     rasters._match_mass(occ, target, (slice(None), slice(None)))
     assert abs(occ.sum() - target) <= 1e-12 * target
     assert occ.min() >= 0.0 and occ.max() <= 1.0
+
+
+def test_match_mass_when_the_target_equals_the_occupied_cell_count():
+    # a quarter turn through the bilinear gather blurs a binary block by
+    # about 1e-16 and the dust floor removes the blur, so the world raster
+    # comes back as 42 cells at or just below 1 with a target of exactly
+    # 42: every cell saturates
+    grid = GridSpec(nx=21, ny=23, h=0.05)
+    occ = np.zeros((23, 21))
+    occ[5:11, 5:12] = 1.0
+    world = AlignedRun(RasterSet(occ, grid)).apply(0.0).world_raster()
+    assert np.count_nonzero(world.occ) == 42
+    assert abs(world.mass() - 42.0) <= 1e-12 * 42.0
 
 
 def test_oblique_idempotence_within_grid_tolerance(unit_grid_128, rng):
@@ -258,15 +278,11 @@ def test_direction_nan_rejected(unit_grid_128):
         steiner_raster(rs, float("nan"))
 
 
-def test_resample_to():
-    g_fine = GridSpec.cover(1.0, n=256)
-    g_coarse = GridSpec.cover(1.0, n=128)
-    disk = rasterize(Ball(0.8), g_fine)
-    moved = resample_to(disk, g_coarse)
-    assert abs(moved.area() - disk.area()) < 1e-9
-    with pytest.raises(ValueError):
-        d1(disk, moved)
-    assert d1(disk, moved, resample=True) < 0.05
+def test_d1_refuses_rasters_on_different_grids():
+    fine = rasterize(Ball(0.8), GridSpec.cover(1.0, n=256))
+    coarse = rasterize(Ball(0.8), GridSpec.cover(1.0, n=128))
+    with pytest.raises(ValueError, match="different grids"):
+        d1(fine, coarse)
 
 
 def test_pgm_roundtrip(tmp_path, unit_grid_128):
@@ -500,11 +516,13 @@ def test_symmetral_reflection_and_perimeter_match_full_grid(rs, theta):
 
 
 def test_reflection_keeps_the_sign_of_zeros_of_a_full_grid_gather():
-    # rasterized polygons hold -0.0 in their empty cells; within the
+    # a plane built by hand may hold -0.0 in its empty cells; within the
     # occupied disk a one-shot reflection reads them as a full-grid
     # gather does (outside the gathered window it writes +0.0)
     grid = GridSpec.cover(1.0, n=64)
-    rs = rasterize(regular_polygon(0.7, 7, center=(0.1, -0.05)), grid)
+    occ = rasterize(regular_polygon(0.7, 7, center=(0.1, -0.05)), grid).occ
+    occ[occ == 0.0] = -0.0
+    rs = RasterSet(occ, grid)
     assert np.signbit(rs.occ).any()
     disk = (np.hypot(grid.x_centers()[None, :], grid.y_centers()[:, None])
             <= rs.content_radius(0.0))
@@ -555,6 +573,26 @@ def rim_rasters(draw):
     return RasterSet(occ, grid)
 
 
+@st.composite
+def polygon_rasters(draw):
+    """Centred rasters of a convex polygon, as rasterize builds the seeds,
+    and some with -0.0 in every empty cell, as a plane built by hand may
+    hold."""
+    n = draw(st.integers(8, 40))
+    h = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    grid = GridSpec(nx=n, ny=n, h=h)
+    size = draw(st.floats(0.1, 0.4)) * n * h
+    if draw(st.booleans()):
+        poly = regular_polygon(size, draw(st.integers(3, 64)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        poly = random_convex_polygon(rng, scale=size)
+    occ = rasterize(poly, grid).occ
+    if draw(st.booleans()):
+        occ[occ == 0.0] = -0.0
+    return RasterSet(occ, grid)
+
+
 def _run_frames(rs, thetas):
     """Every frame of an AlignedRun, then its world raster; a step that
     raises ends the list with the error message."""
@@ -572,7 +610,7 @@ def _run_frames(rs, thetas):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(raster_sets(centered=True), rim_rasters()),
+@given(st.one_of(raster_sets(centered=True), rim_rasters(), polygon_rasters()),
        st.lists(st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi])),
                 min_size=1, max_size=8))
 def test_carried_box_run_equals_full_grid_run_frame_by_frame(rs, thetas):
@@ -887,3 +925,124 @@ def test_saturated_polygon_area_is_exact():
     assert len(poly) >= 30_000
     rs = rasterize(poly, GridSpec.cover(poly.circumradius(), n=128))
     assert abs(rs.area() - poly.area()) <= 1e-12 * poly.area()
+
+
+# ---------------------------------------------------------------------------
+# exact disk coverage against an extended-precision oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_DIGITS = 50
+
+
+def _asin_series(z):
+    """asin(z) for 0 <= z <= 0.75 by its Taylor series, to ORACLE_DIGITS."""
+    term = total = z
+    z2 = z * z
+    eps = Decimal(10) ** -(ORACLE_DIGITS + 5)
+    n = 0
+    while abs(term) > eps:
+        n += 1
+        term *= z2 * (2 * n - 1) * (2 * n - 1) / ((2 * n) * (2 * n + 1))
+        total += term
+    return total
+
+
+def _decimal_disk_coverage(grid, r, cells):
+    """Covered fraction of each (i, j) in cells by the origin disk of
+    radius r, in Decimal arithmetic.
+
+    The area of the disk inside [x0, x1] x [y0, y1] is the inclusion-
+    exclusion G(x1, y1) - G(x0, y1) - G(x1, y0) + G(x0, y0) of the signed
+    quadrant area G(x, y) = sign(x) sign(y) Q(|x|, |y|), where Q(a, b) is
+    the area of the disk inside [0, a] x [0, b]. With a, b <= r and
+    a**2 + b**2 > r**2, Q = b c + I(a) - I(c) for c = sqrt(r**2 - b**2)
+    and I(t) = (t sqrt(r**2 - t**2) + r**2 asin(t / r)) / 2.
+    """
+    r = Decimal(r)
+    r2 = r * r
+    half_pi = 3 * _asin_series(Decimal("0.5"))
+
+    def asin(z):
+        if z <= Decimal("0.7"):
+            return _asin_series(z)
+        return half_pi - _asin_series((1 - z * z).sqrt())
+
+    def integral(t):
+        return (t * (r2 - t * t).sqrt() + r2 * asin(t / r)) / 2
+
+    integrals = {}
+
+    def quadrant(a, b):
+        a, b = min(abs(a), r), min(abs(b), r)
+        if a * a + b * b <= r2:
+            return a * b
+        c = (r2 - b * b).sqrt()
+        for t in (a, c):
+            if t not in integrals:
+                integrals[t] = integral(t)
+        return b * c + integrals[a] - integrals[c]
+
+    def signed(x, y):
+        return quadrant(x, y).copy_sign(x * y) if x * y else Decimal(0)
+
+    xe = [Decimal(x) for x in grid.x_edges()]
+    ye = [Decimal(y) for y in grid.y_edges()]
+    out = []
+    for i, j in cells:
+        x0, x1, y0, y1 = xe[j], xe[j + 1], ye[i], ye[i + 1]
+        covered = signed(x1, y1) - signed(x0, y1) - signed(x1, y0) + signed(x0, y0)
+        out.append(covered / ((x1 - x0) * (y1 - y0)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid, r",
+    [
+        (GridSpec.cover(math.sqrt(0.5), n=512), math.sqrt(0.75 / math.pi)),
+        (GridSpec.cover(math.sqrt(0.5), n=512), math.sqrt(1.0 / math.pi)),
+        (GridSpec.cover(1.0, n=31), 0.9),
+        (GridSpec.cover(1.0, n=32), 0.9),
+        (GridSpec(nx=5, ny=5, h=1.0), 0.3),
+        (GridSpec(nx=4, ny=6, h=1.0, ox=0.5, oy=0.5), 0.2),
+        # through the grid corners (0.75, 1) and (1, 0.75): 0.75**2 + 1 == 1.25**2
+        (GridSpec(nx=16, ny=16, h=0.25), 1.25),
+        (GridSpec(nx=40, ny=36, h=0.07, ox=0.3, oy=-0.2), 0.9),
+    ],
+    ids=["lshape-512", "unit-area-512", "odd-31", "even-32", "in-one-cell",
+         "in-one-cell-off-centre", "through-corners", "off-centre"],
+)
+def test_disk_fraction_matches_decimal_oracle(grid, r):
+    got = rasters._disk_fraction(grid, r)
+    xe, ye = grid.x_edges(), grid.y_edges()
+    # nearest and farthest point of every cell from the origin; cells that
+    # float arithmetic places clearly inside or outside need no oracle
+    near_x = np.maximum(np.maximum(xe[:-1], -xe[1:]), 0.0)[None, :]
+    near_y = np.maximum(np.maximum(ye[:-1], -ye[1:]), 0.0)[:, None]
+    far_x = np.maximum(np.abs(xe[:-1]), np.abs(xe[1:]))[None, :]
+    far_y = np.maximum(np.abs(ye[:-1]), np.abs(ye[1:]))[:, None]
+    near = np.hypot(near_x, near_y)
+    far = np.hypot(far_x, far_y)
+    inside = far < r * (1.0 - 1e-9)
+    outside = near > r * (1.0 + 1e-9)
+    band = np.argwhere(~inside & ~outside)
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS + 10
+        covered = _decimal_disk_coverage(grid, r, band)
+    want = np.where(inside, 1.0, 0.0)
+    want[band[:, 0], band[:, 1]] = [float(c) for c in covered]
+    full = inside.copy()
+    full[band[:, 0], band[:, 1]] = [c == 1 for c in covered]
+    empty = outside.copy()
+    empty[band[:, 0], band[:, 1]] = [c == 0 for c in covered]
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.all(got[full] == 1.0)
+    assert np.all(got[empty] == 0.0)
+    assert not np.signbit(got).any()
+
+
+def test_disk_that_does_not_fit_the_grid_raises():
+    grid = GridSpec(nx=16, ny=16, h=0.1)
+    with pytest.raises(ValueError, match="shape exceeds the grid"):
+        rasters._disk_fraction(grid, 0.81)
+    with pytest.raises(ValueError, match="shape exceeds the grid"):
+        RasterPlan(grid, math.pi * 0.81**2).ball
