@@ -2,12 +2,16 @@
 
 A RasterSet stores per-cell area fractions in [0, 1] on a square-cell
 grid whose center sits at a known world position (the origin for
-everything this package builds). Symmetrization in a general direction
-resamples the grid into a frame where the direction is column-aligned,
-applies an exact symmetric decreasing rearrangement to every column,
-resamples back, and rescales the occupancy so the total mass matches
-the input exactly. Axis-aligned directions skip the resampling and are
-pure permutations of cell values.
+everything this package builds), so it stands for a set. The Steiner
+symmetral of a set replaces every column along the direction by the
+interval centred on the origin line whose length is the column's
+measure. A general direction first resamples the grid into a frame
+where the direction is column-aligned and scales every column length
+by one factor, so the intervals hold the input mass exactly.
+Axis-aligned directions need no resampling and no scale. Intervals
+centred on one line form a staircase polygon, so the symmetral is
+brought back to the world frame by rotating that polygon and
+rasterizing it exactly, not by resampling.
 
 Rasterization is exact up to rounding and has one coverage path: a
 signed-area accumulation over polygon edges. An origin ball is the
@@ -15,22 +19,25 @@ polygon of its grid-line crossings plus one circular segment per edge.
 
 Resampling pulls each target cell from the overlap of its unit-cell box
 with the source grid at the preimage of the cell center, which is the
-bilinear kernel; values stay in [0, 1] and mass drift before the final
-rescale is a fraction of a percent. Resampling touches only the target
-cells within reach of the occupied disk and writes exact zeros
-elsewhere, so its output is identical to a full-grid gather. The
-support radius that sets that reach comes from the same pass as the
-margin check.
+bilinear kernel; values stay in [0, 1], and its mass drift, which the
+length scale absorbs, is a fraction of a percent. Resampling touches
+only the target cells within reach of the occupied disk and writes
+exact zeros elsewhere, so its output is identical to a full-grid
+gather. The support radius that sets that reach comes from the same
+pass as the margin check.
 
 Every kernel writes into buffers it is given: a _Workspace holds the
 zero-bordered source plane, the distance map and the gather's scratch.
 AlignedRun allocates its planes and its workspace once and carries, from
 step to step, the box of each plane that may hold nonzero cells, so a
 step touches that box and no grid-sized array is allocated or scanned
-in full, except for the mass sum, which stays a sum over the whole
-plane so that every value keeps its bits. frame_raster() is a read-only
-view of the run's plane, valid until the next apply; world_raster()
-returns a plane the caller owns.
+in full, except for the mass sum that sets the scale, which stays a sum
+over the whole plane so that the result does not depend on the box.
+Half-lengths are rounded to a power-of-two step (see _interval_lengths),
+so a plane of intervals sums back to its exact lengths and a repeated
+direction changes no bit. frame_raster() is a read-only view of the
+run's plane, valid until the next apply; world_raster() returns a plane
+the caller owns.
 """
 
 from __future__ import annotations
@@ -56,12 +63,6 @@ __all__ = [
 ]
 
 PGM_MAXVAL = 65535
-
-#: Occupancy below this is zeroed after a resampled symmetrization. The
-#: removed mass (at most cells * floor * h**2 per step) sits orders of
-#: magnitude under the renormalization budget; without the floor the
-#: sorted rearrangement keeps extending a heavy tail of dust cells.
-DUST_FLOOR = 1e-7
 
 #: GridSpec.cover widens the content radius by the larger of COVER_PAD
 #: and COVER_PAD_CELLS / n, so coarse grids still get margin cells.
@@ -157,7 +158,7 @@ def _support_box(mask):
 
 
 class _Workspace:
-    """Buffers that resampling and rearrangement on one grid reuse.
+    """Buffers that resampling and the column step on one grid reuse.
 
     - padded: the source plane inside a zero border, which the gather
       reads (see load)
@@ -165,7 +166,7 @@ class _Workspace:
     - coords, real, base: the windowed gather's scratch for GATHER_ROWS
       grid rows
     - plane, mask: one float and one bool plane of scratch for column
-      sorts, radii and cell masks
+      sums, interval ends, radii and cell masks
 
     Nothing here is allocated again after construction, so a run that
     keeps one workspace touches its memory once.
@@ -408,7 +409,7 @@ def annulus_fixture(r_inner, r_outer, grid):
 
 
 # ---------------------------------------------------------------------------
-# resampling and rearrangement
+# resampling and the column step
 # ---------------------------------------------------------------------------
 
 
@@ -507,105 +508,77 @@ def _pull_linear(occ, grid, matrix, radius, out, ws):
     return rows, cols
 
 
-def _center_out_order(n):
-    """Cell indices ordered by distance from the grid midline, positive side first."""
-    idx = np.arange(n)
-    center = (n - 1) / 2.0
-    dist = np.abs(idx - center)
-    prefer = (idx < center).astype(int)  # 0 sorts first: positive side wins ties
-    return np.lexsort((prefer, dist))
+def _interval_lengths(occ, box, target, ws):
+    """The set symmetral of every column of occ[box], as half-lengths.
 
-
-def _rearrange_columns(occ, out, box, ws):
-    """Exact symmetric decreasing rearrangement of every column, into out.
-
-    occ must be nonnegative and zero outside box; out must be zero
-    wherever this call does not write. Only the bounding box of the
-    nonzero cells is sorted: the zeros outside it sort to the far ends
-    of every column. Returns the box of out that holds the rearranged
-    block.
+    occ must be nonnegative and zero outside box. A column's length, in
+    cells, is its mass; with a target mass every length is scaled by
+    target / occ.sum(), so the intervals hold exactly that mass. Returns
+    the slice of the columns and their half-lengths.
     """
     sub = occ[box]
-    _, mask = ws.scratch(sub.shape)
-    tight = _support_box(np.greater(sub, 0.0, out=mask))
-    rows = slice(box[0].start + tight[0].start, box[0].start + tight[0].stop)
-    cols = slice(box[1].start + tight[1].start, box[1].start + tight[1].stop)
-    k, width = rows.stop - rows.start, cols.stop - cols.start
-    if k == 0:
-        return _EMPTY_BOX
-    # each column is sorted as a contiguous row of the transposed block
-    ranked = ws.plane[: k * width].reshape(width, k)
-    np.copyto(ranked, occ[rows, cols].T)
-    ranked.sort(axis=1)
-    order = _center_out_order(occ.shape[0])[:k]
-    out[order, cols] = ranked.T[::-1, :]
-    return slice(int(order.min()), int(order.max()) + 1), cols
+    if sub.size == 0:
+        return box[1], np.zeros(sub.shape[1])
+    # a running sum adds each column's rows in order, so the zero rows
+    # outside box would change no bit of it
+    sums, _ = ws.scratch(sub.shape)
+    np.cumsum(sub, axis=0, out=sums)
+    scale = 0.5
+    if target is not None:
+        mass = occ.sum()
+        if mass > 0.0:
+            scale *= target / mass
+    # a column of n < 2**e cells: every multiple of 2**(e - 52) up to n,
+    # and every difference and sum of them within n, is a float, so the
+    # intervals are written and summed back without rounding
+    unit = math.ldexp(1.0, math.frexp(occ.shape[0])[1] - 52)
+    half = np.rint(sums[-1] * (scale / unit))
+    half *= unit
+    return box[1], half
 
 
-def _floor_dust(occ, box, ws):
-    """Zero the cells of occ[box] below DUST_FLOOR."""
-    sub = occ[box]
-    _, mask = ws.scratch(sub.shape)
-    sub[np.less(sub, DUST_FLOOR, out=mask)] = 0.0
+def _fill_intervals(out, cols, half, ws):
+    """Write each column's interval, centred on the grid midline, into out.
 
-
-def _match_mass(occ, target, box):
-    """Rescale occ in place by one global factor so the mass equals target.
-
-    occ is zero outside box, so the clip and the factor touch the box
-    only; the mass is the sum over the whole plane. Scaling down is a
-    plain multiplication. Scaling up clips at 1, so the factor solves
-    sum(min(s * occ, 1)) == target exactly: with the k largest values
-    saturated the mass is linear in s, and the right k is found from the
-    sorted values.
+    out must be zero wherever this call does not write. A cell's value is
+    the length of its overlap with the interval, so the full cells are
+    1.0 and there is one partial cell at each end. Returns the box
+    written.
     """
-    sub = occ[box]
-    np.clip(sub, 0.0, 1.0, out=sub)
-    if target <= 0.0:
-        sub[...] = 0.0
-        return
-    m = occ.sum()
-    if m <= 0.0:
-        raise ValueError("cannot renormalize an empty raster to positive mass")
-    if m >= target:
-        sub *= target / m
-        return
-    vals = sub[sub > 0.0]
-    vals.sort()
-    vals = vals[::-1]
-    n = len(vals)
-    if target > n:
-        raise ValueError("target mass exceeds the occupied capacity of the grid")
-    # k = 0..n-1 saturated cells: scales[k] = (target - k) / (mass of the
-    # rest), the rest summed as the total minus the prefix sum of the k
-    # largest; the buffer holds the prefix sums, then the rest, then
-    # products
-    work = np.empty(n + 1)
-    work[0] = 0.0
-    np.cumsum(vals, out=work[1:])
-    rest = np.subtract(work[-1], work[:-1], out=work[:-1])
-    scales = np.arange(n, dtype=float)
-    np.subtract(target, scales, out=scales)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(scales, rest, out=scales)
-    # with k cells saturated the scale is valid when the k-th largest value
-    # clips (s * vals[k-1] >= 1) while the next one does not
-    ok = scales >= 1.0 - 1e-12
-    prod = np.multiply(scales, vals, out=work[:n])
-    ok &= prod <= 1.0 + 1e-12
-    np.multiply(scales[1:], vals[:-1], out=prod[1:])
-    ok[1:] &= prod[1:] >= 1.0 - 1e-12
-    k = int(np.argmax(ok))
-    if ok[k]:
-        scale = float(scales[k])
-    elif work[-1] >= target:
-        # the pairwise sum m fell below target but the sequential total
-        # did not: the gap is rounding, so no saturated count brackets it
-        scale = target / m
-    else:
-        raise ValueError("mass renormalization failed to bracket a scale factor")
-    sub *= scale
-    np.minimum(sub, 1.0, out=sub)
+    mid = 0.5 * out.shape[0]
+    top = float(half.max()) if half.size else 0.0
+    if top > mid:
+        raise ValueError(
+            f"a column interval of length {2.0 * top:.6g} cells exceeds the grid; "
+            "rebuild on a larger grid"
+        )
+    rows = slice(math.floor(mid - top), math.ceil(mid + top))
+    edge = np.arange(rows.start, rows.stop, dtype=float)[:, None]
+    cell = out[rows, cols]
+    low, _ = ws.scratch(cell.shape)
+    np.minimum(edge + 1.0, mid + half, out=cell)
+    np.maximum(edge, mid - half, out=low)
+    cell -= low
+    np.clip(cell, 0.0, 1.0, out=cell)
+    return rows, cols
+
+
+def _rasterize_intervals(grid, cols, half, matrix):
+    """Exact raster of the interval columns, mapped by matrix about the origin.
+
+    The union of the intervals is one counterclockwise staircase loop:
+    along the interval bottoms left to right, back along the tops. Empty
+    columns between two occupied ones add an edge and its reverse, which
+    cover nothing.
+    """
+    nz = np.flatnonzero(half)
+    if len(nz) == 0:
+        return np.zeros((grid.ny, grid.nx))
+    lo, hi = nz[0], nz[-1] + 1
+    x = np.repeat(grid.x_edges()[cols.start + lo : cols.start + hi + 1], 2)[1:-1]
+    y = np.repeat(half[lo:hi] * grid.h, 2)
+    loop = np.column_stack([np.r_[x, x[::-1]], grid.oy + np.r_[-y, y[::-1]]])
+    return _rasterize_polygon(loop @ matrix.T, grid)
 
 
 def _require_centered(rs, op):
@@ -618,9 +591,10 @@ def _check_margin(occ, grid, box, ws):
     """Refuse to rotate content that reaches within 1.5 cells of the grid edge.
 
     The check watches substantive occupancy (above 1e-2); the thin skirt
-    that resampling spreads below it may clip at the border and is
-    absorbed harmlessly by the mass renormalization. Returns the radius
-    of all occupied cells (above 0), from the same pass.
+    that resampling spreads below it may clip at the border, and the
+    interval lengths, scaled to the target mass, absorb what it loses.
+    Returns the radius of all occupied cells (above 0), from the same
+    pass.
     """
     limit = min(grid.half_width, grid.half_height) - 1.5 * grid.h
     radius, reach = _content_radii(occ, box, (1e-2, 0.0), ws)
@@ -648,17 +622,19 @@ def _resample(occ, grid, box, matrix, out, ws, check=False):
 def steiner_raster(rs, direction, report=False):
     """Symmetral of a raster set with respect to a direction.
 
-    Axis-aligned directions are exact value permutations. Otherwise the
-    grid is resampled so the direction is column-aligned, every column
-    is rearranged about the row of the origin line, the grid is
-    resampled back, and the occupancy is rescaled so the mass equals the
-    input mass. With report=True returns (result, info) where info
-    carries the relative mass drift absorbed by the final rescale.
+    Every column along the direction becomes the interval centred on the
+    origin line whose length is the column's mass. Axis-aligned
+    directions need no resampling and keep the mass to rounding.
+    Otherwise the grid is resampled so the direction is column-aligned,
+    the column lengths are scaled so they hold the input mass, and the
+    union of the intervals, a staircase polygon, is rotated back and
+    rasterized exactly. With report=True returns (result, info) where
+    info carries the relative mass drift of the resampled plane, which
+    the scale absorbs.
     """
     theta = as_theta(direction)
     _require_centered(rs, "symmetrization")
     grid = rs.grid
-    mass0 = rs.mass()
     info = {"mass_drift": 0.0, "resampled": False}
     ws = _Workspace(grid)
     out = np.zeros((grid.ny, grid.nx))
@@ -668,22 +644,20 @@ def steiner_raster(rs, direction, report=False):
     if mod < 0.0:
         mod += math.pi
     if abs(mod - 0.5 * math.pi) <= 1e-12:
-        box = _rearrange_columns(rs.occ, out, whole, ws)
+        cols, half = _interval_lengths(rs.occ, whole, None, ws)
+        _fill_intervals(out, cols, half, ws)
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
-        box = _rearrange_columns(rs.occ.T, out.T, whole[::-1], ws)[::-1]
+        rows, half = _interval_lengths(rs.occ.T, whole[::-1], None, ws)
+        _fill_intervals(out.T, rows, half, ws)
     else:
+        mass0 = rs.mass()
         fwd = _rotation(0.5 * math.pi - theta)
-        pulled = np.zeros_like(out)
-        window = _resample(rs.occ, grid, whole, fwd, pulled, ws, check=True)
-        box = _rearrange_columns(pulled, out, window, ws)
-        pulled[window] = 0.0
-        box = _resample(out, grid, box, fwd.T, pulled, ws)
-        out = pulled
-        _floor_dust(out, box, ws)  # keeps the fringe from creeping outward
+        window = _resample(rs.occ, grid, whole, fwd, out, ws, check=True)
         info["resampled"] = True
         drift = (out.sum() - mass0) / mass0 if mass0 > 0 else 0.0
         info["mass_drift"] = float(drift)
-    _match_mass(out, mass0, box)
+        cols, half = _interval_lengths(out, window, mass0, ws)
+        out = _rasterize_intervals(grid, cols, half, fwd.T)
     result = rs.with_occ(out)
     if report:
         return result, info
@@ -712,19 +686,20 @@ class AlignedRun:
 
     The occupancy is kept in the frame where the most recent direction
     is vertical; each step rotates by the relative angle between
-    consecutive directions, so a composition step costs one resample
-    instead of two and accumulates half the blur. Functionals that only
-    depend on distances from the origin (area, second moment, distance
-    to the centered ball) can be read off the frame raster directly; the
-    world-frame raster is materialized on demand.
+    consecutive directions, so a composition step costs one resample.
+    After a step every column is an interval centred on the grid
+    midline, so the plane is the raster of one staircase polygon.
+    Functionals that only depend on distances from the origin (area,
+    second moment, distance to the centered ball) can be read off the
+    frame raster directly; the world-frame raster is that polygon,
+    rotated back and rasterized exactly.
 
     The run allocates its grid-sized memory once: two occupancy planes
     and a _Workspace. A step gathers the current plane into the other
-    one and rearranges it back, and it carries from step to step the box
-    of each plane that may hold nonzero cells, so the margin check, the
-    gather, the rearrangement, the dust floor and the rescale touch that
-    box and not the whole grid. Before a plane is written, only its old
-    box is cleared.
+    one and writes the intervals back, and it carries from step to step
+    the box of each plane that may hold nonzero cells, so the margin
+    check, the gather and the column sums touch that box and not the
+    whole grid. Before a plane is written, only its old box is cleared.
     """
 
     def __init__(self, rs):
@@ -747,20 +722,18 @@ class AlignedRun:
         theta = as_theta(direction)
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
-        src = self._current
+        src, mass = self._current, None
         if delta != 0.0:
             dst = 1 - src
             self._boxes[dst] = _resample(
                 self._planes[src], self.grid, self._boxes[src], _rotation(delta),
                 self._cleared(dst), self._ws, check=True,
             )
-            src = dst
+            src, mass = dst, self.target_mass
+        cols, half = _interval_lengths(self._planes[src], self._boxes[src], mass,
+                                       self._ws)
         dst = 1 - src
-        occ = self._cleared(dst)
-        box = _rearrange_columns(self._planes[src], occ, self._boxes[src], self._ws)
-        self._boxes[dst] = box
-        _floor_dust(occ, box, self._ws)
-        _match_mass(occ, self.target_mass, box)
+        self._boxes[dst] = _fill_intervals(self._cleared(dst), cols, half, self._ws)
         self._current = dst
         self.frame = target
         return self
@@ -783,11 +756,10 @@ class AlignedRun:
         occ = self._planes[self._current]
         if delta == 0.0:
             return RasterSet._trusted(occ.copy(), self.grid)
-        out = np.zeros_like(occ)
-        box = _resample(occ, self.grid, self._boxes[self._current],
-                        _rotation(delta), out, self._ws)
-        _floor_dust(out, box, self._ws)
-        _match_mass(out, self.target_mass, box)
+        # the plane holds intervals, so its column sums give their lengths back
+        cols, half = _interval_lengths(occ, self._boxes[self._current], None,
+                                       self._ws)
+        out = _rasterize_intervals(self.grid, cols, half, _rotation(delta))
         return RasterSet._trusted(out, self.grid)
 
     def reflection_defect(self):

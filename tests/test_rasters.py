@@ -108,12 +108,12 @@ def test_binary_column_rearrangement():
     assert np.all(out.occ[:, 0] == 0.0)
 
 
-def test_fractional_column_rearrangement_tie_positive():
+def test_fractional_column_becomes_its_centred_interval():
     g = GridSpec(nx=1, ny=5, h=1.0)
     occ = np.array([[0.2], [0.9], [0.0], [0.4], [0.0]])
     out = steiner_raster(RasterSet(occ, g), math.pi / 2)
-    # sorted 0.9, 0.4, 0.2 placed center, center+1, center-1
-    assert np.allclose(out.occ[:, 0], [0.0, 0.2, 0.9, 0.4, 0.0])
+    # the column's mass 1.5 as the interval [1.75, 3.25] about the midline 2.5
+    assert np.allclose(out.occ[:, 0], [0.0, 0.25, 1.0, 0.25, 0.0])
 
 
 def test_horizontal_direction_rearranges_rows():
@@ -121,10 +121,10 @@ def test_horizontal_direction_rearranges_rows():
     occ = np.zeros((3, 11))
     occ[1, 0:4] = 1.0
     out = steiner_raster(RasterSet(occ, g), 0.0)
-    # even run on an odd grid: ties go to the positive side, so the run
-    # sits on indices 4..7 around the center column 5
+    # an even run on an odd grid becomes the interval [3.5, 7.5] about the
+    # midline 5.5: three full cells and a half cell at each end
     assert np.array_equal(
-        out.occ[1, :], np.r_[np.zeros(4), np.ones(4), np.zeros(3)]
+        out.occ[1, :], np.r_[np.zeros(3), 0.5, np.ones(3), 0.5, np.zeros(3)]
     )
 
 
@@ -165,31 +165,16 @@ def test_mass_exact_after_renormalization(unit_grid_128, rng):
         assert abs(info["mass_drift"]) <= 0.01
 
 
-def test_match_mass_when_the_pairwise_sum_sits_an_ulp_below_target():
-    # occ.sum() (pairwise) is just below the target, so the upscale branch
-    # runs, but the sequential cumsum of the sorted values is not: no
-    # saturated-cell count brackets a scale, and the gap is rounding
-    occ = np.zeros((400, 400))
-    flat = occ.reshape(-1)
-    flat[:131072] = 0.5
-    flat[131072:151072] = 0.6 * 2.0**-36
-    target = np.nextafter(occ.sum(), np.inf)
-    rasters._match_mass(occ, target, (slice(None), slice(None)))
-    assert abs(occ.sum() - target) <= 1e-12 * target
-    assert occ.min() >= 0.0 and occ.max() <= 1.0
-
-
-def test_match_mass_when_the_target_equals_the_occupied_cell_count():
+def test_quarter_turn_world_raster_keeps_the_mass():
     # a quarter turn through the bilinear gather blurs a binary block by
-    # about 1e-16 and the dust floor removes the blur, so the world raster
-    # comes back as 42 cells at or just below 1 with a target of exactly
-    # 42: every cell saturates
+    # about 1e-16; the scaled intervals and the exact staircase raster
+    # bring the world raster back to the block's 42 cells of mass
     grid = GridSpec(nx=21, ny=23, h=0.05)
     occ = np.zeros((23, 21))
     occ[5:11, 5:12] = 1.0
     world = AlignedRun(RasterSet(occ, grid)).apply(0.0).world_raster()
-    assert np.count_nonzero(world.occ) == 42
     assert abs(world.mass() - 42.0) <= 1e-12 * 42.0
+    assert world.occ.min() >= 0.0 and world.occ.max() <= 1.0
 
 
 def test_oblique_idempotence_within_grid_tolerance(unit_grid_128, rng):
@@ -301,7 +286,6 @@ def test_pgm_defaults_without_metadata(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 255\n255 0\n")
     rs = read_pgm(path)
     assert rs.grid.h == 1.0 and rs.grid.ox == 0.0
-    assert rs.occ[1, 1] == pytest.approx(255 / 255.0 * 0 + 1.0) or True
     # top row first in the file: file row 0 is grid row 1
     assert rs.occ[1, 0] == 0.0 and rs.occ[1, 1] == 1.0
     assert rs.occ[0, 0] == 1.0 and rs.occ[0, 1] == 0.0
@@ -363,20 +347,18 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
     return _whole(out)
 
 
-def full_grid_rearrange(occ, out=None, box=None, ws=None):
-    """Column rearrangement that sorts every column in full.
+#: The column kernel itself, kept before any test substitutes it.
+windowed_interval_lengths = rasters._interval_lengths
 
-    Takes the arguments of rasters._rearrange_columns but ignores the
-    box: it fills all of `out` and reports the whole grid as written.
+
+def full_grid_interval_lengths(occ, box=None, target=None, ws=None):
+    """rasters._interval_lengths over every cell of the grid.
+
+    Ignores the box: it sums every column in full and reports every
+    column, so the caller writes intervals, empty ones too, across the
+    whole width.
     """
-    order = rasters._center_out_order(occ.shape[0])
-    ranked = np.sort(occ, axis=0)[::-1, :]
-    full = np.empty_like(occ)
-    full[order, :] = ranked
-    if out is None:
-        return full
-    out[...] = full
-    return _whole(out)
+    return windowed_interval_lengths(occ, _whole(occ), target, ws)
 
 
 def windowed_pull(occ, grid, matrix):
@@ -391,10 +373,13 @@ def windowed_pull(occ, grid, matrix):
     return out
 
 
-def windowed_rearrange(occ):
+def intervals(occ, lengths):
+    """The column step of occ on a fresh plane, with the box of its
+    nonzero cells, through the given interval-length kernel."""
+    ws = rasters._Workspace(GridSpec(*occ.shape[::-1], h=1.0))
     out = np.zeros_like(occ)
-    rasters._rearrange_columns(occ, out, rasters._support_box(occ > 0.0),
-                               rasters._Workspace(GridSpec(*occ.shape[::-1], h=1.0)))
+    cols, half = lengths(occ, rasters._support_box(occ > 0.0), None, ws)
+    rasters._fill_intervals(out, cols, half, ws)
     return out
 
 
@@ -476,10 +461,26 @@ def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
 
 @settings(max_examples=100, deadline=None)
 @given(raster_sets())
-def test_windowed_rearrangement_is_bit_identical_to_full_sort(rs):
-    occ = rs.occ
-    assert np.array_equal(windowed_rearrange(occ), full_grid_rearrange(occ))
-    assert np.array_equal(windowed_rearrange(occ.T), full_grid_rearrange(occ.T))
+def test_windowed_intervals_are_bit_identical_to_full_grid(rs):
+    for occ in (rs.occ, rs.occ.T):
+        got = intervals(occ, windowed_interval_lengths)
+        want = intervals(occ, full_grid_interval_lengths)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raster_sets(centered=True))
+def test_interval_plane_is_the_raster_of_its_staircase(rs):
+    ws = rasters._Workspace(rs.grid)
+    box = rasters._support_box(rs.occ > 0.0)
+    cols, half = rasters._interval_lengths(rs.occ, box, None, ws)
+    plane = np.zeros_like(rs.occ)
+    rasters._fill_intervals(plane, cols, half, ws)
+    staircase = rasters._rasterize_intervals(rs.grid, cols, half, np.eye(2))
+    assert np.allclose(plane, staircase, rtol=0.0, atol=1e-12)
+    # every column sums back to its interval's length without rounding
+    assert np.array_equal(plane[:, cols].sum(axis=0), 2.0 * half)
 
 
 def _outcome(fn):
@@ -503,7 +504,7 @@ def test_symmetral_reflection_and_perimeter_match_full_grid(rs, theta):
     windowed = outcomes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
         full = outcomes()
     # a symmetral refused for content near the margin is refused by both
     assert type(windowed[0]) is type(full[0])
@@ -549,7 +550,7 @@ def test_aligned_run_trace_bit_identical_to_full_grid(unit_grid_128, rng):
     frames, world, perimeter = _kf_run(rs, 30)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
         ref_frames, ref_world, ref_perimeter = _kf_run(rs, 30)
     for step, (got, want) in enumerate(zip(frames, ref_frames), start=1):
         assert np.array_equal(got, want), f"step {step}"
@@ -594,8 +595,9 @@ def polygon_rasters(draw):
 
 
 def _run_frames(rs, thetas):
-    """Every frame of an AlignedRun, then its world raster; a step that
-    raises ends the list with the error message."""
+    """Every frame of an AlignedRun, each followed by its world raster; a
+    step that raises ends the list with the error message. Every world
+    raster fits the grid and holds the run's mass."""
     run = AlignedRun(rs)
     frames = []
     for theta in thetas:
@@ -604,8 +606,9 @@ def _run_frames(rs, thetas):
         except ValueError as exc:
             frames.append(str(exc))
             break
-        frames.append(run.occ.copy())
-    frames.append(run.world_raster().occ)
+        world = run.world_raster()
+        assert abs(world.mass() - run.target_mass) <= 1e-9 * run.target_mass
+        frames += [run.occ.copy(), world.occ]
     return frames
 
 
@@ -617,7 +620,7 @@ def test_carried_box_run_equals_full_grid_run_frame_by_frame(rs, thetas):
     windowed = _run_frames(rs, thetas)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_rearrange_columns", full_grid_rearrange)
+        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
         full = _run_frames(rs, thetas)
     assert len(windowed) == len(full)
     for step, (got, want) in enumerate(zip(windowed, full), start=1):
