@@ -54,7 +54,6 @@ from .rasters import (
     annulus_fixture,
     rasterize,
     read_pgm,
-    reflect_raster,
     steiner_raster,
     write_pgm,
 )

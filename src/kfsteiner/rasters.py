@@ -5,39 +5,34 @@ grid whose center sits at a known world position (the origin for
 everything this package builds), so it stands for a set. The Steiner
 symmetral of a set replaces every column along the direction by the
 interval centred on the origin line whose length is the column's
-measure. A general direction first resamples the grid into a frame
-where the direction is column-aligned and scales every column length
-by one factor, so the intervals hold the input mass exactly.
-Axis-aligned directions need no resampling and no scale. Intervals
-centred on one line form a staircase polygon, so the symmetral is
-brought back to the world frame by rotating that polygon and
-rasterizing it exactly, not by resampling.
+measure. Axis-aligned directions read the column sums. A general
+direction needs the measure of every column strip of the rotated set,
+an exact sum over the set's boundary (see _column_masses): a raster
+enters as its weighted grid edges, a symmetral as the staircase loop
+its intervals form. Every length is then scaled by one factor, so the
+intervals hold the input mass exactly, and the staircase is brought back
+to the world frame by rotating it and rasterizing it exactly. Nothing
+is resampled.
 
 Rasterization is exact up to rounding and has one coverage path: a
 signed-area accumulation over polygon edges. An origin ball is the
 polygon of its grid-line crossings plus one circular segment per edge.
 
-Resampling pulls each target cell from the overlap of its unit-cell box
-with the source grid at the preimage of the cell center, which is the
-bilinear kernel; values stay in [0, 1], and its mass drift, which the
-length scale absorbs, is a fraction of a percent. Resampling touches
-only the target cells within reach of the occupied disk and writes
-exact zeros elsewhere, so its output is identical to a full-grid
-gather. The support radius that sets that reach comes from the same
-pass as the margin check.
-
-Every kernel writes into buffers it is given: a _Workspace holds the
-zero-bordered source plane, the distance map and the gather's scratch.
-AlignedRun allocates its planes and its workspace once and carries, from
-step to step, the box of each plane that may hold nonzero cells, so a
-step touches that box and no grid-sized array is allocated or scanned
-in full, except for the mass sum that sets the scale, which stays a sum
-over the whole plane so that the result does not depend on the box.
 Half-lengths are rounded to a power-of-two step (see _interval_lengths),
 so a plane of intervals sums back to its exact lengths and a repeated
-direction changes no bit. frame_raster() is a read-only view of the
-run's plane, valid until the next apply; world_raster() returns a plane
-the caller owns.
+direction changes no bit. AlignedRun carries the half-lengths from step
+to step and keeps one plane, which a step rewrites over the rows its old
+and new intervals reach. frame_raster() is a read-only view of that
+plane, valid until the next apply; world_raster() returns a plane the
+caller owns.
+
+The bilinear gather samples a rotated grid for metrics.perimeter_estimate.
+It pulls each target cell from the overlap of its unit-cell box with the
+source grid at the preimage of the cell center, touches only the target
+cells within reach of the occupied disk and writes exact zeros
+elsewhere, so its output is identical to a full-grid gather. A
+_Workspace holds its zero-bordered source plane, the distance map of
+the support-radius pass and its scratch.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygons import Ball, ConvexPolygon, _reflection, _rotation, as_theta
+from .polygons import Ball, ConvexPolygon, _rotation, as_theta
 
 __all__ = [
     "GridSpec",
@@ -57,7 +52,6 @@ __all__ = [
     "rasterize",
     "annulus_fixture",
     "steiner_raster",
-    "reflect_raster",
     "read_pgm",
     "write_pgm",
 ]
@@ -94,8 +88,9 @@ class GridSpec:
         origin times a pad, so rotations and symmetrization keep content
         inside the grid (a symmetral of a subset of B(o, r) stays inside
         B(o, r)). The pad guarantees roughly a dozen margin cells even
-        on coarse grids, which absorbs the low-occupancy fringe that
-        resampling spreads around the content.
+        on coarse grids, so the staircase of a raster step, whose columns
+        reach up to a cell beyond the set, stays inside the inscribed
+        disk that a rotation needs.
         """
         if radius <= 0.0:
             raise ValueError("content radius must be positive")
@@ -141,13 +136,6 @@ GATHER_ROWS = 64
 _EMPTY_BOX = (slice(0, 0), slice(0, 0))
 
 
-def _whole_box(occ):
-    """The box of every cell. One-shot symmetrals and reflections load
-    the whole input into the gather's source, as a full copy would, so
-    even the sign of their zeros matches a full-grid gather."""
-    return slice(0, occ.shape[0]), slice(0, occ.shape[1])
-
-
 def _support_box(mask):
     """Row and column slices bounding the True cells of a mask."""
     rows = np.flatnonzero(mask.any(axis=1))
@@ -158,17 +146,17 @@ def _support_box(mask):
 
 
 class _Workspace:
-    """Buffers that resampling and the column step on one grid reuse.
+    """Buffers that the bilinear gather and the radius pass on one grid reuse.
 
     - padded: the source plane inside a zero border, which the gather
       reads (see load)
     - dist: the far-corner distance of every cell from the world origin
     - coords, real, base: the windowed gather's scratch for GATHER_ROWS
       grid rows
-    - plane, mask: one float and one bool plane of scratch for column
-      sums, interval ends, radii and cell masks
+    - plane, mask: one float and one bool plane of scratch for radii and
+      cell masks
 
-    Nothing here is allocated again after construction, so a run that
+    Nothing here is allocated again after construction, so a caller that
     keeps one workspace touches its memory once.
     """
 
@@ -409,7 +397,7 @@ def annulus_fixture(r_inner, r_outer, grid):
 
 
 # ---------------------------------------------------------------------------
-# resampling and the column step
+# the bilinear gather of metrics.perimeter_estimate
 # ---------------------------------------------------------------------------
 
 
@@ -508,76 +496,142 @@ def _pull_linear(occ, grid, matrix, radius, out, ws):
     return rows, cols
 
 
-def _interval_lengths(occ, box, target, ws):
-    """The set symmetral of every column of occ[box], as half-lengths.
+# ---------------------------------------------------------------------------
+# the column step
+# ---------------------------------------------------------------------------
 
-    occ must be nonnegative and zero outside box. A column's length, in
-    cells, is its mass; with a target mass every length is scaled by
-    target / occ.sum(), so the intervals hold exactly that mass. Returns
-    the slice of the columns and their half-lengths.
+
+def _column_masses(p, q, w, grid):
+    """Mass, in cells, of every column strip of the set bounded by the
+    weighted edges p -> q, given in frame coordinates.
+
+    Counterclockwise loops count positive. By Green's theorem a piece
+    a -> b of the boundary adds w * (u_a - u_b) * (v_a + v_b) / 2, in grid
+    units, so the edges are split at the vertical grid lines and each
+    piece is added to its column strip; pieces off the grid count in the
+    first or last column.
     """
-    sub = occ[box]
-    if sub.size == 0:
-        return box[1], np.zeros(sub.shape[1])
-    # a running sum adds each column's rows in order, so the zero rows
-    # outside box would change no bit of it
-    sums, _ = ws.scratch(sub.shape)
-    np.cumsum(sub, axis=0, out=sums)
+    origin = (grid.x_edges()[0], grid.oy)
+    a, b = (p - origin) / grid.h, (q - origin) / grid.h
+    # run every edge towards +u, so its crossings come in order along it
+    back = a[:, 0] > b[:, 0]
+    a[back], b[back] = b[back], a[back]
+    w = np.where(back, -1.0, 1.0) * w
+    edge, at = _grid_crossings(a, b, 0)
+    count = np.bincount(edge, minlength=len(a)) + 2
+    start = np.cumsum(count) - count
+    pts = np.empty((count.sum(), 2))
+    pts[start] = a
+    pts[start + count - 1] = b
+    pts[np.arange(len(edge)) + 2 * edge + 1] = at
+    weight = np.repeat(w, count)
+    weight[start + count - 1] = 0.0  # no piece from one edge's end to the next start
+    lo, hi = pts[:-1], pts[1:]
+    area = weight[:-1] * (lo[:, 0] - hi[:, 0]) * (lo[:, 1] + hi[:, 1]) * 0.5
+    col = np.clip(np.floor(0.5 * (lo[:, 0] + hi[:, 0])), 0, grid.nx - 1)
+    return np.bincount(col.astype(np.int64), weights=area, minlength=grid.nx)
+
+
+def _raster_edges(occ, grid):
+    """A raster as weighted grid edges, in world coordinates.
+
+    A cell of value c is c times its counterclockwise boundary, so the
+    sides two cells share add up to the jump of occ across them; zero
+    jumps are dropped. Horizontal edges run left to right with the value
+    above minus the value below, vertical ones upwards with the value on
+    the left minus the value on the right.
+    """
+    xe, ye = grid.x_edges(), grid.y_edges()
+    rise = np.diff(occ, axis=0, prepend=0.0, append=0.0)
+    i, j = np.nonzero(rise)
+    fall = np.diff(occ, axis=1, prepend=0.0, append=0.0)
+    k, m = np.nonzero(fall)
+    p = np.column_stack([np.r_[xe[j], xe[m]], np.r_[ye[i], ye[k]]])
+    q = np.column_stack([np.r_[xe[j + 1], xe[m]], np.r_[ye[i], ye[k + 1]]])
+    return p, q, np.r_[rise[i, j], -fall[k, m]]
+
+
+def _staircase(grid, half):
+    """The union of the interval columns as one counterclockwise loop, in
+    world coordinates: along the interval bottoms left to right, back
+    along the tops. Empty columns between two occupied ones add an edge
+    and its reverse, which cover nothing. No intervals give no vertices.
+    """
+    nz = np.flatnonzero(half)
+    if len(nz) == 0:
+        return np.empty((0, 2))
+    lo, hi = nz[0], nz[-1] + 1
+    x = np.repeat(grid.x_edges()[lo : hi + 1], 2)[1:-1]
+    y = np.repeat(half[lo:hi] * grid.h, 2)
+    return np.column_stack([np.r_[x, x[::-1]], grid.oy + np.r_[-y, y[::-1]]])
+
+
+def _interval_lengths(mass, n, target=None):
+    """Half-lengths, in cells, of the intervals that hold the column
+    masses in columns of n cells.
+
+    With a target every length is scaled by target / mass.sum(), so the
+    intervals hold exactly that mass; a zero total stays zero.
+    """
+    mass = np.maximum(mass, 0.0)
     scale = 0.5
     if target is not None:
-        mass = occ.sum()
-        if mass > 0.0:
-            scale *= target / mass
+        total = mass.sum()
+        if total > 0.0:
+            scale *= target / total
     # a column of n < 2**e cells: every multiple of 2**(e - 52) up to n,
     # and every difference and sum of them within n, is a float, so the
     # intervals are written and summed back without rounding
-    unit = math.ldexp(1.0, math.frexp(occ.shape[0])[1] - 52)
-    half = np.rint(sums[-1] * (scale / unit))
+    unit = math.ldexp(1.0, math.frexp(n)[1] - 52)
+    half = np.rint(mass * (scale / unit))
     half *= unit
-    return box[1], half
+    return half
 
 
-def _fill_intervals(out, cols, half, ws):
+def _fill_intervals(out, half, reach=0.0):
     """Write each column's interval, centred on the grid midline, into out.
 
-    out must be zero wherever this call does not write. A cell's value is
-    the length of its overlap with the interval, so the full cells are
-    1.0 and there is one partial cell at each end. Returns the box
-    written.
+    A cell's value is the length of its overlap with the interval, so the
+    full cells are 1.0 and there is one partial cell at each end. Every
+    row within reach cells of the midline is rewritten, so out must be
+    zero beyond the rows that reach and the intervals cover.
     """
     mid = 0.5 * out.shape[0]
-    top = float(half.max()) if half.size else 0.0
+    top = float(half.max())
     if top > mid:
         raise ValueError(
             f"a column interval of length {2.0 * top:.6g} cells exceeds the grid; "
             "rebuild on a larger grid"
         )
+    top = max(top, reach)
     rows = slice(math.floor(mid - top), math.ceil(mid + top))
     edge = np.arange(rows.start, rows.stop, dtype=float)[:, None]
-    cell = out[rows, cols]
-    low, _ = ws.scratch(cell.shape)
+    cell = out[rows]
     np.minimum(edge + 1.0, mid + half, out=cell)
-    np.maximum(edge, mid - half, out=low)
-    cell -= low
+    cell -= np.maximum(edge, mid - half)
     np.clip(cell, 0.0, 1.0, out=cell)
-    return rows, cols
 
 
-def _rasterize_intervals(grid, cols, half, matrix):
-    """Exact raster of the interval columns, mapped by matrix about the origin.
+def _check_inside_disk(grid, half):
+    """Refuse intervals whose staircase leaves the grid's inscribed disk,
+    where every turn of it about the origin fits the grid. The limit
+    keeps a 1e-12 relative margin for the rounding of a turn."""
+    xe = grid.x_edges()
+    far = np.maximum(np.abs(xe[:-1]), np.abs(xe[1:]))[half > 0.0]
+    radius = float(np.hypot(far, half[half > 0.0] * grid.h).max()) if len(far) else 0.0
+    limit = min(grid.half_width, grid.half_height) * (1.0 - 1e-12)
+    if radius > limit:
+        raise ValueError(
+            f"symmetral radius {radius:.4g} leaves the inscribed disk of the grid "
+            f"(radius {limit:.4g}); rebuild on a larger grid"
+        )
 
-    The union of the intervals is one counterclockwise staircase loop:
-    along the interval bottoms left to right, back along the tops. Empty
-    columns between two occupied ones add an edge and its reverse, which
-    cover nothing.
-    """
-    nz = np.flatnonzero(half)
-    if len(nz) == 0:
+
+def _rasterize_intervals(grid, half, matrix):
+    """Exact raster of the interval columns, mapped by matrix about the origin."""
+    loop = _staircase(grid, half)
+    if len(loop) == 0:
         return np.zeros((grid.ny, grid.nx))
-    lo, hi = nz[0], nz[-1] + 1
-    x = np.repeat(grid.x_edges()[cols.start + lo : cols.start + hi + 1], 2)[1:-1]
-    y = np.repeat(half[lo:hi] * grid.h, 2)
-    loop = np.column_stack([np.r_[x, x[::-1]], grid.oy + np.r_[-y, y[::-1]]])
     return _rasterize_polygon(loop @ matrix.T, grid)
 
 
@@ -587,161 +641,104 @@ def _require_centered(rs, op):
         raise ValueError(f"{op} requires a grid centered at the origin")
 
 
-def _check_margin(occ, grid, box, ws):
-    """Refuse to rotate content that reaches within 1.5 cells of the grid edge.
-
-    The check watches substantive occupancy (above 1e-2); the thin skirt
-    that resampling spreads below it may clip at the border, and the
-    interval lengths, scaled to the target mass, absorb what it loses.
-    Returns the radius of all occupied cells (above 0), from the same
-    pass.
-    """
-    limit = min(grid.half_width, grid.half_height) - 1.5 * grid.h
-    radius, reach = _content_radii(occ, box, (1e-2, 0.0), ws)
-    if radius > limit:
-        raise ValueError(
-            f"content radius {radius:.4g} too close to the grid edge "
-            f"(limit {limit:.4g}); rebuild on a larger grid"
-        )
-    return reach
-
-
-def _resample(occ, grid, box, matrix, out, ws, check=False):
-    """Pull occ, zero outside box, under matrix into out, which must be
-    zero; returns the window written. With check, content near the grid
-    edge is refused first (see _check_margin), from the same radius pass.
-    """
-    if check:
-        radius = _check_margin(occ, grid, box, ws)
-    else:
-        radius = _content_radii(occ, box, (0.0,), ws)[0]
-    ws.load(occ, box)
-    return _pull_linear(occ, grid, matrix, radius, out, ws)
-
-
 def steiner_raster(rs, direction, report=False):
     """Symmetral of a raster set with respect to a direction.
 
     Every column along the direction becomes the interval centred on the
     origin line whose length is the column's mass. Axis-aligned
-    directions need no resampling and keep the mass to rounding.
-    Otherwise the grid is resampled so the direction is column-aligned,
-    the column lengths are scaled so they hold the input mass, and the
-    union of the intervals, a staircase polygon, is rotated back and
-    rasterized exactly. With report=True returns (result, info) where
-    info carries the relative mass drift of the resampled plane, which
-    the scale absorbs.
+    directions read the column sums. Otherwise the column masses come
+    exactly from the raster's weighted grid edges, turned so the direction
+    is vertical, and are scaled to the input mass; the staircase of the
+    intervals is turned back and rasterized exactly. With report=True
+    returns (result, info) where info carries the relative mass drift of
+    the column masses, a rounding error that the scale absorbs.
     """
     theta = as_theta(direction)
     _require_centered(rs, "symmetrization")
     grid = rs.grid
     info = {"mass_drift": 0.0, "resampled": False}
-    ws = _Workspace(grid)
     out = np.zeros((grid.ny, grid.nx))
-    whole = _whole_box(rs.occ)
 
     mod = math.fmod(theta, math.pi)
     if mod < 0.0:
         mod += math.pi
     if abs(mod - 0.5 * math.pi) <= 1e-12:
-        cols, half = _interval_lengths(rs.occ, whole, None, ws)
-        _fill_intervals(out, cols, half, ws)
+        _fill_intervals(out, _interval_lengths(rs.occ.sum(axis=0), grid.ny))
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
-        rows, half = _interval_lengths(rs.occ.T, whole[::-1], None, ws)
-        _fill_intervals(out.T, rows, half, ws)
+        _fill_intervals(out.T, _interval_lengths(rs.occ.sum(axis=1), grid.nx))
     else:
         mass0 = rs.mass()
         fwd = _rotation(0.5 * math.pi - theta)
-        window = _resample(rs.occ, grid, whole, fwd, out, ws, check=True)
+        p, q, w = _raster_edges(rs.occ, grid)
+        mass = _column_masses(p @ fwd.T, q @ fwd.T, w, grid)
         info["resampled"] = True
-        drift = (out.sum() - mass0) / mass0 if mass0 > 0 else 0.0
+        drift = (mass.sum() - mass0) / mass0 if mass0 > 0 else 0.0
         info["mass_drift"] = float(drift)
-        cols, half = _interval_lengths(out, window, mass0, ws)
-        out = _rasterize_intervals(grid, cols, half, fwd.T)
+        half = _interval_lengths(mass, grid.ny, mass0)
+        _check_inside_disk(grid, half)
+        out = _rasterize_intervals(grid, half, fwd.T)
     result = rs.with_occ(out)
     if report:
         return result, info
     return result
 
 
-def reflect_raster(rs, direction):
-    """Reflect across the line through the origin orthogonal to `direction`."""
-    theta = as_theta(direction)
-    _require_centered(rs, "reflection")
-    mod = math.fmod(theta, math.pi)
-    if mod < 0.0:
-        mod += math.pi
-    if abs(mod - 0.5 * math.pi) <= 1e-12:
-        return rs.with_occ(rs.occ[::-1, :].copy())  # u vertical: flip y
-    if mod <= 1e-12 or math.pi - mod <= 1e-12:
-        return rs.with_occ(rs.occ[:, ::-1].copy())  # u horizontal: flip x
-    out = np.zeros_like(rs.occ)
-    _resample(rs.occ, rs.grid, _whole_box(rs.occ), _reflection(theta), out,
-              _Workspace(rs.grid))
-    return rs.with_occ(out)
-
-
 class AlignedRun:
     """Incremental driver for long composed symmetrizations of one raster.
 
-    The occupancy is kept in the frame where the most recent direction
-    is vertical; each step rotates by the relative angle between
-    consecutive directions, so a composition step costs one resample.
-    After a step every column is an interval centred on the grid
-    midline, so the plane is the raster of one staircase polygon.
-    Functionals that only depend on distances from the origin (area,
-    second moment, distance to the centered ball) can be read off the
-    frame raster directly; the world-frame raster is that polygon,
-    rotated back and rasterized exactly.
+    The set is kept in the frame where the most recent direction is
+    vertical. After a step every column is an interval centred on the
+    grid midline, so the run carries the half-lengths: their union is one
+    staircase polygon. A step turns that staircase (at first the seed's
+    weighted grid edges) by the angle between consecutive directions and
+    takes its exact column masses, scaled to the seed's mass. A repeated
+    direction changes nothing; a first step along the seed's columns
+    reads their sums. Functionals that only depend on distances from the
+    origin can be read off the frame raster; the world-frame raster is
+    the staircase, turned back and rasterized exactly.
 
-    The run allocates its grid-sized memory once: two occupancy planes
-    and a _Workspace. A step gathers the current plane into the other
-    one and writes the intervals back, and it carries from step to step
-    the box of each plane that may hold nonzero cells, so the margin
-    check, the gather and the column sums touch that box and not the
-    whole grid. Before a plane is written, only its old box is cleared.
+    The run keeps one grid-sized plane, the frame raster, which a step
+    rewrites over the rows its old and new intervals reach.
     """
 
     def __init__(self, rs):
         _require_centered(rs, "symmetrization")
         self.grid = rs.grid
-        occ = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
-        self._planes = (occ, np.zeros_like(occ))
-        self._boxes = [_support_box(occ > 0.0), _EMPTY_BOX]
-        self._current = 0
-        self._ws = _Workspace(self.grid)
+        self._plane = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
+        self._half = None  # no step yet: the plane holds the seed
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
-
-    def _cleared(self, i):
-        self._planes[i][self._boxes[i]] = 0.0
-        self._boxes[i] = _EMPTY_BOX
-        return self._planes[i]
 
     def apply(self, direction):
         theta = as_theta(direction)
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
-        src, mass = self._current, None
-        if delta != 0.0:
-            dst = 1 - src
-            self._boxes[dst] = _resample(
-                self._planes[src], self.grid, self._boxes[src], _rotation(delta),
-                self._cleared(dst), self._ws, check=True,
-            )
-            src, mass = dst, self.target_mass
-        cols, half = _interval_lengths(self._planes[src], self._boxes[src], mass,
-                                       self._ws)
-        dst = 1 - src
-        self._boxes[dst] = _fill_intervals(self._cleared(dst), cols, half, self._ws)
-        self._current = dst
+        grid, old = self.grid, self._half
+        if delta == 0.0 and old is not None:
+            self.frame = target
+            return self
+        if delta == 0.0:
+            half = _interval_lengths(self._plane.sum(axis=0), grid.ny)
+        else:
+            if old is None:
+                p, q, w = _raster_edges(self._plane, grid)
+            else:
+                p = _staircase(grid, old)
+                q, w = np.roll(p, -1, axis=0), 1.0
+            turn = _rotation(delta).T
+            mass = _column_masses(p @ turn, q @ turn, w, grid)
+            half = _interval_lengths(mass, grid.ny, self.target_mass)
+        _check_inside_disk(grid, half)
+        # the seed may reach every row
+        _fill_intervals(self._plane, half, 0.5 * grid.ny if old is None else old.max())
+        self._half = half
         self.frame = target
         return self
 
     @property
     def occ(self):
         """Read-only view of the current plane, valid until the next apply."""
-        view = self._planes[self._current].view()
+        view = self._plane.view()
         view.flags.writeable = False
         return view
 
@@ -753,13 +750,9 @@ class AlignedRun:
     def world_raster(self):
         """The set in the world frame, on a plane the caller owns."""
         delta = math.remainder(-self.frame, 2.0 * math.pi)
-        occ = self._planes[self._current]
         if delta == 0.0:
-            return RasterSet._trusted(occ.copy(), self.grid)
-        # the plane holds intervals, so its column sums give their lengths back
-        cols, half = _interval_lengths(occ, self._boxes[self._current], None,
-                                       self._ws)
-        out = _rasterize_intervals(self.grid, cols, half, _rotation(delta))
+            return RasterSet._trusted(self._plane.copy(), self.grid)
+        out = _rasterize_intervals(self.grid, self._half, _rotation(delta))
         return RasterSet._trusted(out, self.grid)
 
     def reflection_defect(self):

@@ -25,7 +25,6 @@ from kfsteiner.rasters import (
     annulus_fixture,
     rasterize,
     read_pgm,
-    reflect_raster,
     steiner_raster,
     write_pgm,
 )
@@ -166,9 +165,9 @@ def test_mass_exact_after_renormalization(unit_grid_128, rng):
 
 
 def test_quarter_turn_world_raster_keeps_the_mass():
-    # a quarter turn through the bilinear gather blurs a binary block by
-    # about 1e-16; the scaled intervals and the exact staircase raster
-    # bring the world raster back to the block's 42 cells of mass
+    # a floating-point quarter turn, whose cosine is 6e-17, leaves the
+    # block's column masses off by rounding; the scaled intervals and the
+    # exact staircase raster bring the world raster back to its 42 cells
     grid = GridSpec(nx=21, ny=23, h=0.05)
     occ = np.zeros((23, 21))
     occ[5:11, 5:12] = 1.0
@@ -189,7 +188,8 @@ def test_symmetry_of_output(unit_grid_128, rng):
     for theta in (math.pi / 2, 0.6, 2.2):
         rs = random_raster(rng, unit_grid_128)
         out = steiner_raster(rs, theta)
-        defect = d1(out, reflect_raster(out, theta))
+        mirror = full_grid_pull(out.occ, out.grid, _reflection(theta))
+        defect = d1(out, out.with_occ(mirror))
         assert defect <= grid_tolerance(out), f"theta={theta}"
 
 
@@ -214,7 +214,7 @@ def test_monotonicity_nested_oblique_within_tolerance(unit_grid_128):
     theta = 1.3
     s_small, info_s = steiner_raster(small, theta, report=True)
     s_big, info_b = steiner_raster(big, theta, report=True)
-    # cellwise containment up to the resampling tolerance
+    # cellwise containment up to the discretization tolerance
     slack = 2.0 * max(abs(info_s["mass_drift"]), abs(info_b["mass_drift"])) + 0.35
     assert np.all(s_small.occ <= s_big.occ + slack)
     # and the areas are ordered exactly
@@ -292,7 +292,8 @@ def test_pgm_defaults_without_metadata(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# support-windowed resampling against the full-grid oracles
+# the support-windowed gather against the full-grid oracles, and the column
+# step against exact rasters of its staircase
 # ---------------------------------------------------------------------------
 
 
@@ -347,20 +348,6 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
     return _whole(out)
 
 
-#: The column kernel itself, kept before any test substitutes it.
-windowed_interval_lengths = rasters._interval_lengths
-
-
-def full_grid_interval_lengths(occ, box=None, target=None, ws=None):
-    """rasters._interval_lengths over every cell of the grid.
-
-    Ignores the box: it sums every column in full and reports every
-    column, so the caller writes intervals, empty ones too, across the
-    whole width.
-    """
-    return windowed_interval_lengths(occ, _whole(occ), target, ws)
-
-
 def windowed_pull(occ, grid, matrix):
     """rasters._pull_linear on a fresh plane, with the radius it is given
     in a run: one pass over the support box."""
@@ -370,16 +357,6 @@ def windowed_pull(occ, grid, matrix):
     ws.load(occ, box)
     out = np.zeros_like(occ)
     rasters._pull_linear(occ, grid, matrix, radius, out, ws)
-    return out
-
-
-def intervals(occ, lengths):
-    """The column step of occ on a fresh plane, with the box of its
-    nonzero cells, through the given interval-length kernel."""
-    ws = rasters._Workspace(GridSpec(*occ.shape[::-1], h=1.0))
-    out = np.zeros_like(occ)
-    cols, half = lengths(occ, rasters._support_box(occ > 0.0), None, ws)
-    rasters._fill_intervals(out, cols, half, ws)
     return out
 
 
@@ -460,109 +437,81 @@ def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
 
 
 @settings(max_examples=100, deadline=None)
-@given(raster_sets())
-def test_windowed_intervals_are_bit_identical_to_full_grid(rs):
-    for occ in (rs.occ, rs.occ.T):
-        got = intervals(occ, windowed_interval_lengths)
-        want = intervals(occ, full_grid_interval_lengths)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+@given(raster_sets(centered=True))
+def test_interval_plane_is_the_raster_of_its_staircase(rs):
+    half = rasters._interval_lengths(rs.occ.sum(axis=0), rs.grid.ny)
+    plane = np.zeros_like(rs.occ)
+    rasters._fill_intervals(plane, half)
+    staircase = rasters._rasterize_intervals(rs.grid, half, np.eye(2))
+    assert np.allclose(plane, staircase, rtol=0.0, atol=1e-12)
+    # every column sums back to its interval's length without rounding
+    assert np.array_equal(plane.sum(axis=0), 2.0 * half)
+
+
+@st.composite
+def rotated_polygons(draw):
+    """A centred grid and a convex polygon, turned by a random angle about
+    the origin, inside the grid's inscribed disk."""
+    n = draw(st.integers(4, 64))
+    h = draw(st.sampled_from([0.05, 0.1, 0.37, 1.0]))
+    grid = GridSpec(nx=n, ny=n, h=h)
+    size = draw(st.floats(0.02, 0.35)) * n * h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = random_convex_polygon(rng, n_points=draw(st.integers(3, 12)), scale=size)
+    return poly.vertices @ _rotation(draw(angles)).T, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotated_polygons())
+def test_column_masses_are_the_column_sums_of_the_exact_raster(case):
+    v, grid = case
+    got = rasters._column_masses(v, np.roll(v, -1, axis=0), 1.0, grid)
+    want = rasters._rasterize_polygon(v, grid).sum(axis=0)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(raster_sets(), st.booleans(), angles)
+def test_raster_edges_give_the_column_sums_and_keep_the_mass(rs, signed_zeros, theta):
+    occ = rs.occ.copy()
+    if signed_zeros:
+        occ[occ == 0.0] = -0.0
+    p, q, w = rasters._raster_edges(occ, rs.grid)
+    assert np.all(w != 0.0)
+    at_identity = rasters._column_masses(p, q, w, rs.grid)
+    assert np.abs(at_identity - occ.sum(axis=0)).max() <= 1e-12
+    # a turn about the origin keeps the mass; content turned off the grid
+    # counts in its first or last column
+    rot = _rotation(theta)
+    turned = rasters._column_masses(p @ rot.T, q @ rot.T, w, rs.grid)
+    assert abs(turned.sum() - occ.sum()) <= 1e-12 * occ.sum()
+
+
+def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        rs = random_raster(rng, unit_grid_128)
+        for theta in (0.3, 1.0, 2.2, rng.random() * math.pi):
+            _, info = steiner_raster(rs, theta, report=True)
+            assert info["resampled"]
+            assert abs(info["mass_drift"]) <= 1e-12, f"seed {seed}, theta {theta}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(raster_sets(centered=True))
-def test_interval_plane_is_the_raster_of_its_staircase(rs):
-    ws = rasters._Workspace(rs.grid)
-    box = rasters._support_box(rs.occ > 0.0)
-    cols, half = rasters._interval_lengths(rs.occ, box, None, ws)
-    plane = np.zeros_like(rs.occ)
-    rasters._fill_intervals(plane, cols, half, ws)
-    staircase = rasters._rasterize_intervals(rs.grid, cols, half, np.eye(2))
-    assert np.allclose(plane, staircase, rtol=0.0, atol=1e-12)
-    # every column sums back to its interval's length without rounding
-    assert np.array_equal(plane[:, cols].sum(axis=0), 2.0 * half)
-
-
-def _outcome(fn):
-    """fn's result, or the message of the ValueError it raised."""
-    try:
-        return fn()
-    except ValueError as exc:
-        return str(exc)
-
-
-@settings(max_examples=100, deadline=None)
-@given(raster_sets(centered=True), angles)
-def test_symmetral_reflection_and_perimeter_match_full_grid(rs, theta):
-    def outcomes():
-        return (
-            _outcome(lambda: steiner_raster(rs, theta).occ),
-            reflect_raster(rs, theta).occ,
-            perimeter_estimate(rs, n_directions=8),
-        )
-
-    windowed = outcomes()
+def test_perimeter_estimate_matches_full_grid(rs):
+    windowed = perimeter_estimate(rs, n_directions=8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
-        full = outcomes()
-    # a symmetral refused for content near the margin is refused by both
-    assert type(windowed[0]) is type(full[0])
-    if isinstance(full[0], str):
-        assert windowed[0] == full[0]
-    else:
-        assert np.array_equal(windowed[0], full[0])
-    assert np.array_equal(windowed[1], full[1])
-    assert windowed[2] == full[2]
-
-
-def test_reflection_keeps_the_sign_of_zeros_of_a_full_grid_gather():
-    # a plane built by hand may hold -0.0 in its empty cells; within the
-    # occupied disk a one-shot reflection reads them as a full-grid
-    # gather does (outside the gathered window it writes +0.0)
-    grid = GridSpec.cover(1.0, n=64)
-    occ = rasterize(regular_polygon(0.7, 7, center=(0.1, -0.05)), grid).occ
-    occ[occ == 0.0] = -0.0
-    rs = RasterSet(occ, grid)
-    assert np.signbit(rs.occ).any()
-    disk = (np.hypot(grid.x_centers()[None, :], grid.y_centers()[:, None])
-            <= rs.content_radius(0.0))
-    for theta in (0.3, 1.1, 2.9):
-        got = reflect_raster(rs, theta).occ
-        want = full_grid_pull(rs.occ, grid, _reflection(theta))
-        assert np.array_equal(got, want)
-        assert np.signbit(want[disk]).any()
-        assert np.array_equal(np.signbit(got[disk]), np.signbit(want[disk]))
-
-
-def _kf_run(rs, steps):
-    run = AlignedRun(rs)
-    frames = []
-    for x in sequence_values("kf", steps):
-        run.apply(math.pi * float(x))
-        frames.append(run.occ.copy())
-    world = run.world_raster()
-    return frames, world.occ, perimeter_estimate(world)
-
-
-def test_aligned_run_trace_bit_identical_to_full_grid(unit_grid_128, rng):
-    rs = random_raster(rng, unit_grid_128)
-    frames, world, perimeter = _kf_run(rs, 30)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
-        ref_frames, ref_world, ref_perimeter = _kf_run(rs, 30)
-    for step, (got, want) in enumerate(zip(frames, ref_frames), start=1):
-        assert np.array_equal(got, want), f"step {step}"
-    assert np.array_equal(world, ref_world)
-    assert perimeter == ref_perimeter
+        full = perimeter_estimate(rs, n_directions=8)
+    assert windowed == full
 
 
 @st.composite
 def rim_rasters(draw):
-    """Centred rasters whose content reaches out to about the margin limit
-    (1.5 cells inside the grid edge), so that the resampling skirt crosses
-    it after zero, one or several steps; some carry random speckle."""
+    """Centred rasters whose content reaches out to about the edge of the
+    grid's inscribed disk, so that the staircase of a step leaves that disk
+    after zero, one or several steps; some carry random speckle."""
     n = draw(st.integers(12, 40))
     h = draw(st.sampled_from([0.05, 0.1, 1.0]))
     grid = GridSpec(nx=n, ny=n, h=h)
@@ -594,42 +543,31 @@ def polygon_rasters(draw):
     return RasterSet(occ, grid)
 
 
-def _run_frames(rs, thetas):
-    """Every frame of an AlignedRun, each followed by its world raster; a
-    step that raises ends the list with the error message. Every world
-    raster fits the grid and holds the run's mass."""
-    run = AlignedRun(rs)
-    frames = []
-    for theta in thetas:
-        try:
-            run.apply(theta)
-        except ValueError as exc:
-            frames.append(str(exc))
-            break
-        world = run.world_raster()
-        assert abs(world.mass() - run.target_mass) <= 1e-9 * run.target_mass
-        frames += [run.occ.copy(), world.occ]
-    return frames
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(raster_sets(centered=True), rim_rasters(), polygon_rasters()),
        st.lists(st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi])),
                 min_size=1, max_size=8))
-def test_carried_box_run_equals_full_grid_run_frame_by_frame(rs, thetas):
-    windowed = _run_frames(rs, thetas)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        mp.setattr(rasters, "_interval_lengths", full_grid_interval_lengths)
-        full = _run_frames(rs, thetas)
-    assert len(windowed) == len(full)
-    for step, (got, want) in enumerate(zip(windowed, full), start=1):
-        assert type(got) is type(want), f"step {step}"
-        if isinstance(want, str):
-            assert got == want, f"step {step}"
-        else:
-            assert np.array_equal(got, want), f"step {step}"
-            assert np.array_equal(np.signbit(got), np.signbit(want)), f"step {step}"
+def test_run_steps_write_their_staircase_or_refuse_the_grid(rs, thetas):
+    run = AlignedRun(rs)
+    for step, theta in enumerate(thetas, start=1):
+        try:
+            run.apply(theta)
+        except ValueError as exc:
+            assert "grid" in str(exc), f"step {step}"
+            break
+        # the plane holds intervals, so its column sums are their lengths
+        half = run.occ.sum(axis=0) / 2.0
+        staircase = rasters._rasterize_intervals(rs.grid, half, np.eye(2))
+        assert np.abs(run.occ - staircase).max() <= 1e-12, f"step {step}"
+        world = run.world_raster()  # raises if the rotated staircase leaves the grid
+        assert abs(world.mass() - run.target_mass) <= 1e-9 * run.target_mass, (
+            f"step {step}"
+        )
+        if run.target_mass == 0.0:
+            assert not run.occ.any() and not world.occ.any(), f"step {step}"
+        # a repeated direction changes nothing
+        frame = run.occ.copy()
+        assert np.array_equal(run.apply(theta).occ, frame), f"step {step}"
 
 
 # ---------------------------------------------------------------------------
