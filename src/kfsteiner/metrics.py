@@ -5,6 +5,14 @@ triangle formulas) and for rasters up to the stored occupancy (the cell
 self-moment h*h/6 makes the second moment exact for unions of full
 cells). The set distance d1 is the L1 distance of occupancy functions,
 which equals the area of the symmetric difference for indicator sets.
+
+A raster's second moment is summed from its row and column masses. The
+frame raster of a stepped rasters.AlignedRun is a column of intervals
+centred on the grid midline, and it carries their half-lengths: its
+mass, second moment and d1 to the ball follow column by column in
+closed form from the half-lengths, a prefix sum of y**2 and the ball's
+column prefix sums, without a pass over the grid. Every other raster
+takes the full-grid path.
 """
 
 from __future__ import annotations
@@ -71,11 +79,12 @@ def area(obj):
 class RasterPlan:
     """What the raster functionals need on one grid, built once per run.
 
-    Holds the rasterized origin ball of the given area, the per-cell
-    second-moment weight y**2 + x**2 + h**2 / 6 and one scratch plane;
-    the ball and the weight are built on first use. run_process builds
-    one per raster run. The raster functionals build a throwaway one
-    when none is passed, so both ways compute the same expressions.
+    Holds the rasterized origin ball of the given area, its column prefix
+    sums (prefix[k, j] is the ball's mass in rows below k of column j)
+    and one scratch plane; the ball and its prefix sums are built
+    together on first use. run_process builds one per raster run;
+    d1_to_ball builds a throwaway one when none is passed, so both ways
+    compute the same expressions.
     """
 
     def __init__(self, grid, area):
@@ -84,15 +93,19 @@ class RasterPlan:
         self.scratch = np.empty((grid.ny, grid.nx))
 
     @cached_property
-    def ball(self):
-        return _disk_fraction(self.grid, math.sqrt(self.area / math.pi))
+    def _ball(self):
+        ball = _disk_fraction(self.grid, math.sqrt(self.area / math.pi))
+        prefix = np.zeros((self.grid.ny + 1, self.grid.nx))
+        np.cumsum(ball, axis=0, out=prefix[1:])
+        return ball, prefix
 
-    @cached_property
-    def r2(self):
-        g = self.grid
-        xs = g.x_centers()
-        ys = g.y_centers()
-        return ys[:, None] ** 2 + xs[None, :] ** 2 + g.h**2 / 6.0
+    @property
+    def ball(self):
+        return self._ball[0]
+
+    @property
+    def prefix(self):
+        return self._ball[1]
 
 
 def _plan_for(rs, plan):
@@ -103,17 +116,29 @@ def _plan_for(rs, plan):
     return plan
 
 
-def moment_of_inertia(obj, plan=None):
+def moment_of_inertia(obj):
     """Integral of x**2 + y**2 over the set, about the origin.
 
-    A raster reads its cell weights from `plan` (see RasterPlan).
+    A raster's cells add their mass times y**2 + x**2 + h**2 / 6, which is
+    summed from its row and column masses, or, for the frame raster of a
+    stepped run, from its intervals column by column.
     """
     if isinstance(obj, ConvexPolygon):
         return obj.moment_about_origin()
     if isinstance(obj, RasterSet):
-        plan = _plan_for(obj, plan)
-        np.multiply(obj.occ, plan.r2, out=plan.scratch)
-        return float(plan.scratch.sum() * obj.grid.h**2)
+        g = obj.grid
+        y2 = g.y_centers() ** 2
+        if obj._half is None:
+            inner = float(np.dot(y2, obj.occ.sum(axis=1)))
+            cols = obj.occ.sum(axis=0)
+        else:
+            a, b, bottom, top = _rasters._interval_cells(obj._half, g.ny)
+            prefix = np.concatenate([[0.0], np.cumsum(y2)])
+            full = prefix[np.maximum(b, a + 1)] - prefix[a + 1]
+            inner = float((full + bottom * y2[a] + top * y2[b]).sum())
+            cols = 2.0 * obj._half
+        weight = g.x_centers() ** 2 + g.h**2 / 6.0
+        return (inner + float(np.dot(weight, cols))) * g.h**2
     if isinstance(obj, Ball):
         return 0.5 * math.pi * obj.radius**4
     raise TypeError(f"no moment for {type(obj).__name__}")
@@ -131,17 +156,36 @@ def d1_to_ball(obj, plan=None):
 
     Exact for polygons via the polygon-disk intersection; for rasters
     the ball is rasterized on the same grid. A raster reads the ball
-    from `plan`, whose area is the one a run keeps constant.
+    from `plan`, whose area is the one a run keeps constant; a frame
+    raster of intervals reads the ball's prefix sums instead.
     """
     if isinstance(obj, ConvexPolygon):
         return _polygon_d1_to_ball(obj, obj.area())
     if isinstance(obj, RasterSet):
         plan = _plan_for(obj, plan)
+        if obj._half is not None:
+            return _intervals_to_ball(obj, plan) * obj.grid.h**2
         diff = plan.scratch
         np.subtract(obj.occ, plan.ball, out=diff)
         np.abs(diff, out=diff)
         return float(diff.sum() * obj.grid.h**2)
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
+
+
+def _intervals_to_ball(rs, plan):
+    """Sum of |occ - ball| over the cells of a frame raster of intervals,
+    column by column from the ball's prefix sums: the ball's mass below
+    and above the interval, the full rows' 1 - ball, and the two end
+    cells (see rasters._interval_cells)."""
+    n = rs.grid.ny
+    a, b, bottom, top = _rasters._interval_cells(rs._half, n)
+    ball, prefix = plan.ball, plan.prefix
+    j = np.arange(rs.grid.nx)
+    c = np.maximum(b, a + 1)  # the full rows are a + 1 .. c - 1
+    outside = prefix[a, j] + (prefix[n] - prefix[b + 1, j])
+    full = (c - a - 1) - (prefix[c, j] - prefix[a + 1, j])
+    ends = np.abs(bottom - ball[a, j]) + (a < b) * np.abs(top - ball[b, j])
+    return float((outside + full + ends).sum())
 
 
 def _polygon_d1_to_ball(poly, a):
@@ -219,13 +263,11 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
     """Bundle the standard diagnostics for one set into a MetricsRecord.
 
     For rasters, `plan` (a RasterPlan) lets a run build its comparison
-    ball, moment weights and scratch once, since the area is constant
-    along a run.
+    ball, the ball's prefix sums and a scratch plane once, since the area
+    is constant along a run.
     """
     a = area(obj)
-    if isinstance(obj, RasterSet):
-        plan = _plan_for(obj, plan)
-    mu = moment_of_inertia(obj, plan)
+    mu = moment_of_inertia(obj)
     haus = None
     perim = None
     if isinstance(obj, ConvexPolygon):

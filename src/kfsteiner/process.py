@@ -256,7 +256,9 @@ def checkpoint_probe(cfg):
     symmetrized set should be symmetric about the line orthogonal to
     that direction. The defect is the vertex mismatch (polygon) or the
     d1 distance to the reflected set (raster, measured exactly in the
-    aligned frame).
+    aligned frame). A raster's defect is exactly 0.0: its frame plane is
+    a column of intervals centred on the midline, whose ends and row
+    edges are exact, so the plane is symmetric bit for bit.
     """
     seq = parse_sequence_id(cfg.sequence)
     if seq.kind != "kf":

@@ -21,10 +21,11 @@ polygon of its grid-line crossings plus one circular segment per edge.
 Half-lengths are rounded to a power-of-two step (see _interval_lengths),
 so a plane of intervals sums back to its exact lengths and a repeated
 direction changes no bit. AlignedRun carries the half-lengths from step
-to step and keeps one plane, which a step rewrites over the rows its old
-and new intervals reach. frame_raster() is a read-only view of that
-plane, valid until the next apply; world_raster() returns a plane the
-caller owns.
+to step and keeps one plane, which a step rewrites over the rows and
+columns its old and new intervals reach. frame_raster() is a read-only
+view of that plane, valid until the next apply, and after a step it
+carries the half-lengths too, so metrics.measure reads the set from its
+intervals; world_raster() returns a plane the caller owns.
 
 The bilinear gather samples a rotated grid for metrics.perimeter_estimate.
 It pulls each target cell from the overlap of its unit-cell box with the
@@ -136,6 +137,16 @@ GATHER_ROWS = 64
 _EMPTY_BOX = (slice(0, 0), slice(0, 0))
 
 
+def _far_corners(grid, rows=slice(None), cols=slice(None)):
+    """Distance from the world origin to the far corner of each cell in
+    rows x cols."""
+    half = 0.5 * grid.h
+    return np.hypot(
+        np.abs(grid.x_centers()[cols])[None, :] + half,
+        np.abs(grid.y_centers()[rows])[:, None] + half,
+    )
+
+
 def _support_box(mask):
     """Row and column slices bounding the True cells of a mask."""
     rows = np.flatnonzero(mask.any(axis=1))
@@ -162,13 +173,9 @@ class _Workspace:
 
     def __init__(self, grid):
         ny, nx = grid.ny, grid.nx
-        half = 0.5 * grid.h
         self.padded = np.zeros((ny + 3, nx + 3))
         self.loaded = _EMPTY_BOX
-        self.dist = np.hypot(
-            np.abs(grid.x_centers())[None, :] + half,
-            np.abs(grid.y_centers())[:, None] + half,
-        )
+        self.dist = _far_corners(grid)
         block = GATHER_ROWS * nx
         self.coords = np.empty((2, block))
         self.real = np.empty((5, block))
@@ -207,9 +214,15 @@ def _content_radii(occ, box, cutoffs, ws):
 
 
 class RasterSet:
-    """Occupancy fractions on a GridSpec; row index grows with y."""
+    """Occupancy fractions on a GridSpec; row index grows with y.
 
-    __slots__ = ("occ", "grid")
+    The frame raster of a stepped AlignedRun also carries the run's
+    half-lengths (see _interval_cells), from which its mass and the
+    metrics of metrics.measure follow column by column; every other
+    RasterSet holds None there.
+    """
+
+    __slots__ = ("occ", "grid", "_half")
 
     def __init__(self, occ, grid):
         occ = np.asarray(occ, dtype=float)
@@ -225,6 +238,7 @@ class RasterSet:
             raise ValueError(f"occupancy out of [0, 1]: min {lo}, max {hi}")
         self.occ = np.clip(occ, 0.0, 1.0)
         self.grid = grid
+        self._half = None
 
     def __repr__(self):
         g = self.grid
@@ -235,25 +249,35 @@ class RasterSet:
         return self.grid.h
 
     def mass(self):
+        if self._half is not None:
+            return 2.0 * float(self._half.sum())
         return float(self.occ.sum())
 
     def area(self):
         return self.mass() * self.grid.h**2
 
     def content_radius(self, cutoff=1e-15):
-        """Largest distance from the origin to the far corner of an occupied cell."""
-        box = _support_box(self.occ > cutoff)
-        return _content_radii(self.occ, box, (cutoff,), _Workspace(self.grid))[0]
+        """Largest distance from the origin to the far corner of an occupied
+        cell, read from the cells of the support box only."""
+        mask = self.occ > cutoff
+        rows, cols = _support_box(mask)
+        if rows.start == rows.stop:
+            return 0.0
+        dist = _far_corners(self.grid, rows, cols)
+        dist *= mask[rows, cols]  # distances are positive
+        return float(dist.max())
 
     @classmethod
-    def _trusted(cls, occ, grid):
+    def _trusted(cls, occ, grid, half=None):
         """A RasterSet on occ as it is, without validation or copy.
 
-        For planes this module builds with values in [0, 1].
+        For planes this module builds with values in [0, 1]; half, when
+        given, holds the half-lengths whose intervals occ is.
         """
         rs = object.__new__(cls)
         rs.occ = occ
         rs.grid = grid
+        rs._half = half
         return rs
 
     def with_occ(self, occ):
@@ -588,13 +612,14 @@ def _interval_lengths(mass, n, target=None):
     return half
 
 
-def _fill_intervals(out, half, reach=0.0):
+def _fill_intervals(out, half, old=None):
     """Write each column's interval, centred on the grid midline, into out.
 
     A cell's value is the length of its overlap with the interval, so the
-    full cells are 1.0 and there is one partial cell at each end. Every
-    row within reach cells of the midline is rewritten, so out must be
-    zero beyond the rows that reach and the intervals cover.
+    full cells are 1.0 and there is one partial cell at each end (see
+    _interval_cells). out must be zero outside the intervals of the
+    half-lengths old, or outside the new ones when old is None: only the
+    rows and columns that either reaches are rewritten.
     """
     mid = 0.5 * out.shape[0]
     top = float(half.max())
@@ -603,13 +628,36 @@ def _fill_intervals(out, half, reach=0.0):
             f"a column interval of length {2.0 * top:.6g} cells exceeds the grid; "
             "rebuild on a larger grid"
         )
-    top = max(top, reach)
+    reach = half if old is None else np.maximum(half, old)
+    occupied = np.flatnonzero(reach)
+    if len(occupied) == 0:
+        return
+    top = float(reach.max())
     rows = slice(math.floor(mid - top), math.ceil(mid + top))
+    cols = slice(occupied[0], occupied[-1] + 1)
     edge = np.arange(rows.start, rows.stop, dtype=float)[:, None]
-    cell = out[rows]
-    np.minimum(edge + 1.0, mid + half, out=cell)
-    cell -= np.maximum(edge, mid - half)
+    cell = out[rows, cols]
+    np.minimum(edge + 1.0, mid + half[cols], out=cell)
+    cell -= np.maximum(edge, mid - half[cols])
     np.clip(cell, 0.0, 1.0, out=cell)
+
+
+def _interval_cells(half, n):
+    """The cells that _fill_intervals writes for the half-lengths half in
+    columns of n cells, as (a, b, bottom, top) per column.
+
+    With mid = n / 2, the interval runs from mid - half to mid + half:
+    rows a + 1 .. b - 1 are full, row a holds bottom and row b holds top.
+    A column whose interval lies inside one cell has a == b, bottom =
+    2 * half and top = 0.
+    """
+    mid = 0.5 * n
+    a = np.floor(mid - half).astype(np.int64)
+    b = np.minimum(np.floor(mid + half).astype(np.int64), n - 1)
+    one = a == b
+    bottom = np.where(one, 2.0 * half, (a + 1) - (mid - half))
+    top = np.where(one, 0.0, (mid + half) - b)
+    return a, b, bottom, top
 
 
 def _check_inside_disk(grid, half):
@@ -698,7 +746,7 @@ class AlignedRun:
     the staircase, turned back and rasterized exactly.
 
     The run keeps one grid-sized plane, the frame raster, which a step
-    rewrites over the rows its old and new intervals reach.
+    rewrites over the rows and columns its old and new intervals reach.
     """
 
     def __init__(self, rs):
@@ -729,8 +777,9 @@ class AlignedRun:
             mass = _column_masses(p @ turn, q @ turn, w, grid)
             half = _interval_lengths(mass, grid.ny, self.target_mass)
         _check_inside_disk(grid, half)
-        # the seed may reach every row
-        _fill_intervals(self._plane, half, 0.5 * grid.ny if old is None else old.max())
+        # the seed may reach every cell
+        reach = np.full(grid.nx, 0.5 * grid.ny) if old is None else old
+        _fill_intervals(self._plane, half, reach)
         self._half = half
         self.frame = target
         return self
@@ -744,8 +793,9 @@ class AlignedRun:
 
     def frame_raster(self):
         """The set in the current frame, on a read-only view of the run's
-        plane: no copy and no validation, valid until the next apply."""
-        return RasterSet._trusted(self.occ, self.grid)
+        plane: no copy and no validation, valid until the next apply.
+        After a step it carries the half-lengths of its intervals."""
+        return RasterSet._trusted(self.occ, self.grid, self._half)
 
     def world_raster(self):
         """The set in the world frame, on a plane the caller owns."""
@@ -758,7 +808,12 @@ class AlignedRun:
     def reflection_defect(self):
         """d1 between the set and its reflection across the line
         orthogonal to the last applied direction; exact in this frame
-        (the direction is vertical, so the reflection is a row flip)."""
+        (the direction is vertical, so the reflection is a row flip).
+
+        After a step it is exactly 0.0: every column is an interval from
+        mid - half to mid + half, both exact, as are the row edges, so
+        the plane is symmetric about its midline bit for bit.
+        """
         return float(np.abs(self.occ - self.occ[::-1, :]).sum() * self.grid.h**2)
 
 

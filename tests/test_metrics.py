@@ -11,9 +11,10 @@ from conftest import (
     random_convex_polygon,
     random_raster,
 )
-from kfsteiner import metrics
+from kfsteiner import metrics, rasters
 from kfsteiner.metrics import (
     MetricsRecord,
+    RasterPlan,
     area,
     d1,
     d1_to_ball,
@@ -227,3 +228,43 @@ def test_measure_and_d1_to_ball_agree_on_polygons(rng):
     for _ in range(20):
         poly = random_convex_polygon(rng, center=tuple(rng.uniform(-0.3, 0.3, 2)))
         assert measure(poly).d1_to_ball == d1_to_ball(poly)
+
+
+# ---------------------------------------------------------------------------
+# the frame raster of a stepped run is measured from its intervals
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def interval_planes(draw):
+    """A centred grid, half-lengths from _interval_lengths and the plane
+    _fill_intervals writes for them. Each column is empty, inside one
+    cell (half-length below 0.5), full, short of full by less than a cell
+    (reaching the first and last rows) or random."""
+    ny = draw(st.integers(1, 41))
+    nx = draw(st.integers(1, 41))
+    grid = GridSpec(nx=nx, ny=ny, h=draw(st.sampled_from([0.05, 0.37, 1.0])))
+    kinds = {
+        "empty": st.just(0.0),
+        "one cell": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "full": st.just(float(ny)),
+        "nearly full": st.floats(ny - 1.0, ny, exclude_min=True, exclude_max=True),
+        "random": st.floats(0.0, ny),
+    }
+    mass = [draw(kinds[draw(st.sampled_from(sorted(kinds)))]) for _ in range(nx)]
+    half = rasters._interval_lengths(np.array(mass), ny)
+    plane = np.zeros((ny, nx))
+    rasters._fill_intervals(plane, half)
+    r = draw(st.floats(0.05, 0.99)) * 0.5 * min(nx, ny) * grid.h
+    return plane, half, RasterPlan(grid, math.pi * r * r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_planes())
+def test_intervals_measure_as_their_full_grid(case):
+    plane, half, plan = case
+    closed = measure(RasterSet._trusted(plane, plan.grid, half), plan=plan)
+    full = measure(RasterSet._trusted(plane, plan.grid), plan=plan)
+    for name in ("area", "mu", "d1_to_ball"):
+        got, want = getattr(closed, name), getattr(full, name)
+        assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)

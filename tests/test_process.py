@@ -103,14 +103,15 @@ def test_checkpoint_probe_polygon():
 
 
 def test_checkpoint_probe_raster():
-    cfg = ProcessConfig(
-        sequence="kf", seed="builtin:annulus", steps=21, cadence=21, resolution=128
-    )
-    records = checkpoint_probe(cfg)
-    seed = builtin_seed("annulus", resolution=128)
-    tol = grid_tolerance(seed)
-    for rec in records:
-        assert rec.defect <= tol, f"order {rec.order}"
+    for seed in ("builtin:annulus", "builtin:lshape"):
+        cfg = ProcessConfig(
+            sequence="kf", seed=seed, steps=34, cadence=34, resolution=128
+        )
+        records = checkpoint_probe(cfg)
+        assert [rec.order for rec in records] == [1, 2, 3, 4, 5, 6, 7, 8], seed
+        # an interval plane is symmetric about its midline by construction
+        for rec in records:
+            assert rec.defect == 0.0, f"{seed} order {rec.order}"
 
 
 def test_checkpoint_probe_requires_kf():

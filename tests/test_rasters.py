@@ -634,6 +634,17 @@ def test_content_radius_matches_full_map(rs, cutoff):
     assert rs.content_radius(cutoff=cutoff) == full_map_radius(rs, cutoff)
 
 
+def test_content_radius_reads_only_the_support_box():
+    seed = builtin_seed("lshape", resolution=512)
+    plane = seed.occ.nbytes
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(seed.content_radius)
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * plane, f"content_radius peak {peak / plane:.2f} planes"
+
+
 # ---------------------------------------------------------------------------
 # signed-area polygon rasterizer against per-cell clipping oracles
 # ---------------------------------------------------------------------------
