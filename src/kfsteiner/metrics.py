@@ -13,6 +13,12 @@ mass, second moment and d1 to the ball follow column by column in
 closed form from the half-lengths, a prefix sum of y**2 and the ball's
 column prefix sums, without a pass over the grid. Every other raster
 takes the full-grid path.
+
+The perimeter of a raster that a stepped run drew from its intervals,
+its frame raster or its world raster, is the length of their section
+profile, read in one pass over the columns. Every other raster (a seed,
+a steiner_raster output, a PGM) takes the integral-geometry estimate,
+which samples the grid along 64 rotated line directions.
 """
 
 from __future__ import annotations
@@ -212,9 +218,34 @@ def _total_variation(vals, diff=None):
     return diff.sum()
 
 
-def perimeter_estimate(rs, n_directions=64):
-    """Integral-geometry perimeter estimate of a raster set.
+def _profile_perimeter(half, h):
+    """Perimeter of the section profile {|y| <= l(x) / 2} of interval
+    columns with the half-lengths half, in cells, on cells of size h.
 
+    l is linear between column centres and is 2 * half[j] * h at centre
+    j, so the upper and the lower boundary each run h * hypot(1, dhalf)
+    between neighbouring centres. The profile ends at the first and last
+    occupied centres with a vertical cap of length 2 * half * h each. An
+    empty column between occupied ones pinches the profile to a point;
+    between two empty ones it bounds nothing and adds nothing.
+    """
+    occupied = np.flatnonzero(half)
+    if len(occupied) == 0:
+        return 0.0
+    s = half[occupied[0] : occupied[-1] + 1]
+    sides = np.hypot(1.0, np.diff(s))[(s[:-1] > 0.0) | (s[1:] > 0.0)]
+    return 2.0 * h * float(sides.sum() + s[0] + s[-1])
+
+
+def perimeter_estimate(rs, n_directions=64):
+    """Perimeter estimate of a raster set.
+
+    A raster that an AlignedRun drew from its interval columns after a
+    step, frame or world, is measured as the polyline of its section
+    profile (see _profile_perimeter): no turn changes a length, so both
+    read the same value, and n_directions is not used.
+
+    Every other raster takes the integral-geometry (Crofton) estimate.
     For each of n_directions line directions the grid is sampled in a
     frame where the lines are vertical, the total variation of the
     occupancy along every line is summed and weighted by the line
@@ -222,13 +253,17 @@ def perimeter_estimate(rs, n_directions=64):
     support radius is taken once, and every rotated sample is gathered
     into one reused plane.
     """
+    if n_directions < 1:
+        raise ValueError(f"need at least one line direction, got {n_directions}")
+    if rs._profile is not None:
+        return _profile_perimeter(rs._profile, rs.grid.h)
     box = _rasters._support_box(rs.occ > 0.0)
     if box[0].start == box[0].stop:
         return 0.0
     g = rs.grid
     ws = _rasters._Workspace(g)
-    (radius,) = _rasters._content_radii(rs.occ, box, (0.0,), ws)
     ws.load(rs.occ, box)
+    radius = rs.content_radius(0.0)
     pulled = np.zeros((g.ny, g.nx))
     diff = np.empty((g.ny + 1, g.nx))
     window = _rasters._EMPTY_BOX
@@ -253,7 +288,9 @@ def grid_tolerance(rs):
     """Discretization tolerance C * h * perimeter for raster assertions.
 
     The perimeter estimate uses GRID_TOL_DIRECTIONS directions; it only
-    sets an error budget proportional to the boundary length.
+    sets an error budget proportional to the boundary length. Seeds and
+    steiner_raster outputs, the rasters the tests take it of, carry no
+    interval profile, so they take the integral-geometry estimate.
     """
     return GRID_TOL_FACTOR * rs.grid.h * perimeter_estimate(
         rs, n_directions=GRID_TOL_DIRECTIONS)
@@ -264,7 +301,8 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
 
     For rasters, `plan` (a RasterPlan) lets a run build its comparison
     ball, the ball's prefix sums and a scratch plane once, since the area
-    is constant along a run.
+    is constant along a run, and with_perimeter takes perimeter_estimate:
+    the profile length for the frame raster of a stepped run.
     """
     a = area(obj)
     mu = moment_of_inertia(obj)

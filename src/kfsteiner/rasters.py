@@ -27,13 +27,17 @@ view of that plane, valid until the next apply, and after a step it
 carries the half-lengths too, so metrics.measure reads the set from its
 intervals; world_raster() returns a plane the caller owns.
 
-The bilinear gather samples a rotated grid for metrics.perimeter_estimate.
-It pulls each target cell from the overlap of its unit-cell box with the
-source grid at the preimage of the cell center, touches only the target
-cells within reach of the occupied disk and writes exact zeros
-elsewhere, so its output is identical to a full-grid gather. A
-_Workspace holds its zero-bordered source plane, the distance map of
-the support-radius pass and its scratch.
+Both rasters of a stepped run, the frame view and the world plane, are
+drawn from the run's intervals, and both carry the half-lengths as the
+section profile whose length metrics.perimeter_estimate reads. Every
+other raster (a seed, a steiner_raster output, a PGM, anything built by
+with_occ) has its perimeter estimated by the bilinear gather, which
+samples it on rotated grids. The gather pulls each target cell from the
+overlap of its unit-cell box with the source grid at the preimage of the
+cell center, touches only the target cells within reach of the occupied
+disk and writes exact zeros elsewhere, so its output is identical to a
+full-grid gather. A _Workspace holds its zero-bordered source plane and
+its scratch.
 """
 
 from __future__ import annotations
@@ -157,15 +161,12 @@ def _support_box(mask):
 
 
 class _Workspace:
-    """Buffers that the bilinear gather and the radius pass on one grid reuse.
+    """Buffers that the bilinear gather on one grid reuses.
 
     - padded: the source plane inside a zero border, which the gather
       reads (see load)
-    - dist: the far-corner distance of every cell from the world origin
     - coords, real, base: the windowed gather's scratch for GATHER_ROWS
       grid rows
-    - plane, mask: one float and one bool plane of scratch for radii and
-      cell masks
 
     Nothing here is allocated again after construction, so a caller that
     keeps one workspace touches its memory once.
@@ -175,13 +176,10 @@ class _Workspace:
         ny, nx = grid.ny, grid.nx
         self.padded = np.zeros((ny + 3, nx + 3))
         self.loaded = _EMPTY_BOX
-        self.dist = _far_corners(grid)
         block = GATHER_ROWS * nx
         self.coords = np.empty((2, block))
         self.real = np.empty((5, block))
         self.base = np.empty(block, dtype=np.int64)
-        self.plane = np.empty(ny * nx)
-        self.mask = np.empty(ny * nx, dtype=bool)
 
     def load(self, occ, box):
         """Make the padded interior equal occ, which is zero outside box."""
@@ -190,39 +188,20 @@ class _Workspace:
         inner[box] = occ[box]
         self.loaded = box
 
-    def scratch(self, shape):
-        """Float and bool views of the given shape on plane and mask."""
-        n = shape[0] * shape[1]
-        return self.plane[:n].reshape(shape), self.mask[:n].reshape(shape)
-
-
-def _content_radii(occ, box, cutoffs, ws):
-    """Far-corner radius about the world origin of the cells with occ > c,
-    for each c in cutoffs.
-
-    box must hold every cell of occ above the smallest cutoff. Every
-    cutoff reads the same distance map, ws.dist, over that box only.
-    """
-    sub, dist = occ[box], ws.dist[box]
-    prod, mask = ws.scratch(sub.shape)
-    radii = []
-    for cutoff in cutoffs:
-        np.greater(sub, cutoff, out=mask)
-        np.multiply(dist, mask, out=prod)  # distances are positive
-        radii.append(float(prod.max()) if prod.size else 0.0)
-    return radii
-
 
 class RasterSet:
     """Occupancy fractions on a GridSpec; row index grows with y.
 
-    The frame raster of a stepped AlignedRun also carries the run's
-    half-lengths (see _interval_cells), from which its mass and the
-    metrics of metrics.measure follow column by column; every other
-    RasterSet holds None there.
+    The rasters of a stepped AlignedRun also carry the run's half-lengths.
+    In _half, only on the frame raster: the plane is those intervals (see
+    _interval_cells), so its mass and the metrics of metrics.measure follow
+    column by column. In _profile, on the frame raster and on the world
+    raster, which is drawn from them at a turn: the perimeter is the
+    length of their section profile (see metrics.perimeter_estimate).
+    Every other RasterSet holds None in both.
     """
 
-    __slots__ = ("occ", "grid", "_half")
+    __slots__ = ("occ", "grid", "_half", "_profile")
 
     def __init__(self, occ, grid):
         occ = np.asarray(occ, dtype=float)
@@ -239,6 +218,7 @@ class RasterSet:
         self.occ = np.clip(occ, 0.0, 1.0)
         self.grid = grid
         self._half = None
+        self._profile = None
 
     def __repr__(self):
         g = self.grid
@@ -268,16 +248,18 @@ class RasterSet:
         return float(dist.max())
 
     @classmethod
-    def _trusted(cls, occ, grid, half=None):
+    def _trusted(cls, occ, grid, half=None, profile=None):
         """A RasterSet on occ as it is, without validation or copy.
 
         For planes this module builds with values in [0, 1]; half, when
-        given, holds the half-lengths whose intervals occ is.
+        given, holds the half-lengths whose intervals occ is, and profile
+        the half-lengths whose staircase occ was drawn from.
         """
         rs = object.__new__(cls)
         rs.occ = occ
         rs.grid = grid
         rs._half = half
+        rs._profile = profile
         return rs
 
     def with_occ(self, occ):
@@ -795,15 +777,21 @@ class AlignedRun:
         """The set in the current frame, on a read-only view of the run's
         plane: no copy and no validation, valid until the next apply.
         After a step it carries the half-lengths of its intervals."""
-        return RasterSet._trusted(self.occ, self.grid, self._half)
+        return RasterSet._trusted(self.occ, self.grid, self._half, self._half)
 
     def world_raster(self):
-        """The set in the world frame, on a plane the caller owns."""
+        """The set in the world frame, on a plane the caller owns.
+
+        After a step it carries the half-lengths as the profile it was
+        drawn from, so its perimeter is the frame raster's; a caller that
+        edits the plane takes with_occ of it to measure the edit.
+        """
         delta = math.remainder(-self.frame, 2.0 * math.pi)
         if delta == 0.0:
-            return RasterSet._trusted(self._plane.copy(), self.grid)
-        out = _rasterize_intervals(self.grid, self._half, _rotation(delta))
-        return RasterSet._trusted(out, self.grid)
+            out = self._plane.copy()
+        else:
+            out = _rasterize_intervals(self.grid, self._half, _rotation(delta))
+        return RasterSet._trusted(out, self.grid, profile=self._half)
 
     def reflection_defect(self):
         """d1 between the set and its reflection across the line

@@ -3,7 +3,9 @@
 A polygon seed runs twice under the same directions, the kf ones or
 random ones: exactly, through steiner_polygon, and as its raster,
 through AlignedRun. After every step the exact polygon is rasterized in
-the run's frame and compared with the run's plane by the set-level d1.
+the run's frame and compared with the run's plane by the set-level d1,
+and the perimeter the run reads off its interval profile is compared
+with the exact polygon's.
 """
 
 import math
@@ -13,10 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_convex_polygon
+from kfsteiner import rasters
 from kfsteiner.metrics import perimeter_estimate
 from kfsteiner.polygons import _rotation, steiner_polygon
 from kfsteiner.process import builtin_seed
-from kfsteiner.rasters import AlignedRun, GridSpec, _rasterize_polygon, rasterize
+from kfsteiner.rasters import (
+    AlignedRun,
+    GridSpec,
+    RasterSet,
+    _rasterize_polygon,
+    rasterize,
+)
 from kfsteiner.sequences import sequence_values
 
 #: Bound on the set-level d1 between the raster run and the exact set, in
@@ -37,6 +46,12 @@ SET_D1_FACTOR = 0.2
 #: does not let earlier errors grow. Random seeds and directions read up
 #: to 0.23 here, and 0.4 % of them exceed SET_D1_FACTOR.
 ANY_DIRECTION_D1_FACTOR = 0.5
+
+#: Bound on |perimeter_estimate - P| / P for the rasters of a run, with P
+#: the exact symmetral's perimeter. Their profile length reads 0.2-1.6 %
+#: high on these seeds over STEPS steps. The 64-direction gather of the
+#: same world planes reads 2.1-2.8 % high at the last step, so it fails.
+PERIMETER_FACTOR = 0.02
 
 STEPS = 40
 
@@ -79,3 +94,57 @@ def test_raster_run_stays_near_random_convex_symmetrals(seed, n_points, n, theta
         assert gap <= ANY_DIRECTION_D1_FACTOR * unit, (
             f"step {step}: d1 = {gap / unit:.3f} h P"
         )
+
+
+def _counting_pulls(monkeypatch):
+    """Count the rotated samples that perimeter_estimate gathers."""
+    calls = []
+    pull = rasters._pull_linear
+
+    def counted(*args):
+        calls.append(1)
+        return pull(*args)
+
+    monkeypatch.setattr(rasters, "_pull_linear", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("name", ["square", "ellipse", "offset-square"])
+def test_raster_run_perimeter_stays_near_the_exact_symmetrals(name, n, monkeypatch):
+    poly = builtin_seed(name)
+    grid = GridSpec.cover(poly.circumradius(), n=n)
+    run = AlignedRun(rasterize(poly, grid))
+    pulls = _counting_pulls(monkeypatch)
+    for step, x in enumerate(sequence_values("kf", STEPS), start=1):
+        theta = math.pi * float(x)
+        poly = steiner_polygon(poly, theta)
+        world = run.apply(theta).world_raster()
+        got = perimeter_estimate(world)
+        assert got == perimeter_estimate(run.frame_raster())
+        exact = poly.perimeter()
+        assert abs(got - exact) <= PERIMETER_FACTOR * exact, (
+            f"step {step}: perimeter {got:.6g} against {exact:.6g}"
+        )
+    assert not pulls
+    # a plain raster of the same plane takes the 64-direction gather: 62
+    # rotated samples beside the two axis directions, which read the plane
+    gathered = perimeter_estimate(RasterSet(world.occ, grid))
+    assert len(pulls) == 62
+    assert gathered != got
+
+
+@pytest.mark.parametrize("name", ["two-component", "lshape"])
+def test_raster_run_perimeter_of_nonconvex_seeds(name):
+    run = AlignedRun(builtin_seed(name, resolution=128))
+    gaps = 0
+    for x in sequence_values("kf", STEPS):
+        run.apply(math.pi * float(x))
+        got = perimeter_estimate(run.world_raster())
+        assert math.isfinite(got) and got > 0.0
+        assert got == perimeter_estimate(run.frame_raster())
+        half = run.frame_raster()._half
+        occupied = np.flatnonzero(half)
+        gaps += int(np.count_nonzero(half[occupied[0] : occupied[-1]] == 0.0))
+    # two-component's first steps leave empty columns between occupied ones
+    assert (gaps > 0) == (name == "two-component")

@@ -159,6 +159,31 @@ def test_perimeter_estimates(unit_grid_256):
     assert perimeter_estimate(empty) == 0.0
 
 
+def test_profile_perimeter_follows_the_section_polyline():
+    h = 0.5
+    # centre to centre, a rectangle: two sides of 3 cells, two caps of 2
+    assert metrics._profile_perimeter(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]), h) == (
+        2.0 * h * (3.0 + 1.0 + 1.0)
+    )
+    # the gap pinches the profile: a slope down to the empty centre, nothing
+    # along the midline between the two empty ones, a slope up to 2.0
+    half = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+    sides = 1.0 + math.sqrt(2.0) + math.sqrt(5.0)
+    assert metrics._profile_perimeter(half, h) == pytest.approx(
+        2.0 * h * (sides + 1.0 + 2.0), rel=1e-15)
+    assert metrics._profile_perimeter(np.zeros(5), h) == 0.0
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("n_directions", [0, -3])
+def test_perimeter_estimate_refuses_fewer_than_one_direction(n_directions, stepped):
+    rs = rasterize(CENTERED_SQUARE, GridSpec.cover(1.0, n=32))
+    if stepped:
+        rs = rasters.AlignedRun(rs).apply(0.3).world_raster()
+    with pytest.raises(ValueError, match="line direction"):
+        perimeter_estimate(rs, n_directions=n_directions)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_total_variation_adds_the_padded_differences_in_their_order(ny, nx, seed):

@@ -352,9 +352,8 @@ def windowed_pull(occ, grid, matrix):
     """rasters._pull_linear on a fresh plane, with the radius it is given
     in a run: one pass over the support box."""
     ws = rasters._Workspace(grid)
-    box = rasters._support_box(occ > 0.0)
-    (radius,) = rasters._content_radii(occ, box, (0.0,), ws)
-    ws.load(occ, box)
+    ws.load(occ, rasters._support_box(occ > 0.0))
+    radius = RasterSet(occ, grid).content_radius(0.0)
     out = np.zeros_like(occ)
     rasters._pull_linear(occ, grid, matrix, radius, out, ws)
     return out
