@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,33 +84,19 @@ def area(obj):
 class RasterPlan:
     """What the raster functionals need on one grid, built once per run.
 
-    Holds the rasterized origin ball of the given area, its column prefix
-    sums (prefix[k, j] is the ball's mass in rows below k of column j)
-    and one scratch plane; the ball and its prefix sums are built
-    together on first use. run_process builds one per raster run;
-    d1_to_ball builds a throwaway one when none is passed, so both ways
-    compute the same expressions.
+    Holds the rasterized origin ball of the given area and its column
+    prefix sums (prefix[k, j] is the ball's mass in rows below k of
+    column j). run_process builds one per raster run; d1_to_ball builds a
+    throwaway one when none is passed, so both ways compute the same
+    expressions.
     """
 
     def __init__(self, grid, area):
         self.grid = grid
         self.area = area
-        self.scratch = np.empty((grid.ny, grid.nx))
-
-    @cached_property
-    def _ball(self):
-        ball = _disk_fraction(self.grid, math.sqrt(self.area / math.pi))
-        prefix = np.zeros((self.grid.ny + 1, self.grid.nx))
-        np.cumsum(ball, axis=0, out=prefix[1:])
-        return ball, prefix
-
-    @property
-    def ball(self):
-        return self._ball[0]
-
-    @property
-    def prefix(self):
-        return self._ball[1]
+        self.ball = _disk_fraction(grid, math.sqrt(area / math.pi))
+        self.prefix = np.zeros((grid.ny + 1, grid.nx))
+        np.cumsum(self.ball, axis=0, out=self.prefix[1:])
 
 
 def _plan_for(rs, plan):
@@ -171,10 +156,7 @@ def d1_to_ball(obj, plan=None):
         plan = _plan_for(obj, plan)
         if obj._half is not None:
             return _intervals_to_ball(obj, plan) * obj.grid.h**2
-        diff = plan.scratch
-        np.subtract(obj.occ, plan.ball, out=diff)
-        np.abs(diff, out=diff)
-        return float(diff.sum() * obj.grid.h**2)
+        return float(np.abs(obj.occ - plan.ball).sum() * obj.grid.h**2)
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
 
 
@@ -261,8 +243,7 @@ def perimeter_estimate(rs, n_directions=64):
     if box[0].start == box[0].stop:
         return 0.0
     g = rs.grid
-    ws = _rasters._Workspace(g)
-    ws.load(rs.occ, box)
+    ws = _rasters._Workspace(rs.occ, box)
     radius = rs.content_radius(0.0)
     pulled = np.zeros((g.ny, g.nx))
     diff = np.empty((g.ny + 1, g.nx))
@@ -300,7 +281,7 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
     """Bundle the standard diagnostics for one set into a MetricsRecord.
 
     For rasters, `plan` (a RasterPlan) lets a run build its comparison
-    ball, the ball's prefix sums and a scratch plane once, since the area
+    ball and the ball's prefix sums once, since the area
     is constant along a run, and with_perimeter takes perimeter_estimate:
     the profile length for the frame raster of a stepped run.
     """

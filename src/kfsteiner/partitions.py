@@ -36,6 +36,9 @@ TIE_ABS_TOL = 1e-13
 #: Default cap on the interval count of a partition produced by refinement.
 MAX_INTERVALS = 10_000_000
 
+#: Relative tolerance of the length classes of length_classes.
+_CLASS_TOL = 1e-9
+
 
 def _maximal_mask(lengths):
     lmax = lengths.max()
@@ -147,16 +150,16 @@ def interval_counts(partition, level, tol=1e-10):
     return int(len(lengths)), int(is_long.sum()), int(is_short.sum())
 
 
-def length_classes(partition, rel_tol=1e-9):
+def length_classes(partition):
     """Cluster the interval lengths, longest class first.
 
-    Returns a list of (length, count) pairs; lengths within rel_tol of
+    Returns a list of (length, count) pairs; lengths within _CLASS_TOL of
     each other (relative to the maximum) fall into one class. Used for
     the generic long/short interval report, which is only meaningful
     when there are at most two classes.
     """
     lengths = np.sort(partition.lengths)[::-1]
-    tol = lengths[0] * rel_tol
+    tol = lengths[0] * _CLASS_TOL
     classes = []
     start = 0
     for i in range(1, len(lengths) + 1):

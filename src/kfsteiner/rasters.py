@@ -20,24 +20,21 @@ polygon of its grid-line crossings plus one circular segment per edge.
 
 Half-lengths are rounded to a power-of-two step (see _interval_lengths),
 so a plane of intervals sums back to its exact lengths and a repeated
-direction changes no bit. AlignedRun carries the half-lengths from step
-to step and keeps one plane, which a step rewrites over the rows and
-columns its old and new intervals reach. frame_raster() is a read-only
-view of that plane, valid until the next apply, and after a step it
-carries the half-lengths too, so metrics.measure reads the set from its
-intervals; world_raster() returns a plane the caller owns.
+direction changes no bit. A stepped AlignedRun is its half-lengths and
+holds no plane. frame_raster() and world_raster() return that step's
+half-lengths, unturned and turned back to the world, and draw their
+read-only plane when it is first read; a later step leaves them as
+they are. metrics.measure reads the frame raster from its intervals,
+and metrics.perimeter_estimate reads both from their section profile.
 
-Both rasters of a stepped run, the frame view and the world plane, are
-drawn from the run's intervals, and both carry the half-lengths as the
-section profile whose length metrics.perimeter_estimate reads. Every
-other raster (a seed, a steiner_raster output, a PGM, anything built by
-with_occ) has its perimeter estimated by the bilinear gather, which
-samples it on rotated grids. The gather pulls each target cell from the
-overlap of its unit-cell box with the source grid at the preimage of the
-cell center, touches only the target cells within reach of the occupied
-disk and writes exact zeros elsewhere, so its output is identical to a
-full-grid gather. A _Workspace holds its zero-bordered source plane and
-its scratch.
+Every other raster (a seed, a steiner_raster output, a PGM, anything
+built by with_occ) has its perimeter estimated by the bilinear gather,
+which samples it on rotated grids. The gather pulls each target cell
+from the overlap of its unit-cell box with the source grid at the
+preimage of the cell center, touches only the target cells within reach
+of the occupied disk and writes exact zeros elsewhere, so its output is
+identical to a full-grid gather. A _Workspace holds its zero-bordered
+source plane and its scratch.
 """
 
 from __future__ import annotations
@@ -67,6 +64,9 @@ PGM_MAXVAL = 65535
 #: and COVER_PAD_CELLS / n, so coarse grids still get margin cells.
 COVER_PAD = 0.10
 COVER_PAD_CELLS = 32.0
+
+#: Tolerance of GridSpec.same_geometry, in cell sizes.
+_GEOMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ class GridSpec:
     def y_edges(self):
         return self.oy + (np.arange(self.ny + 1) - self.ny / 2.0) * self.h
 
-    def same_geometry(self, other, tol=1e-9):
+    def same_geometry(self, other):
+        tol = _GEOMETRY_TOL
         return (
             self.nx == other.nx
             and self.ny == other.ny
@@ -161,10 +162,9 @@ def _support_box(mask):
 
 
 class _Workspace:
-    """Buffers that the bilinear gather on one grid reuses.
+    """Buffers of the bilinear gather of occ, which is zero outside box.
 
-    - padded: the source plane inside a zero border, which the gather
-      reads (see load)
+    - padded: occ inside a zero border, which the gather reads
     - coords, real, base: the windowed gather's scratch for GATHER_ROWS
       grid rows
 
@@ -172,36 +172,30 @@ class _Workspace:
     keeps one workspace touches its memory once.
     """
 
-    def __init__(self, grid):
-        ny, nx = grid.ny, grid.nx
+    def __init__(self, occ, box):
+        ny, nx = occ.shape
         self.padded = np.zeros((ny + 3, nx + 3))
-        self.loaded = _EMPTY_BOX
+        self.padded[1:-2, 1:-2][box] = occ[box]
         block = GATHER_ROWS * nx
         self.coords = np.empty((2, block))
         self.real = np.empty((5, block))
         self.base = np.empty(block, dtype=np.int64)
 
-    def load(self, occ, box):
-        """Make the padded interior equal occ, which is zero outside box."""
-        inner = self.padded[1:-2, 1:-2]
-        inner[self.loaded] = 0.0
-        inner[box] = occ[box]
-        self.loaded = box
-
 
 class RasterSet:
     """Occupancy fractions on a GridSpec; row index grows with y.
 
-    The rasters of a stepped AlignedRun also carry the run's half-lengths.
-    In _half, only on the frame raster: the plane is those intervals (see
-    _interval_cells), so its mass and the metrics of metrics.measure follow
-    column by column. In _profile, on the frame raster and on the world
-    raster, which is drawn from them at a turn: the perimeter is the
-    length of their section profile (see metrics.perimeter_estimate).
-    Every other RasterSet holds None in both.
+    The rasters of a stepped AlignedRun are the run's half-lengths, and
+    draw their plane, read-only, when occ is first read. In _half, only
+    on the frame raster: the plane is those intervals (see
+    _interval_cells), so its mass and the metrics of metrics.measure
+    follow column by column. In _profile, on both: the plane is their
+    staircase turned by _turn, and the perimeter is the length of their
+    section profile (see metrics.perimeter_estimate). Every other
+    RasterSet holds its plane and None in both.
     """
 
-    __slots__ = ("occ", "grid", "_half", "_profile")
+    __slots__ = ("_occ", "grid", "_half", "_profile", "_turn")
 
     def __init__(self, occ, grid):
         occ = np.asarray(occ, dtype=float)
@@ -215,10 +209,23 @@ class RasterSet:
         lo, hi = float(occ.min()), float(occ.max())
         if lo < -1e-9 or hi > 1.0 + 1e-9:
             raise ValueError(f"occupancy out of [0, 1]: min {lo}, max {hi}")
-        self.occ = np.clip(occ, 0.0, 1.0)
+        self._occ = np.clip(occ, 0.0, 1.0)
         self.grid = grid
         self._half = None
         self._profile = None
+        self._turn = 0.0
+
+    @property
+    def occ(self):
+        if self._occ is None:  # draw the profile's intervals, turned
+            g, half = self.grid, self._profile
+            if self._turn == 0.0:
+                self._occ = np.zeros((g.ny, g.nx))
+                _fill_intervals(self._occ, half)
+            else:
+                self._occ = _rasterize_intervals(g, half, _rotation(self._turn))
+            self._occ.flags.writeable = False
+        return self._occ
 
     def __repr__(self):
         g = self.grid
@@ -248,18 +255,21 @@ class RasterSet:
         return float(dist.max())
 
     @classmethod
-    def _trusted(cls, occ, grid, half=None, profile=None):
+    def _trusted(cls, occ, grid, half=None, profile=None, turn=0.0):
         """A RasterSet on occ as it is, without validation or copy.
 
         For planes this module builds with values in [0, 1]; half, when
         given, holds the half-lengths whose intervals occ is, and profile
-        the half-lengths whose staircase occ was drawn from.
+        the half-lengths whose staircase, turned by turn about the origin,
+        occ is drawn from. With occ None the plane is drawn from profile
+        when it is first read.
         """
         rs = object.__new__(cls)
-        rs.occ = occ
+        rs._occ = occ
         rs.grid = grid
         rs._half = half
         rs._profile = profile
+        rs._turn = turn
         return rs
 
     def with_occ(self, occ):
@@ -467,10 +477,10 @@ def _reach_slice(n, origin, h, reach):
 def _pull_linear(occ, grid, matrix, radius, out, ws):
     """Resample occ under the world map p -> matrix @ p (about the origin).
 
-    radius is the far-corner radius of the cells with occ > 0, and
-    ws.padded must hold occ (see _Workspace.load). Only target cells
-    within reach of the occupied disk are gathered. Every bilinear tap
-    lies within sqrt(2) * h of the preimage of the target center t, and
+    radius is the far-corner radius of the cells with occ > 0, and ws is
+    the _Workspace of occ. Only target cells within reach of the occupied
+    disk are gathered. Every bilinear tap lies within sqrt(2) * h of the
+    preimage of the target center t, and
     |inv(matrix) @ t| >= |t| / ||matrix||_2, so a target farther than
     ||matrix||_2 * (radius + sqrt(2) * h) from the origin reads four zero
     taps. The gather writes that window of out, in blocks of GATHER_ROWS
@@ -594,14 +604,13 @@ def _interval_lengths(mass, n, target=None):
     return half
 
 
-def _fill_intervals(out, half, old=None):
+def _fill_intervals(out, half):
     """Write each column's interval, centred on the grid midline, into out.
 
     A cell's value is the length of its overlap with the interval, so the
     full cells are 1.0 and there is one partial cell at each end (see
-    _interval_cells). out must be zero outside the intervals of the
-    half-lengths old, or outside the new ones when old is None: only the
-    rows and columns that either reaches are rewritten.
+    _interval_cells). out must be zero outside the intervals: only the
+    rows and columns they reach are written.
     """
     mid = 0.5 * out.shape[0]
     top = float(half.max())
@@ -610,11 +619,9 @@ def _fill_intervals(out, half, old=None):
             f"a column interval of length {2.0 * top:.6g} cells exceeds the grid; "
             "rebuild on a larger grid"
         )
-    reach = half if old is None else np.maximum(half, old)
-    occupied = np.flatnonzero(reach)
+    occupied = np.flatnonzero(half)
     if len(occupied) == 0:
         return
-    top = float(reach.max())
     rows = slice(math.floor(mid - top), math.ceil(mid + top))
     cols = slice(occupied[0], occupied[-1] + 1)
     edge = np.arange(rows.start, rows.stop, dtype=float)[:, None]
@@ -718,7 +725,7 @@ class AlignedRun:
 
     The set is kept in the frame where the most recent direction is
     vertical. After a step every column is an interval centred on the
-    grid midline, so the run carries the half-lengths: their union is one
+    grid midline, so the run is its half-lengths: their union is one
     staircase polygon. A step turns that staircase (at first the seed's
     weighted grid edges) by the angle between consecutive directions and
     takes its exact column masses, scaled to the seed's mass. A repeated
@@ -727,15 +734,16 @@ class AlignedRun:
     origin can be read off the frame raster; the world-frame raster is
     the staircase, turned back and rasterized exactly.
 
-    The run keeps one grid-sized plane, the frame raster, which a step
-    rewrites over the rows and columns its old and new intervals reach.
+    The run holds the seed's plane until its first step and no plane
+    after it: its rasters draw theirs when they are first read.
     """
 
     def __init__(self, rs):
         _require_centered(rs, "symmetrization")
         self.grid = rs.grid
-        self._plane = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
-        self._half = None  # no step yet: the plane holds the seed
+        self._seed = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
+        self._seed.flags.writeable = False
+        self._half = None  # no step yet: the run holds the seed
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
 
@@ -748,50 +756,48 @@ class AlignedRun:
             self.frame = target
             return self
         if delta == 0.0:
-            half = _interval_lengths(self._plane.sum(axis=0), grid.ny)
+            half = _interval_lengths(self._seed.sum(axis=0), grid.ny)
         else:
             if old is None:
-                p, q, w = _raster_edges(self._plane, grid)
+                p, q, w = _raster_edges(self._seed, grid)
             else:
                 p = _staircase(grid, old)
                 q, w = np.roll(p, -1, axis=0), 1.0
             turn = _rotation(delta).T
             mass = _column_masses(p @ turn, q @ turn, w, grid)
             half = _interval_lengths(mass, grid.ny, self.target_mass)
-        _check_inside_disk(grid, half)
-        # the seed may reach every cell
-        reach = np.full(grid.nx, 0.5 * grid.ny) if old is None else old
-        _fill_intervals(self._plane, half, reach)
+        _check_inside_disk(grid, half)  # so every drawing fits the grid
         self._half = half
+        self._seed = None
         self.frame = target
         return self
 
     @property
     def occ(self):
-        """Read-only view of the current plane, valid until the next apply."""
-        view = self._plane.view()
-        view.flags.writeable = False
-        return view
+        """The plane of the current frame raster, read-only."""
+        return self.frame_raster().occ
 
     def frame_raster(self):
-        """The set in the current frame, on a read-only view of the run's
-        plane: no copy and no validation, valid until the next apply.
-        After a step it carries the half-lengths of its intervals."""
-        return RasterSet._trusted(self.occ, self.grid, self._half, self._half)
+        """The set in the current frame: the seed's plane, read-only,
+        before a step, and the run's half-lengths after one, which later
+        steps leave as they are (see RasterSet)."""
+        if self._half is None:
+            return RasterSet._trusted(self._seed, self.grid)
+        return RasterSet._trusted(None, self.grid, self._half, self._half)
 
     def world_raster(self):
-        """The set in the world frame, on a plane the caller owns.
+        """The set in the world frame: after a step, the run's half-lengths
+        with the turn back to the world, drawn as the exact raster of the
+        turned staircase when its plane is first read.
 
-        After a step it carries the half-lengths as the profile it was
-        drawn from, so its perimeter is the frame raster's; a caller that
-        edits the plane takes with_occ of it to measure the edit.
+        It carries the half-lengths as its profile, so its perimeter is
+        the frame raster's; with_occ of an edited copy of its plane
+        measures the edit.
         """
-        delta = math.remainder(-self.frame, 2.0 * math.pi)
-        if delta == 0.0:
-            out = self._plane.copy()
-        else:
-            out = _rasterize_intervals(self.grid, self._half, _rotation(delta))
-        return RasterSet._trusted(out, self.grid, profile=self._half)
+        if self._half is None:
+            return self.frame_raster()
+        turn = math.remainder(-self.frame, 2.0 * math.pi)
+        return RasterSet._trusted(None, self.grid, profile=self._half, turn=turn)
 
     def reflection_defect(self):
         """d1 between the set and its reflection across the line
@@ -802,7 +808,8 @@ class AlignedRun:
         mid - half to mid + half, both exact, as are the row edges, so
         the plane is symmetric about its midline bit for bit.
         """
-        return float(np.abs(self.occ - self.occ[::-1, :]).sum() * self.grid.h**2)
+        occ = self.occ
+        return float(np.abs(occ - occ[::-1, :]).sum() * self.grid.h**2)
 
 
 # ---------------------------------------------------------------------------

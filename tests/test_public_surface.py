@@ -18,3 +18,11 @@ def test_every_all_entry_resolves_and_every_package_import_is_listed():
         listed = importlib.import_module(f"kfsteiner.{node.module}").__all__
         for alias in node.names:
             assert alias.name in listed, f"{node.module}.__all__ lacks {alias.name}"
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    # python -O strips assert statements; invariants must raise
+    for path in sorted(Path(kfsteiner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statement at lines {lines}"

@@ -351,8 +351,7 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
 def windowed_pull(occ, grid, matrix):
     """rasters._pull_linear on a fresh plane, with the radius it is given
     in a run: one pass over the support box."""
-    ws = rasters._Workspace(grid)
-    ws.load(occ, rasters._support_box(occ > 0.0))
+    ws = rasters._Workspace(occ, rasters._support_box(occ > 0.0))
     radius = RasterSet(occ, grid).content_radius(0.0)
     out = np.zeros_like(occ)
     rasters._pull_linear(occ, grid, matrix, radius, out, ws)
@@ -603,28 +602,58 @@ def test_run_steps_allocate_no_grid_planes():
         tracemalloc.stop()
 
 
-def test_frame_raster_is_a_read_only_view_and_world_raster_a_copy():
-    seed = builtin_seed("lshape", resolution=128)
-    run = AlignedRun(seed)
-    for x in sequence_values("kf", 3):
+def _stepped_run(name, n, steps):
+    run = AlignedRun(builtin_seed(name, resolution=n))
+    for x in sequence_values("kf", steps):
         run.apply(math.pi * float(x))
-    frame = run.frame_raster()
+    return run
+
+
+def test_frame_and_world_rasters_are_read_only_snapshots_of_their_step():
+    run = _stepped_run("lshape", 128, 3)
+    frame, world = run.frame_raster(), run.world_raster()
+    step3 = run.occ.copy()
+    world3 = run.world_raster().occ.copy()
+    run.apply(math.pi * 0.3).apply(math.pi * 0.71)
+    assert not np.array_equal(run.occ, step3)
+    # drawn only now, after two more steps, both still hold step 3
+    assert np.array_equal(frame.occ, step3)
+    assert np.array_equal(world.occ, world3)
+    for plane in (frame.occ, world.occ):
+        with pytest.raises(ValueError):
+            plane[0, 0] = 1.0
+    assert not np.shares_memory(frame.occ, world.occ)
+    # before a step both are the seed's plane, which the run copied
+    seed = builtin_seed("lshape", resolution=128)
+    kept = seed.occ.copy()
+    unstepped = AlignedRun(seed)
+    seed.occ[...] = 0.0
+    for rs in (unstepped.frame_raster(), unstepped.world_raster()):
+        assert np.array_equal(rs.occ, kept)
+        with pytest.raises(ValueError):
+            rs.occ[0, 0] = 1.0
+
+
+def test_world_raster_plane_cannot_be_edited_behind_its_profile():
+    world = _stepped_run("lshape", 64, 3).world_raster()
     with pytest.raises(ValueError):
-        frame.occ[0, 0] = 1.0
-    before = run.occ.copy()
-    world = run.world_raster()
-    kept = world.occ.copy()
-    world.occ[...] = 0.5
-    assert np.array_equal(run.occ, before)
-    assert np.array_equal(run.world_raster().occ, kept)
-    # the frame view follows the run; a world raster does not
-    run.apply(math.pi * 0.3)
-    assert np.array_equal(frame.occ, run.occ)
-    # with no rotation to undo, the world raster is still the caller's own
-    unrotated = AlignedRun(seed)
-    copy = unrotated.world_raster()
-    copy.occ[...] = 0.0
-    assert np.array_equal(unrotated.occ, seed.occ)
+        world.occ[...] = 0.0
+    assert world.occ.any()
+    assert perimeter_estimate(world.with_occ(np.zeros_like(world.occ))) == 0.0
+
+
+def test_world_raster_draws_its_plane_when_first_read():
+    run = _stepped_run("lshape", 256, 3)
+    plane = 8 * run.grid.nx * run.grid.ny
+    taken = []
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(lambda: taken.append(run.world_raster()))
+        drawn = _traced_peak(lambda: taken[0].occ)
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * plane, f"world_raster peak {peak / plane:.2f} planes"
+    assert drawn >= plane, f"first read of occ peak {drawn / plane:.2f} planes"
 
 
 @settings(max_examples=150, deadline=None)
