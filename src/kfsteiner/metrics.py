@@ -6,13 +6,15 @@ self-moment h*h/6 makes the second moment exact for unions of full
 cells). The set distance d1 is the L1 distance of occupancy functions,
 which equals the area of the symmetric difference for indicator sets.
 
-A raster's second moment is summed from its row and column masses. The
-frame raster of a stepped rasters.AlignedRun is a column of intervals
-centred on the grid midline, and it carries their half-lengths: its
-mass, second moment and d1 to the ball follow column by column in
-closed form from the half-lengths, a prefix sum of y**2 and the ball's
-column prefix sums, without a pass over the grid. Every other raster
-takes the full-grid path.
+A raster's second moment is summed from its row and column masses. A
+raster of a stepped rasters.AlignedRun at turn 0, its frame raster, is a
+column of intervals centred on the grid midline, and it carries their
+half-lengths: its mass, second moment and d1 to the ball follow column
+by column in closed form from the half-lengths, a prefix sum of y**2 and
+the ball's column prefix sums, without a pass over the grid. Every other
+raster takes the full-grid path. The ball of a raster's d1 comes from
+the raster: a run's rasters share the run's, every other raster
+rasterizes its own.
 
 The perimeter of a raster that a stepped run drew from its intervals,
 its frame raster or its world raster, is the length of their section
@@ -37,7 +39,7 @@ from .polygons import (
     disk_intersection_area,
     hausdorff,
 )
-from .rasters import RasterSet, _disk_fraction
+from .rasters import RasterSet
 
 __all__ = [
     "MetricsRecord",
@@ -81,53 +83,28 @@ def area(obj):
     raise TypeError(f"no area for {type(obj).__name__}")
 
 
-class RasterPlan:
-    """What the raster functionals need on one grid, built once per run.
-
-    Holds the rasterized origin ball of the given area and its column
-    prefix sums (prefix[k, j] is the ball's mass in rows below k of
-    column j). run_process builds one per raster run; d1_to_ball builds a
-    throwaway one when none is passed, so both ways compute the same
-    expressions.
-    """
-
-    def __init__(self, grid, area):
-        self.grid = grid
-        self.area = area
-        self.ball = _disk_fraction(grid, math.sqrt(area / math.pi))
-        self.prefix = np.zeros((grid.ny + 1, grid.nx))
-        np.cumsum(self.ball, axis=0, out=self.prefix[1:])
-
-
-def _plan_for(rs, plan):
-    if plan is None:
-        return RasterPlan(rs.grid, rs.area())
-    if plan.grid != rs.grid:
-        raise ValueError("the raster plan was built for another grid")
-    return plan
-
-
 def moment_of_inertia(obj):
     """Integral of x**2 + y**2 over the set, about the origin.
 
     A raster's cells add their mass times y**2 + x**2 + h**2 / 6, which is
-    summed from its row and column masses, or, for the frame raster of a
-    stepped run, from its intervals column by column.
+    summed from its row and column masses, or, for a raster of a stepped
+    run at turn 0, from its intervals column by column.
     """
     if isinstance(obj, ConvexPolygon):
         return obj.moment_about_origin()
     if isinstance(obj, RasterSet):
         g = obj.grid
         y2 = g.y_centers() ** 2
-        if obj._half is None:
+        half = obj._intervals()
+        if half is None:
             inner = float(np.dot(y2, obj.occ.sum(axis=1)))
             cols = obj.occ.sum(axis=0)
         else:
-            a, b, bottom, top = _rasters._interval_cells(obj._half, g.ny)
+            a, b, bottom, top = _rasters._interval_cells(half, g.ny)
             prefix = np.concatenate([[0.0], np.cumsum(y2)])
             full = prefix[np.maximum(b, a + 1)] - prefix[a + 1]
             inner = float((full + bottom * y2[a] + top * y2[b]).sum())
-            cols = 2.0 * obj._half
+            cols = 2.0 * half
         weight = g.x_centers() ** 2 + g.h**2 / 6.0
         return (inner + float(np.dot(weight, cols))) * g.h**2
     if isinstance(obj, Ball):
@@ -142,33 +119,34 @@ def d1(a, b):
     return float(np.abs(a.occ - b.occ).sum() * a.grid.h**2)
 
 
-def d1_to_ball(obj, plan=None):
+def d1_to_ball(obj):
     """d1 distance to the origin ball of equal area.
 
     Exact for polygons via the polygon-disk intersection; for rasters
-    the ball is rasterized on the same grid. A raster reads the ball
-    from `plan`, whose area is the one a run keeps constant; a frame
-    raster of intervals reads the ball's prefix sums instead.
+    the ball is rasterized on the same grid. A raster of a run compares
+    against the run's ball, of the area the run keeps constant, and one
+    of intervals reads the ball's column prefix sums instead of its
+    cells.
     """
     if isinstance(obj, ConvexPolygon):
         return _polygon_d1_to_ball(obj, obj.area())
     if isinstance(obj, RasterSet):
-        plan = _plan_for(obj, plan)
-        if obj._half is not None:
-            return _intervals_to_ball(obj, plan) * obj.grid.h**2
-        return float(np.abs(obj.occ - plan.ball).sum() * obj.grid.h**2)
+        ball, prefix = obj._comparison_ball()
+        half = obj._intervals()
+        if half is not None:
+            return _intervals_to_ball(half, ball, prefix) * obj.grid.h**2
+        return float(np.abs(obj.occ - ball).sum() * obj.grid.h**2)
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
 
 
-def _intervals_to_ball(rs, plan):
-    """Sum of |occ - ball| over the cells of a frame raster of intervals,
-    column by column from the ball's prefix sums: the ball's mass below
-    and above the interval, the full rows' 1 - ball, and the two end
-    cells (see rasters._interval_cells)."""
-    n = rs.grid.ny
-    a, b, bottom, top = _rasters._interval_cells(rs._half, n)
-    ball, prefix = plan.ball, plan.prefix
-    j = np.arange(rs.grid.nx)
+def _intervals_to_ball(half, ball, prefix):
+    """Sum of |occ - ball| over the cells of the intervals with the
+    half-lengths half, column by column from the ball's prefix sums: the
+    ball's mass below and above the interval, the full rows' 1 - ball,
+    and the two end cells (see rasters._interval_cells)."""
+    n, m = ball.shape
+    a, b, bottom, top = _rasters._interval_cells(half, n)
+    j = np.arange(m)
     c = np.maximum(b, a + 1)  # the full rows are a + 1 .. c - 1
     outside = prefix[a, j] + (prefix[n] - prefix[b + 1, j])
     full = (c - a - 1) - (prefix[c, j] - prefix[a + 1, j])
@@ -183,21 +161,9 @@ def _polygon_d1_to_ball(poly, a):
     return 2.0 * (a - disk_intersection_area(poly, r))
 
 
-def _total_variation(vals, diff=None):
-    """Sum of |steps| down every column of vals between zero rows.
-
-    diff receives np.diff of vals padded with a zero row above and
-    below, in the layout np.pad gives that padded array, so the sum
-    adds the same terms in the same order.
-    """
-    n, m = vals.shape
-    if diff is None:
-        diff = np.empty((n + 1, m), order="F" if vals.flags.fnc else "C")
-    diff[0] = vals[0]
-    np.subtract(vals[1:], vals[:-1], out=diff[1:n])
-    np.subtract(0.0, vals[-1], out=diff[n])
-    np.abs(diff, out=diff)
-    return diff.sum()
+def _total_variation(vals):
+    """Sum of |steps| down every column of vals between zero rows."""
+    return np.abs(np.diff(np.pad(vals, ((1, 1), (0, 0))), axis=0)).sum()
 
 
 def _profile_perimeter(half, h):
@@ -239,14 +205,11 @@ def perimeter_estimate(rs, n_directions=64):
         raise ValueError(f"need at least one line direction, got {n_directions}")
     if rs._profile is not None:
         return _profile_perimeter(rs._profile, rs.grid.h)
-    box = _rasters._support_box(rs.occ > 0.0)
-    if box[0].start == box[0].stop:
+    radius = rs.content_radius(0.0)
+    if radius == 0.0:
         return 0.0
     g = rs.grid
-    ws = _rasters._Workspace(rs.occ, box)
-    radius = rs.content_radius(0.0)
     pulled = np.zeros((g.ny, g.nx))
-    diff = np.empty((g.ny + 1, g.nx))
     window = _rasters._EMPTY_BOX
     totals = []
     for k in range(n_directions):
@@ -259,8 +222,8 @@ def perimeter_estimate(rs, n_directions=64):
             pulled[window] = 0.0
             rot = _rotation(0.5 * math.pi - theta)
             # looked up at call time, so a substituted _pull_linear reaches here
-            window = _rasters._pull_linear(rs.occ, g, rot, radius, pulled, ws)
-            total = _total_variation(pulled, diff)
+            window = _rasters._pull_linear(rs.occ, g, rot, radius, pulled)
+            total = _total_variation(pulled)
         totals.append(total * g.h)
     return 0.5 * math.pi * float(np.mean(totals))
 
@@ -277,13 +240,11 @@ def grid_tolerance(rs):
         rs, n_directions=GRID_TOL_DIRECTIONS)
 
 
-def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
+def measure(obj, with_hausdorff=False, with_perimeter=False):
     """Bundle the standard diagnostics for one set into a MetricsRecord.
 
-    For rasters, `plan` (a RasterPlan) lets a run build its comparison
-    ball and the ball's prefix sums once, since the area
-    is constant along a run, and with_perimeter takes perimeter_estimate:
-    the profile length for the frame raster of a stepped run.
+    For rasters, with_perimeter takes perimeter_estimate: the profile
+    length for the rasters of a stepped run.
     """
     a = area(obj)
     mu = moment_of_inertia(obj)
@@ -296,7 +257,7 @@ def measure(obj, with_hausdorff=False, with_perimeter=False, plan=None):
         if with_perimeter:
             perim = obj.perimeter()
     else:
-        dball = d1_to_ball(obj, plan)
+        dball = d1_to_ball(obj)
         if with_perimeter:
             perim = perimeter_estimate(obj)
     return MetricsRecord(

@@ -5,9 +5,12 @@ the seed (builtin fixture or file), the step count, and the recording
 cadence. Polygon seeds use the exact chord backend (PolygonRun); raster
 seeds use the occupancy-grid backend (rasters.AlignedRun). Both backends
 run through one step loop, `_walk`, which run_process and
-checkpoint_probe share. Checkpoint probing verifies that at the
-enumerated checkpoint steps the applied direction is pi * gamma**k and
-measures the reflection defect of the current set about that line.
+checkpoint_probe share. A recorded step hands metrics.measure the run's
+frame raster and nothing else: a raster run's rasters carry what their
+functionals need, the comparison ball included. Checkpoint probing
+verifies that at the enumerated checkpoint steps the applied direction
+is pi * gamma**k and measures the reflection defect of the current set
+about that line.
 """
 
 from __future__ import annotations
@@ -218,15 +221,12 @@ def run_process(cfg, snapshot_steps=(), callback=None):
 
     Raster seeds run through AlignedRun, which keeps the grid in the
     frame of the last direction between steps; the recorded functionals
-    are invariant under that frame rotation.
+    are invariant under that frame rotation, and d1_to_ball compares
+    every step against the run's one ball of the seed's area.
     """
     seq = parse_sequence_id(cfg.sequence)
     xs = sequence_values(seq, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
-
-    plan = None
-    if isinstance(seed, RasterSet):
-        plan = _metrics.RasterPlan(seed.grid, seed.area())
 
     wanted = set(int(s) for s in snapshot_steps)
     snapshots = {}
@@ -239,7 +239,6 @@ def run_process(cfg, snapshot_steps=(), callback=None):
                 run.frame_raster(),
                 with_hausdorff=cfg.with_hausdorff,
                 with_perimeter=cfg.with_perimeter,
-                plan=plan,
             )
             records.append(TraceRecord(step=k, x=x, theta=theta, metrics=rec))
             if callback is not None:
@@ -286,6 +285,12 @@ def checkpoint_probe(cfg):
     ]
 
 
+def _records(cfg):
+    """The trace of a run and nothing else, which is all a comparison reads:
+    a worker sends back no set (a raster run's sets carry the run)."""
+    return run_process(cfg).records
+
+
 def compare_sequences(seed, sequence_ids, steps, cadence=1, resolution=512,
                       jobs=1):
     """Run several sequences on the same seed and align their traces.
@@ -310,15 +315,14 @@ def compare_sequences(seed, sequence_ids, steps, cadence=1, resolution=512,
         # only parallel runs pay for importing the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_process, cfgs))
+            traces = list(pool.map(_records, cfgs))
     else:
-        results = [run_process(c) for c in cfgs]
-    steps_axis = [rec.step for rec in results[0].records]
+        traces = [_records(c) for c in cfgs]
     rows = []
-    for i, step in enumerate(steps_axis):
-        row = {"step": step}
-        for sid, res in zip(ids, results):
-            rec = res.records[i]
+    for i, first in enumerate(traces[0]):
+        row = {"step": first.step}
+        for sid, records in zip(ids, traces):
+            rec = records[i]
             row[f"d1_to_ball:{sid}"] = rec.metrics.d1_to_ball
             row[f"mu:{sid}"] = rec.metrics.mu
         rows.append(row)

@@ -24,8 +24,11 @@ direction changes no bit. A stepped AlignedRun is its half-lengths and
 holds no plane. frame_raster() and world_raster() return that step's
 half-lengths, unturned and turned back to the world, and draw their
 read-only plane when it is first read; a later step leaves them as
-they are. metrics.measure reads the frame raster from its intervals,
-and metrics.perimeter_estimate reads both from their section profile.
+they are. A raster of half-lengths at turn 0 is their intervals, so
+metrics.measure reads it column by column, and metrics.perimeter_estimate
+reads any of them from their section profile. Every raster a run returns
+shares the run's comparison ball for metrics.d1_to_ball, built on first
+use from the seed's area; any other raster rasterizes its own.
 
 Every other raster (a seed, a steiner_raster output, a PGM, anything
 built by with_occ) has its perimeter estimated by the bilinear gather,
@@ -33,8 +36,7 @@ which samples it on rotated grids. The gather pulls each target cell
 from the overlap of its unit-cell box with the source grid at the
 preimage of the cell center, touches only the target cells within reach
 of the occupied disk and writes exact zeros elsewhere, so its output is
-identical to a full-grid gather. A _Workspace holds its zero-bordered
-source plane and its scratch.
+identical to a full-grid gather.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per axis")
+        if not all(math.isfinite(v) for v in (self.h, self.ox, self.oy)):
+            raise ValueError(
+                f"cell size and center must be finite, got h={self.h}, "
+                f"ox={self.ox}, oy={self.oy}"
+            )
         if not self.h > 0.0:
             raise ValueError(f"cell size must be positive, got {self.h}")
 
@@ -134,7 +141,7 @@ class GridSpec:
         )
 
 
-#: Rows of target cells per block of the windowed gather. Its scratch
+#: Rows of target cells per block of the windowed gather. Its temporary
 #: arrays hold this many grid rows, so they stay small and in cache.
 GATHER_ROWS = 64
 
@@ -161,41 +168,21 @@ def _support_box(mask):
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-class _Workspace:
-    """Buffers of the bilinear gather of occ, which is zero outside box.
-
-    - padded: occ inside a zero border, which the gather reads
-    - coords, real, base: the windowed gather's scratch for GATHER_ROWS
-      grid rows
-
-    Nothing here is allocated again after construction, so a caller that
-    keeps one workspace touches its memory once.
-    """
-
-    def __init__(self, occ, box):
-        ny, nx = occ.shape
-        self.padded = np.zeros((ny + 3, nx + 3))
-        self.padded[1:-2, 1:-2][box] = occ[box]
-        block = GATHER_ROWS * nx
-        self.coords = np.empty((2, block))
-        self.real = np.empty((5, block))
-        self.base = np.empty(block, dtype=np.int64)
-
-
 class RasterSet:
     """Occupancy fractions on a GridSpec; row index grows with y.
 
-    The rasters of a stepped AlignedRun are the run's half-lengths, and
-    draw their plane, read-only, when occ is first read. In _half, only
-    on the frame raster: the plane is those intervals (see
-    _interval_cells), so its mass and the metrics of metrics.measure
-    follow column by column. In _profile, on both: the plane is their
-    staircase turned by _turn, and the perimeter is the length of their
-    section profile (see metrics.perimeter_estimate). Every other
-    RasterSet holds its plane and None in both.
+    The rasters of a stepped AlignedRun hold the run's half-lengths in
+    _profile and draw their plane, read-only, when occ is first read: the
+    staircase of those intervals turned by _turn. The perimeter is the
+    length of their section profile (see metrics.perimeter_estimate); at
+    turn 0 the plane is the intervals themselves (see _intervals), so its
+    mass and the metrics of metrics.measure follow column by column.
+    Every raster a run returns holds in _ball the run's function that
+    returns its comparison ball. Every other RasterSet holds its plane
+    and None in both.
     """
 
-    __slots__ = ("_occ", "grid", "_half", "_profile", "_turn")
+    __slots__ = ("_occ", "grid", "_profile", "_turn", "_ball")
 
     def __init__(self, occ, grid):
         occ = np.asarray(occ, dtype=float)
@@ -211,9 +198,9 @@ class RasterSet:
             raise ValueError(f"occupancy out of [0, 1]: min {lo}, max {hi}")
         self._occ = np.clip(occ, 0.0, 1.0)
         self.grid = grid
-        self._half = None
         self._profile = None
         self._turn = 0.0
+        self._ball = None
 
     @property
     def occ(self):
@@ -235,9 +222,23 @@ class RasterSet:
     def h(self):
         return self.grid.h
 
+    def _intervals(self):
+        """The half-lengths whose intervals the plane is, or None: those of
+        a run's raster at turn 0, of either sign (see occ)."""
+        return self._profile if self._turn == 0.0 else None
+
+    def _comparison_ball(self):
+        """The origin ball of the set's area rasterized on its grid, and its
+        column prefix sums (see _ball_table); a run's rasters take the
+        run's (see AlignedRun._comparison_ball)."""
+        if self._ball is not None:
+            return self._ball()
+        return _ball_table(self.grid, self.area())
+
     def mass(self):
-        if self._half is not None:
-            return 2.0 * float(self._half.sum())
+        half = self._intervals()
+        if half is not None:
+            return 2.0 * float(half.sum())
         return float(self.occ.sum())
 
     def area(self):
@@ -255,21 +256,21 @@ class RasterSet:
         return float(dist.max())
 
     @classmethod
-    def _trusted(cls, occ, grid, half=None, profile=None, turn=0.0):
+    def _trusted(cls, occ, grid, profile=None, turn=0.0, ball=None):
         """A RasterSet on occ as it is, without validation or copy.
 
-        For planes this module builds with values in [0, 1]; half, when
-        given, holds the half-lengths whose intervals occ is, and profile
-        the half-lengths whose staircase, turned by turn about the origin,
-        occ is drawn from. With occ None the plane is drawn from profile
-        when it is first read.
+        For planes this module builds with values in [0, 1]; profile, when
+        given, holds the half-lengths whose staircase, turned by turn about
+        the origin, occ is drawn from. With occ None the plane is drawn
+        from profile when it is first read. ball, when given, is the
+        function that returns the comparison ball (see _comparison_ball).
         """
         rs = object.__new__(cls)
         rs._occ = occ
         rs.grid = grid
-        rs._half = half
         rs._profile = profile
         rs._turn = turn
+        rs._ball = ball
         return rs
 
     def with_occ(self, occ):
@@ -412,55 +413,19 @@ def annulus_fixture(r_inner, r_outer, grid):
     return RasterSet(np.clip(occ, 0.0, 1.0), grid)
 
 
+def _ball_table(grid, area):
+    """The origin ball of the given area rasterized on grid, and its column
+    prefix sums: prefix[k, j] is the ball's mass in rows below k of
+    column j."""
+    ball = _disk_fraction(grid, math.sqrt(area / math.pi))
+    prefix = np.zeros((grid.ny + 1, grid.nx))
+    np.cumsum(ball, axis=0, out=prefix[1:])
+    return ball, prefix
+
+
 # ---------------------------------------------------------------------------
 # the bilinear gather of metrics.perimeter_estimate
 # ---------------------------------------------------------------------------
-
-
-def _bilinear_gather(padded, fi, fj, out, real, base):
-    """Sample a zero-bordered source at fractional row/col coordinates.
-
-    padded holds an ny-by-nx source at [1:ny+1, 1:nx+1] inside a zero
-    border (shape (ny + 3, nx + 3)), so out-of-range taps read zero
-    without per-tap masking. fi and fj broadcast to out's shape and are
-    only read. The work happens in real (five float rows) and base (one
-    int64 row), flat arrays of at least out.size entries, one operation
-    at a time as in (1 - di) * ((1 - dj) * v00 + dj * v01)
-    + di * ((1 - dj) * v10 + dj * v11), so each value is the same bits.
-    """
-    ny, nx = padded.shape[0] - 3, padded.shape[1] - 3
-    stride = nx + 3
-    flat = padded.ravel()
-    n = out.size
-    di, dj, w, v, u = (a[:n].reshape(out.shape) for a in real)
-    idx = base[:n].reshape(out.shape)
-    np.clip(fi, -1.0, float(ny), out=di)
-    di += 1.0
-    np.floor(di, out=w)
-    np.subtract(di, w, out=di)
-    np.clip(fj, -1.0, float(nx), out=dj)
-    dj += 1.0
-    np.floor(dj, out=v)
-    np.subtract(dj, v, out=dj)
-    w *= stride
-    w += v  # i0 * stride + j0, exact in floating point
-    idx[...] = w
-    np.subtract(1.0, dj, out=w)
-    np.take(flat, idx, out=v, mode="clip")
-    np.multiply(w, v, out=out)
-    np.take(flat[1:], idx, out=v, mode="clip")
-    v *= dj
-    out += v
-    np.subtract(1.0, di, out=v)
-    out *= v
-    np.take(flat[stride:], idx, out=v, mode="clip")
-    v *= w
-    np.take(flat[stride + 1 :], idx, out=u, mode="clip")
-    u *= dj
-    v += u
-    v *= di
-    out += v
-    return out
 
 
 def _reach_slice(n, origin, h, reach):
@@ -474,19 +439,24 @@ def _reach_slice(n, origin, h, reach):
     return slice(min(max(lo, 0), n), min(max(hi, 0), n))
 
 
-def _pull_linear(occ, grid, matrix, radius, out, ws):
+def _pull_linear(occ, grid, matrix, radius, out):
     """Resample occ under the world map p -> matrix @ p (about the origin).
 
-    radius is the far-corner radius of the cells with occ > 0, and ws is
-    the _Workspace of occ. Only target cells within reach of the occupied
-    disk are gathered. Every bilinear tap lies within sqrt(2) * h of the
-    preimage of the target center t, and
-    |inv(matrix) @ t| >= |t| / ||matrix||_2, so a target farther than
+    radius is the far-corner radius of the cells with occ > 0. Only target
+    cells within reach of the occupied disk are gathered. Every bilinear
+    tap lies within sqrt(2) * h of the preimage of the target center t,
+    and |inv(matrix) @ t| >= |t| / ||matrix||_2, so a target farther than
     ||matrix||_2 * (radius + sqrt(2) * h) from the origin reads four zero
     taps. The gather writes that window of out, in blocks of GATHER_ROWS
     rows, and returns it; the caller keeps out zero elsewhere, so out
-    equals a full-grid gather bit for bit.
+    equals a full-grid gather bit for bit. Each tap reads occ inside a
+    zero border, so taps off the grid read zero without masking.
     """
+    ny, nx = occ.shape
+    stride = nx + 3
+    padded = np.zeros((ny + 3, stride))
+    padded[1 : ny + 1, 1 : nx + 1] = occ
+    flat = padded.ravel()
     inv = np.linalg.inv(matrix)
     reach = np.linalg.norm(matrix, 2) * (radius + math.sqrt(2.0) * grid.h)
     rows = _reach_slice(grid.ny, grid.oy, grid.h, reach)
@@ -496,19 +466,18 @@ def _pull_linear(occ, grid, matrix, radius, out, ws):
     sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
     sy_x, sy_y = inv[1, 0] * tx, inv[1, 1] * ty
     for top in range(rows.start, rows.stop, GATHER_ROWS):
-        dst = out[top : min(top + GATHER_ROWS, rows.stop), cols]
-        blk = slice(top - rows.start, top - rows.start + dst.shape[0])
-        fj, fi = (a[: dst.size].reshape(dst.shape) for a in ws.coords)
-        np.add(sx_x, sx_y[blk], out=fj)
-        fj -= grid.ox
-        fj /= grid.h
-        fj += (grid.nx - 1) / 2.0
-        np.add(sy_x, sy_y[blk], out=fi)
-        fi -= grid.oy
-        fi /= grid.h
-        fi += (grid.ny - 1) / 2.0
-        _bilinear_gather(ws.padded, fi, fj, dst, ws.real, ws.base)
-        np.clip(dst, 0.0, 1.0, out=dst)
+        blk = slice(top - rows.start, min(top + GATHER_ROWS, rows.stop) - rows.start)
+        fj = (sx_x + sx_y[blk] - grid.ox) / grid.h + (grid.nx - 1) / 2.0
+        fi = (sy_x + sy_y[blk] - grid.oy) / grid.h + (grid.ny - 1) / 2.0
+        fi = np.clip(fi, -1.0, float(ny)) + 1.0
+        fj = np.clip(fj, -1.0, float(nx)) + 1.0
+        i0, j0 = np.floor(fi), np.floor(fj)
+        di, dj = fi - i0, fj - j0
+        base = (i0 * stride + j0).astype(np.int64)  # exact in floating point
+        v00, v01, v10, v11 = (flat[k:].take(base) for k in (0, 1, stride, stride + 1))
+        out[top : top + len(base), cols] = np.clip(
+            (1.0 - di) * ((1.0 - dj) * v00 + dj * v01)
+            + di * ((1.0 - dj) * v10 + dj * v11), 0.0, 1.0)
     return rows, cols
 
 
@@ -693,7 +662,7 @@ def steiner_raster(rs, direction, report=False):
     theta = as_theta(direction)
     _require_centered(rs, "symmetrization")
     grid = rs.grid
-    info = {"mass_drift": 0.0, "resampled": False}
+    info = {"mass_drift": 0.0}
     out = np.zeros((grid.ny, grid.nx))
 
     mod = math.fmod(theta, math.pi)
@@ -708,7 +677,6 @@ def steiner_raster(rs, direction, report=False):
         fwd = _rotation(0.5 * math.pi - theta)
         p, q, w = _raster_edges(rs.occ, grid)
         mass = _column_masses(p @ fwd.T, q @ fwd.T, w, grid)
-        info["resampled"] = True
         drift = (mass.sum() - mass0) / mass0 if mass0 > 0 else 0.0
         info["mass_drift"] = float(drift)
         half = _interval_lengths(mass, grid.ny, mass0)
@@ -735,7 +703,9 @@ class AlignedRun:
     the staircase, turned back and rasterized exactly.
 
     The run holds the seed's plane until its first step and no plane
-    after it: its rasters draw theirs when they are first read.
+    after it: its rasters draw theirs when they are first read. Its
+    comparison ball, which every raster it returns shares, is built on
+    the first d1_to_ball of one of them.
     """
 
     def __init__(self, rs):
@@ -743,15 +713,16 @@ class AlignedRun:
         self.grid = rs.grid
         self._seed = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
         self._seed.flags.writeable = False
-        self._half = None  # no step yet: the run holds the seed
+        self._lengths = None  # no step yet: the run holds the seed
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
+        self._table = None  # the comparison ball, built on first use
 
     def apply(self, direction):
         theta = as_theta(direction)
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
-        grid, old = self.grid, self._half
+        grid, old = self.grid, self._lengths
         if delta == 0.0 and old is not None:
             self.frame = target
             return self
@@ -767,7 +738,7 @@ class AlignedRun:
             mass = _column_masses(p @ turn, q @ turn, w, grid)
             half = _interval_lengths(mass, grid.ny, self.target_mass)
         _check_inside_disk(grid, half)  # so every drawing fits the grid
-        self._half = half
+        self._lengths = half
         self._seed = None
         self.frame = target
         return self
@@ -781,9 +752,10 @@ class AlignedRun:
         """The set in the current frame: the seed's plane, read-only,
         before a step, and the run's half-lengths after one, which later
         steps leave as they are (see RasterSet)."""
-        if self._half is None:
-            return RasterSet._trusted(self._seed, self.grid)
-        return RasterSet._trusted(None, self.grid, self._half, self._half)
+        if self._lengths is None:
+            return RasterSet._trusted(self._seed, self.grid, ball=self._comparison_ball)
+        return RasterSet._trusted(None, self.grid, self._lengths,
+                                  ball=self._comparison_ball)
 
     def world_raster(self):
         """The set in the world frame: after a step, the run's half-lengths
@@ -794,10 +766,20 @@ class AlignedRun:
         the frame raster's; with_occ of an edited copy of its plane
         measures the edit.
         """
-        if self._half is None:
+        if self._lengths is None:
             return self.frame_raster()
         turn = math.remainder(-self.frame, 2.0 * math.pi)
-        return RasterSet._trusted(None, self.grid, profile=self._half, turn=turn)
+        return RasterSet._trusted(None, self.grid, self._lengths, turn,
+                                  ball=self._comparison_ball)
+
+    def _comparison_ball(self):
+        """The origin ball of the seed's area on the run's grid and its
+        column prefix sums (see _ball_table), built on the first call. The
+        area is target_mass * h**2, the seed's area() bit for bit, and it
+        stays the run's area whatever rounding its steps add."""
+        if self._table is None:
+            self._table = _ball_table(self.grid, self.target_mass * self.grid.h**2)
+        return self._table
 
     def reflection_defect(self):
         """d1 between the set and its reflection across the line
@@ -816,9 +798,7 @@ class AlignedRun:
 # PGM input/output
 # ---------------------------------------------------------------------------
 
-_META_RE = re.compile(
-    rb"#\s*cellsize=([0-9.eE+-]+)\s+ox=([0-9.eE+-]+)\s+oy=([0-9.eE+-]+)"
-)
+_META_RE = re.compile(rb"#\s*cellsize=(\S+)\s+ox=(\S+)\s+oy=(\S+)")
 
 
 def write_pgm(path, rs, binary=True):
@@ -847,7 +827,8 @@ def read_pgm(path):
     """Read a P2 or P5 PGM written by write_pgm (or any plain grayscale PGM).
 
     Without the geometry comment the grid defaults to cell size 1,
-    centered at the origin.
+    centered at the origin. A geometry the comment gives that GridSpec
+    refuses, or a sample outside 0..maxval, raises naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -855,9 +836,6 @@ def read_pgm(path):
         raise ValueError(f"{path}: not a P2/P5 PGM file")
     binary = data[:2] == b"P5"
     meta = _META_RE.search(data[: min(len(data), 4096)])
-    h, ox, oy = (1.0, 0.0, 0.0)
-    if meta:
-        h, ox, oy = (float(meta.group(k)) for k in (1, 2, 3))
 
     # tokenize the header: magic, width, height, maxval (comments stripped)
     pos = 2
@@ -894,5 +872,13 @@ def read_pgm(path):
         vals = np.array(data[pos:].split(), dtype=np.int64)
         if len(vals) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} samples, got {len(vals)}")
+    lo, hi = int(vals.min()), int(vals.max())
+    if lo < 0 or hi > maxval:
+        raise ValueError(f"{path}: sample {lo if lo < 0 else hi} outside 0..{maxval}")
+    h, ox, oy = meta.groups() if meta else (1.0, 0.0, 0.0)
+    try:
+        grid = GridSpec(nx=nx, ny=ny, h=float(h), ox=float(ox), oy=float(oy))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     occ = vals.reshape(ny, nx).astype(float)[::-1, :] / maxval
-    return RasterSet(occ, GridSpec(nx=nx, ny=ny, h=h, ox=ox, oy=oy))
+    return RasterSet(occ, grid)

@@ -143,7 +143,7 @@ def test_raster_run_perimeter_of_nonconvex_seeds(name):
         got = perimeter_estimate(run.world_raster())
         assert math.isfinite(got) and got > 0.0
         assert got == perimeter_estimate(run.frame_raster())
-        half = run.frame_raster()._half
+        half = run.frame_raster()._profile
         occupied = np.flatnonzero(half)
         gaps += int(np.count_nonzero(half[occupied[0] : occupied[-1]] == 0.0))
     # two-component's first steps leave empty columns between occupied ones

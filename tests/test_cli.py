@@ -224,9 +224,18 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
         (b"P5\n4", "header ends before width, height and maxval"),
         (b"P5\nx 2\n255\n" + bytes(4), "header token b'x' is not an integer"),
         (b"P5\n0 2\n255\n", "image size 0x2 has no cells"),
+        (b"P2\n2 2\n10\n0 5 11 10", "sample 11 outside 0..10"),
+        (b"P5\n2 2\n10\n" + bytes([0, 5, 11, 10]), "sample 11 outside 0..10"),
+        (b"P2\n2 2\n10\n0 -5 1 10", "sample -5 outside 0..10"),
+        (b"P5\n# cellsize=inf ox=0 oy=0\n2 2\n255\n" + bytes(4),
+         "cell size and center must be finite"),
+        (b"P5\n# cellsize=0.1 ox=nan oy=0\n2 2\n255\n" + bytes(4),
+         "cell size and center must be finite"),
     ],
     ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big",
-         "header-ends-early", "width-not-a-number", "width-zero"],
+         "header-ends-early", "width-not-a-number", "width-zero",
+         "p2-sample-above-maxval", "p5-sample-above-maxval", "p2-negative-sample",
+         "cellsize-inf", "origin-nan"],
 )
 def test_symmetrize_malformed_pgm_names_the_file(data, message, tmp_path, capsys):
     src = tmp_path / "bad.pgm"
@@ -322,6 +331,29 @@ def test_process_reads_a_pgm_seed_without_the_suffix(tmp_path):
                  "--steps", "3", "--out", str(outdir)]) == 0
     lines = (outdir / "trace.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+
+def test_process_pgm_sample_above_maxval_names_the_file(tmp_path, capsys):
+    seed = tmp_path / "over.pgm"
+    seed.write_bytes(b"P2\n2 2\n10\n0 5 11 10")
+    code = main(["process", "--seed", str(seed), "--kind", "kf",
+                 "--steps", "3", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"error: {seed}: sample 11 outside 0..10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cellsize", ["inf", "nan", "-inf"])
+def test_process_non_finite_grid_is_a_usage_error(cellsize, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            main(["process", "--seed", "builtin:lshape", "--kind", "kf",
+                  "--steps", "3", "--grid", f"64x64:{cellsize}",
+                  "--out", str(tmp_path / "run")])
+    assert err.value.code == 2
+    assert "bad grid spec" in capsys.readouterr().err
+    assert caught == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):

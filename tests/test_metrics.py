@@ -14,7 +14,6 @@ from conftest import (
 from kfsteiner import metrics, rasters
 from kfsteiner.metrics import (
     MetricsRecord,
-    RasterPlan,
     area,
     d1,
     d1_to_ball,
@@ -262,10 +261,11 @@ def test_measure_and_d1_to_ball_agree_on_polygons(rng):
 
 @st.composite
 def interval_planes(draw):
-    """A centred grid, half-lengths from _interval_lengths and the plane
-    _fill_intervals writes for them. Each column is empty, inside one
-    cell (half-length below 0.5), full, short of full by less than a cell
-    (reaching the first and last rows) or random."""
+    """A centred grid, half-lengths from _interval_lengths, the plane
+    _fill_intervals writes for them, and the table of an origin ball that
+    fits the grid, whatever the plane's area. Each column is empty,
+    inside one cell (half-length below 0.5), full, short of full by less
+    than a cell (reaching the first and last rows) or random."""
     ny = draw(st.integers(1, 41))
     nx = draw(st.integers(1, 41))
     grid = GridSpec(nx=nx, ny=ny, h=draw(st.sampled_from([0.05, 0.37, 1.0])))
@@ -281,15 +281,15 @@ def interval_planes(draw):
     plane = np.zeros((ny, nx))
     rasters._fill_intervals(plane, half)
     r = draw(st.floats(0.05, 0.99)) * 0.5 * min(nx, ny) * grid.h
-    return plane, half, RasterPlan(grid, math.pi * r * r)
+    return plane, half, grid, rasters._ball_table(grid, math.pi * r * r)
 
 
 @settings(max_examples=300, deadline=None)
 @given(interval_planes())
 def test_intervals_measure_as_their_full_grid(case):
-    plane, half, plan = case
-    closed = measure(RasterSet._trusted(plane, plan.grid, half), plan=plan)
-    full = measure(RasterSet._trusted(plane, plan.grid), plan=plan)
+    plane, half, grid, ball = case
+    closed = measure(RasterSet._trusted(plane, grid, half, ball=lambda: ball))
+    full = measure(RasterSet._trusted(plane, grid, ball=lambda: ball))
     for name in ("area", "mu", "d1_to_ball"):
         got, want = getattr(closed, name), getattr(full, name)
         assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kfsteiner.metrics import RasterPlan, grid_tolerance, measure
+from kfsteiner.metrics import d1_to_ball, grid_tolerance, measure
 from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
 from kfsteiner.process import (
     BUILTIN_SEEDS,
@@ -238,10 +238,7 @@ def _looped_process(cfg, snapshot_steps):
     """(records, snapshots, callback calls, final set) of a run."""
     xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
-    plan = driver = None
-    if isinstance(seed, RasterSet):
-        plan = RasterPlan(seed.grid, seed.area())
-        driver = AlignedRun(seed)
+    driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
     current = seed
 
     def frame():
@@ -254,7 +251,7 @@ def _looped_process(cfg, snapshot_steps):
 
     def record(step, x, theta):
         rec = measure(frame(), with_hausdorff=cfg.with_hausdorff,
-                      with_perimeter=cfg.with_perimeter, plan=plan)
+                      with_perimeter=cfg.with_perimeter)
         records.append(TraceRecord(step=step, x=x, theta=theta, metrics=rec))
         calls.append((step, world()))
 
@@ -329,3 +326,33 @@ def test_shared_loop_equals_the_per_backend_loops(seed, steps, resolution):
         assert _same_set(got, want), k
     assert _same_set(res.final, final)
     assert checkpoint_probe(cfg) == _looped_checkpoints(cfg)
+
+
+# ---------------------------------------------------------------------------
+# a run's rasters measure as the trace does, without help from the caller
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, n", [("lshape", 128), ("two-component", 256)])
+def test_run_rasters_measure_as_their_trace(name, n):
+    cfg = ProcessConfig(sequence="kf", seed=f"builtin:{name}", steps=5,
+                        resolution=n)
+    records = run_process(cfg).records
+    run = AlignedRun(builtin_seed(name, resolution=n))
+    for rec in records:
+        if rec.step:
+            run.apply(rec.theta)
+        frame = run.frame_raster()
+        assert d1_to_ball(frame) == rec.metrics.d1_to_ball, rec.step
+        assert measure(frame) == rec.metrics, rec.step
+
+
+def test_world_raster_at_turn_zero_measures_as_the_frame_raster():
+    # the one direction is the seed's column direction, so the world
+    # raster turns by -0.0 and its plane is the frame's intervals
+    cfg = ProcessConfig(sequence="constant:0.5", seed="builtin:lshape", steps=1,
+                        resolution=128)
+    res = run_process(cfg)
+    run = AlignedRun(load_seed(cfg.seed, resolution=128)).apply(0.5 * math.pi)
+    assert np.array_equal(res.final.occ, run.occ)
+    assert measure(res.final) == res.records[-1].metrics

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import convex_hull, random_convex_polygon, random_raster
 from kfsteiner import rasters
 from kfsteiner.metrics import (
-    RasterPlan,
     d1,
     grid_tolerance,
     measure,
@@ -38,6 +37,14 @@ def test_gridspec_validation():
         GridSpec(nx=4, ny=4, h=0.0)
     g = GridSpec.cover(1.0, n=100)
     assert g.half_width >= 1.0
+
+
+@pytest.mark.parametrize("field", ["h", "ox", "oy"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_gridspec_rejects_non_finite_geometry(field, value):
+    geometry = {"h": 0.1, "ox": 0.0, "oy": 0.0, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(nx=4, ny=4, **geometry)
 
 
 def test_rasterset_validation():
@@ -325,12 +332,12 @@ def _whole(out):
     return slice(0, out.shape[0]), slice(0, out.shape[1])
 
 
-def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
+def full_grid_pull(occ, grid, matrix, radius=None, out=None):
     """Bilinear pull that gathers every target cell of the grid.
 
-    Takes the arguments of rasters._pull_linear but ignores the radius
-    and the workspace: it fills all of `out` from its own full-grid
-    gather and reports the whole grid as written.
+    Takes the arguments of rasters._pull_linear but ignores the radius:
+    it fills all of `out` from its own full-grid gather and reports the
+    whole grid as written.
     """
     xs = grid.x_centers()
     ys = grid.y_centers()
@@ -351,10 +358,9 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None, ws=None):
 def windowed_pull(occ, grid, matrix):
     """rasters._pull_linear on a fresh plane, with the radius it is given
     in a run: one pass over the support box."""
-    ws = rasters._Workspace(occ, rasters._support_box(occ > 0.0))
     radius = RasterSet(occ, grid).content_radius(0.0)
     out = np.zeros_like(occ)
-    rasters._pull_linear(occ, grid, matrix, radius, out, ws)
+    rasters._pull_linear(occ, grid, matrix, radius, out)
     return out
 
 
@@ -491,7 +497,6 @@ def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
         rs = random_raster(rng, unit_grid_128)
         for theta in (0.3, 1.0, 2.2, rng.random() * math.pi):
             _, info = steiner_raster(rs, theta, report=True)
-            assert info["resampled"]
             assert abs(info["mass_drift"]) <= 1e-12, f"seed {seed}, theta {theta}"
 
 
@@ -585,16 +590,15 @@ def test_run_steps_allocate_no_grid_planes():
     seed = builtin_seed("lshape", resolution=512)
     plane = seed.occ.nbytes
     run = AlignedRun(seed)
-    plan = RasterPlan(seed.grid, seed.area())
     xs = sequence_values("kf", 10)
-    measure(run.frame_raster(), plan=plan)
+    measure(run.frame_raster())  # builds the run's comparison ball
     run.apply(math.pi * float(xs[0]))
     tracemalloc.start()
     try:
         for x in xs[1:]:
             apply_peak = _traced_peak(lambda: run.apply(math.pi * float(x)))
             assert apply_peak < 2 * plane, f"apply peak {apply_peak / plane:.2f} planes"
-            measure_peak = _traced_peak(lambda: measure(run.frame_raster(), plan=plan))
+            measure_peak = _traced_peak(lambda: measure(run.frame_raster()))
             assert measure_peak < 0.5 * plane, (
                 f"measure peak {measure_peak / plane:.2f} planes"
             )
@@ -1025,4 +1029,4 @@ def test_disk_that_does_not_fit_the_grid_raises():
     with pytest.raises(ValueError, match="shape exceeds the grid"):
         rasters._disk_fraction(grid, 0.81)
     with pytest.raises(ValueError, match="shape exceeds the grid"):
-        RasterPlan(grid, math.pi * 0.81**2).ball
+        rasters._ball_table(grid, math.pi * 0.81**2)
