@@ -87,9 +87,19 @@ def _reflection(theta):
                      [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
 
 
+def _next(a):
+    """The 1-D array a shifted by one place: the value at the next vertex,
+    the last one's next being the first. Equal to np.roll(a, -1), in two
+    slice copies and no temporary."""
+    out = np.empty_like(a)
+    out[:-1] = a[1:]
+    out[-1] = a[0]
+    return out
+
+
 def _shoelace(v):
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 class ConvexPolygon:
@@ -113,8 +123,7 @@ class ConvexPolygon:
         span = max(float(x.max() - x.min()), float(y.max() - y.min()))
         if span <= 0.0:
             raise ValueError("degenerate polygon with zero extent")
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        ex, ey = xn - x, yn - y
+        ex, ey = _next(x) - x, _next(y) - y
         # hypot(ex, ey) >= max(|ex|, |ey|), so only edges short in both
         # coordinates can be short
         tiny = 1e-12 * span
@@ -124,7 +133,7 @@ class ConvexPolygon:
         area = _shoelace(v)
         if area <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
-        cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
+        cross = ex * _next(ey) - ey * _next(ex)
         if np.any(cross < -COLLINEAR_REL_TOL * span * span):
             raise ValueError("polygon is not convex")
         v.setflags(write=False)
@@ -150,7 +159,7 @@ class ConvexPolygon:
 
     def perimeter(self):
         x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return float(np.hypot(np.roll(x, -1) - x, np.roll(y, -1) - y).sum())
+        return float(np.hypot(_next(x) - x, _next(y) - y).sum())
 
     def moment_about_origin(self):
         """Integral of x**2 + y**2 over the polygon, exact.
@@ -159,7 +168,7 @@ class ConvexPolygon:
         origin: cross(p, q) * (|p|^2 + p.q + |q|^2) / 12.
         """
         px, py = self.vertices[:, 0], self.vertices[:, 1]
-        qx, qy = np.roll(px, -1), np.roll(py, -1)
+        qx, qy = _next(px), _next(py)
         cross = px * qy - py * qx
         terms = (px * px + py * py) + (px * qx + py * qy) + (qx * qx + qy * qy)
         return float(np.sum(cross * terms) / 12.0)
@@ -170,7 +179,7 @@ class ConvexPolygon:
 
     def contains_origin(self):
         px, py = self.vertices[:, 0], self.vertices[:, 1]
-        dx, dy = np.roll(px, -1) - px, np.roll(py, -1) - py
+        dx, dy = _next(px) - px, _next(py) - py
         return bool(np.all(dx * -py - dy * -px >= 0.0))
 
 
@@ -212,19 +221,32 @@ def regular_polygon(radius, n=128, center=(0.0, 0.0)):
 
 
 def _chain_envelope(x, y, span, take_min):
-    """Collapse a monotone-x chain to strictly increasing x with min or max y."""
+    """Collapse a monotone-x chain to strictly increasing x with min or max y.
+
+    A chain whose x values are all apart, as every chain of a polygon near
+    its ball is, is returned as it is.
+    """
     new = np.empty(len(x), dtype=bool)
     new[0] = True
     new[1:] = np.diff(x) > 1e-12 * span
+    if new.all():
+        return x, y
     starts = np.nonzero(new)[0]
     gx = x[starts]
     gy = np.minimum.reduceat(y, starts) if take_min else np.maximum.reduceat(y, starts)
     return gx, gy
 
 
+def _arc(a, i, j):
+    """a[i], a[i + 1], ..., a[j] with the indices taken cyclically: a view
+    when i <= j."""
+    if i <= j:
+        return a[i : j + 1]
+    return np.concatenate([a[i:], a[: j + 1]])
+
+
 def _chord_profile(v):
     """Breakpoints and vertical chord lengths of a convex polygon."""
-    m = len(v)
     x, y = v[:, 0], v[:, 1]
     # the chains run from the leftmost vertex (lowest among ties, then
     # first) to the rightmost (highest among ties, then last)
@@ -232,11 +254,8 @@ def _chord_profile(v):
     i_lo = int(left[np.argmin(y[left])])
     right = np.flatnonzero(x == x.max())[::-1]
     i_hi = int(right[np.argmax(y[right])])
-    xr, yr = np.roll(x, -i_lo), np.roll(y, -i_lo)
-    j = (i_hi - i_lo) % m
-    lower = xr[: j + 1], yr[: j + 1]
-    upper = (np.concatenate([xr[j:], xr[:1]])[::-1],
-             np.concatenate([yr[j:], yr[:1]])[::-1])
+    lower = _arc(x, i_lo, i_hi), _arc(y, i_lo, i_hi)
+    upper = _arc(x, i_hi, i_lo)[::-1], _arc(y, i_hi, i_lo)[::-1]
 
     # every x, sorted: the two chains are sorted runs, which a stable sort
     # merges; repeated values fall to the closeness test below
@@ -279,22 +298,29 @@ def _simplify_profile(xs, ell, eps_area):
         before = np.maximum.accumulate(np.where(removable, -1, pos))
         keep = np.ones(len(xs), dtype=bool)
         keep[1:-1] = ~removable | ((pos - before) & 1 == 0)
-        xs = xs[keep]
-        ell = ell[keep]
+        # by index: a mask that alternates, as it does near the ball,
+        # selects about four times slower
+        kept = np.flatnonzero(keep)
+        xs = xs[kept]
+        ell = ell[kept]
     return xs, ell
 
 
 def _profile_polygon(xs, ell):
-    """Polygon bounded by y = +/- ell(x)/2 over the breakpoints xs."""
+    """Polygon bounded by y = +/- ell(x)/2 over the breakpoints xs, as one
+    column-major (m, 2) array: the bottom from left to right, then the top
+    back, without the top ends that coincide with the bottom ones."""
     half = 0.5 * ell
     tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
-    bottom = np.column_stack([xs, -half])
-    top = np.column_stack([xs, half])[::-1]
-    if half[-1] <= tiny:
-        top = top[1:]  # coincides with the last bottom vertex
-    if half[0] <= tiny:
-        top = top[:-1]  # coincides with the first bottom vertex
-    return np.concatenate([bottom, top])
+    n = len(xs)
+    first = 1 if half[0] <= tiny else 0
+    last = n - 1 if half[-1] <= tiny else n
+    out = np.empty((n + last - first, 2), order="F")
+    out[:n, 0] = xs
+    np.negative(half, out=out[:n, 1])
+    out[n:, 0] = xs[first:last][::-1]
+    out[n:, 1] = half[first:last][::-1]
+    return out
 
 
 def steiner_polygon(poly, direction):
@@ -310,12 +336,14 @@ def steiner_polygon(poly, direction):
     if area0 < DEGENERATE_AREA:
         raise ValueError(f"degenerate polygon with area {area0!r}")
     rot = _rotation(0.5 * math.pi - theta)
-    v = poly.vertices @ rot.T
+    # the same bits as poly.vertices @ rot.T, with contiguous columns
+    v = (rot @ poly.vertices.T).T
     xs, ell = _chord_profile(v)
     xs, ell = _simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * area0)
-    out = _profile_polygon(xs, ell) @ rot
-    scale = math.sqrt(area0 / _shoelace(out))
-    return ConvexPolygon(out * scale)
+    # the same bits as _profile_polygon(xs, ell) @ rot, column-major
+    out = (rot.T @ _profile_polygon(xs, ell).T).T
+    out *= math.sqrt(area0 / _shoelace(out))
+    return ConvexPolygon(out)
 
 
 def reflect_polygon(poly, direction):
@@ -377,11 +405,11 @@ def disk_intersection_area(poly, radius):
         return 0.0
     r2 = r * r
     x, y = poly.vertices[:, 0], poly.vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _next(x), _next(y)
     side = x * yn - y * xn
     # an edge with both ends in the disk is its own chord
     near = x * x + y * y <= r2
-    inner = near & np.roll(near, -1)
+    inner = near & _next(near)
     whole = np.flatnonzero(inner)
     # another edge has a chord if its line meets the disk: from
     # e = p + t d to f = q - s d, where a clipped end is the vertex itself
@@ -424,7 +452,7 @@ def ball_hausdorff(poly, radius):
     when it is outside.
     """
     px, py = poly.vertices[:, 0], poly.vertices[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    qx, qy = _next(px), _next(py)
     hi = float(np.hypot(px, py).max())
     if poly.contains_origin():
         cross = px * qy - py * qx
@@ -440,7 +468,7 @@ def ball_hausdorff(poly, radius):
 def _edge_normals(poly):
     """Unit outward normals of the edges v[i] -> v[i+1], and their angles."""
     x, y = poly.vertices[:, 0], poly.vertices[:, 1]
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    ex, ey = _next(x) - x, _next(y) - y
     length = np.hypot(ex, ey)
     nx, ny = ey / length, -ex / length
     return nx, ny, np.arctan2(ny, nx)
@@ -474,7 +502,7 @@ def hausdorff(a, b):
     ang = ang[order]
     ux = np.concatenate([ax, bx])[order]
     uy = np.concatenate([ay, by])[order]
-    vx, vy = np.roll(ux, -1), np.roll(uy, -1)
+    vx, vy = _next(ux), _next(uy)
     # arc k runs from normal k to normal k + 1, the last one across the cut at pi
     end = np.append(ang[1:], ang[0] + 2.0 * math.pi)
     i = _support_vertices(a_ang, end)

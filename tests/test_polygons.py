@@ -15,6 +15,7 @@ from conftest import (
 from kfsteiner.metrics import hausdorff
 from kfsteiner.polygons import (
     COLLINEAR_REL_TOL,
+    SIMPLIFY_AREA_FRACTION,
     Ball,
     ConvexPolygon,
     _chord_profile,
@@ -30,6 +31,7 @@ from kfsteiner.polygons import (
     steiner_polygon,
     symmetry_defect,
 )
+from kfsteiner.process import builtin_seed
 from kfsteiner.sequences import sequence_values
 
 CENTERED_SQUARE = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
@@ -516,6 +518,146 @@ def test_chord_profile_with_shared_extreme_x(verts):
         want_xs, want_ell = oracle_chord_profile(np.ascontiguousarray(v))
         assert np.array_equal(xs, want_xs)
         assert np.array_equal(ell, want_ell)
+
+
+# ---------------------------------------------------------------------------
+# A whole step and the edge kernels as they were with np.roll and row-major
+# frames, kept as oracles: the step must give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def oracle_simplify_profile(xs, ell, eps_area):
+    """The breakpoint merge with its runs walked point by point: in each
+    pass, every other point of a run of removable ones goes, from its
+    first."""
+    for _ in range(64):
+        if len(xs) <= 2:
+            break
+        x1, y1 = xs[:-2], ell[:-2]
+        x2, y2 = xs[1:-1], ell[1:-1]
+        x3, y3 = xs[2:], ell[2:]
+        double_area = np.abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+        removable = double_area <= 2.0 * eps_area
+        if not removable.any():
+            break
+        keep = np.ones(len(xs), dtype=bool)
+        run = 0
+        for i, r in enumerate(removable.tolist(), start=1):
+            run = run + 1 if r else 0
+            keep[i] = run % 2 == 0
+        xs, ell = xs[keep], ell[keep]
+    return xs, ell
+
+
+def oracle_profile_polygon(xs, ell):
+    half = 0.5 * ell
+    tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
+    bottom = np.column_stack([xs, -half])
+    top = np.column_stack([xs, half])[::-1]
+    if half[-1] <= tiny:
+        top = top[1:]
+    if half[0] <= tiny:
+        top = top[:-1]
+    return np.concatenate([bottom, top])
+
+
+def oracle_steiner_polygon(poly, theta):
+    """steiner_polygon on row-major arrays, from the oracles above."""
+    v = np.ascontiguousarray(poly.vertices)
+    area0 = oracle_shoelace(v)
+    rot = _rotation(0.5 * math.pi - theta)
+    xs, ell = oracle_chord_profile(v @ rot.T)
+    xs, ell = oracle_simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * area0)
+    out = oracle_profile_polygon(xs, ell) @ rot
+    return oracle_validate(out * math.sqrt(area0 / oracle_shoelace(out)))
+
+
+def oracle_perimeter(v):
+    e = np.roll(v, -1, axis=0) - v
+    return float(np.hypot(e[:, 0], e[:, 1]).sum())
+
+
+def oracle_contains_origin(v):
+    d = np.roll(v, -1, axis=0) - v
+    return bool(np.all(d[:, 0] * -v[:, 1] - d[:, 1] * -v[:, 0] >= 0.0))
+
+
+def oracle_ball_hausdorff(v, radius):
+    p = np.ascontiguousarray(v)
+    q = np.roll(p, -1, axis=0)
+    hi = float(np.hypot(p[:, 0], p[:, 1]).max())
+    e = q - p
+    if oracle_contains_origin(p):
+        cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+        lo = float((np.abs(cross) / np.hypot(e[:, 0], e[:, 1])).min())
+    else:
+        t = np.clip(-(p[:, 0] * e[:, 0] + p[:, 1] * e[:, 1])
+                    / (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]), 0.0, 1.0)
+        lo = -float(np.hypot(p[:, 0] + t * e[:, 0], p[:, 1] + t * e[:, 1]).min())
+    return max(hi - radius, radius - lo, 0.0)
+
+
+def oracle_polygon_hausdorff(a, b):
+    """The support-function gap of polygons.hausdorff, with np.roll."""
+    def normals(v):
+        e = np.roll(v, -1, axis=0) - v
+        length = np.hypot(e[:, 0], e[:, 1])
+        nx, ny = e[:, 1] / length, -e[:, 0] / length
+        return nx, ny, np.arctan2(ny, nx)
+
+    def support(angles, t):
+        order = np.argsort(angles, kind="stable")
+        return order[np.searchsorted(angles[order], t) % len(angles)]
+
+    va, vb = np.ascontiguousarray(a.vertices), np.ascontiguousarray(b.vertices)
+    ax, ay, a_ang = normals(va)
+    bx, by, b_ang = normals(vb)
+    ang = np.concatenate([a_ang, b_ang])
+    order = np.argsort(ang, kind="stable")
+    ang = ang[order]
+    u = np.column_stack([np.concatenate([ax, bx]), np.concatenate([ay, by])])[order]
+    w = np.roll(u, -1, axis=0)
+    end = np.append(ang[1:], ang[0] + 2.0 * math.pi)
+    d = va[support(a_ang, end)] - vb[support(b_ang, end)]
+    dx, dy = d[:, 0], d[:, 1]
+    gap = np.maximum(np.abs(dx * u[:, 0] + dy * u[:, 1]),
+                     np.abs(dx * w[:, 0] + dy * w[:, 1]))
+    inner = (u[:, 0] * dy - u[:, 1] * dx) * (dx * w[:, 1] - dy * w[:, 0]) > 0.0
+    return float(np.where(inner, np.hypot(dx, dy), gap).max())
+
+
+def assert_steps_match_oracles(poly, thetas):
+    v = np.ascontiguousarray(poly.vertices)
+    assert poly.perimeter() == oracle_perimeter(v)
+    assert poly.contains_origin() == oracle_contains_origin(v)
+    r_eq = math.sqrt(poly.area() / math.pi)
+    for r in (0.5 * r_eq, r_eq, 2.0 * r_eq):
+        assert ball_hausdorff(poly, r) == oracle_ball_hausdorff(v, r)
+    for theta in thetas:
+        rot = _rotation(0.5 * math.pi - theta)
+        # the frame steiner_polygon takes and the one the oracle takes
+        assert np.array_equal((rot @ poly.vertices.T).T, v @ rot.T)
+        out = steiner_polygon(poly, theta)
+        assert np.array_equal(out.vertices, oracle_steiner_polygon(poly, theta))
+        assert hausdorff(poly, out) == oracle_polygon_hausdorff(poly, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_polygons(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3))
+def test_steps_and_edge_kernels_match_roll_oracles(poly, thetas):
+    assert_steps_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
+    off = ConvexPolygon(poly.vertices + 3.0 * poly.circumradius())
+    assert not off.contains_origin()
+    assert_steps_match_oracles(off, thetas)
+
+
+def test_steps_match_roll_oracles_on_saturated_ellipse():
+    poly = builtin_seed("ellipse")
+    xs = [math.pi * float(x) for x in sequence_values("kf", 28)]
+    for theta in xs[:25]:
+        poly = steiner_polygon(poly, theta)
+    assert len(poly) >= 50_000
+    assert_steps_match_oracles(poly, xs[25:] + [0.0, 0.5 * math.pi])
 
 
 # ---------------------------------------------------------------------------
