@@ -465,19 +465,51 @@ def _pull_linear(occ, grid, matrix, radius, out):
     ty = grid.y_centers()[rows, None]
     sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
     sy_x, sy_y = inv[1, 0] * tx, inv[1, 1] * ty
+    # the block temporaries, allocated once per call: each operation of
+    # the four-tap expression writes into one of them
+    shape = (min(GATHER_ROWS, rows.stop - rows.start), tx.shape[1])
+    fi, fj, i0, j0, v00, v01, v10, v11 = np.empty((8,) + shape)
+    base = np.empty(shape, dtype=np.int64)
     for top in range(rows.start, rows.stop, GATHER_ROWS):
         blk = slice(top - rows.start, min(top + GATHER_ROWS, rows.stop) - rows.start)
-        fj = (sx_x + sx_y[blk] - grid.ox) / grid.h + (grid.nx - 1) / 2.0
-        fi = (sy_x + sy_y[blk] - grid.oy) / grid.h + (grid.ny - 1) / 2.0
-        fi = np.clip(fi, -1.0, float(ny)) + 1.0
-        fj = np.clip(fj, -1.0, float(nx)) + 1.0
-        i0, j0 = np.floor(fi), np.floor(fj)
-        di, dj = fi - i0, fj - j0
-        base = (i0 * stride + j0).astype(np.int64)  # exact in floating point
-        v00, v01, v10, v11 = (flat[k:].take(base) for k in (0, 1, stride, stride + 1))
-        out[top : top + len(base), cols] = np.clip(
-            (1.0 - di) * ((1.0 - dj) * v00 + dj * v01)
-            + di * ((1.0 - dj) * v10 + dj * v11), 0.0, 1.0)
+        n = blk.stop - blk.start
+        bi, bj, b0, b1 = fi[:n], fj[:n], i0[:n], j0[:n]
+        np.add(sx_x, sx_y[blk], out=bj)
+        bj -= grid.ox
+        bj /= grid.h
+        bj += (grid.nx - 1) / 2.0
+        np.add(sy_x, sy_y[blk], out=bi)
+        bi -= grid.oy
+        bi /= grid.h
+        bi += (grid.ny - 1) / 2.0
+        np.clip(bi, -1.0, float(ny), out=bi)
+        bi += 1.0
+        np.clip(bj, -1.0, float(nx), out=bj)
+        bj += 1.0
+        np.floor(bi, out=b0)
+        np.floor(bj, out=b1)
+        bi -= b0  # di
+        bj -= b1  # dj
+        b0 *= stride
+        b0 += b1
+        base[:n] = b0  # i0 * stride + j0, exact in floating point
+        taps = (v00[:n], v01[:n], v10[:n], v11[:n])
+        for k, tap in zip((0, 1, stride, stride + 1), taps):
+            np.take(flat[k:], base[:n], out=tap, mode="clip")
+        t00, t01, t10, t11 = taps
+        # (1 - di) * ((1 - dj) * v00 + dj * v01) + di * ((1 - dj) * v10 + dj * v11)
+        np.subtract(1.0, bj, out=b0)
+        t00 *= b0
+        t01 *= bj
+        t00 += t01
+        t10 *= b0
+        t11 *= bj
+        t10 += t11
+        np.subtract(1.0, bi, out=b1)
+        t00 *= b1
+        t10 *= bi
+        t00 += t10
+        np.clip(t00, 0.0, 1.0, out=out[top : top + n, cols])
     return rows, cols
 
 
@@ -786,11 +818,14 @@ class AlignedRun:
         orthogonal to the last applied direction; exact in this frame
         (the direction is vertical, so the reflection is a row flip).
 
-        After a step it is exactly 0.0: every column is an interval from
-        mid - half to mid + half, both exact, as are the row edges, so
-        the plane is symmetric about its midline bit for bit.
+        After a step it is 0.0 without drawing the plane: every column is
+        an interval from mid - half to mid + half, both exact, as are the
+        row edges, so the plane is symmetric about its midline bit for bit.
+        Before the first step the seed's plane is compared with its flip.
         """
-        occ = self.occ
+        if self._lengths is not None:
+            return 0.0
+        occ = self._seed
         return float(np.abs(occ - occ[::-1, :]).sum() * self.grid.h**2)
 
 
@@ -869,7 +904,10 @@ def read_pgm(path):
             raise ValueError(f"{path}: expected {nx * ny} samples, got {count}")
         vals = np.frombuffer(data, dtype=dtype, count=nx * ny, offset=pos)
     else:
-        vals = np.array(data[pos:].split(), dtype=np.int64)
+        try:
+            vals = np.array(data[pos:].split(), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: P2 sample is not an integer ({exc})") from None
         if len(vals) != nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} samples, got {len(vals)}")
     lo, hi = int(vals.min()), int(vals.max())

@@ -227,6 +227,8 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
         (b"P2\n2 2\n10\n0 5 11 10", "sample 11 outside 0..10"),
         (b"P5\n2 2\n10\n" + bytes([0, 5, 11, 10]), "sample 11 outside 0..10"),
         (b"P2\n2 2\n10\n0 -5 1 10", "sample -5 outside 0..10"),
+        (b"P2\n2 2\n10\n0 x 1 2",
+         "P2 sample is not an integer (invalid literal for int() with base 10: b'x')"),
         (b"P5\n# cellsize=inf ox=0 oy=0\n2 2\n255\n" + bytes(4),
          "cell size and center must be finite"),
         (b"P5\n# cellsize=0.1 ox=nan oy=0\n2 2\n255\n" + bytes(4),
@@ -235,6 +237,7 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
     ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big",
          "header-ends-early", "width-not-a-number", "width-zero",
          "p2-sample-above-maxval", "p5-sample-above-maxval", "p2-negative-sample",
+         "p2-sample-not-an-integer",
          "cellsize-inf", "origin-nan"],
 )
 def test_symmetrize_malformed_pgm_names_the_file(data, message, tmp_path, capsys):

@@ -638,6 +638,30 @@ def test_frame_and_world_rasters_are_read_only_snapshots_of_their_step():
             rs.occ[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("name, n", [("lshape", 128), ("two-component", 127),
+                                     ("annulus", 96)])
+def test_stepped_frame_plane_is_its_row_flip(name, n):
+    # reflection_defect after a step returns 0.0 without drawing the plane,
+    # because the drawn plane equals its row flip bit for bit
+    run = _stepped_run(name, n, 5)
+    plane = 8 * run.grid.nx * run.grid.ny
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(lambda: run.reflection_defect())
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * plane, f"reflection_defect peak {peak / plane:.2f} planes"
+    assert run.reflection_defect() == 0.0
+    occ = run.frame_raster().occ
+    assert occ.any()
+    assert np.array_equal(occ, occ[::-1, :])
+    # before a step the seed's plane is compared with its flip
+    seed = builtin_seed(name, resolution=n)
+    want = float(np.abs(seed.occ - seed.occ[::-1, :]).sum() * seed.grid.h**2)
+    assert want > 0.0
+    assert AlignedRun(seed).reflection_defect() == want
+
+
 def test_world_raster_plane_cannot_be_edited_behind_its_profile():
     world = _stepped_run("lshape", 64, 3).world_raster()
     with pytest.raises(ValueError):
