@@ -401,8 +401,22 @@ def disk_intersection_area(poly, radius):
     r = float(radius)
     if not math.isfinite(r):
         raise ValueError(f"radius must be finite, got {radius}")
+    turn, segments = _disk_parts(poly, r)
+    if turn is None:
+        return math.pi * (r * r) - segments
+    return 0.5 * (r * r) * turn - segments
+
+
+def _disk_parts(poly, r):
+    """(turn, segments) of the polygon and the origin disk of radius r:
+    the intersection area is 0.5 r**2 turn - segments, where turn is the
+    angle the polygon covers about the origin and segments is the sum of
+    circular segments of disk_intersection_area. turn is None when every
+    cross(p, q) is positive, so the polygon winds once about the origin
+    (turn 2 pi) and the disk outside it is exactly the segments. A disk of
+    radius r <= 0 covers nothing: (0.0, 0.0)."""
     if r <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     r2 = r * r
     x, y = poly.vertices[:, 0], poly.vertices[:, 1]
     xn, yn = _next(x), _next(y)
@@ -431,7 +445,7 @@ def disk_intersection_area(poly, radius):
     seg[whole.size:][t + s >= 1.0] = 0.0  # the line meets the disk off the edge
 
     if side.min() > 0.0:  # angles all positive can only sum to 2 pi
-        return math.pi * r2 - float(np.sum(seg))
+        return None, float(np.sum(seg))
     dot = x * xn + y * yn
     on = (side == 0.0) & (dot <= 0.0)  # origin on the closed edge
     angle = float(np.sum(np.arctan2(side[~on], dot[~on])))
@@ -439,7 +453,7 @@ def disk_intersection_area(poly, radius):
         seg[np.isin(np.concatenate([whole, k]), np.flatnonzero(on))] = 0.0
     else:
         angle = 2.0 * math.pi * round(angle / (2.0 * math.pi))
-    return 0.5 * r2 * angle - float(np.sum(seg))
+    return angle, float(np.sum(seg))
 
 
 def ball_hausdorff(poly, radius):

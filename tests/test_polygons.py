@@ -12,7 +12,7 @@ from conftest import (
     oracle_hausdorff,
     random_convex_polygon,
 )
-from kfsteiner.metrics import hausdorff
+from kfsteiner.metrics import d1_to_ball, hausdorff
 from kfsteiner.polygons import (
     COLLINEAR_REL_TOL,
     SIMPLIFY_AREA_FRACTION,
@@ -782,3 +782,24 @@ def test_disk_intersection_matches_decimal_oracle(kf_iterate_2k):
         assert err <= Decimal(DISK_AREA_RTOL * math.pi * r * r), (name, r, float(err))
     assert disk_intersection_area(ConvexPolygon(unit), 0.5) == pytest.approx(
         math.pi * 0.25 / 4, rel=1e-15)
+
+
+#: Bound on the gap between a polygon's d1_to_ball and 2 (pi r**2 - |P & B|)
+#: in 40 digits, twice the disk's segments outside the polygon, relative
+#: to the area a, with r = sqrt(a / pi) as d1_to_ball takes it. The sum
+#: of segments errs by at most 4.5e-17 a on the cases below; the
+#: difference 2 (a - |P & B|) it replaced by 3.9e-16 to 4.6e-16 a, the
+#: rounding of a - pi r**2.
+D1_SEGMENTS_RTOL = 1e-16
+
+
+def test_polygon_d1_is_twice_the_segments_outside(kf_iterate_2k):
+    for poly in (kf_iterate_2k, regular_polygon(0.7, 1024), regular_polygon(1.3, 2048)):
+        a = poly.area()
+        r = math.sqrt(a / math.pi)
+        inside = decimal_disk_intersection_area(poly.vertices, r)
+        with localcontext() as ctx:
+            ctx.prec = ORACLE_DIGITS + 10
+            want = 2 * (4 * decimal_atan(Decimal(1)) * Decimal(r) ** 2 - inside)
+        err = abs(Decimal(d1_to_ball(poly)) - want)
+        assert err <= Decimal(D1_SEGMENTS_RTOL * a), (len(poly), float(err / want))
