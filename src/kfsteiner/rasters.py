@@ -465,51 +465,49 @@ def _pull_linear(occ, grid, matrix, radius, out):
     ty = grid.y_centers()[rows, None]
     sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
     sy_x, sy_y = inv[1, 0] * tx, inv[1, 1] * ty
-    # the block temporaries, allocated once per call: each operation of
-    # the four-tap expression writes into one of them
-    shape = (min(GATHER_ROWS, rows.stop - rows.start), tx.shape[1])
-    fi, fj, i0, j0, v00, v01, v10, v11 = np.empty((8,) + shape)
-    base = np.empty(shape, dtype=np.int64)
+    # the block temporaries, allocated once per call: every operation of
+    # the four-tap expression writes into one of them, in its order
+    scratch = np.empty((8, min(GATHER_ROWS, rows.stop - rows.start), tx.shape[1]))
+    index = np.empty(scratch.shape[1:], dtype=np.int64)
     for top in range(rows.start, rows.stop, GATHER_ROWS):
         blk = slice(top - rows.start, min(top + GATHER_ROWS, rows.stop) - rows.start)
         n = blk.stop - blk.start
-        bi, bj, b0, b1 = fi[:n], fj[:n], i0[:n], j0[:n]
-        np.add(sx_x, sx_y[blk], out=bj)
-        bj -= grid.ox
-        bj /= grid.h
-        bj += (grid.nx - 1) / 2.0
-        np.add(sy_x, sy_y[blk], out=bi)
-        bi -= grid.oy
-        bi /= grid.h
-        bi += (grid.ny - 1) / 2.0
-        np.clip(bi, -1.0, float(ny), out=bi)
-        bi += 1.0
-        np.clip(bj, -1.0, float(nx), out=bj)
-        bj += 1.0
-        np.floor(bi, out=b0)
-        np.floor(bj, out=b1)
-        bi -= b0  # di
-        bj -= b1  # dj
-        b0 *= stride
-        b0 += b1
-        base[:n] = b0  # i0 * stride + j0, exact in floating point
-        taps = (v00[:n], v01[:n], v10[:n], v11[:n])
-        for k, tap in zip((0, 1, stride, stride + 1), taps):
-            np.take(flat[k:], base[:n], out=tap, mode="clip")
-        t00, t01, t10, t11 = taps
+        fi, fj, i0, j0, v00, v01, v10, v11 = scratch[:, :n]
+        base = index[:n]
+        np.add(sx_x, sx_y[blk], out=fj)
+        fj -= grid.ox
+        fj /= grid.h
+        fj += (grid.nx - 1) / 2.0
+        np.add(sy_x, sy_y[blk], out=fi)
+        fi -= grid.oy
+        fi /= grid.h
+        fi += (grid.ny - 1) / 2.0
+        np.clip(fi, -1.0, float(ny), out=fi)
+        fi += 1.0
+        np.clip(fj, -1.0, float(nx), out=fj)
+        fj += 1.0
+        np.floor(fi, out=i0)
+        np.floor(fj, out=j0)
+        di, dj = np.subtract(fi, i0, out=fi), np.subtract(fj, j0, out=fj)
+        i0 *= stride
+        i0 += j0
+        base[...] = i0  # i0 * stride + j0, exact in floating point
+        # the taps are on the grid or its zero border, so clip changes no
+        # index; unlike raise, it writes out without a buffer
+        for k, tap in zip((0, 1, stride, stride + 1), (v00, v01, v10, v11)):
+            np.take(flat[k:], base, out=tap, mode="clip")
         # (1 - di) * ((1 - dj) * v00 + dj * v01) + di * ((1 - dj) * v10 + dj * v11)
-        np.subtract(1.0, bj, out=b0)
-        t00 *= b0
-        t01 *= bj
-        t00 += t01
-        t10 *= b0
-        t11 *= bj
-        t10 += t11
-        np.subtract(1.0, bi, out=b1)
-        t00 *= b1
-        t10 *= bi
-        t00 += t10
-        np.clip(t00, 0.0, 1.0, out=out[top : top + n, cols])
+        one_dj = np.subtract(1.0, dj, out=i0)
+        v00 *= one_dj
+        v01 *= dj
+        v00 += v01
+        v10 *= one_dj
+        v11 *= dj
+        v10 += v11
+        v00 *= np.subtract(1.0, di, out=j0)
+        v10 *= di
+        v00 += v10
+        np.clip(v00, 0.0, 1.0, out=out[top : top + n, cols])
     return rows, cols
 
 
