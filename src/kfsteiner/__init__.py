@@ -7,6 +7,17 @@ rasters), and instruments long composition runs that shrink any seed of
 finite area toward the centered ball of equal area.
 """
 
+import numpy as _np
+
+# A polygon step or a perimeter estimate frees a few MB of temporaries,
+# more than glibc's heap trim threshold, so each call would hand its heap
+# back to the kernel and fault it in again. mallopt(3), "dynamic mmap
+# threshold": freeing an mmapped block larger than the mmap threshold (and
+# at most 32 MiB) raises that threshold to the block's size and the trim
+# threshold to twice it. The block is never written, so it never becomes
+# resident; other allocators ignore it.
+_np.empty(16 << 20, dtype=_np.uint8)
+
 from .discrepancy import discrepancy_curve, extreme_discrepancy, star_discrepancy
 from .metrics import (
     MetricsRecord,

@@ -42,6 +42,27 @@ class SystemExit2(Exception):
     """Usage error detected after argparse: exits with status 2."""
 
 
+#: Bytes that one command may plan to allocate; a size flag whose estimate
+#: exceeds it is a usage error, raised before anything is allocated.
+MEMORY_BUDGET = 2 << 30
+#: Peak bytes per point of `seq`: the values plus one text line each
+#: (about 205 measured at 1-4 million points).
+SEQ_BYTES_PER_POINT = 256
+#: Peak bytes per point of `disc`, set by its largest size: about 18
+#: measured for kf, kronecker and random, 40 for vdc (10 million points).
+DISC_BYTES_PER_POINT = 40
+
+
+def _check_budget(flag, points, bytes_per_point):
+    need = points * bytes_per_point
+    if need > MEMORY_BUDGET:
+        raise SystemExit2(
+            f"{flag} {points} needs about {need / 2**30:.1f} GiB "
+            f"({bytes_per_point} B a point), over the "
+            f"{MEMORY_BUDGET / 2**30:g} GiB memory budget"
+        )
+
+
 def _write(text, out):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -69,6 +90,7 @@ def _sequence_spec(args):
 def cmd_seq(args):
     if args.n < 1:
         raise SystemExit2("--n must be at least 1")
+    _check_budget("--n", args.n, SEQ_BYTES_PER_POINT)
     spec = _sequence_spec(args)
     xs = sequence_values(spec, args.n)
     lines = ["k,x,theta"]
@@ -118,6 +140,7 @@ def cmd_disc(args):
         raise SystemExit2("--ns must list at least one size")
     if min(ns) < 2:
         raise SystemExit2("--ns sizes must be at least 2")
+    _check_budget("--ns", max(ns), DISC_BYTES_PER_POINT)
     spec = _sequence_spec(args)
     rows = discrepancy_curve(spec, ns, include_extreme=args.extreme)
     lines = ["N,d_star,d_extreme,normalized"]

@@ -37,7 +37,9 @@ from .polygons import (
     _disk_parts,
     _rotation,
     ball_hausdorff,
-    # unused here since d1 takes _disk_parts; perfbench/worker.py wraps it
+    # never called here: d1 takes _disk_parts. perfbench/worker.py still
+    # patches this name, so its polygons.disk_intersection_area span reads
+    # 0 until the bench wraps _disk_parts instead (ROADMAP item 1)
     disk_intersection_area,
     hausdorff,
 )

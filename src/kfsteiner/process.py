@@ -182,7 +182,9 @@ class PolygonRun:
 
     def __init__(self, poly):
         self.poly = poly
-        self.theta = None  # angle of the last applied direction
+        # angle of the last applied direction; before the first step the
+        # seed's frame 0, direction pi/2, as in AlignedRun (a row flip)
+        self.theta = math.pi / 2
 
     def apply(self, direction):
         self.poly = steiner_polygon(self.poly, direction)

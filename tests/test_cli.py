@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import kfsteiner
-from kfsteiner.cli import build_parser, main
+from kfsteiner.cli import (
+    DISC_BYTES_PER_POINT,
+    MEMORY_BUDGET,
+    SEQ_BYTES_PER_POINT,
+    build_parser,
+    main,
+)
 from kfsteiner.polygons import Ball, load_polygon
 from kfsteiner.rasters import GridSpec, rasterize, read_pgm, write_pgm
 from kfsteiner.sequences import GAMMA
@@ -157,6 +163,24 @@ def test_disc_sizes_below_two_are_a_usage_error(ns, tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert main(["disc", "--kind", "kf", "--ns", ns, "--out", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, per_point", [
+    ("seq", "--n", SEQ_BYTES_PER_POINT),
+    ("disc", "--ns", DISC_BYTES_PER_POINT),
+])
+def test_sizes_over_the_memory_budget_are_a_usage_error(command, flag, per_point,
+                                                         tmp_path, capsys):
+    # the smallest size over the budget; it is refused before anything
+    # is allocated, so it costs nothing
+    points = MEMORY_BUDGET // per_point + 1
+    out = tmp_path / "out.csv"
+    size = str(points) if command == "seq" else f"1000,{points}"
+    assert main([command, "--kind", "vdc", flag, size, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} {points} needs about" in err
+    assert f"({per_point} B a point)" in err and "memory budget" in err
     assert not out.exists()
 
 

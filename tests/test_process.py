@@ -10,6 +10,7 @@ from kfsteiner.process import (
     CheckpointRecord,
     ProcessConfig,
     TraceRecord,
+    _walk,
     builtin_seed,
     checkpoint_probe,
     compare_csv,
@@ -216,6 +217,17 @@ def test_load_seed_polygon_file(tmp_path):
     path.write_text("0 0\n1 0\n1 1\n0 1\n")
     seed = load_seed(str(path))
     assert isinstance(seed, ConvexPolygon)
+
+
+def test_polygon_reflection_defect_before_the_first_step(tmp_path):
+    # Step 0 reads the defect of the row flip (direction pi/2), as
+    # AlignedRun does, instead of failing on an unset direction.
+    path = tmp_path / "poly.txt"
+    path.write_text("0 0\n1 0\n1 1\n0 1\n")
+    for seed, want in [("builtin:square", 0.0), (str(path), 1.0)]:
+        k, _, _, run = next(_walk(load_seed(seed), []))
+        assert k == 0
+        assert run.reflection_defect() == pytest.approx(want, abs=1e-15), seed
 
 
 @pytest.mark.parametrize("name", BUILTIN_SEEDS)
