@@ -10,6 +10,7 @@ are fully determined by argv.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -20,6 +21,7 @@ from .partitions import _refinement_levels, interval_counts, length_classes
 from .polygons import save_polygon, steiner_polygon
 from .process import (
     BUILTIN_SEEDS,
+    RASTER_SEEDS,
     ProcessConfig,
     _fmt,
     _read_set,
@@ -45,30 +47,56 @@ class SystemExit2(Exception):
 #: Bytes that one command may plan to allocate; a size flag whose estimate
 #: exceeds it is a usage error, raised before anything is allocated.
 MEMORY_BUDGET = 2 << 30
-#: Peak bytes per point of `seq`: the values plus one text line each
-#: (about 205 measured at 1-4 million points).
-SEQ_BYTES_PER_POINT = 256
-#: Peak bytes per point of `disc`, set by its largest size: about 18
-#: measured for kf, kronecker and random, 40 for vdc (10 million points).
-DISC_BYTES_PER_POINT = 40
+#: Peak bytes per point of `seq`, set by vdc, whose digit loop holds four
+#: arrays of the points: about 34 measured at 8 million points, under 10
+#: for the other kinds (rows are written as they are formatted).
+SEQ_BYTES_PER_POINT = 36
+#: Peak bytes per point of `disc`, set by its largest size: about 20
+#: measured for kf, kronecker and random, 34 for vdc (10 million points).
+DISC_BYTES_PER_POINT = 36
+#: Peak bytes per grid cell of a raster run of `process` or `compare`:
+#: about 60 measured at 2048² (10 steps of a builtin raster seed, with
+#: --perimeter and --frames), 63 at 1024².
+PLANE_BYTES_PER_CELL = 64
 
 
-def _check_budget(flag, points, bytes_per_point):
-    need = points * bytes_per_point
+def _check_budget(flag, value, count, bytes_each, unit="point"):
+    need = count * bytes_each
     if need > MEMORY_BUDGET:
         raise SystemExit2(
-            f"{flag} {points} needs about {need / 2**30:.1f} GiB "
-            f"({bytes_per_point} B a point), over the "
+            f"{flag} {value} needs about {need / 2**30:.1f} GiB "
+            f"({bytes_each} B a {unit}), over the "
             f"{MEMORY_BUDGET / 2**30:g} GiB memory budget"
         )
 
 
-def _write(text, out):
+def _check_plane_budget(seed, resolution, grid=None, runs=1):
+    """Refuse a builtin raster seed whose grid, in each of `runs` concurrent
+    runs, would not fit the memory budget. Other seeds build no grid from
+    these flags: a polygon's frames draw at most 256² cells."""
+    if seed not in [f"builtin:{name}" for name in RASTER_SEEDS]:
+        return
+    if grid is None:
+        flag, value, cells = "--resolution", resolution, resolution**2
+    else:
+        flag, value, cells = "--grid", f"{grid.nx}x{grid.ny}:{grid.h:g}", grid.nx * grid.ny
+    unit = "cell" if runs == 1 else f"cell in each of {runs} concurrent runs"
+    _check_budget(flag, value, cells * runs, PLANE_BYTES_PER_CELL, unit)
+
+
+@contextlib.contextmanager
+def _output(out):
+    """The text stream of an --out value: stdout for None or '-', else the file."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(text, out):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _alpha_value(text):
@@ -90,13 +118,14 @@ def _sequence_spec(args):
 def cmd_seq(args):
     if args.n < 1:
         raise SystemExit2("--n must be at least 1")
-    _check_budget("--n", args.n, SEQ_BYTES_PER_POINT)
+    _check_budget("--n", args.n, args.n, SEQ_BYTES_PER_POINT)
     spec = _sequence_spec(args)
     xs = sequence_values(spec, args.n)
-    lines = ["k,x,theta"]
-    for k, x in enumerate(xs, start=1):
-        lines.append(f"{k},{_fmt(float(x))},{_fmt(math.pi * float(x))}")
-    _write("\n".join(lines) + "\n", args.out)
+    # each row is written as it is formatted, so no point costs a held line
+    with _output(args.out) as fh:
+        fh.write("k,x,theta\n")
+        for k, x in enumerate(xs, start=1):
+            fh.write(f"{k},{_fmt(float(x))},{_fmt(math.pi * float(x))}\n")
     return 0
 
 
@@ -140,7 +169,7 @@ def cmd_disc(args):
         raise SystemExit2("--ns must list at least one size")
     if min(ns) < 2:
         raise SystemExit2("--ns sizes must be at least 2")
-    _check_budget("--ns", max(ns), DISC_BYTES_PER_POINT)
+    _check_budget("--ns", max(ns), max(ns), DISC_BYTES_PER_POINT)
     spec = _sequence_spec(args)
     rows = discrepancy_curve(spec, ns, include_extreme=args.extreme)
     lines = ["N,d_star,d_extreme,normalized"]
@@ -190,6 +219,7 @@ def _frame_writer(outdir, resolution):
 def cmd_process(args):
     if args.resolution < 1:
         raise SystemExit2("--resolution must be at least 1")
+    _check_plane_budget(args.seed, args.resolution, args.grid)
     cfg = ProcessConfig(
         sequence=args.kind,
         seed=args.seed,
@@ -218,6 +248,7 @@ def cmd_compare(args):
     ids = [tok for tok in args.kinds.split(",") if tok]
     if len(ids) < 2:
         raise SystemExit2("--kinds must list at least two sequence ids")
+    _check_plane_budget(args.seed, args.resolution, runs=min(args.jobs, len(ids)))
     os.makedirs(args.out, exist_ok=True)
     ids, rows = compare_sequences(
         args.seed,

@@ -67,17 +67,8 @@ def star_discrepancy(points):
     return _star_sorted(np.sort(_validated(points)))
 
 
-def _scratch(size):
-    """Arrays `_extreme_sorted` works in, for samples of up to `size` points."""
-    return np.arange(size + 1, dtype=float), np.empty(size + 2), np.empty(size + 2)
-
-
-def _extreme_sorted(pts, d_star, scratch=None):
-    """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star.
-
-    `scratch` is `_scratch(M)` for some M >= N; a caller that evaluates
-    many samples passes one, so that its pages are touched only once.
-    """
+def _extreme_sorted(pts, d_star):
+    """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star."""
     n = len(pts)
     if n > EXTREME_CAP:
         raise ValueError(
@@ -89,8 +80,7 @@ def _extreme_sorted(pts, d_star, scratch=None):
     # if i ends it. So the run starting at a gives lead = v_a - #{x < v_a}/N
     # and the run ending at b gives lag = #{x <= v_b}/N - v_b; both are
     # exactly 0 at i = 0 and i = N + 1.
-    counts, lead, lag = _scratch(n) if scratch is None else scratch
-    lead, lag = lead[: n + 2], lag[: n + 2]
+    counts, lead, lag = np.arange(n + 1, dtype=float), np.empty(n + 2), np.empty(n + 2)
     lead[0] = lead[-1] = lag[0] = lag[-1] = 0.0
     np.divide(counts[:n], n, out=lead[1:-1])
     np.subtract(pts, lead[1:-1], out=lead[1:-1])
@@ -144,10 +134,8 @@ def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
     if min(ns) < 2:
         raise ValueError("sample sizes must be at least 2")
     pts = _validated(sequence_values(spec, max(ns)))
-    # every sample is sorted, and its value grid built, in these arrays
+    # every sample is sorted in this one buffer, so its pages fault in once
     buffer = np.empty_like(pts)
-    extreme_ns = [n for n in ns if n <= extreme_cap] if include_extreme else []
-    scratch = _scratch(max(extreme_ns)) if extreme_ns else None
     rows = []
     for n in ns:
         sample = buffer[:n]
@@ -156,7 +144,7 @@ def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
         d_star = _star_sorted(sample)
         d_ext = None
         if include_extreme and n <= extreme_cap:
-            d_ext = _extreme_sorted(sample, d_star, scratch)
+            d_ext = _extreme_sorted(sample, d_star)
         rows.append(
             {
                 "N": n,

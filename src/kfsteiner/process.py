@@ -53,14 +53,9 @@ __all__ = [
     "compare_csv",
 ]
 
-BUILTIN_SEEDS = (
-    "square",
-    "offset-square",
-    "ellipse",
-    "lshape",
-    "two-component",
-    "annulus",
-)
+#: The builtin seeds of the raster backend; the others are polygons.
+RASTER_SEEDS = ("lshape", "two-component", "annulus")
+BUILTIN_SEEDS = ("square", "offset-square", "ellipse") + RASTER_SEEDS
 
 #: Largest gap allowed between a checkpoint value and gamma**order.
 CHECKPOINT_TOL = 1e-12

@@ -1,8 +1,7 @@
 """Occupancy-grid planar sets and their symmetrization.
 
 A RasterSet stores per-cell area fractions in [0, 1] on a square-cell
-grid whose center sits at a known world position (the origin for
-everything this package builds), so it stands for a set. The Steiner
+grid centred on the origin, so it stands for a set. The Steiner
 symmetral of a set replaces every column along the direction by the
 interval centred on the origin line whose length is the column's
 measure. Axis-aligned directions read the column sums. A general
@@ -67,30 +66,23 @@ PGM_MAXVAL = 65535
 COVER_PAD = 0.10
 COVER_PAD_CELLS = 32.0
 
-#: Tolerance of GridSpec.same_geometry, in cell sizes.
+#: Tolerance, in cell sizes, of GridSpec.same_geometry and of a PGM's grid center.
 _GEOMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square-cell grid: nx columns, ny rows, cell size h, world center."""
+    """Square-cell grid centred on the origin: nx columns, ny rows, cell size h."""
 
     nx: int
     ny: int
     h: float
-    ox: float = 0.0
-    oy: float = 0.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per axis")
-        if not all(math.isfinite(v) for v in (self.h, self.ox, self.oy)):
-            raise ValueError(
-                f"cell size and center must be finite, got h={self.h}, "
-                f"ox={self.ox}, oy={self.oy}"
-            )
-        if not self.h > 0.0:
-            raise ValueError(f"cell size must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"cell size must be finite and positive, got {self.h}")
 
     @classmethod
     def cover(cls, radius, n=512):
@@ -119,25 +111,22 @@ class GridSpec:
         return 0.5 * self.ny * self.h
 
     def x_centers(self):
-        return self.ox + (np.arange(self.nx) - (self.nx - 1) / 2.0) * self.h
+        return (np.arange(self.nx) - (self.nx - 1) / 2.0) * self.h
 
     def y_centers(self):
-        return self.oy + (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.h
+        return (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.h
 
     def x_edges(self):
-        return self.ox + (np.arange(self.nx + 1) - self.nx / 2.0) * self.h
+        return (np.arange(self.nx + 1) - self.nx / 2.0) * self.h
 
     def y_edges(self):
-        return self.oy + (np.arange(self.ny + 1) - self.ny / 2.0) * self.h
+        return (np.arange(self.ny + 1) - self.ny / 2.0) * self.h
 
     def same_geometry(self, other):
-        tol = _GEOMETRY_TOL
         return (
             self.nx == other.nx
             and self.ny == other.ny
-            and abs(self.h - other.h) <= tol * self.h
-            and abs(self.ox - other.ox) <= tol * self.h
-            and abs(self.oy - other.oy) <= tol * self.h
+            and abs(self.h - other.h) <= _GEOMETRY_TOL * self.h
         )
 
 
@@ -284,10 +273,10 @@ class RasterSet:
 
 def _check_bbox(grid, xmin, xmax, ymin, ymax):
     if (
-        xmin < grid.ox - grid.half_width
-        or xmax > grid.ox + grid.half_width
-        or ymin < grid.oy - grid.half_height
-        or ymax > grid.oy + grid.half_height
+        xmin < -grid.half_width
+        or xmax > grid.half_width
+        or ymin < -grid.half_height
+        or ymax > grid.half_height
     ):
         raise ValueError(
             "shape exceeds the grid: bounding box "
@@ -428,14 +417,14 @@ def _ball_table(grid, area):
 # ---------------------------------------------------------------------------
 
 
-def _reach_slice(n, origin, h, reach):
+def _reach_slice(n, h, reach):
     """Index range of the cells of one axis whose centers lie in [-reach, reach].
 
     Rounded outward, clipped to the grid.
     """
     mid = (n - 1) / 2.0
-    lo = math.floor((-reach - origin) / h + mid)
-    hi = math.ceil((reach - origin) / h + mid) + 1
+    lo = math.floor(-reach / h + mid)
+    hi = math.ceil(reach / h + mid) + 1
     return slice(min(max(lo, 0), n), min(max(hi, 0), n))
 
 
@@ -459,8 +448,8 @@ def _pull_linear(occ, grid, matrix, radius, out):
     flat = padded.ravel()
     inv = np.linalg.inv(matrix)
     reach = np.linalg.norm(matrix, 2) * (radius + math.sqrt(2.0) * grid.h)
-    rows = _reach_slice(grid.ny, grid.oy, grid.h, reach)
-    cols = _reach_slice(grid.nx, grid.ox, grid.h, reach)
+    rows = _reach_slice(grid.ny, grid.h, reach)
+    cols = _reach_slice(grid.nx, grid.h, reach)
     tx = grid.x_centers()[None, cols]
     ty = grid.y_centers()[rows, None]
     sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
@@ -475,11 +464,9 @@ def _pull_linear(occ, grid, matrix, radius, out):
         fi, fj, i0, j0, v00, v01, v10, v11 = scratch[:, :n]
         base = index[:n]
         np.add(sx_x, sx_y[blk], out=fj)
-        fj -= grid.ox
         fj /= grid.h
         fj += (grid.nx - 1) / 2.0
         np.add(sy_x, sy_y[blk], out=fi)
-        fi -= grid.oy
         fi /= grid.h
         fi += (grid.ny - 1) / 2.0
         np.clip(fi, -1.0, float(ny), out=fi)
@@ -526,7 +513,7 @@ def _column_masses(p, q, w, grid):
     piece is added to its column strip; pieces off the grid count in the
     first or last column.
     """
-    origin = (grid.x_edges()[0], grid.oy)
+    origin = (grid.x_edges()[0], 0.0)
     a, b = (p - origin) / grid.h, (q - origin) / grid.h
     # run every edge towards +u, so its crossings come in order along it
     back = a[:, 0] > b[:, 0]
@@ -578,7 +565,7 @@ def _staircase(grid, half):
     lo, hi = nz[0], nz[-1] + 1
     x = np.repeat(grid.x_edges()[lo : hi + 1], 2)[1:-1]
     y = np.repeat(half[lo:hi] * grid.h, 2)
-    return np.column_stack([np.r_[x, x[::-1]], grid.oy + np.r_[-y, y[::-1]]])
+    return np.column_stack([np.r_[x, x[::-1]], np.r_[-y, y[::-1]]])
 
 
 def _interval_lengths(mass, n, target=None):
@@ -671,26 +658,18 @@ def _rasterize_intervals(grid, half, matrix):
     return _rasterize_polygon(loop @ matrix.T, grid)
 
 
-def _require_centered(rs, op):
-    g = rs.grid
-    if abs(g.ox) > 1e-9 * g.h or abs(g.oy) > 1e-9 * g.h:
-        raise ValueError(f"{op} requires a grid centered at the origin")
-
-
 def steiner_raster(rs, direction, report=False):
     """Symmetral of a raster set with respect to a direction.
 
     Every column along the direction becomes the interval centred on the
     origin line whose length is the column's mass. Axis-aligned
-    directions read the column sums. Otherwise the column masses come
-    exactly from the raster's weighted grid edges, turned so the direction
-    is vertical, and are scaled to the input mass; the staircase of the
-    intervals is turned back and rasterized exactly. With report=True
-    returns (result, info) where info carries the relative mass drift of
-    the column masses, a rounding error that the scale absorbs.
+    directions read the column sums. Any other direction is one step of
+    an AlignedRun on the raster, drawn in the world frame. With
+    report=True returns (result, info) where info carries the relative
+    mass drift of the column masses, a rounding error that the scale
+    absorbs (see AlignedRun.mass_drift).
     """
     theta = as_theta(direction)
-    _require_centered(rs, "symmetrization")
     grid = rs.grid
     info = {"mass_drift": 0.0}
     out = np.zeros((grid.ny, grid.nx))
@@ -703,15 +682,8 @@ def steiner_raster(rs, direction, report=False):
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
         _fill_intervals(out.T, _interval_lengths(rs.occ.sum(axis=1), grid.nx))
     else:
-        mass0 = rs.mass()
-        fwd = _rotation(0.5 * math.pi - theta)
-        p, q, w = _raster_edges(rs.occ, grid)
-        mass = _column_masses(p @ fwd.T, q @ fwd.T, w, grid)
-        drift = (mass.sum() - mass0) / mass0 if mass0 > 0 else 0.0
-        info["mass_drift"] = float(drift)
-        half = _interval_lengths(mass, grid.ny, mass0)
-        _check_inside_disk(grid, half)
-        out = _rasterize_intervals(grid, half, fwd.T)
+        run = AlignedRun(rs).apply(theta)
+        out, info["mass_drift"] = run.world_raster().occ, run.mass_drift
     result = rs.with_occ(out)
     if report:
         return result, info
@@ -739,13 +711,15 @@ class AlignedRun:
     """
 
     def __init__(self, rs):
-        _require_centered(rs, "symmetrization")
         self.grid = rs.grid
         self._seed = rs.occ + 0.0  # a copy whose zeros are +0.0, as np.zeros writes
         self._seed.flags.writeable = False
         self._lengths = None  # no step yet: the run holds the seed
         self.frame = 0.0  # world-to-frame rotation angle
         self.target_mass = rs.mass()
+        # the last step's (mass.sum() - target_mass) / target_mass, a rounding
+        # error the scale absorbs; 0.0 where it took no column masses
+        self.mass_drift = 0.0
         self._table = None  # the comparison ball, built on first use
 
     def apply(self, direction):
@@ -753,6 +727,7 @@ class AlignedRun:
         target = 0.5 * math.pi - theta
         delta = math.remainder(target - self.frame, 2.0 * math.pi)
         grid, old = self.grid, self._lengths
+        self.mass_drift = 0.0
         if delta == 0.0 and old is not None:
             self.frame = target
             return self
@@ -766,6 +741,9 @@ class AlignedRun:
                 q, w = np.roll(p, -1, axis=0), 1.0
             turn = _rotation(delta).T
             mass = _column_masses(p @ turn, q @ turn, w, grid)
+            if self.target_mass > 0.0:
+                self.mass_drift = float(
+                    (mass.sum() - self.target_mass) / self.target_mass)
             half = _interval_lengths(mass, grid.ny, self.target_mass)
         _check_inside_disk(grid, half)  # so every drawing fits the grid
         self._lengths = half
@@ -838,13 +816,13 @@ def write_pgm(path, rs, binary=True):
     """Write a raster as PGM, maxval 65535, top row first.
 
     The world geometry travels in a comment line:
-    ``# cellsize=<h> ox=<ox> oy=<oy>``.
+    ``# cellsize=<h> ox=0 oy=0``, the cell size and the grid center.
     """
     g = rs.grid
     vals = np.rint(rs.occ[::-1, :] * PGM_MAXVAL).astype(np.uint16)
     header = (
         f"{'P5' if binary else 'P2'}\n"
-        f"# cellsize={g.h:.15g} ox={g.ox:.15g} oy={g.oy:.15g}\n"
+        f"# cellsize={g.h:.15g} ox=0 oy=0\n"
         f"{g.nx} {g.ny}\n{PGM_MAXVAL}\n"
     )
     with open(path, "wb") as fh:
@@ -859,9 +837,11 @@ def write_pgm(path, rs, binary=True):
 def read_pgm(path):
     """Read a P2 or P5 PGM written by write_pgm (or any plain grayscale PGM).
 
-    Without the geometry comment the grid defaults to cell size 1,
-    centered at the origin. A geometry the comment gives that GridSpec
-    refuses, or a sample outside 0..maxval, raises naming the file.
+    Without the geometry comment the grid defaults to cell size 1. A
+    center within 1e-9 cells of the origin reads as the origin. A
+    geometry the comment gives that GridSpec refuses, a center that is
+    not finite or lies farther off, or a sample outside 0..maxval, raises
+    naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -911,9 +891,14 @@ def read_pgm(path):
     lo, hi = int(vals.min()), int(vals.max())
     if lo < 0 or hi > maxval:
         raise ValueError(f"{path}: sample {lo if lo < 0 else hi} outside 0..{maxval}")
-    h, ox, oy = meta.groups() if meta else (1.0, 0.0, 0.0)
+    h, cx, cy = meta.groups() if meta else (1.0, 0.0, 0.0)
     try:
-        grid = GridSpec(nx=nx, ny=ny, h=float(h), ox=float(ox), oy=float(oy))
+        h, cx, cy = float(h), float(cx), float(cy)
+        if not all(map(math.isfinite, (h, cx, cy))):
+            raise ValueError(f"cell size and center must be finite, got {h}, ({cx}, {cy})")
+        grid = GridSpec(nx=nx, ny=ny, h=h)
+        if max(abs(cx), abs(cy)) > _GEOMETRY_TOL * h:
+            raise ValueError(f"grid center ({cx:.6g}, {cy:.6g}) is not the origin")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     occ = vals.reshape(ny, nx).astype(float)[::-1, :] / maxval

@@ -188,10 +188,9 @@ def vdc_points(count, base=2):
     """First `count` van der Corput values in the given base."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    idx = np.arange(1, count + 1, dtype=np.int64)
     out = np.zeros(count)
     denom = float(base)
-    rem = idx.copy()
+    rem = np.arange(1, count + 1, dtype=np.int64)
     while rem.any():
         out += (rem % base) / denom
         rem //= base

@@ -11,6 +11,7 @@ import kfsteiner
 from kfsteiner.cli import (
     DISC_BYTES_PER_POINT,
     MEMORY_BUDGET,
+    PLANE_BYTES_PER_CELL,
     SEQ_BYTES_PER_POINT,
     build_parser,
     main,
@@ -182,6 +183,59 @@ def test_sizes_over_the_memory_budget_are_a_usage_error(command, flag, per_point
     assert f"usage error: {flag} {points} needs about" in err
     assert f"({per_point} B a point)" in err and "memory budget" in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_seq_of_a_million_points_stays_small():
+    # rows are written as they are formatted: a million points held as
+    # text lines peaked at 218 MB. VmHWM is the peak of the child's own
+    # memory; its ru_maxrss would include this process's, which it
+    # inherits at exec.
+    code = ("import os; from kfsteiner.cli import main; "
+            "main(['seq', '--kind', 'kf', '--n', '1000000', '--out', os.devnull]); "
+            "print(open('/proc/self/status').read())")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kfsteiner.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    peak_kb = int(next(line for line in out.splitlines() if line.startswith("VmHWM:")).split()[1])
+    assert peak_kb < 100 * 1024, f"seq --n 1000000 peaked at {peak_kb / 1024:.0f} MB"
+
+
+#: The smallest --resolution whose raster plane is over the memory budget.
+OVER_BUDGET_RESOLUTION = math.isqrt(MEMORY_BUDGET // PLANE_BYTES_PER_CELL) + 1
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["process", "--seed", "builtin:lshape", "--resolution", str(OVER_BUDGET_RESOLUTION)],
+     "--resolution", f"({PLANE_BYTES_PER_CELL} B a cell)"),
+    (["process", "--seed", "builtin:annulus", "--grid", "100000x100000:0.01"],
+     "--grid", f"({PLANE_BYTES_PER_CELL} B a cell)"),
+    (["compare", "--seed", "builtin:two-component", "--kinds", "kf,vdc,random",
+      "--resolution", str(OVER_BUDGET_RESOLUTION)],
+     "--resolution", f"({PLANE_BYTES_PER_CELL} B a cell)"),
+    # each of three concurrent runs holds its own planes
+    (["compare", "--seed", "builtin:lshape", "--kinds", "kf,vdc,random", "--jobs", "4",
+      "--resolution", str(OVER_BUDGET_RESOLUTION * 3 // 5)],
+     "--resolution", "cell in each of 3 concurrent runs"),
+], ids=["process-resolution", "process-grid", "compare", "compare-jobs"])
+def test_raster_grids_over_the_memory_budget_are_a_usage_error(argv, flag, message,
+                                                               tmp_path, capsys):
+    # refused before the seed is built, so the test allocates nothing
+    kind = ["--kind", "kf"] if argv[0] == "process" else []
+    assert main(argv + kind + ["--steps", "2", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} " in err and message in err and "memory budget" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_polygon_seed_runs_at_any_resolution(tmp_path):
+    # a polygon seed builds no grid from --resolution; its frames draw at
+    # most 256x256 cells
+    outdir = tmp_path / "run"
+    assert main(["process", "--seed", "builtin:square", "--kind", "kf", "--steps", "2",
+                 "--resolution", str(100 * OVER_BUDGET_RESOLUTION), "--frames",
+                 "--out", str(outdir)]) == 0
+    assert read_pgm(outdir / "frame_2.pgm").grid.nx == 256
 
 
 def test_partition_cap_names_the_level(tmp_path, capsys):

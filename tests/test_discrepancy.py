@@ -223,14 +223,12 @@ def test_extreme_equals_the_binary_search_formulation_on_kf_prefixes():
         max_size=6,
     )
 )
-def test_extreme_with_reused_scratch_equals_the_binary_search_formulation(samples):
-    # one scratch, larger than any sample, carries over from one sample to
-    # the next as it does in discrepancy_curve
-    scratch = discrepancy._scratch(50)
+def test_extreme_of_sorted_samples_equals_the_binary_search_formulation(samples):
+    # sample after sample, as discrepancy_curve evaluates them
     for sample in samples:
         pts = np.sort(np.asarray(sample, dtype=float))
         d_star = star_discrepancy(pts)
-        assert discrepancy._extreme_sorted(pts, d_star, scratch) == extreme_by_search(pts)
+        assert discrepancy._extreme_sorted(pts, d_star) == extreme_by_search(pts)
 
 
 def star_sorted_whole(pts):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -26,3 +27,18 @@ def test_no_module_checks_an_invariant_with_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statement at lines {lines}"
+
+
+def test_every_call_site_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench/run.py --trace 1 wraps these names; a rename in src/ that
+    # drops one would break the traced benchmark runs
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    importlib.import_module("kfsteiner.cli")
+    targets = worker._targets(kfsteiner)
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"

@@ -39,12 +39,24 @@ def test_gridspec_validation():
     assert g.half_width >= 1.0
 
 
-@pytest.mark.parametrize("field", ["h", "ox", "oy"])
+@pytest.mark.parametrize("field", ["h"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_gridspec_rejects_non_finite_geometry(field, value):
-    geometry = {"h": 0.1, "ox": 0.0, "oy": 0.0, field: value}
     with pytest.raises(ValueError, match="must be finite"):
-        GridSpec(nx=4, ny=4, **geometry)
+        GridSpec(nx=4, ny=4, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["cellsize", "ox", "oy"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_pgm_rejects_non_finite_geometry(field, value, tmp_path):
+    # a grid center enters only through a PGM's geometry comment
+    geometry = {"cellsize": "0.1", "ox": "0", "oy": "0", field: value}
+    path = tmp_path / "bad.pgm"
+    comment = " ".join(f"{k}={v}" for k, v in geometry.items())
+    path.write_bytes(f"P5\n# {comment}\n2 2\n255\n".encode() + bytes(4))
+    with pytest.raises(ValueError, match="cell size and center must be finite") as err:
+        read_pgm(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_rasterset_validation():
@@ -292,10 +304,25 @@ def test_pgm_defaults_without_metadata(tmp_path):
     path = tmp_path / "bare.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 255\n255 0\n")
     rs = read_pgm(path)
-    assert rs.grid.h == 1.0 and rs.grid.ox == 0.0
+    assert rs.grid.h == 1.0
     # top row first in the file: file row 0 is grid row 1
     assert rs.occ[1, 0] == 0.0 and rs.occ[1, 1] == 1.0
     assert rs.occ[0, 0] == 1.0 and rs.occ[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_pgm_center_must_be_the_origin(tmp_path, binary):
+    h = 0.1
+    path = tmp_path / "offset.pgm"
+    body = bytes(4) if binary else b"0 0 0 0\n"
+    header = f"P{5 if binary else 2}\n# cellsize={h} ox={{}} oy=0\n2 2\n255\n"
+    # within 1e-9 cells of the origin the center reads as the origin
+    path.write_bytes(header.format(repr(1e-12 * h)).encode() + body)
+    assert read_pgm(path).grid == GridSpec(nx=2, ny=2, h=h)
+    path.write_bytes(header.format(repr(1e-3 * h)).encode() + body)
+    with pytest.raises(ValueError, match="is not the origin") as err:
+        read_pgm(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +373,8 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None):
     inv = np.linalg.inv(matrix)
     sx = inv[0, 0] * tx + inv[0, 1] * ty
     sy = inv[1, 0] * tx + inv[1, 1] * ty
-    fj = (sx - grid.ox) / grid.h + (grid.nx - 1) / 2.0
-    fi = (sy - grid.oy) / grid.h + (grid.ny - 1) / 2.0
+    fj = sx / grid.h + (grid.nx - 1) / 2.0
+    fi = sy / grid.h + (grid.ny - 1) / 2.0
     full = np.clip(allocating_gather(occ, fi, fj), 0.0, 1.0)
     if out is None:
         return full
@@ -378,17 +405,13 @@ def full_map_radius(rs, cutoff):
 
 
 @st.composite
-def raster_sets(draw, centered=False):
+def raster_sets(draw):
     """Small rasters whose content is a random block, nothing, a full
     block about the centre, or a band within two cells of the grid edge."""
     ny = draw(st.integers(5, 40))
     nx = draw(st.integers(5, 40))
     h = draw(st.sampled_from([0.05, 0.1, 0.37, 1.0]))
-    ox = oy = 0.0
-    if not centered:
-        ox = draw(st.floats(-1.0, 1.0)) * nx * h
-        oy = draw(st.floats(-1.0, 1.0)) * ny * h
-    grid = GridSpec(nx=nx, ny=ny, h=h, ox=ox, oy=oy)
+    grid = GridSpec(nx=nx, ny=ny, h=h)
     kind = draw(st.sampled_from(("random", "empty", "centre_block", "margin")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     occ = np.zeros((ny, nx))
@@ -441,7 +464,7 @@ def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
 
 
 @settings(max_examples=100, deadline=None)
-@given(raster_sets(centered=True))
+@given(raster_sets())
 def test_interval_plane_is_the_raster_of_its_staircase(rs):
     half = rasters._interval_lengths(rs.occ.sum(axis=0), rs.grid.ny)
     plane = np.zeros_like(rs.occ)
@@ -491,6 +514,21 @@ def test_raster_edges_give_the_column_sums_and_keep_the_mass(rs, signed_zeros, t
     assert abs(turned.sum() - occ.sum()) <= 1e-12 * occ.sum()
 
 
+@pytest.mark.parametrize("name", ["lshape", "two-component"])
+def test_run_mass_drift_is_rounding_and_is_steiner_rasters(name):
+    seed = builtin_seed(name, resolution=128)
+    run = AlignedRun(seed)
+    for k, x in enumerate(sequence_values("kf", 30), start=1):
+        run.apply(math.pi * float(x))
+        assert abs(run.mass_drift) <= 1e-12, f"step {k}"
+    # a first oblique step from the seed is steiner_raster's step
+    for theta in (0.3, 1.1, 2.2, 3.3):
+        first = AlignedRun(seed).apply(theta)
+        out, info = steiner_raster(seed, theta, report=True)
+        assert info["mass_drift"] == first.mass_drift, f"theta {theta}"
+        assert np.array_equal(out.occ, first.world_raster().occ), f"theta {theta}"
+
+
 def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -501,7 +539,7 @@ def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
 
 
 @settings(max_examples=100, deadline=None)
-@given(raster_sets(centered=True))
+@given(raster_sets())
 def test_perimeter_estimate_matches_full_grid(rs):
     windowed = perimeter_estimate(rs, n_directions=8)
     with pytest.MonkeyPatch.context() as mp:
@@ -547,7 +585,7 @@ def polygon_rasters(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(raster_sets(centered=True), rim_rasters(), polygon_rasters()),
+@given(st.one_of(raster_sets(), rim_rasters(), polygon_rasters()),
        st.lists(st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi])),
                 min_size=1, max_size=8))
 def test_run_steps_write_their_staircase_or_refuse_the_grid(rs, thetas):
@@ -836,9 +874,7 @@ def polygons_on_grids(draw, max_cells=40):
     nx = draw(st.integers(1, max_cells))
     ny = draw(st.integers(1, max_cells))
     h = draw(st.sampled_from([0.25, 1.0, 0.1, 0.37, 2.5]))
-    ox = draw(st.floats(-3.0, 3.0)) * h
-    oy = draw(st.floats(-3.0, 3.0)) * h
-    grid = GridSpec(nx=nx, ny=ny, h=h, ox=ox, oy=oy)
+    grid = GridSpec(nx=nx, ny=ny, h=h)
     xe, ye = grid.x_edges(), grid.y_edges()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("random", "on_lines", "rectangle", "in_cell", "extent")))
@@ -1011,13 +1047,11 @@ def _decimal_disk_coverage(grid, r, cells):
         (GridSpec.cover(1.0, n=31), 0.9),
         (GridSpec.cover(1.0, n=32), 0.9),
         (GridSpec(nx=5, ny=5, h=1.0), 0.3),
-        (GridSpec(nx=4, ny=6, h=1.0, ox=0.5, oy=0.5), 0.2),
         # through the grid corners (0.75, 1) and (1, 0.75): 0.75**2 + 1 == 1.25**2
         (GridSpec(nx=16, ny=16, h=0.25), 1.25),
-        (GridSpec(nx=40, ny=36, h=0.07, ox=0.3, oy=-0.2), 0.9),
     ],
     ids=["lshape-512", "unit-area-512", "odd-31", "even-32", "in-one-cell",
-         "in-one-cell-off-centre", "through-corners", "off-centre"],
+         "through-corners"],
 )
 def test_disk_fraction_matches_decimal_oracle(grid, r):
     got = rasters._disk_fraction(grid, r)
