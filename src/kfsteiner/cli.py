@@ -30,7 +30,7 @@ from .process import (
     run_process,
     trace_csv,
 )
-from .rasters import GridSpec, RasterSet, rasterize, steiner_raster, write_pgm
+from .rasters import GridSpec, RasterSet, _pgm_size, rasterize, steiner_raster, write_pgm
 from .sequences import (
     GAMMA,
     _parse_alpha,
@@ -70,18 +70,37 @@ def _check_budget(flag, value, count, bytes_each, unit="point"):
         )
 
 
-def _check_plane_budget(seed, resolution, grid=None, runs=1):
-    """Refuse a builtin raster seed whose grid, in each of `runs` concurrent
-    runs, would not fit the memory budget. Other seeds build no grid from
-    these flags: a polygon's frames draw at most 256² cells."""
-    if seed not in [f"builtin:{name}" for name in RASTER_SEEDS]:
-        return
-    if grid is None:
-        flag, value, cells = "--resolution", resolution, resolution**2
-    else:
-        flag, value, cells = "--grid", f"{grid.nx}x{grid.ny}:{grid.h:g}", grid.nx * grid.ny
+def _check_cells(flag, value, cells, runs):
     unit = "cell" if runs == 1 else f"cell in each of {runs} concurrent runs"
     _check_budget(flag, value, cells * runs, PLANE_BYTES_PER_CELL, unit)
+
+
+def _check_plane_budget(seed, resolution, grid=None, runs=1):
+    """Refuse a seed whose grid, in each of `runs` concurrent runs, would
+    not fit the memory budget, and a --grid for any seed but a builtin
+    raster seed, the only kind it sizes. A polygon builds no grid from
+    these flags: its frames draw at most 256² cells."""
+    if seed not in [f"builtin:{name}" for name in RASTER_SEEDS]:
+        if grid is not None:
+            raise SystemExit2(
+                f"--grid sets the grid of a builtin raster seed "
+                f"({', '.join(RASTER_SEEDS)}), not of {seed}"
+            )
+        if not seed.startswith("builtin:"):
+            _check_pgm_budget("--seed", seed, runs)
+    elif grid is None:
+        _check_cells("--resolution", resolution, resolution**2, runs)
+    else:
+        _check_cells("--grid", f"{grid.nx}x{grid.ny}:{grid.h:g}", grid.nx * grid.ny, runs)
+
+
+def _check_pgm_budget(flag, path, runs=1):
+    """Refuse a PGM file whose grid would not fit the memory budget, from
+    its header alone, before a sample is read. Other files pass."""
+    size = _pgm_size(path)
+    if size is not None:
+        nx, ny = size
+        _check_cells(flag, f"{path} ({nx}x{ny} cells)", nx * ny, runs)
 
 
 @contextlib.contextmanager
@@ -183,6 +202,7 @@ def cmd_disc(args):
 
 
 def cmd_symmetrize(args):
+    _check_pgm_budget("--in", args.infile)
     shape = _read_set(args.infile)
     theta = args.theta if args.theta is not None else to_direction(args.x).theta
     if isinstance(shape, RasterSet):

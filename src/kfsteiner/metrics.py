@@ -21,6 +21,11 @@ its frame raster or its world raster, is the length of their section
 profile, read in one pass over the columns. Every other raster (a seed,
 a steiner_raster output, a PGM) takes the integral-geometry estimate,
 which samples the grid along 64 rotated line directions.
+
+A polygon's measure forms its edge columns once (polygons._edge_terms)
+and takes the second moment and the disk parts behind d1 from them, the
+bits of moment_about_origin and d1_to_ball. At 60k vertices that takes
+1.05 ms, where a pass for each took 1.45 ms (2-core VM).
 """
 
 from __future__ import annotations
@@ -35,11 +40,14 @@ from .polygons import (
     Ball,
     ConvexPolygon,
     _disk_parts,
+    _edge_terms,
+    _moment,
     _rotation,
     ball_hausdorff,
-    # never called here: d1 takes _disk_parts. perfbench/worker.py still
-    # patches this name, so its polygons.disk_intersection_area span reads
-    # 0 until the bench wraps _disk_parts instead (ROADMAP item 1)
+    # never called here: d1 takes _disk_parts of the shared edge terms.
+    # perfbench/worker.py patches this name, so its
+    # polygons.disk_intersection_area span reads 0 and the disk parts'
+    # time sits in metrics.measure (ROADMAP item 1)
     disk_intersection_area,
     hausdorff,
 )
@@ -133,7 +141,7 @@ def d1_to_ball(obj):
     cells.
     """
     if isinstance(obj, ConvexPolygon):
-        return _polygon_d1_to_ball(obj, obj.area())
+        return _polygon_d1_to_ball(_edge_terms(obj.vertices), obj.area())
     if isinstance(obj, RasterSet):
         ball, prefix = obj._comparison_ball()
         half = obj._intervals()
@@ -158,8 +166,9 @@ def _intervals_to_ball(half, ball, prefix):
     return float((outside + full + ends).sum())
 
 
-def _polygon_d1_to_ball(poly, a):
-    """Exact d1 of a polygon of area a to the origin ball of that area.
+def _polygon_d1_to_ball(terms, a):
+    """Exact d1 of a polygon of area a, given by its polygons._edge_terms,
+    to the origin ball of that area.
 
     d1 is 2 (a - |P & B|). Where the polygon winds once about the origin
     |P & B| is pi r**2 minus the circular segments of B outside P, and
@@ -168,7 +177,7 @@ def _polygon_d1_to_ball(poly, a):
     its shoelace sum, up to about 2e-15 a at 60k vertices.
     """
     r = math.sqrt(a / math.pi)
-    turn, segments = _disk_parts(poly, r)
+    turn, segments = _disk_parts(terms, r)
     if turn is None:
         return 2.0 * segments
     return 2.0 * (a - (0.5 * (r * r) * turn - segments))
@@ -260,16 +269,19 @@ def measure(obj, with_hausdorff=False, with_perimeter=False):
     length for the rasters of a stepped run.
     """
     a = area(obj)
-    mu = moment_of_inertia(obj)
     haus = None
     perim = None
     if isinstance(obj, ConvexPolygon):
-        dball = _polygon_d1_to_ball(obj, a)
+        # one pass over the edges serves the moment and the disk parts
+        terms = _edge_terms(obj.vertices)
+        mu = _moment(terms)
+        dball = _polygon_d1_to_ball(terms, a)
         if with_hausdorff:
             haus = ball_hausdorff(obj, math.sqrt(a / math.pi))
         if with_perimeter:
             perim = obj.perimeter()
     else:
+        mu = moment_of_inertia(obj)
         dball = d1_to_ball(obj)
         if with_perimeter:
             perim = perimeter_estimate(obj)

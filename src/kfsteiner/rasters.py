@@ -40,6 +40,7 @@ identical to a full-grid gather.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -834,6 +835,60 @@ def write_pgm(path, rs, binary=True):
                 fh.write((" ".join(str(v) for v in row) + "\n").encode("ascii"))
 
 
+def _pgm_header(fh, path):
+    """(binary, nx, ny, maxval) of the PGM open in fh at its start.
+
+    The header is read byte by byte up to the whitespace that ends
+    maxval, so fh is left at the first sample and no sample is read. A
+    magic other than P2 or P5, a token that is not an integer, a header
+    that ends early, an empty image or a maxval outside 1..PGM_MAXVAL
+    raises naming the file.
+    """
+    magic = fh.read(2)
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"{path}: not a P2/P5 PGM file")
+    # tokenize: width, height, maxval; a '#' before a token starts a comment
+    tokens = []
+    c = fh.read(1)
+    while len(tokens) < 3:
+        if c.isspace():
+            c = fh.read(1)
+        elif c == b"#":
+            fh.readline()
+            c = fh.read(1)
+        else:
+            tok = bytearray()
+            while c and not c.isspace():
+                tok += c
+                c = fh.read(1)
+            if not tok:
+                raise ValueError(f"{path}: header ends before width, height and maxval")
+            if not tok.isdigit():
+                raise ValueError(f"{path}: header token {bytes(tok)!r} is not an integer")
+            try:
+                tokens.append(int(tok))
+            except ValueError:  # past the interpreter's digit limit
+                raise ValueError(
+                    f"{path}: header token of {len(tok)} digits is too long") from None
+    nx, ny, maxval = tokens
+    if nx < 1 or ny < 1:
+        raise ValueError(f"{path}: image size {nx}x{ny} has no cells")
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
+    return magic == b"P5", nx, ny, maxval
+
+
+def _pgm_size(path):
+    """(nx, ny) of the PGM file at path, from its header alone, or None
+    when the file does not start with a P2/P5 magic."""
+    with open(path, "rb") as fh:
+        if fh.read(2) not in (b"P2", b"P5"):
+            return None
+        fh.seek(0)
+        _, nx, ny, _ = _pgm_header(fh, path)
+    return nx, ny
+
+
 def read_pgm(path):
     """Read a P2 or P5 PGM written by write_pgm (or any plain grayscale PGM).
 
@@ -845,39 +900,13 @@ def read_pgm(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a P2/P5 PGM file")
-    binary = data[:2] == b"P5"
+    head = io.BytesIO(data)
+    binary, nx, ny, maxval = _pgm_header(head, path)
+    pos = head.tell()
     meta = _META_RE.search(data[: min(len(data), 4096)])
-
-    # tokenize the header: magic, width, height, maxval (comments stripped)
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
-        if not tok:
-            raise ValueError(f"{path}: header ends before width, height and maxval")
-        if not tok.isdigit():
-            raise ValueError(f"{path}: header token {tok!r} is not an integer")
-        tokens.append(tok)
-    nx, ny, maxval = (int(t) for t in tokens)
-    if nx < 1 or ny < 1:
-        raise ValueError(f"{path}: image size {nx}x{ny} has no cells")
-    if not 1 <= maxval <= PGM_MAXVAL:
-        raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     if binary:
-        pos += 1  # single whitespace after maxval
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        count = max(len(data) - pos, 0) // dtype.itemsize
+        count = (len(data) - pos) // dtype.itemsize
         if count < nx * ny:
             raise ValueError(f"{path}: expected {nx * ny} samples, got {count}")
         vals = np.frombuffer(data, dtype=dtype, count=nx * ny, offset=pos)

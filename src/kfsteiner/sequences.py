@@ -191,10 +191,17 @@ def vdc_points(count, base=2):
     out = np.zeros(count)
     denom = float(base)
     rem = np.arange(1, count + 1, dtype=np.int64)
-    while rem.any():
-        out += (rem % base) / denom
-        rem //= base
+    # three arrays of the points, 24 B a point: divmod writes the quotient
+    # over rem and the digit into a float array scaled in place. count,
+    # the largest index, has the most digits, so it sets the loop's length.
+    digit = np.empty(count)
+    top = count
+    while top:
+        np.divmod(rem, base, out=(rem, digit))
+        digit /= denom
+        out += digit
         denom *= base
+        top //= base
     return out
 
 

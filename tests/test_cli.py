@@ -228,6 +228,44 @@ def test_raster_grids_over_the_memory_budget_are_a_usage_error(argv, flag, messa
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("kind", ["builtin", "polygon-file", "pgm-file"])
+def test_grid_for_a_seed_it_does_not_size_is_a_usage_error(kind, tmp_path, capsys):
+    seed = "builtin:square"
+    if kind == "polygon-file":
+        seed = tmp_path / "sq.txt"
+        seed.write_text("0 0\n1 0\n1 1\n0 1\n")
+    elif kind == "pgm-file":
+        seed = tmp_path / "ball.pgm"
+        write_pgm(seed, rasterize(Ball(0.6), GridSpec.cover(1.0, n=16)))
+    code = main(["process", "--seed", str(seed), "--kind", "kf", "--steps", "2",
+                 "--grid", "4x4:0.01", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "usage error: --grid sets the grid of a builtin raster seed" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, flag, unit", [
+    (["process", "--kind", "kf", "--steps", "2", "--seed"], "--seed",
+     f"({PLANE_BYTES_PER_CELL} B a cell)"),
+    (["compare", "--kinds", "kf,vdc", "--jobs", "2", "--steps", "2", "--seed"], "--seed",
+     f"({PLANE_BYTES_PER_CELL} B a cell in each of 2 concurrent runs)"),
+    (["symmetrize", "--theta", "1.0", "--in"], "--in", f"({PLANE_BYTES_PER_CELL} B a cell)"),
+], ids=["process", "compare", "symmetrize"])
+def test_pgm_over_the_memory_budget_is_refused_from_its_header(argv, flag, unit,
+                                                               tmp_path, capsys):
+    # a header with no samples: it is refused before the body is read
+    big = tmp_path / "big.pgm"
+    big.write_bytes(b"P5\n# a header alone\n100000 100000\n255\n")
+    out = ["--out", str(tmp_path / ("out.pgm" if argv[0] == "symmetrize" else "run"))]
+    assert main(argv + [str(big)] + out) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} {big} (100000x100000 cells) needs about" in err
+    assert unit in err
+    assert f"over the {MEMORY_BUDGET / 2**30:g} GiB memory budget" in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out.pgm").exists()
+
+
 def test_polygon_seed_runs_at_any_resolution(tmp_path):
     # a polygon seed builds no grid from --resolution; its frames draw at
     # most 256x256 cells
@@ -301,6 +339,7 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
         (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 outside 1..65535"),
         (b"P5\n4", "header ends before width, height and maxval"),
         (b"P5\nx 2\n255\n" + bytes(4), "header token b'x' is not an integer"),
+        (b"P5\n" + b"1" * 5000 + b" 2\n255\n", "header token of 5000 digits is too long"),
         (b"P5\n0 2\n255\n", "image size 0x2 has no cells"),
         (b"P2\n2 2\n10\n0 5 11 10", "sample 11 outside 0..10"),
         (b"P5\n2 2\n10\n" + bytes([0, 5, 11, 10]), "sample 11 outside 0..10"),
@@ -313,7 +352,7 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
          "cell size and center must be finite"),
     ],
     ids=["truncated-8bit", "truncated-16bit", "maxval-0", "maxval-too-big",
-         "header-ends-early", "width-not-a-number", "width-zero",
+         "header-ends-early", "width-not-a-number", "width-too-long", "width-zero",
          "p2-sample-above-maxval", "p5-sample-above-maxval", "p2-negative-sample",
          "p2-sample-not-an-integer",
          "cellsize-inf", "origin-nan"],

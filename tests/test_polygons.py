@@ -12,7 +12,7 @@ from conftest import (
     oracle_hausdorff,
     random_convex_polygon,
 )
-from kfsteiner.metrics import d1_to_ball, hausdorff
+from kfsteiner.metrics import d1_to_ball, hausdorff, measure
 from kfsteiner.polygons import (
     COLLINEAR_REL_TOL,
     SIMPLIFY_AREA_FRACTION,
@@ -21,6 +21,7 @@ from kfsteiner.polygons import (
     _chord_profile,
     _rotation,
     _shoelace,
+    _simplify_profile,
     ball_hausdorff,
     ball_of_same_area,
     disk_intersection_area,
@@ -658,6 +659,157 @@ def test_steps_match_roll_oracles_on_saturated_ellipse():
         poly = steiner_polygon(poly, theta)
     assert len(poly) >= 50_000
     assert_steps_match_oracles(poly, xs[25:] + [0.0, 0.5 * math.pi])
+
+
+# ---------------------------------------------------------------------------
+# The moment and the disk parts as they were before they shared one pass
+# over the edges, kept as oracles: measure, moment_about_origin, d1_to_ball
+# and disk_intersection_area must give their bits.
+# ---------------------------------------------------------------------------
+
+
+def oracle_disk_parts(v, r):
+    """(turn, segments) of the segment form of the disk intersection, each
+    edge column formed from a row-major array with np.roll."""
+    if r <= 0.0:
+        return 0.0, 0.0
+    r2 = r * r
+    p = np.ascontiguousarray(v)
+    q = np.roll(p, -1, axis=0)
+    x, y, xn, yn = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+    side = x * yn - y * xn
+    near = x * x + y * y <= r2
+    inner = near & np.roll(near, -1)
+    whole = np.flatnonzero(inner)
+    dx, dy = xn - x, yn - y
+    a = dx * dx + dy * dy
+    disc = r2 * a - side * side
+    k = np.flatnonzero((disc > 0.0) & ~inner)
+    px, py, qx, qy, dx, dy, a = x[k], y[k], xn[k], yn[k], dx[k], dy[k], a[k]
+    root = np.sqrt(disc[k])
+    t = np.clip((-root - (px * dx + py * dy)) / a, 0.0, 1.0)
+    s = np.clip(((qx * dx + qy * dy) - root) / a, 0.0, 1.0)
+    ex, ey = px + t * dx, py + t * dy
+    fx, fy = qx - s * dx, qy - s * dy
+    cross = np.concatenate([side[whole], np.copysign(ex * fy - ey * fx, side[k])])
+    dot = np.concatenate([x[whole] * xn[whole] + y[whole] * yn[whole],
+                          ex * fx + ey * fy])
+    seg = 0.5 * (r2 * np.arctan2(cross, dot) - cross)
+    seg[whole.size:][t + s >= 1.0] = 0.0
+    if side.min() > 0.0:
+        return None, float(np.sum(seg))
+    dot = x * xn + y * yn
+    on = (side == 0.0) & (dot <= 0.0)
+    angle = float(np.sum(np.arctan2(side[~on], dot[~on])))
+    if on.any():
+        seg[np.isin(np.concatenate([whole, k]), np.flatnonzero(on))] = 0.0
+    else:
+        angle = 2.0 * math.pi * round(angle / (2.0 * math.pi))
+    return angle, float(np.sum(seg))
+
+
+def oracle_disk_area(v, r):
+    turn, segments = oracle_disk_parts(v, r)
+    if turn is None:
+        return math.pi * (r * r) - segments
+    return 0.5 * (r * r) * turn - segments
+
+
+def oracle_polygon_d1(v, a):
+    r = math.sqrt(a / math.pi)
+    turn, segments = oracle_disk_parts(v, r)
+    if turn is None:
+        return 2.0 * segments
+    return 2.0 * (a - (0.5 * (r * r) * turn - segments))
+
+
+def assert_edge_pass_matches_oracles(poly):
+    v = np.ascontiguousarray(poly.vertices)
+    a = poly.area()
+    record = measure(poly)
+    assert record.mu == poly.moment_about_origin() == oracle_moment(v)
+    assert record.d1_to_ball == d1_to_ball(poly) == oracle_polygon_d1(v, a)
+    r_eq = math.sqrt(a / math.pi)
+    for r in (0.0, 0.5 * r_eq, r_eq, 2.0 * poly.circumradius()):
+        assert disk_intersection_area(poly, r) == oracle_disk_area(v, r)
+
+
+def moved_copies(poly):
+    """The polygon, and its copies moved so that the origin is its first
+    vertex and the midpoint of its first edge: on the lattice of
+    convex_polygons both are exact, the boundary paths of the disk parts.
+    A move may round a near-collinear turn past the convexity tolerance;
+    such a copy is left out."""
+    v = poly.vertices
+    out = [poly]
+    for origin in (v[0], 0.5 * (v[0] + v[1])):
+        try:
+            out.append(ConvexPolygon(v - origin))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_polygons())
+def test_one_edge_pass_gives_the_moment_and_d1_bits(poly):
+    for p in moved_copies(poly):
+        assert_edge_pass_matches_oracles(p)
+
+
+@pytest.mark.parametrize("verts", [
+    [(0, 0), (1, 0), (1, 1), (0, 1)],  # origin at a vertex
+    [(-1, 0), (1, 0), (1, 1), (-1, 1)],  # origin on an edge
+    [(-1, -1), (1, -1), (1, 1e-9), (0.5, 0), (-1, 1e-9)],  # inside, by a reflex turn
+    [(2, 1), (3, 1), (3, 2)],  # origin outside
+])
+def test_one_edge_pass_on_the_paths_off_winding_one(verts):
+    poly = ConvexPolygon(verts)
+    p = np.ascontiguousarray(poly.vertices)
+    q = np.roll(p, -1, axis=0)
+    # some cross(p, q) <= 0: the disk parts sum the angles
+    assert np.min(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= 0.0
+    assert_edge_pass_matches_oracles(poly)
+
+
+def test_one_edge_pass_on_the_saturated_polygon(saturated_kf_polygon):
+    assert len(saturated_kf_polygon) >= 40_000
+    assert_edge_pass_matches_oracles(saturated_kf_polygon)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 1000, 1001])
+def test_merge_of_an_all_removable_profile(n):
+    # a parabola sampled at spacing h: every triangle of neighbours has
+    # twice the area 2 h**3, so with eps 4 h**3 the first pass finds every
+    # interior point removable, and the spacing 2 h after it mostly not
+    xs = np.linspace(-1.0, 1.0, n)
+    h = xs[1] - xs[0]
+    ell = 1.0 - xs * xs
+    for eps in (4.0 * h**3, 1.0):  # and one where every pass removes all
+        got_xs, got_ell = _simplify_profile(xs, ell, eps)
+        want_xs, want_ell = oracle_simplify_profile(xs, ell, eps)
+        assert np.array_equal(got_xs, want_xs)
+        assert np.array_equal(got_ell, want_ell)
+    if n % 2:
+        # the first pass keeps xs[::2], and at spacing 2 h the second none
+        assert np.array_equal(_simplify_profile(xs, ell, 4.0 * h**3)[0], xs[::2])
+    assert np.array_equal(_simplify_profile(xs, ell, 1.0)[0], [xs[0], xs[-1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 600), st.data())
+def test_merge_with_kinks_matches_the_point_by_point_oracle(n, data):
+    # kinks in the removable parabola above keep their points and their
+    # neighbours: few of them take the sliced runs, many the index pass
+    xs = np.linspace(-1.0, 1.0, n)
+    h = xs[1] - xs[0]
+    ell = 1.0 - xs * xs
+    kinks = data.draw(st.lists(st.integers(0, n - 1), max_size=min(n, 120)))
+    ell[kinks] += 0.25
+    got_xs, got_ell = _simplify_profile(xs, ell, 4.0 * h**3)
+    want_xs, want_ell = oracle_simplify_profile(xs, ell, 4.0 * h**3)
+    assert np.array_equal(got_xs, want_xs)
+    assert np.array_equal(got_ell, want_ell)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,39 @@ def test_vdc_examples():
             assert vdc_point(n, b) == pytest.approx(oracle(n, b), abs=1e-15)
 
 
+def oracle_vdc_points(count, base):
+    """The digit loop vdc_points ran before it divided into preallocated
+    arrays: a remainder and a quotient array per digit, until all are 0."""
+    out = np.zeros(count)
+    denom = float(base)
+    rem = np.arange(1, count + 1, dtype=np.int64)
+    while rem.any():
+        out += (rem % base) / denom
+        rem //= base
+        denom *= base
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 9, 10, 11, 999, 1000, 1024, 1025, 65537])
+def test_vdc_points_give_the_digit_loop_bits(base, count):
+    assert np.array_equal(vdc_points(count, base), oracle_vdc_points(count, base))
+
+
+def test_vdc_points_peak_memory_is_three_arrays():
+    # the points, their remainders and one digit array; numpy's cast
+    # buffer for the float digits adds 64 KiB. The old loop peaked at 4x.
+    count = 1 << 20
+    tracemalloc.start()
+    try:
+        pts = vdc_points(count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == count
+    assert peak <= 3.25 * pts.nbytes
+
+
 def test_kronecker_examples():
     assert abs(kronecker_point(1, G) - G) < 1e-15
     assert abs(kronecker_point(2, G) - (2 * G - 1.0)) < 1e-15
