@@ -130,15 +130,36 @@ def _shoelace(v):
     return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
-def _edge_terms(v):
-    """The per-edge columns that the second moment and the disk parts
-    share, for the edges p -> q of the polygon with vertices v:
-    (x, y, xn, yn, cross, p2, pq), where x, y are p's coordinates, xn, yn
-    q's, cross is cross(p, q), p2 is |p|**2 and pq is p.q. |q|**2 is
-    _next(p2), the same bits."""
+def _edge_columns(v):
+    """(x, y, xn, yn) for the edges p -> q of the polygon with vertices v:
+    p's coordinates and q's, the first four columns of _edge_terms."""
     x, y = v[:, 0], v[:, 1]
-    xn, yn = _next(x), _next(y)
+    return x, y, _next(x), _next(y)
+
+
+def _edge_terms(v):
+    """The per-edge columns that the second moment, the disk parts and
+    the Hausdorff distance share, for the edges p -> q of the polygon
+    with vertices v: (x, y, xn, yn, cross, p2, pq), where x, y are p's
+    coordinates, xn, yn q's, cross is cross(p, q), p2 is |p|**2 and pq is
+    p.q. |q|**2 is _next(p2), the same bits."""
+    x, y, xn, yn = _edge_columns(v)
     return x, y, xn, yn, x * yn - y * xn, x * x + y * y, x * xn + y * yn
+
+
+def _edge_lengths(columns):
+    """|q - p| of every edge, from the _edge_columns (or _edge_terms)
+    columns."""
+    x, y, xn, yn = columns[:4]
+    return np.hypot(xn - x, yn - y)
+
+
+def _contains_origin(columns):
+    """Whether the origin lies in the polygon of the _edge_columns (or
+    _edge_terms) columns, its boundary included."""
+    x, y, xn, yn = columns[:4]
+    dx, dy = xn - x, yn - y
+    return bool(np.all(dx * -y - dy * -x >= 0.0))
 
 
 def _moment(terms):
@@ -211,8 +232,7 @@ class ConvexPolygon:
         return self._area
 
     def perimeter(self):
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return float(np.hypot(_next(x) - x, _next(y) - y).sum())
+        return float(_edge_lengths(_edge_columns(self.vertices)).sum())
 
     def moment_about_origin(self):
         """Integral of x**2 + y**2 over the polygon, exact.
@@ -227,9 +247,7 @@ class ConvexPolygon:
         return float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
 
     def contains_origin(self):
-        px, py = self.vertices[:, 0], self.vertices[:, 1]
-        dx, dy = _next(px) - px, _next(py) - py
-        return bool(np.all(dx * -py - dy * -px >= 0.0))
+        return _contains_origin(_edge_columns(self.vertices))
 
 
 @dataclass(frozen=True)
@@ -521,12 +539,16 @@ def ball_hausdorff(poly, radius):
     inside, and minus the distance from the origin to the closest edge
     when it is outside.
     """
-    px, py = poly.vertices[:, 0], poly.vertices[:, 1]
-    qx, qy = _next(px), _next(py)
+    terms = _edge_terms(poly.vertices)
+    return _ball_hausdorff(terms, _edge_lengths(terms), radius)
+
+
+def _ball_hausdorff(terms, lengths, radius):
+    """ball_hausdorff of the polygon of the _edge_terms terms, whose edge
+    lengths (_edge_lengths) are lengths."""
+    px, py, qx, qy, cross = terms[:5]
     hi = float(np.hypot(px, py).max())
-    if poly.contains_origin():
-        cross = px * qy - py * qx
-        lengths = np.hypot(qx - px, qy - py)
+    if _contains_origin(terms):
         lo = float((np.abs(cross) / lengths).min())
     else:
         ex, ey = qx - px, qy - py

@@ -36,6 +36,18 @@ from the overlap of its unit-cell box with the source grid at the
 preimage of the cell center, touches only the target cells within reach
 of the occupied disk and writes exact zeros elsewhere, so its output is
 identical to a full-grid gather.
+
+A step and a run's set-up cost what their data costs, and every bit is
+that of the plain full-grid forms. _column_masses works on the four 1-D
+columns of the edges' ends and writes each edge's pieces straight into
+start and end columns, with no piece between consecutive edges. The
+seed's grid edges are read from its support box, a polygon is rasterized
+over the rows and columns its pieces touch, and the ball's column prefix
+sums are added up row by row over its support box. Measured on the 512²
+lshape on one core of a 2-core VM, against those forms: the column
+masses of a 1296-vertex staircase 201 -> 81 us, a whole step 284 -> 140
+us, the seed's grid edges 2.4 -> 0.53 ms, the comparison ball 3.7 -> 1.6
+ms, a world draw 1.8 -> 1.2 ms.
 """
 
 from __future__ import annotations
@@ -317,6 +329,11 @@ def _rasterize_polygon(v, grid):
     coverage is minus the sum of its in-cell terms and of the full-cell
     terms of the pieces to its left, a prefix sum along the row; cells
     that no edge enters read +0.0, as in np.zeros.
+
+    The terms are summed, and the prefix sums taken, over the box of the
+    rows and columns the pieces touch only, in the order of the pieces.
+    A row's terms sum to exactly zero, so every cell outside the box is
+    +0.0 and the box is written into a zero plane.
     """
     _check_bbox(grid, v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
     # rows start at v = 1, so every v is a multiple of 2**-52 and each dv
@@ -338,11 +355,20 @@ def _rasterize_polygon(v, grid):
     j = np.clip(lo[:, 0], 0, grid.nx - 1)
     i = np.clip(lo[:, 1] - 1, 0, grid.ny - 1)
     dv = b[:, 1] - a[:, 1]
-    full = np.zeros((grid.ny, grid.nx + 1))
-    np.add.at(full, (i, j + 1), dv)
-    cell = np.zeros((grid.ny, grid.nx))
-    np.add.at(cell, (i, j), dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])))
-    return np.clip(0.0 - (np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
+    # bincount adds in input order from +0.0, as np.add.at into np.zeros
+    i0, j0 = int(i.min()), int(j.min())
+    rows, cols = int(i.max()) + 1 - i0, int(j.max()) + 1 - j0
+    at = (i - i0) * (cols + 1) + (j - j0)
+    full = np.bincount(at + 1, dv, rows * (cols + 1)).reshape(rows, cols + 1)
+    cell = np.bincount(at, dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])), rows * (cols + 1))
+    cell = cell.reshape(rows, cols + 1)[:, :-1]
+    out = np.zeros((grid.ny, grid.nx))
+    box = out[i0 : i0 + rows, j0 : j0 + cols]
+    np.cumsum(full[:, :-1], axis=1, out=box)
+    box += cell
+    np.subtract(0.0, box, out=box)
+    np.clip(box, 0.0, 1.0, out=box)
+    return out
 
 
 def _disk_fraction(grid, r):
@@ -373,8 +399,12 @@ def _disk_fraction(grid, r):
     i = np.floor((r * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
     occ = _rasterize_polygon(np.column_stack([x[order], y[order]]), grid)
     segment = 0.5 * (r / grid.h) ** 2 * (phi - np.sin(phi))
-    np.add.at(occ, (np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)), segment)
-    return np.clip(occ, 0.0, 1.0, out=occ)
+    i, j = np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)
+    np.add.at(occ, (i, j), segment)
+    # the cells the circle crosses bound every cell that is not 0.0
+    box = occ[i.min() : i.max() + 1, j.min() : j.max() + 1]
+    np.clip(box, 0.0, 1.0, out=box)
+    return occ
 
 
 def rasterize(shape, grid):
@@ -409,7 +439,13 @@ def _ball_table(grid, area):
     column j."""
     ball = _disk_fraction(grid, math.sqrt(area / math.pi))
     prefix = np.zeros((grid.ny + 1, grid.nx))
-    np.cumsum(ball, axis=0, out=prefix[1:])
+    # np.cumsum(ball, axis=0) bit for bit: its recurrence, one add per row
+    # over the ball's support box, faster than an accumulate down the
+    # columns; the zeros around the box add nothing
+    rows, cols = _support_box(ball != 0.0)
+    for k in range(rows.start, rows.stop):
+        np.add(prefix[k, cols], ball[k, cols], out=prefix[k + 1, cols])
+    prefix[rows.stop + 1 :, cols] = prefix[rows.stop, cols]
     return ball, prefix
 
 
@@ -513,26 +549,50 @@ def _column_masses(p, q, w, grid):
     units, so the edges are split at the vertical grid lines and each
     piece is added to its column strip; pieces off the grid count in the
     first or last column.
+
+    The kernel works on the four 1-D columns of the edges' ends. Each
+    edge's pieces are written straight into start and end columns, in
+    order along the edge and edge after edge, so the sums run in the
+    order of the boundary.
     """
-    origin = (grid.x_edges()[0], 0.0)
-    a, b = (p - origin) / grid.h, (q - origin) / grid.h
+    x0, h = -grid.half_width, grid.h  # grid.x_edges()[0], bit for bit
+    pu, pv = (p[:, 0] - x0) / h, p[:, 1] / h
+    qu, qv = (q[:, 0] - x0) / h, q[:, 1] / h
     # run every edge towards +u, so its crossings come in order along it
-    back = a[:, 0] > b[:, 0]
-    a[back], b[back] = b[back], a[back]
+    back = pu > qu
+    u0, u1 = np.where(back, qu, pu), np.where(back, pu, qu)
+    v0, v1 = np.where(back, qv, pv), np.where(back, pv, qv)
     w = np.where(back, -1.0, 1.0) * w
-    edge, at = _grid_crossings(a, b, 0)
-    count = np.bincount(edge, minlength=len(a)) + 2
-    start = np.cumsum(count) - count
-    pts = np.empty((count.sum(), 2))
-    pts[start] = a
-    pts[start + count - 1] = b
-    pts[np.arange(len(edge)) + 2 * edge + 1] = at
-    weight = np.repeat(w, count)
-    weight[start + count - 1] = 0.0  # no piece from one edge's end to the next start
-    lo, hi = pts[:-1], pts[1:]
-    area = weight[:-1] * (lo[:, 0] - hi[:, 0]) * (lo[:, 1] + hi[:, 1]) * 0.5
-    col = np.clip(np.floor(0.5 * (lo[:, 0] + hi[:, 0])), 0, grid.nx - 1)
+    # the vertical grid lines strictly inside each edge (see _grid_crossings)
+    lo = np.floor(u0) + 1.0
+    count = np.maximum(np.ceil(u1) - lo, 0.0).astype(np.int64)
+    before = np.cumsum(count) - count  # crossings of the earlier edges
+    edge = np.repeat(np.arange(len(count)), count)
+    line = np.arange(len(edge), dtype=float) + np.repeat(lo - before, count)
+    t = (line - u0[edge]) / (u1[edge] - u0[edge])
+    cross_v = v0[edge] + t * (v1[edge] - v0[edge])
+    # edge e has count[e] + 1 pieces, from first[e] to first[e] + count[e];
+    # its crossing k ends piece first[e] + k and starts the next one
+    first = before + np.arange(len(count))
+    ends = np.arange(len(edge)) + edge
+    n = len(count) + len(edge)
+    su, sv, eu, ev = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    su[first], sv[first] = u0, v0
+    eu[first + count], ev[first + count] = u1, v1
+    eu[ends], ev[ends] = line, cross_v
+    su[ends + 1], sv[ends + 1] = line, cross_v
+    area = np.repeat(w, count + 1) * (su - eu) * (sv + ev) * 0.5
+    col = np.clip(np.floor(0.5 * (su + eu)), 0, grid.nx - 1)
     return np.bincount(col.astype(np.int64), weights=area, minlength=grid.nx)
+
+
+def _jumps(box, axis):
+    """Row and column indices, in row-major order as np.nonzero gives
+    them, and values of the nonzero steps of box along axis, with zeros
+    around box."""
+    step = np.diff(box, axis=axis, prepend=0.0, append=0.0)
+    i, j = np.divmod(np.flatnonzero(step != 0.0), step.shape[1])
+    return i, j, step[i, j]
 
 
 def _raster_edges(occ, grid):
@@ -542,16 +602,17 @@ def _raster_edges(occ, grid):
     sides two cells share add up to the jump of occ across them; zero
     jumps are dropped. Horizontal edges run left to right with the value
     above minus the value below, vertical ones upwards with the value on
-    the left minus the value on the right.
+    the left minus the value on the right. Only the support box of occ
+    is scanned: outside it every cell is a zero and every jump is too.
     """
-    xe, ye = grid.x_edges(), grid.y_edges()
-    rise = np.diff(occ, axis=0, prepend=0.0, append=0.0)
-    i, j = np.nonzero(rise)
-    fall = np.diff(occ, axis=1, prepend=0.0, append=0.0)
-    k, m = np.nonzero(fall)
+    rows, cols = _support_box(occ != 0.0)
+    box = occ[rows, cols]
+    xe, ye = grid.x_edges()[cols.start :], grid.y_edges()[rows.start :]
+    i, j, rise = _jumps(box, 0)
+    k, m, fall = _jumps(box, 1)
     p = np.column_stack([np.r_[xe[j], xe[m]], np.r_[ye[i], ye[k]]])
     q = np.column_stack([np.r_[xe[j + 1], xe[m]], np.r_[ye[i], ye[k + 1]]])
-    return p, q, np.r_[rise[i, j], -fall[k, m]]
+    return p, q, np.r_[rise, -fall]
 
 
 def _staircase(grid, half):
@@ -566,7 +627,12 @@ def _staircase(grid, half):
     lo, hi = nz[0], nz[-1] + 1
     x = np.repeat(grid.x_edges()[lo : hi + 1], 2)[1:-1]
     y = np.repeat(half[lo:hi] * grid.h, 2)
-    return np.column_stack([np.r_[x, x[::-1]], np.r_[-y, y[::-1]]])
+    m = len(x)
+    loop = np.empty((2 * m, 2))
+    loop[:m, 0], loop[m:, 0] = x, x[::-1]
+    np.negative(y, out=loop[:m, 1])
+    loop[m:, 1] = y[::-1]
+    return loop
 
 
 def _interval_lengths(mass, n, target=None):

@@ -84,6 +84,54 @@ def test_seq_non_finite_alpha_is_a_usage_error(alpha, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["seq", "--kind", "kf", "--n", "3", "--base", "3"], "--base"),
+    (["seq", "--kind", "kronecker", "--n", "3", "--base", "2"], "--base"),
+    (["seq", "--kind", "vdc", "--n", "3", "--base", "1"], "--base"),
+    (["seq", "--kind", "vdc", "--n", "3", "--alpha", "0.3"], "--alpha"),
+    (["seq", "--kind", "random:3", "--n", "3", "--alpha", "gamma"], "--alpha"),
+    (["disc", "--kind", "kf", "--ns", "10", "--base", "3"], "--base"),
+    (["disc", "--kind", "vdc", "--ns", "10", "--base", "0"], "--base"),
+    (["disc", "--kind", "geomdecay:0.3:0.5", "--ns", "10", "--alpha", "0.3"], "--alpha"),
+], ids=["seq-base-kf", "seq-base-kronecker", "seq-base-1", "seq-alpha-vdc",
+        "seq-alpha-random", "disc-base-kf", "disc-base-0", "disc-alpha-geomdecay"])
+def test_sequence_flag_of_another_kind_is_a_usage_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
+def test_sequence_flags_of_their_own_kind_apply(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["seq", "--kind", "vdc", "--base", "3", "--n", "3", "--out", str(out)]) == 0
+    xs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert xs == pytest.approx([1 / 3, 2 / 3, 1 / 9], abs=1e-15)
+    assert main(["seq", "--kind", "kronecker", "--alpha", "0.25", "--n", "3",
+                 "--out", str(out)]) == 0
+    xs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert xs == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["process", "--seed", "builtin:square", "--kind", "kf", "--steps", "0"], "--steps"),
+    (["process", "--seed", "builtin:lshape", "--kind", "kf", "--steps", "-2"], "--steps"),
+    (["process", "--seed", "builtin:square", "--kind", "kf", "--steps", "2",
+      "--cadence", "0"], "--cadence"),
+    (["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2", "--steps", "0"],
+     "--steps"),
+    (["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2", "--steps", "2",
+      "--cadence", "-1"], "--cadence"),
+], ids=["process-steps-0", "process-steps-negative", "process-cadence",
+        "compare-steps", "compare-cadence"])
+def test_nonpositive_steps_or_cadence_is_a_usage_error(argv, flag, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # only `compare --jobs N` with N > 1 needs concurrent.futures.process
     src = os.path.dirname(os.path.dirname(kfsteiner.__file__))

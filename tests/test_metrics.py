@@ -23,7 +23,7 @@ from kfsteiner.metrics import (
     moment_of_inertia,
     perimeter_estimate,
 )
-from kfsteiner.polygons import Ball, ConvexPolygon, regular_polygon
+from kfsteiner.polygons import Ball, ConvexPolygon, ball_hausdorff, regular_polygon
 from kfsteiner.rasters import GridSpec, RasterSet, rasterize, steiner_raster
 
 CENTERED_SQUARE = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -293,3 +293,26 @@ def test_intervals_measure_as_their_full_grid(case):
     for name in ("area", "mu", "d1_to_ball"):
         got, want = getattr(closed, name), getattr(full, name)
         assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_planes())
+def test_measure_of_intervals_has_the_bits_of_each_functional(case):
+    # measure takes the interval cells once for the moment and d1
+    _, half, grid, ball = case
+    rs = RasterSet._trusted(None, grid, half, ball=lambda: ball)
+    rec = measure(rs)
+    assert rec.mu == moment_of_inertia(rs)
+    assert rec.d1_to_ball == d1_to_ball(rs)
+
+
+def test_measure_of_polygons_has_the_bits_of_each_functional(rng):
+    # measure shares its edge columns with the Hausdorff distance and the
+    # perimeter; two of the polygons do not contain the origin
+    for k in range(20):
+        center = (3.0, -2.0) if k < 2 else tuple(rng.uniform(-0.3, 0.3, 2))
+        poly = random_convex_polygon(rng, n_points=8 + 50 * k, center=center)
+        rec = measure(poly, with_hausdorff=True, with_perimeter=True)
+        assert rec.hausdorff_to_ball == ball_hausdorff(poly, math.sqrt(poly.area() / math.pi))
+        assert rec.perimeter == poly.perimeter()
+        assert rec.mu == moment_of_inertia(poly)

@@ -1088,3 +1088,230 @@ def test_disk_that_does_not_fit_the_grid_raises():
         rasters._disk_fraction(grid, 0.81)
     with pytest.raises(ValueError, match="shape exceeds the grid"):
         rasters._ball_table(grid, math.pi * 0.81**2)
+
+
+# ---------------------------------------------------------------------------
+# the kernels keep the bits of their reference forms
+# ---------------------------------------------------------------------------
+#
+# The references are the straightforward forms of the column-mass, grid-edge
+# and coverage kernels: full-grid planes, (N, 2) point arrays, one zero-weight
+# connector piece between consecutive edges, and np.add.at accumulation. The
+# kernels in rasters work on 1-D columns and on the support box only, and
+# must give the same bits, signed zeros included.
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
+def reference_grid_crossings(p, q, axis):
+    lo = np.floor(np.minimum(p[:, axis], q[:, axis])) + 1.0
+    hi = np.ceil(np.maximum(p[:, axis], q[:, axis])) - 1.0
+    count = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+    edge = np.repeat(np.arange(len(p)), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    line = lo[edge] + (np.arange(len(edge)) - first)
+    t = (line - p[edge, axis]) / (q[edge, axis] - p[edge, axis])
+    pts = p[edge] + t[:, None] * (q[edge] - p[edge])
+    pts[:, axis] = line
+    return edge, pts
+
+
+def reference_rasterize_polygon(v, grid):
+    p = (v - (grid.x_edges()[0], grid.y_edges()[0])) / grid.h + (0.0, 1.0)
+    q = np.roll(p, -1, axis=0)
+    cross_u, at_u = reference_grid_crossings(p, q, 0)
+    cross_v, at_v = reference_grid_crossings(p, q, 1)
+    edge = np.concatenate([np.arange(len(p)), cross_u, cross_v])
+    pts = np.concatenate([p, at_u, at_v])
+    key = np.sign(q - p)[edge] * pts
+    a = np.column_stack([pts[np.lexsort((key[:, k], edge)), k] for k in (0, 1)])
+    b = np.roll(a, -1, axis=0)
+    lo = np.floor(np.minimum(a, b)).astype(np.int64)
+    j = np.clip(lo[:, 0], 0, grid.nx - 1)
+    i = np.clip(lo[:, 1] - 1, 0, grid.ny - 1)
+    dv = b[:, 1] - a[:, 1]
+    full = np.zeros((grid.ny, grid.nx + 1))
+    np.add.at(full, (i, j + 1), dv)
+    cell = np.zeros((grid.ny, grid.nx))
+    np.add.at(cell, (i, j), dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])))
+    return np.clip(0.0 - (np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
+
+
+def reference_disk_fraction(grid, r):
+    xe, ye = grid.x_edges(), grid.y_edges()
+    xs, ys = xe[np.abs(xe) < r], ye[np.abs(ye) < r]
+    at_x = np.sqrt((r - xs) * (r + xs))
+    at_y = np.sqrt((r - ys) * (r + ys))
+    x = np.concatenate([[r], xs, xs, at_y, -at_y])
+    y = np.concatenate([[0.0], at_x, -at_x, ys, ys])
+    angle = np.arctan2(y, x)
+    order = np.argsort(angle)
+    angle = angle[order]
+    phi = np.diff(angle, append=angle[0] + 2.0 * math.pi)
+    mid = angle + 0.5 * phi
+    j = np.floor((r * np.cos(mid) - xe[0]) / grid.h).astype(np.int64)
+    i = np.floor((r * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
+    occ = reference_rasterize_polygon(np.column_stack([x[order], y[order]]), grid)
+    segment = 0.5 * (r / grid.h) ** 2 * (phi - np.sin(phi))
+    np.add.at(occ, (np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)), segment)
+    return np.clip(occ, 0.0, 1.0, out=occ)
+
+
+def reference_column_masses(p, q, w, grid):
+    origin = (grid.x_edges()[0], 0.0)
+    a, b = (p - origin) / grid.h, (q - origin) / grid.h
+    back = a[:, 0] > b[:, 0]
+    a[back], b[back] = b[back], a[back]
+    w = np.where(back, -1.0, 1.0) * w
+    edge, at = reference_grid_crossings(a, b, 0)
+    count = np.bincount(edge, minlength=len(a)) + 2
+    start = np.cumsum(count) - count
+    pts = np.empty((count.sum(), 2))
+    pts[start] = a
+    pts[start + count - 1] = b
+    pts[np.arange(len(edge)) + 2 * edge + 1] = at
+    weight = np.repeat(w, count)
+    weight[start + count - 1] = 0.0  # the connector to the next edge's start
+    lo, hi = pts[:-1], pts[1:]
+    area = weight[:-1] * (lo[:, 0] - hi[:, 0]) * (lo[:, 1] + hi[:, 1]) * 0.5
+    col = np.clip(np.floor(0.5 * (lo[:, 0] + hi[:, 0])), 0, grid.nx - 1)
+    return np.bincount(col.astype(np.int64), weights=area, minlength=grid.nx)
+
+
+def reference_raster_edges(occ, grid):
+    xe, ye = grid.x_edges(), grid.y_edges()
+    rise = np.diff(occ, axis=0, prepend=0.0, append=0.0)
+    i, j = np.nonzero(rise)
+    fall = np.diff(occ, axis=1, prepend=0.0, append=0.0)
+    k, m = np.nonzero(fall)
+    p = np.column_stack([np.r_[xe[j], xe[m]], np.r_[ye[i], ye[k]]])
+    q = np.column_stack([np.r_[xe[j + 1], xe[m]], np.r_[ye[i], ye[k + 1]]])
+    return p, q, np.r_[rise[i, j], -fall[k, m]]
+
+
+turns = st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.25 * math.pi]))
+
+
+def assert_column_masses_keep_their_bits(p, q, w, grid, theta):
+    turn = _rotation(theta).T
+    got = rasters._column_masses(p @ turn, q @ turn, w, grid)
+    assert same_bits(got, reference_column_masses(p @ turn, q @ turn, w, grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raster_sets(), turns, st.integers(0, 3))
+def test_column_masses_of_turned_staircases_keep_their_bits(rs, theta, steps):
+    # the staircase of a seed's column sums, and of up to three run steps
+    run = AlignedRun(rs)
+    half = rasters._interval_lengths(rs.occ.sum(axis=0), rs.grid.ny)
+    for x in sequence_values("kf", steps):
+        try:
+            half = run.apply(math.pi * float(x))._lengths
+        except ValueError:
+            break
+    p = rasters._staircase(rs.grid, half)
+    assert_column_masses_keep_their_bits(p, np.roll(p, -1, axis=0), 1.0, rs.grid, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raster_sets(), st.booleans(), turns)
+def test_raster_edges_keep_their_bits(rs, signed_zeros, theta):
+    occ = rs.occ.copy()
+    if signed_zeros:
+        occ[occ == 0.0] = -0.0
+    got, want = rasters._raster_edges(occ, rs.grid), reference_raster_edges(occ, rs.grid)
+    for name, a, b in zip("pqw", got, want):
+        assert same_bits(a, b), name
+    assert_column_masses_keep_their_bits(*got, rs.grid, theta)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_raster_edges_of_an_all_zero_plane_are_none(zero):
+    grid = GridSpec(nx=7, ny=5, h=0.3)
+    p, q, w = rasters._raster_edges(np.full((5, 7), zero), grid)
+    assert p.shape == q.shape == (0, 2) and w.shape == (0,)
+    assert same_bits(rasters._column_masses(p, q, w, grid), np.zeros(7))
+
+
+@st.composite
+def framed_polygons(draw):
+    """A grid and a convex polygon whose vertices lie on the grid's frame,
+    so its pieces reach the first and last rows and columns and those on
+    the frame clip into them."""
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    grid = GridSpec(nx=nx, ny=ny, h=draw(st.sampled_from([0.05, 0.37, 1.0])))
+    w, h = grid.half_width, grid.half_height
+    # counterclockwise positions along the frame, from its bottom-left corner
+    length = 2.0 * (nx + ny)
+    stops = sorted(set(draw(st.lists(
+        st.one_of(st.integers(0, int(length) - 1).map(float),
+                  st.floats(0.0, length, exclude_max=True)),
+        min_size=3, max_size=8))))
+    assume(len(stops) >= 3)
+    pts = []
+    for s in stops:
+        if s < nx:
+            pts.append((-w + s * grid.h, -h))
+        elif s < nx + ny:
+            pts.append((w, -h + (s - nx) * grid.h))
+        elif s < 2 * nx + ny:
+            pts.append((w - (s - nx - ny) * grid.h, h))
+        else:
+            pts.append((-w, h - (s - 2 * nx - ny) * grid.h))
+    v = np.array(pts)
+    x, y = v[:, 0], v[:, 1]
+    assume(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0.0)
+    return np.clip(v, (-w, -h), (w, h)), grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(framed_polygons(), turns)
+def test_pieces_clipped_to_the_first_or_last_column_keep_their_bits(case, theta):
+    v, grid = case
+    assert same_bits(rasters._rasterize_polygon(v, grid),
+                     reference_rasterize_polygon(v, grid))
+    # turned, the polygon leaves the grid, and the column masses clip its
+    # pieces into the first and last columns
+    assert_column_masses_keep_their_bits(v, np.roll(v, -1, axis=0), 1.0, grid, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotated_polygons())
+def test_rotated_polygons_keep_their_bits(case):
+    v, grid = case
+    assert same_bits(rasters._rasterize_polygon(v, grid),
+                     reference_rasterize_polygon(v, grid))
+    q = np.roll(v, -1, axis=0)
+    assert same_bits(rasters._column_masses(v, q, 1.0, grid),
+                     reference_column_masses(v, q, 1.0, grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.sampled_from([0.05, 0.37, 1.0]),
+       st.floats(0.01, 0.99))
+def test_disks_and_ball_tables_keep_their_bits(nx, ny, h, fraction):
+    grid = GridSpec(nx=nx, ny=ny, h=h)
+    area = math.pi * (fraction * 0.5 * min(nx, ny) * h) ** 2
+    r = math.sqrt(area / math.pi)
+    ball, prefix = rasters._ball_table(grid, area)
+    assert same_bits(ball, reference_disk_fraction(grid, r))
+    assert same_bits(prefix[1:], np.cumsum(ball, axis=0))
+    assert same_bits(prefix[0], np.zeros(nx))
+
+
+def test_first_run_step_scans_the_support_box_only():
+    # a first oblique step reads the seed's grid edges from its support box:
+    # about 0.9 planes at peak on the 512² lshape, 3.1 over the full grid
+    seed = builtin_seed("lshape", resolution=512)
+    run = AlignedRun(seed)
+    theta = math.pi * float(sequence_values("kf", 1)[0])
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(lambda: run.apply(theta))
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * seed.occ.nbytes, f"first step peak {peak / seed.occ.nbytes:.2f} planes"
