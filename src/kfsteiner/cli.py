@@ -48,14 +48,20 @@ class SystemExit2(Exception):
 #: exceeds it is a usage error, raised before anything is allocated.
 MEMORY_BUDGET = 2 << 30
 #: Peak bytes per point of `seq`, set by vdc, whose digit loop holds three
-#: arrays of the points: 24.0 measured at 8 million points above the
-#: interpreter's 30 MB (213 MB in all), 8.0 for kf (rows are written as
-#: they are formatted). It stays at 36 until the over-budget tests move
-#: with it.
-SEQ_BYTES_PER_POINT = 36
-#: Peak bytes per point of `disc`, set by its largest size: about 20
-#: measured for kf, kronecker and random, 34 for vdc (10 million points).
-DISC_BYTES_PER_POINT = 36
+#: arrays of the points: 24.0 measured at 1, 3 and 10 million points above
+#: the interpreter's 30 MB (259 MB in all at 10 million); 16.1 for
+#: kronecker, 8.6 for random and 8.0 for kf (rows are written as they are
+#: formatted).
+SEQ_BYTES_PER_POINT = 26
+#: Peak bytes per point of `disc`, set by vdc: 24.0 measured at 10 million
+#: points and 24.3 at a million with --extreme; 16-17 for kf and kronecker
+#: and at most 22.5 for random (1, 3 and 10 million points).
+DISC_BYTES_PER_POINT = 26
+#: Peak bytes per interval of `partition` at its last level: at most 35.8
+#: measured (golden levels 29-33, alpha 0.5 at levels 20-21 and 0.3 at
+#: level 250, 1.3 to 9.2 million intervals), where the level's breakpoints,
+#: its lengths and one deviation array of `interval_counts` are held.
+PARTITION_BYTES_PER_INTERVAL = 40
 #: Peak bytes per grid cell of a raster run of `process` or `compare`:
 #: about 60 measured at 2048² (10 steps of a builtin raster seed, with
 #: --perimeter and --frames), 63 at 1024².
@@ -65,9 +71,10 @@ PLANE_BYTES_PER_CELL = 64
 def _check_budget(flag, value, count, bytes_each, unit="point"):
     need = count * bytes_each
     if need > MEMORY_BUDGET:
+        article = "an" if unit[0] in "aeiou" else "a"
         raise SystemExit2(
             f"{flag} {value} needs about {need / 2**30:.1f} GiB "
-            f"({bytes_each} B a {unit}), over the "
+            f"({bytes_each} B {article} {unit}), over the "
             f"{MEMORY_BUDGET / 2**30:g} GiB memory budget"
         )
 
@@ -164,6 +171,8 @@ def cmd_partition(args):
         raise SystemExit2(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.level < 0:
         raise SystemExit2("--level must be nonnegative")
+    _check_budget("--max-intervals", args.max_intervals, args.max_intervals,
+                  PARTITION_BYTES_PER_INTERVAL, "interval")
     golden = abs(args.alpha - GAMMA) <= 1e-15
     lines = ["level,t,l,s"]
     levels = _refinement_levels(
@@ -185,8 +194,10 @@ def cmd_partition(args):
         lines.append(f"{level},{t},{_fmt(long_n)},{_fmt(short_n)}")
     _write("\n".join(lines) + "\n", args.out)
     if args.dump_breakpoints:
-        text = "\n".join(_fmt(b) for b in part.breakpoints) + "\n"
-        _write(text, args.dump_breakpoints)
+        # each line is written as it is formatted, so no breakpoint costs a held line
+        with _output(args.dump_breakpoints) as fh:
+            for b in part.breakpoints:
+                fh.write(_fmt(b) + "\n")
     return 0
 
 

@@ -33,33 +33,49 @@ def _validated(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
         raise ValueError("need a nonempty one-dimensional sample")
-    if np.any((pts < 0.0) | (pts > 1.0)) or not np.all(np.isfinite(pts)):
+    # a NaN makes both extremes NaN and fails both bounds, an inf fails one
+    if not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValueError("all sample values must lie in [0, 1]")
     return pts
 
 
-#: Points per block in `_star_sorted`, which bounds its temporaries to
-#: a few hundred KiB whatever the sample size.
+#: Points per block in `_lead_lag_maxima`, which bounds its temporaries
+#: to a few hundred KiB whatever the sample size.
 STAR_BLOCK = 1 << 15
 
 
-def _star_sorted(pts):
-    """Star discrepancy of a validated sample sorted in increasing order.
+def _lead_lag_maxima(pts, lo, hi, lead, lag):
+    """Fold the points pts[lo:hi] of a sorted sample into the running
+    maxima `lead` and `lag`, each a pair (value, the point attaining it).
 
-    The largest (i + 1) / N - x_i and x_i - i / N are taken block by
-    block; a maximum is exact, so the blocks change no bit.
+    The lead of point i is x_i - i / N and its lag (i + 1) / N - x_i. They
+    are taken block by block, so the temporaries stay small whatever N is;
+    a maximum is exact, so the blocks change no bit. Only a strictly
+    larger value replaces a pair, so each keeps the first point attaining
+    its maximum.
     """
     n = len(pts)
-    best = -np.inf
-    for start in range(0, n, STAR_BLOCK):
-        block = pts[start : start + STAR_BLOCK]
+    for start in range(lo, hi, STAR_BLOCK):
+        block = pts[start : min(start + STAR_BLOCK, hi)]
         steps = np.arange(start, start + len(block) + 1, dtype=float)
         steps /= n  # steps[i] == (start + i) / N
-        gap = steps[1:] - block
-        best = max(best, gap.max())
-        np.subtract(block, steps[:-1], out=gap)
-        best = max(best, gap.max())
-    return float(best)
+        gap = np.subtract(block, steps[:-1])
+        i = int(gap.argmax())
+        if gap[i] > lead[0]:
+            lead = (gap[i], block[i])
+        np.subtract(steps[1:], block, out=gap)
+        i = int(gap.argmax())
+        if gap[i] > lag[0]:
+            lag = (gap[i], block[i])
+    return lead, lag
+
+
+def _star_sorted(pts):
+    """Star discrepancy of a validated sample sorted in increasing order:
+    the largest lead x_i - i / N or lag (i + 1) / N - x_i."""
+    none = (-np.inf, None)
+    (lead, _), (lag, _) = _lead_lag_maxima(pts, 0, len(pts), none, none)
+    return float(max(lag, lead))
 
 
 def star_discrepancy(points):
@@ -74,33 +90,29 @@ def _extreme_sorted(pts, d_star):
         raise ValueError(
             f"two-sided discrepancy limited to N <= {EXTREME_CAP}, got {n}"
         )
-    # The value grid is the runs of equal values of ext = [0, pts, 1]. At
-    # index i the points below ext[i] number i - 1 (0 for i = 0) if i
-    # starts its run, and the points up to it number i (N for i = N + 1)
-    # if i ends it. So the run starting at a gives lead = v_a - #{x < v_a}/N
-    # and the run ending at b gives lag = #{x <= v_b}/N - v_b; both are
-    # exactly 0 at i = 0 and i = N + 1.
-    counts, lead, lag = np.arange(n + 1, dtype=float), np.empty(n + 2), np.empty(n + 2)
-    lead[0] = lead[-1] = lag[0] = lag[-1] = 0.0
-    np.divide(counts[:n], n, out=lead[1:-1])
-    np.subtract(pts, lead[1:-1], out=lead[1:-1])
-    np.divide(counts[1 : n + 1], n, out=lag[1:-1])
-    np.subtract(lag[1:-1], pts, out=lag[1:-1])
-    if pts[0] == 0.0 or pts[-1] == 1.0 or np.any(pts[1:] == pts[:-1]):
-        ext = np.concatenate([[0.0], pts, [1.0]])
-        first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
-        lead, lag = lead[first], lag[np.append(first[1:], n + 2) - 1]
+    # The value grid is the runs of equal values of [0, pts, 1]. The run of
+    # value v gives lead = v - #{x < v}/N, the lead of its first point, and
+    # lag = #{x <= v}/N - v, the lag of its last point; the values 0 and 1
+    # also give lead = lag = 0. Along a run the lead falls and the lag rises,
+    # so the largest lead and lag over all points are those over runs, and
+    # a run attaining a maximum is named by its value.
+    origin = (0.0, 0.0)  # the lead and the lag at 0, named by 0
+    (lead, a), (lag, b) = _lead_lag_maxima(pts, 0, n, origin, origin)
 
     # Runs a < b give the excess of the closed interval [v_a, v_b] and runs
     # a > b the deficit of the open interval (v_b, v_a); both equal
-    # lead[a] + lag[b]. Rounded addition is monotone, so the largest such
-    # sum over a != b pairs the two maxima unless one run holds both.
-    a, b = int(np.argmax(lead)), int(np.argmax(lag))
+    # lead(a) + lag(b). Rounded addition is monotone, so the largest such
+    # sum over a != b pairs the two maxima unless one run holds both. Then
+    # the maxima over the other runs are taken; 0 or 1 is among those runs,
+    # so they start from lead = lag = 0.
     if a != b:
-        best = lead[a] + lag[b]
+        best = lead + lag
     else:
-        best = max(lead[a] + np.delete(lag, a).max(),
-                   np.delete(lead, a).max() + lag[a])
+        lo = int(np.searchsorted(pts, a, side="left"))
+        hi = int(np.searchsorted(pts, a, side="right"))
+        others = _lead_lag_maxima(pts, 0, lo, origin, origin)
+        (other_lead, _), (other_lag, _) = _lead_lag_maxima(pts, hi, n, *others)
+        best = max(lead + other_lag, other_lead + lag)
 
     result = float(max(best, 0.0))
     if result < d_star - 1e-12:

@@ -45,6 +45,15 @@ def _maximal_mask(lengths):
     return lengths >= lmax - max(TIE_REL_TOL * lmax, TIE_ABS_TOL)
 
 
+def _check_breakpoints(bp):
+    if bp.ndim != 1 or len(bp) < 2:
+        raise ValueError("a partition needs at least the two endpoints")
+    if bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if np.any(bp[1:] <= bp[:-1]):
+        raise ValueError("breakpoints must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Sorted breakpoints of a partition of [0, 1], endpoints included."""
@@ -52,16 +61,23 @@ class Partition:
     breakpoints: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or len(bp) < 2:
-            raise ValueError("a partition needs at least the two endpoints")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(bp[1:] <= bp[:-1]):
-            raise ValueError("breakpoints must be strictly increasing")
-        bp = bp.copy()
+        bp = np.array(self.breakpoints, dtype=float)
+        _check_breakpoints(bp)
         bp.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
+
+    @classmethod
+    def _adopt(cls, bp):
+        """The partition whose breakpoints are the float array `bp` itself.
+
+        Runs the constructor's checks but makes no copy, so the caller
+        hands `bp` over and keeps no other reference to it.
+        """
+        _check_breakpoints(bp)
+        bp.setflags(write=False)
+        part = object.__new__(cls)
+        object.__setattr__(part, "breakpoints", bp)
+        return part
 
     @property
     def lengths(self):
@@ -75,18 +91,32 @@ class Partition:
 TRIVIAL = Partition(np.array([0.0, 1.0]))
 
 
-def _refine(partition, lengths, split, alpha):
-    """Split the intervals selected by `split` in proportion alpha : 1 - alpha."""
+def _split_points(partition, alpha):
+    """The points that split every longest interval of `partition` in
+    proportion alpha : 1 - alpha, in increasing order (see `alpha_refine`).
+
+    The lengths, the mask and the indices are freed on return, so only
+    the new points outlive the call.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     bp = partition.breakpoints
-    idx = np.flatnonzero(split)
+    lengths = np.diff(bp)
+    idx = np.flatnonzero(_maximal_mask(lengths))
     new_points = lengths[idx]
     new_points *= alpha
     new_points += bp[idx]
-    merged = np.concatenate([bp, new_points])
+    return new_points
+
+
+def _merged(partition, new_points):
+    """The partition of the breakpoints of `partition` and `new_points`."""
+    bp = partition.breakpoints
+    merged = np.empty(len(bp) + len(new_points))
+    merged[: len(bp)] = bp
+    merged[len(bp) :] = new_points
     merged.sort(kind="stable")  # two sorted runs: a merge
-    return Partition(merged)
+    return Partition._adopt(merged)
 
 
 def alpha_refine(partition, alpha):
@@ -96,8 +126,7 @@ def alpha_refine(partition, alpha):
     split in the same step, since exact ties drift apart in floating
     point.
     """
-    lengths = partition.lengths
-    return _refine(partition, lengths, _maximal_mask(lengths), alpha)
+    return _merged(partition, _split_points(partition, alpha))
 
 
 def _refinement_levels(alpha, n, max_intervals, cap_error):
@@ -109,11 +138,11 @@ def _refinement_levels(alpha, n, max_intervals, cap_error):
     part = TRIVIAL
     yield part
     for level in range(1, n + 1):
-        lengths = part.lengths
-        split = _maximal_mask(lengths)
-        if part.n_intervals + int(np.count_nonzero(split)) > max_intervals:
+        new_points = _split_points(part, alpha)
+        if part.n_intervals + len(new_points) > max_intervals:
             raise ValueError(cap_error.format(level=level, cap=max_intervals))
-        part = _refine(part, lengths, split, alpha)
+        part = _merged(part, new_points)
+        del new_points  # freed before the caller reads this level
         yield part
 
 
@@ -137,10 +166,11 @@ def interval_counts(partition, level, tol=1e-10):
     neither length is an invariant violation and raises.
     """
     lengths = partition.lengths
-    long_len = GAMMA**level
-    short_len = GAMMA ** (level + 1)
-    is_long = np.abs(lengths - long_len) <= tol
-    is_short = np.abs(lengths - short_len) <= tol
+    # one deviation array serves both lengths, so two float arrays are held
+    dev = np.subtract(lengths, GAMMA**level)
+    is_long = np.abs(dev, out=dev) <= tol
+    np.subtract(lengths, GAMMA ** (level + 1), out=dev)
+    is_short = np.abs(dev, out=dev) <= tol
     bad = ~(is_long | is_short)
     if np.any(bad):
         raise ValueError(

@@ -11,6 +11,7 @@ import kfsteiner
 from kfsteiner.cli import (
     DISC_BYTES_PER_POINT,
     MEMORY_BUDGET,
+    PARTITION_BYTES_PER_INTERVAL,
     PLANE_BYTES_PER_CELL,
     SEQ_BYTES_PER_POINT,
     build_parser,
@@ -330,6 +331,30 @@ def test_partition_cap_names_the_level(tmp_path, capsys):
                  "--max-intervals", "500", "--out", str(out)]) == 1
     assert "level 9 exceeds the cap of 500 intervals" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["0", "40"])
+def test_partition_cap_over_the_memory_budget_is_a_usage_error(level, tmp_path, capsys):
+    # the smallest cap over the budget; it is refused before level 0 is
+    # built, so it costs nothing
+    cap = MEMORY_BUDGET // PARTITION_BYTES_PER_INTERVAL + 1
+    out, dump = tmp_path / "p.csv", tmp_path / "bp.txt"
+    assert main(["partition", "--alpha", "gamma", "--level", level,
+                 "--max-intervals", str(cap), "--out", str(out),
+                 "--dump-breakpoints", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: --max-intervals {cap} needs about" in err
+    assert f"({PARTITION_BYTES_PER_INTERVAL} B an interval)" in err
+    assert "memory budget" in err
+    assert not out.exists() and not dump.exists()
+
+
+def test_partition_cap_at_the_memory_budget_runs(tmp_path):
+    cap = MEMORY_BUDGET // PARTITION_BYTES_PER_INTERVAL
+    out = tmp_path / "p.csv"
+    assert main(["partition", "--alpha", "gamma", "--level", "3",
+                 "--max-intervals", str(cap), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "3,5,3,2"
 
 
 def test_partition_dump_is_the_kakutani_level(tmp_path):

@@ -272,3 +272,105 @@ def test_star_temporaries_are_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def extreme_sorted_whole(pts):
+    """_extreme_sorted over whole-sample lead and lag arrays, compressed
+    to the runs of equal values: the oracle for the blocked one. Returns
+    the two-sided discrepancy and whether one run holds both maxima."""
+    n = len(pts)
+    counts, lead, lag = np.arange(n + 1, dtype=float), np.empty(n + 2), np.empty(n + 2)
+    lead[0] = lead[-1] = lag[0] = lag[-1] = 0.0
+    np.divide(counts[:n], n, out=lead[1:-1])
+    np.subtract(pts, lead[1:-1], out=lead[1:-1])
+    np.divide(counts[1 : n + 1], n, out=lag[1:-1])
+    np.subtract(lag[1:-1], pts, out=lag[1:-1])
+    if pts[0] == 0.0 or pts[-1] == 1.0 or np.any(pts[1:] == pts[:-1]):
+        ext = np.concatenate([[0.0], pts, [1.0]])
+        first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
+        lead, lag = lead[first], lag[np.append(first[1:], n + 2) - 1]
+    a, b = int(np.argmax(lead)), int(np.argmax(lag))
+    if a != b:
+        best = lead[a] + lag[b]
+    else:
+        best = max(lead[a] + np.delete(lag, a).max(),
+                   np.delete(lead, a).max() + lag[a])
+    return float(max(best, 0.0)), a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples, st.sampled_from([1, 2, 3, 7, 1 << 15]))
+def test_blocked_extreme_is_bit_identical_to_whole_arrays(points, block):
+    pts = np.sort(np.asarray(points, dtype=float))
+    d_star = star_sorted_whole(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancy, "STAR_BLOCK", block)
+        got = discrepancy._extreme_sorted(pts, d_star)
+    assert got == extreme_sorted_whole(pts)[0]
+
+
+STAR_BLOCK = discrepancy.STAR_BLOCK
+
+
+@pytest.mark.parametrize("n", [STAR_BLOCK - 1, STAR_BLOCK, STAR_BLOCK + 1,
+                               2 * STAR_BLOCK + 1])
+@pytest.mark.parametrize("kind", ["kf", "ties", "random"])
+def test_blocked_extreme_at_block_edges(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "kf":
+        pts = sequence_values("kf", n)
+    elif kind == "ties":  # 257 values, 0 and 1 among them
+        pts = rng.integers(0, 257, n) / 256
+    else:
+        pts = rng.random(n)
+    pts = np.sort(pts)
+    assert discrepancy._extreme_sorted(pts, 0.0) == extreme_sorted_whole(pts)[0]
+
+
+def planted_same_run(n):
+    """A sample whose largest lead and largest lag fall in one run: half
+    the points at 0.5, a quarter spread evenly over [0, 1/4] and a quarter
+    over [3/4, 1]. The run at 0.5 crosses block boundaries when n is large."""
+    q = n // 4
+    return np.concatenate([np.linspace(0.0, 0.25, q), np.full(n - 2 * q, 0.5),
+                           np.linspace(0.75, 1.0, q)])
+
+
+@pytest.mark.parametrize("pts, block", [
+    ([0.5, 0.5, 0.5, 0.5], 1 << 15),
+    ([0.0, 0.0, 0.5, 0.75], 1 << 15),  # the run at 0 holds both maxima
+    ([0.0, 0.0, 0.5, 0.75], 1),
+    (planted_same_run(2 * STAR_BLOCK + 1), 1 << 15),
+    (planted_same_run(2 * STAR_BLOCK + 1), 1000),
+    (planted_same_run(101), 7),
+])
+def test_blocked_extreme_when_one_run_holds_both_maxima(pts, block):
+    pts = np.sort(np.asarray(pts, dtype=float))
+    want, same_run = extreme_sorted_whole(pts)
+    assert same_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancy, "STAR_BLOCK", block)
+        assert discrepancy._extreme_sorted(pts, star_sorted_whole(pts)) == want
+    assert extreme_discrepancy(pts) == want == extreme_by_search(pts)
+
+
+def test_extreme_temporaries_are_bounded():
+    # the whole-sample lead, lag and counts arrays held 24 MB at a
+    # million points
+    pts = np.sort(sequence_values("kf", 10**6))
+    tracemalloc.start()
+    try:
+        discrepancy._extreme_sorted(pts, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, 1.0 + 1e-15])
+def test_one_bad_value_anywhere_is_refused(bad):
+    for at in (0, 5, 9):
+        pts = np.linspace(0.0, 1.0, 10)
+        pts[at] = bad
+        with pytest.raises(ValueError, match="must lie in"):
+            star_discrepancy(pts)

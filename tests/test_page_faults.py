@@ -3,7 +3,9 @@
 A saturated polygon step and a raster perimeter estimate free a few MB of
 temporaries per call. Unless the package keeps glibc from trimming its
 heap, every call faults those pages in again (about 1 100 a step and
-64 000 an estimate), at a few microseconds each.
+64 000 an estimate), at a few microseconds each. A one-dimensional run
+faults in every page of memory it asks for, so there the budget counts
+the arrays it allocates.
 """
 
 import json
@@ -33,6 +35,11 @@ POLYGON_STEP_FAULTS = 100
 #: Minor faults allowed per perimeter estimate of the 512² lshape seed
 #: (about 64 000 without the freed block, 0 with it).
 PERIMETER_FAULTS = 1000
+#: Minor faults allowed for golden level 27 and the two-sided discrepancy
+#: of the first t_27 - 1 = 514 228 kf points (about 5 100 while each level
+#: copied its merged array and the two-sided pass held three arrays of the
+#: sample, about 2 500 without).
+ONEDIM_FAULTS = 4000
 
 _PRELUDE = """
 import json, resource
@@ -75,3 +82,17 @@ print(json.dumps([start, faults()]))
 """)
     per_call = (counts[1] - counts[0]) / 2
     assert per_call <= PERIMETER_FAULTS, f"{per_call} minor faults a call"
+
+
+def test_one_dimensional_run_allocates_little():
+    counts = _run("""
+from kfsteiner.discrepancy import discrepancy_curve
+from kfsteiner.partitions import kakutani_level
+from kfsteiner.sequences import GAMMA
+start = faults()
+kakutani_level(GAMMA, 27)
+discrepancy_curve("kf", [514228], include_extreme=True)
+print(json.dumps([start, faults()]))
+""")
+    used = counts[1] - counts[0]
+    assert used <= ONEDIM_FAULTS, f"{used} minor faults"

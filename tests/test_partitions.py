@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfsteiner.partitions import (
+    MAX_INTERVALS,
     Partition,
     TRIVIAL,
+    _maximal_mask,
+    _refinement_levels,
     alpha_refine,
     interval_counts,
     kakutani_level,
@@ -153,3 +158,77 @@ def test_kakutani_level_cap_message_and_bad_alpha():
     assert kakutani_level(0.5, 9, max_intervals=512).n_intervals == 512
     with pytest.raises(ValueError, match="alpha must lie in"):
         kakutani_level(1.5, 2)
+
+
+def refine_by_copy(partition, alpha):
+    """alpha_refine as one concatenation, a sort and the copying public
+    constructor: the oracle for the refinement that hands its merged array
+    to the new partition."""
+    bp, lengths = partition.breakpoints, partition.lengths
+    idx = np.flatnonzero(_maximal_mask(lengths))
+    merged = np.concatenate([bp, bp[idx] + alpha * lengths[idx]])
+    merged.sort(kind="stable")
+    return Partition(merged)
+
+
+@pytest.mark.parametrize("alpha, depth", [(G, 24), (0.3, 60), (0.5, 20), (0.7, 60)])
+def test_levels_equal_a_copying_reference(alpha, depth):
+    ref = TRIVIAL
+    chain = [TRIVIAL]
+    for _ in range(depth):
+        ref = refine_by_copy(ref, alpha)
+        chain.append(alpha_refine(chain[-1], alpha))
+        assert np.array_equal(chain[-1].breakpoints, ref.breakpoints)
+    assert np.array_equal(kakutani_level(alpha, depth).breakpoints, ref.breakpoints)
+    generated = list(_refinement_levels(alpha, depth, MAX_INTERVALS, "{level} {cap}"))
+    for levels in (chain, generated):
+        for i, part in enumerate(levels):
+            assert not part.breakpoints.flags.writeable
+            for later in levels[i + 1 :]:
+                assert not np.shares_memory(part.breakpoints, later.breakpoints)
+
+
+def test_public_constructor_copies_and_adopt_checks():
+    given_bp = np.array([0.0, 0.5, 1.0])
+    part = Partition(given_bp)
+    given_bp[1] = 0.25
+    assert part.breakpoints[1] == 0.5 and given_bp.flags.writeable
+    assert not part.breakpoints.flags.writeable
+    for bad in ([0.0, 0.5], [0.0, 0.5, 0.5, 1.0], [1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            Partition._adopt(np.array(bad))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_refinement_temporaries_are_bounded():
+    # each level freed its lengths, mask and indices only after it had
+    # merged, and the constructor copied the merged array: 4.1 arrays of
+    # the last level's breakpoints, 2.4 without
+    level_bytes = kakutani_level(G, 24).breakpoints.nbytes
+    peak = traced_peak(kakutani_level, G, 24)
+    assert peak < 3.0 * level_bytes, f"peak {peak / level_bytes:.2f} levels"
+
+
+def test_count_table_temporaries_are_bounded():
+    # the table of `partition`, whose levels are counted while the
+    # refinement waits. It peaks while the last level is counted: at 4.8
+    # arrays of that level's breakpoints (its own included) with four
+    # float arrays of the lengths in interval_counts and a copying
+    # refinement, at 3.5 with one deviation array, and at 3.9 if the
+    # refinement held its last new points meanwhile
+    def table():
+        levels = _refinement_levels(G, 24, MAX_INTERVALS, "{level} {cap}")
+        return [interval_counts(part, level) for level, part in enumerate(levels)]
+
+    assert table()[-1] == (fib(26), fib(25), fib(24))
+    level_bytes = kakutani_level(G, 24).breakpoints.nbytes
+    peak = traced_peak(table)
+    assert peak < 3.75 * level_bytes, f"peak {peak / level_bytes:.2f} levels"
