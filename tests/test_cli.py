@@ -219,7 +219,7 @@ def test_disc_sizes_below_two_are_a_usage_error(ns, tmp_path, capsys):
 @pytest.mark.parametrize("command, flag, per_point", [
     ("seq", "--n", SEQ_BYTES_PER_POINT),
     ("disc", "--ns", DISC_BYTES_PER_POINT),
-])
+], ids=["seq", "disc"])
 def test_sizes_over_the_memory_budget_are_a_usage_error(command, flag, per_point,
                                                          tmp_path, capsys):
     # the smallest size over the budget; it is refused before anything
