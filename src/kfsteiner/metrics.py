@@ -19,8 +19,9 @@ rasters share the run's, every other raster rasterizes its own.
 The perimeter of a raster that a stepped run drew from its intervals,
 its frame raster or its world raster, is the length of their section
 profile, read in one pass over the columns. Every other raster (a seed,
-a steiner_raster output, a PGM) takes the integral-geometry estimate,
-which samples the grid along 64 rotated line directions.
+a steiner_raster output, a PGM) is measured on its plane, as the length
+of the 0.5-level isoline of its bilinear occupancy: marching squares
+over the cells that the isoline crosses.
 
 A polygon's measure forms its edge columns once (polygons._edge_terms)
 and takes the second moment and the disk parts behind d1 from them, the
@@ -47,7 +48,6 @@ from .polygons import (
     _edge_lengths,
     _edge_terms,
     _moment,
-    _rotation,
     # never called here: d1 takes _disk_parts of the shared edge terms.
     # perfbench/worker.py patches this name, so its
     # polygons.disk_intersection_area span reads 0 and the disk parts'
@@ -71,10 +71,6 @@ __all__ = [
 
 #: Multiplier in the per-test grid tolerance C * h * perimeter.
 GRID_TOL_FACTOR = 8.0
-
-#: Line directions of the perimeter estimate inside grid_tolerance; a
-#: coarse count is enough for an error budget.
-GRID_TOL_DIRECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -204,11 +200,6 @@ def _polygon_d1_to_ball(terms, a):
     return 2.0 * (a - (0.5 * (r * r) * turn - segments))
 
 
-def _total_variation(vals):
-    """Sum of |steps| down every column of vals between zero rows."""
-    return np.abs(np.diff(np.pad(vals, ((1, 1), (0, 0))), axis=0)).sum()
-
-
 def _profile_perimeter(half, h):
     """Perimeter of the section profile {|y| <= l(x) / 2} of interval
     columns with the half-lengths half, in cells, on cells of size h.
@@ -228,59 +219,75 @@ def _profile_perimeter(half, h):
     return 2.0 * h * float(sides.sum() + s[0] + s[-1])
 
 
-def perimeter_estimate(rs, n_directions=64):
+#: The corners of a cell of the isoline in cycle order, in cell units
+#: from its bottom-left corner: bottom-left, bottom-right, top-right and
+#: top-left. Edge e runs from corner e to corner e + 1.
+_CELL_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def _isoline_length(occ, h):
+    """Length of the 0.5-level isoline of the bilinear interpolant of occ.
+
+    The values sit at the cell centres, with zero outside the grid, and
+    the isoline runs through the cells whose corners are four adjacent
+    centres (marching squares). Only the cells whose corner classes
+    (occ >= 0.5) differ carry a segment, and they lie in the box of the
+    occ >= 0.5 cells and one cell around it. On each cut edge the
+    crossing is linear; a cell with four crossings, a saddle, joins the
+    two corners of the class of its mean, summed in an order that every
+    turn and flip of the plane keeps. Each cell's crossings come in cycle
+    order, so its segments are consecutive pairs; a saddle that joins its
+    bottom-right and top-left corners pairs them from its second crossing.
+    """
+    inside = occ >= 0.5
+    rows, cols = _rasters._support_box(inside)
+    if rows.start == rows.stop:
+        return 0.0
+    ny, nx = occ.shape
+    o = int(min(rows.start, cols.start) == 0 or rows.stop == ny or cols.stop == nx)
+    if o:  # the set reaches the edge of the grid: pad it with the zeros beyond
+        occ, inside = np.pad(occ, 1), np.pad(inside, 1)
+    box = (slice(rows.start - 1 + o, rows.stop + 1 + o),
+           slice(cols.start - 1 + o, cols.stop + 1 + o))
+    v, k = occ[box], inside[box]
+    mixed = (k[:-1, :-1] != k[:-1, 1:]) | (k[1:, :-1] != k[1:, 1:])
+    # a cell has an even number of cut edges, so its right edge adds no cell
+    mixed |= k[:-1, :-1] != k[1:, :-1]
+    i, j = np.nonzero(mixed)
+    corners = np.stack([v[i, j], v[i, j + 1], v[i + 1, j + 1], v[i + 1, j]], axis=1)
+    ahead = np.roll(corners, -1, axis=1)
+    cell, edge = np.nonzero((corners >= 0.5) != (ahead >= 0.5))
+    lo, hi = corners[cell, edge], ahead[cell, edge]
+    t = ((0.5 - lo) / (hi - lo))[:, None]
+    ends = _CELL_CORNERS[edge]
+    points = ends + t * (_CELL_CORNERS[(edge + 1) % 4] - ends)
+    cuts = np.bincount(cell, minlength=len(i))
+    a, b, c, d = corners.T
+    late = (cuts == 4) & ((a >= 0.5) != ((a + c) + (b + d) >= 2.0))
+    first = (np.cumsum(cuts) - cuts)[late, None]
+    order = np.arange(len(points))
+    order[first + np.arange(4)] = first + np.array([1, 2, 3, 0])
+    seg = points[order].reshape(-1, 2, 2)
+    return h * float(np.hypot(*(seg[:, 0] - seg[:, 1]).T).sum())
+
+
+def perimeter_estimate(rs):
     """Perimeter estimate of a raster set.
 
     A raster that an AlignedRun drew from its interval columns after a
     step, frame or world, is measured as the polyline of its section
     profile (see _profile_perimeter): no turn changes a length, so both
-    read the same value, and n_directions is not used.
-
-    Every other raster takes the integral-geometry (Crofton) estimate.
-    For each of n_directions line directions the grid is sampled in a
-    frame where the lines are vertical, the total variation of the
-    occupancy along every line is summed and weighted by the line
-    spacing, and the directional average is multiplied by pi/2. The
-    support radius is taken once, and every rotated sample is gathered
-    into one reused plane.
+    read the same value. Every other raster is measured as the 0.5-level
+    isoline of its bilinear occupancy (see _isoline_length).
     """
-    if n_directions < 1:
-        raise ValueError(f"need at least one line direction, got {n_directions}")
     if rs._profile is not None:
         return _profile_perimeter(rs._profile, rs.grid.h)
-    radius = rs.content_radius(0.0)
-    if radius == 0.0:
-        return 0.0
-    g = rs.grid
-    pulled = np.zeros((g.ny, g.nx))
-    window = _rasters._EMPTY_BOX
-    totals = []
-    for k in range(n_directions):
-        theta = math.pi * k / n_directions
-        if abs(theta - 0.5 * math.pi) <= 1e-12:
-            total = _total_variation(rs.occ)
-        elif theta <= 1e-12:
-            total = _total_variation(rs.occ.T)
-        else:
-            pulled[window] = 0.0
-            rot = _rotation(0.5 * math.pi - theta)
-            # looked up at call time, so a substituted _pull_linear reaches here
-            window = _rasters._pull_linear(rs.occ, g, rot, radius, pulled)
-            total = _total_variation(pulled)
-        totals.append(total * g.h)
-    return 0.5 * math.pi * float(np.mean(totals))
+    return _isoline_length(rs.occ, rs.grid.h)
 
 
 def grid_tolerance(rs):
-    """Discretization tolerance C * h * perimeter for raster assertions.
-
-    The perimeter estimate uses GRID_TOL_DIRECTIONS directions; it only
-    sets an error budget proportional to the boundary length. Seeds and
-    steiner_raster outputs, the rasters the tests take it of, carry no
-    interval profile, so they take the integral-geometry estimate.
-    """
-    return GRID_TOL_FACTOR * rs.grid.h * perimeter_estimate(
-        rs, n_directions=GRID_TOL_DIRECTIONS)
+    """Discretization tolerance C * h * perimeter for raster assertions."""
+    return GRID_TOL_FACTOR * rs.grid.h * perimeter_estimate(rs)
 
 
 def measure(obj, with_hausdorff=False, with_perimeter=False):

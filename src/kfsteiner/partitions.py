@@ -9,6 +9,7 @@ Fibonacci numbers.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +193,13 @@ def length_classes(partition):
     tol = lengths[0] * _CLASS_TOL
     classes = []
     start = 0
-    for i in range(1, len(lengths) + 1):
-        if i == len(lengths) or lengths[start] - lengths[i] > tol:
-            classes.append((float(lengths[start:i].mean()), i - start))
-            start = i
+    while start < len(lengths):
+        # rounded subtraction is monotone, so top - x does not decrease
+        # along the descending lengths: the class ends at the first gap
+        top = lengths[start]
+        end = bisect.bisect_right(lengths, tol, lo=start, key=lambda x: top - x)
+        classes.append((float(lengths[start:end].mean()), end - start))
+        start = end
     return classes
 
 

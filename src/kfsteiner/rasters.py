@@ -30,12 +30,8 @@ shares the run's comparison ball for metrics.d1_to_ball, built on first
 use from the seed's area; any other raster rasterizes its own.
 
 Every other raster (a seed, a steiner_raster output, a PGM, anything
-built by with_occ) has its perimeter estimated by the bilinear gather,
-which samples it on rotated grids. The gather pulls each target cell
-from the overlap of its unit-cell box with the source grid at the
-preimage of the cell center, touches only the target cells within reach
-of the occupied disk and writes exact zeros elsewhere, so its output is
-identical to a full-grid gather.
+built by with_occ) has its perimeter measured on its plane, as the
+half-level isoline of its occupancy (see metrics.perimeter_estimate).
 
 A step and a run's set-up cost what their data costs, and every bit is
 that of the plain full-grid forms. _column_masses works on the four 1-D
@@ -143,22 +139,8 @@ class GridSpec:
         )
 
 
-#: Rows of target cells per block of the windowed gather. Its temporary
-#: arrays hold this many grid rows, so they stay small and in cache.
-GATHER_ROWS = 64
-
 #: The box of a plane with no nonzero cell.
 _EMPTY_BOX = (slice(0, 0), slice(0, 0))
-
-
-def _far_corners(grid, rows=slice(None), cols=slice(None)):
-    """Distance from the world origin to the far corner of each cell in
-    rows x cols."""
-    half = 0.5 * grid.h
-    return np.hypot(
-        np.abs(grid.x_centers()[cols])[None, :] + half,
-        np.abs(grid.y_centers()[rows])[:, None] + half,
-    )
 
 
 def _support_box(mask):
@@ -245,17 +227,6 @@ class RasterSet:
 
     def area(self):
         return self.mass() * self.grid.h**2
-
-    def content_radius(self, cutoff=1e-15):
-        """Largest distance from the origin to the far corner of an occupied
-        cell, read from the cells of the support box only."""
-        mask = self.occ > cutoff
-        rows, cols = _support_box(mask)
-        if rows.start == rows.stop:
-            return 0.0
-        dist = _far_corners(self.grid, rows, cols)
-        dist *= mask[rows, cols]  # distances are positive
-        return float(dist.max())
 
     @classmethod
     def _trusted(cls, occ, grid, profile=None, turn=0.0, ball=None):
@@ -447,92 +418,6 @@ def _ball_table(grid, area):
         np.add(prefix[k, cols], ball[k, cols], out=prefix[k + 1, cols])
     prefix[rows.stop + 1 :, cols] = prefix[rows.stop, cols]
     return ball, prefix
-
-
-# ---------------------------------------------------------------------------
-# the bilinear gather of metrics.perimeter_estimate
-# ---------------------------------------------------------------------------
-
-
-def _reach_slice(n, h, reach):
-    """Index range of the cells of one axis whose centers lie in [-reach, reach].
-
-    Rounded outward, clipped to the grid.
-    """
-    mid = (n - 1) / 2.0
-    lo = math.floor(-reach / h + mid)
-    hi = math.ceil(reach / h + mid) + 1
-    return slice(min(max(lo, 0), n), min(max(hi, 0), n))
-
-
-def _pull_linear(occ, grid, matrix, radius, out):
-    """Resample occ under the world map p -> matrix @ p (about the origin).
-
-    radius is the far-corner radius of the cells with occ > 0. Only target
-    cells within reach of the occupied disk are gathered. Every bilinear
-    tap lies within sqrt(2) * h of the preimage of the target center t,
-    and |inv(matrix) @ t| >= |t| / ||matrix||_2, so a target farther than
-    ||matrix||_2 * (radius + sqrt(2) * h) from the origin reads four zero
-    taps. The gather writes that window of out, in blocks of GATHER_ROWS
-    rows, and returns it; the caller keeps out zero elsewhere, so out
-    equals a full-grid gather bit for bit. Each tap reads occ inside a
-    zero border, so taps off the grid read zero without masking.
-    """
-    ny, nx = occ.shape
-    stride = nx + 3
-    padded = np.zeros((ny + 3, stride))
-    padded[1 : ny + 1, 1 : nx + 1] = occ
-    flat = padded.ravel()
-    inv = np.linalg.inv(matrix)
-    reach = np.linalg.norm(matrix, 2) * (radius + math.sqrt(2.0) * grid.h)
-    rows = _reach_slice(grid.ny, grid.h, reach)
-    cols = _reach_slice(grid.nx, grid.h, reach)
-    tx = grid.x_centers()[None, cols]
-    ty = grid.y_centers()[rows, None]
-    sx_x, sx_y = inv[0, 0] * tx, inv[0, 1] * ty
-    sy_x, sy_y = inv[1, 0] * tx, inv[1, 1] * ty
-    # the block temporaries, allocated once per call: every operation of
-    # the four-tap expression writes into one of them, in its order
-    scratch = np.empty((8, min(GATHER_ROWS, rows.stop - rows.start), tx.shape[1]))
-    index = np.empty(scratch.shape[1:], dtype=np.int64)
-    for top in range(rows.start, rows.stop, GATHER_ROWS):
-        blk = slice(top - rows.start, min(top + GATHER_ROWS, rows.stop) - rows.start)
-        n = blk.stop - blk.start
-        fi, fj, i0, j0, v00, v01, v10, v11 = scratch[:, :n]
-        base = index[:n]
-        np.add(sx_x, sx_y[blk], out=fj)
-        fj /= grid.h
-        fj += (grid.nx - 1) / 2.0
-        np.add(sy_x, sy_y[blk], out=fi)
-        fi /= grid.h
-        fi += (grid.ny - 1) / 2.0
-        np.clip(fi, -1.0, float(ny), out=fi)
-        fi += 1.0
-        np.clip(fj, -1.0, float(nx), out=fj)
-        fj += 1.0
-        np.floor(fi, out=i0)
-        np.floor(fj, out=j0)
-        di, dj = np.subtract(fi, i0, out=fi), np.subtract(fj, j0, out=fj)
-        i0 *= stride
-        i0 += j0
-        base[...] = i0  # i0 * stride + j0, exact in floating point
-        # the taps are on the grid or its zero border, so clip changes no
-        # index; unlike raise, it writes out without a buffer
-        for k, tap in zip((0, 1, stride, stride + 1), (v00, v01, v10, v11)):
-            np.take(flat[k:], base, out=tap, mode="clip")
-        # (1 - di) * ((1 - dj) * v00 + dj * v01) + di * ((1 - dj) * v10 + dj * v11)
-        one_dj = np.subtract(1.0, dj, out=i0)
-        v00 *= one_dj
-        v01 *= dj
-        v00 += v01
-        v10 *= one_dj
-        v11 *= dj
-        v10 += v11
-        v00 *= np.subtract(1.0, di, out=j0)
-        v10 *= di
-        v00 += v10
-        np.clip(v00, 0.0, 1.0, out=out[top : top + n, cols])
-    return rows, cols
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_convex_polygon
-from kfsteiner import rasters
 from kfsteiner.metrics import perimeter_estimate
 from kfsteiner.polygons import _rotation, steiner_polygon
 from kfsteiner.process import builtin_seed
@@ -29,11 +28,12 @@ from kfsteiner.rasters import (
 from kfsteiner.sequences import sequence_values
 
 #: Bound on the set-level d1 between the raster run and the exact set, in
-#: units of h * P, with h the cell size and P the seed's 8-direction
-#: perimeter estimate. The interval column step stays under 0.15 over 200
-#: steps on these seeds. A column step that blurs the set, such as the
-#: decreasing rearrangement of the cell values, reads 0.22-0.29 after the
-#: first step and grows like the square root of the step count.
+#: units of h * P, with h the cell size and P the seed's perimeter
+#: estimate (its half-level isoline). The interval column step stays
+#: under 0.15 over 200 steps on these seeds. A column step that blurs the
+#: set, such as the decreasing rearrangement of the cell values, reads
+#: 0.22-0.29 after the first step and grows like the square root of the
+#: step count.
 SET_D1_FACTOR = 0.2
 
 #: The bound for any directions, with P the seed's exact perimeter.
@@ -49,9 +49,14 @@ ANY_DIRECTION_D1_FACTOR = 0.5
 
 #: Bound on |perimeter_estimate - P| / P for the rasters of a run, with P
 #: the exact symmetral's perimeter. Their profile length reads 0.2-1.6 %
-#: high on these seeds over STEPS steps. The 64-direction gather of the
-#: same world planes reads 2.1-2.8 % high at the last step, so it fails.
+#: high on these seeds over STEPS steps. The plain raster of the last
+#: world plane (see PLAIN_PERIMETER_FACTOR) would fail it.
 PERIMETER_FACTOR = 0.02
+
+#: Bound on |perimeter_estimate - P| / P for the plain raster of the last
+#: world plane of a run: the isoline of the turned staircase, which reads
+#: 2.3-3.0 % high on these seeds at the last step.
+PLAIN_PERIMETER_FACTOR = 0.035
 
 STEPS = 40
 
@@ -76,7 +81,7 @@ def _gaps_to_the_exact_symmetrals(poly, thetas, n):
 def test_raster_run_stays_near_the_exact_symmetrals(name, n):
     thetas = [math.pi * float(x) for x in sequence_values("kf", STEPS)]
     seed, gaps = _gaps_to_the_exact_symmetrals(builtin_seed(name), thetas, n)
-    unit = seed.grid.h * perimeter_estimate(seed, n_directions=8)
+    unit = seed.grid.h * perimeter_estimate(seed)
     for step, gap in enumerate(gaps, start=1):
         assert gap <= SET_D1_FACTOR * unit, f"step {step}: d1 = {gap / unit:.3f} h P"
 
@@ -96,26 +101,12 @@ def test_raster_run_stays_near_random_convex_symmetrals(seed, n_points, n, theta
         )
 
 
-def _counting_pulls(monkeypatch):
-    """Count the rotated samples that perimeter_estimate gathers."""
-    calls = []
-    pull = rasters._pull_linear
-
-    def counted(*args):
-        calls.append(1)
-        return pull(*args)
-
-    monkeypatch.setattr(rasters, "_pull_linear", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [128, 256])
 @pytest.mark.parametrize("name", ["square", "ellipse", "offset-square"])
-def test_raster_run_perimeter_stays_near_the_exact_symmetrals(name, n, monkeypatch):
+def test_raster_run_perimeter_stays_near_the_exact_symmetrals(name, n):
     poly = builtin_seed(name)
     grid = GridSpec.cover(poly.circumradius(), n=n)
     run = AlignedRun(rasterize(poly, grid))
-    pulls = _counting_pulls(monkeypatch)
     for step, x in enumerate(sequence_values("kf", STEPS), start=1):
         theta = math.pi * float(x)
         poly = steiner_polygon(poly, theta)
@@ -126,12 +117,11 @@ def test_raster_run_perimeter_stays_near_the_exact_symmetrals(name, n, monkeypat
         assert abs(got - exact) <= PERIMETER_FACTOR * exact, (
             f"step {step}: perimeter {got:.6g} against {exact:.6g}"
         )
-    assert not pulls
-    # a plain raster of the same plane takes the 64-direction gather: 62
-    # rotated samples beside the two axis directions, which read the plane
-    gathered = perimeter_estimate(RasterSet(world.occ, grid))
-    assert len(pulls) == 62
-    assert gathered != got
+    # a plain raster of the same plane is measured by its isoline
+    plain = perimeter_estimate(RasterSet(world.occ, grid))
+    assert abs(plain - exact) <= PLAIN_PERIMETER_FACTOR * exact, (
+        f"plain raster: perimeter {plain:.6g} against {exact:.6g}"
+    )
 
 
 @pytest.mark.parametrize("name", ["two-component", "lshape"])

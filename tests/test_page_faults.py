@@ -1,9 +1,10 @@
 """Page-fault budgets of the heavy loops, each in a fresh interpreter.
 
-A saturated polygon step and a raster perimeter estimate free a few MB of
-temporaries per call. Unless the package keeps glibc from trimming its
-heap, every call faults those pages in again (about 1 100 a step and
-64 000 an estimate), at a few microseconds each. A one-dimensional run
+A saturated polygon step frees a few MB of temporaries per call. Unless
+the package keeps glibc from trimming its heap, every step faults those
+pages in again (about 1 100 a step), at a few microseconds each. A raster
+perimeter estimate holds under half a plane and faults in nothing, with
+or without that. A one-dimensional run
 faults in every page of memory it asks for, so there the budget counts
 the arrays it allocates.
 """
@@ -33,7 +34,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: without the freed block, 0 with it).
 POLYGON_STEP_FAULTS = 100
 #: Minor faults allowed per perimeter estimate of the 512² lshape seed
-#: (about 64 000 without the freed block, 0 with it).
+#: (0, with the freed block or without it).
 PERIMETER_FAULTS = 1000
 #: Minor faults allowed for golden level 27 and the two-sided discrepancy
 #: of the first t_27 - 1 = 514 228 kf points (about 5 100 while each level

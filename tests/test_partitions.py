@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from kfsteiner.partitions import (
     MAX_INTERVALS,
     Partition,
     TRIVIAL,
+    _CLASS_TOL,
     _maximal_mask,
     _refinement_levels,
     alpha_refine,
@@ -101,6 +103,47 @@ def test_length_classes():
     assert length_classes(kakutani_level(0.5, 3)) == [(0.125, 8)]
     classes = length_classes(kakutani_level(G, 4))
     assert [c[1] for c in classes] == [5, 3]
+
+
+def length_classes_by_walk(lengths):
+    """length_classes of a partition with these lengths, by a walk down
+    the sorted lengths that closes a class at the first length more than
+    the tolerance below the class's first."""
+    lengths = np.sort(lengths)[::-1]
+    tol = lengths[0] * _CLASS_TOL
+    classes = []
+    start = 0
+    for i in range(1, len(lengths) + 1):
+        if i == len(lengths) or lengths[start] - lengths[i] > tol:
+            classes.append((float(lengths[start:i].mean()), i - start))
+            start = i
+    return classes
+
+
+@st.composite
+def chained_lengths(draw):
+    """Shuffled lengths whose neighbours in sorted order lie a few
+    tolerances apart, at, just inside or just outside the class
+    tolerance, so that chains longer than one tolerance form."""
+    top = draw(st.floats(1e-6, 1.0))
+    gaps = draw(st.lists(st.sampled_from(
+        [0.0, 0.25, 0.5, 0.999999, 1.0, 1.000001, 1.5, 3.0, 1e3]), max_size=60))
+    lengths = top - np.cumsum([0.0] + gaps) * (top * _CLASS_TOL)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.permutation(lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_lengths())
+def test_length_classes_close_where_the_walk_does(lengths):
+    assert length_classes(SimpleNamespace(lengths=lengths)) == (
+        length_classes_by_walk(lengths))
+
+
+@pytest.mark.parametrize("alpha, levels", [(0.3, 120), (0.41, 80), (0.5, 14), (0.7, 120)])
+def test_length_classes_on_every_level_close_where_the_walk_does(alpha, levels):
+    for part in _refinement_levels(alpha, levels, 200_000, "{level} {cap}"):
+        assert length_classes(part) == length_classes_by_walk(part.lengths)
 
 
 def test_ud_ratio_examples():

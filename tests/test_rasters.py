@@ -326,8 +326,8 @@ def test_pgm_center_must_be_the_origin(tmp_path, binary):
 
 
 # ---------------------------------------------------------------------------
-# the support-windowed gather against the full-grid oracles, and the column
-# step against exact rasters of its staircase
+# the resampling oracle of the symmetry test, and the column step against
+# exact rasters of its staircase
 # ---------------------------------------------------------------------------
 
 
@@ -355,17 +355,10 @@ def allocating_gather(occ, fi, fj):
     )
 
 
-def _whole(out):
-    return slice(0, out.shape[0]), slice(0, out.shape[1])
-
-
-def full_grid_pull(occ, grid, matrix, radius=None, out=None):
-    """Bilinear pull that gathers every target cell of the grid.
-
-    Takes the arguments of rasters._pull_linear but ignores the radius:
-    it fills all of `out` from its own full-grid gather and reports the
-    whole grid as written.
-    """
+def full_grid_pull(occ, grid, matrix):
+    """occ resampled under the world map p -> matrix @ p (about the
+    origin): every cell centre reads the bilinear interpolant of occ at
+    its preimage, with zero outside the grid."""
     xs = grid.x_centers()
     ys = grid.y_centers()
     tx = xs[None, :]
@@ -375,33 +368,7 @@ def full_grid_pull(occ, grid, matrix, radius=None, out=None):
     sy = inv[1, 0] * tx + inv[1, 1] * ty
     fj = sx / grid.h + (grid.nx - 1) / 2.0
     fi = sy / grid.h + (grid.ny - 1) / 2.0
-    full = np.clip(allocating_gather(occ, fi, fj), 0.0, 1.0)
-    if out is None:
-        return full
-    out[...] = full
-    return _whole(out)
-
-
-def windowed_pull(occ, grid, matrix):
-    """rasters._pull_linear on a fresh plane, with the radius it is given
-    in a run: one pass over the support box."""
-    radius = RasterSet(occ, grid).content_radius(0.0)
-    out = np.zeros_like(occ)
-    rasters._pull_linear(occ, grid, matrix, radius, out)
-    return out
-
-
-def full_map_radius(rs, cutoff):
-    """content_radius from a distance map over the whole grid."""
-    mask = rs.occ > cutoff
-    if not mask.any():
-        return 0.0
-    half = 0.5 * rs.grid.h
-    rad = np.hypot(
-        np.abs(rs.grid.x_centers())[None, :] + half,
-        np.abs(rs.grid.y_centers())[:, None] + half,
-    )
-    return float(rad[mask].max())
+    return np.clip(allocating_gather(occ, fi, fj), 0.0, 1.0)
 
 
 @st.composite
@@ -441,26 +408,6 @@ def _reflection(angle):
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
-
-
-@st.composite
-def linear_maps(draw):
-    kind = draw(st.sampled_from(("rotation", "reflection", "general")))
-    if kind == "rotation":
-        return _rotation(draw(angles))
-    if kind == "reflection":
-        return _reflection(draw(angles))
-    entries = st.floats(-2.0, 2.0, allow_nan=False)
-    mat = np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
-    assume(abs(np.linalg.det(mat)) >= 0.1)
-    return mat
-
-
-@settings(max_examples=300, deadline=None)
-@given(raster_sets(), linear_maps())
-def test_windowed_pull_is_bit_identical_to_full_grid(rs, matrix):
-    out = windowed_pull(rs.occ, rs.grid, matrix)
-    assert np.array_equal(out, full_grid_pull(rs.occ, rs.grid, matrix))
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,16 +483,6 @@ def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
         for theta in (0.3, 1.0, 2.2, rng.random() * math.pi):
             _, info = steiner_raster(rs, theta, report=True)
             assert abs(info["mass_drift"]) <= 1e-12, f"seed {seed}, theta {theta}"
-
-
-@settings(max_examples=100, deadline=None)
-@given(raster_sets())
-def test_perimeter_estimate_matches_full_grid(rs):
-    windowed = perimeter_estimate(rs, n_directions=8)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rasters, "_pull_linear", full_grid_pull)
-        full = perimeter_estimate(rs, n_directions=8)
-    assert windowed == full
 
 
 @st.composite
@@ -722,21 +659,17 @@ def test_world_raster_draws_its_plane_when_first_read():
     assert drawn >= plane, f"first read of occ peak {drawn / plane:.2f} planes"
 
 
-@settings(max_examples=150, deadline=None)
-@given(raster_sets(), st.sampled_from([0.0, 1e-15, 1e-2, 0.5]))
-def test_content_radius_matches_full_map(rs, cutoff):
-    assert rs.content_radius(cutoff=cutoff) == full_map_radius(rs, cutoff)
-
-
-def test_content_radius_reads_only_the_support_box():
+def test_plain_perimeter_holds_less_than_a_plane():
+    # the isoline reads the plane through views of the box around the set
+    # and holds its class masks: about 0.39 of a plane here
     seed = builtin_seed("lshape", resolution=512)
     plane = seed.occ.nbytes
     tracemalloc.start()
     try:
-        peak = _traced_peak(seed.content_radius)
+        peak = _traced_peak(lambda: perimeter_estimate(seed))
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * plane, f"content_radius peak {peak / plane:.2f} planes"
+    assert peak < plane, f"perimeter_estimate peak {peak / plane:.2f} planes"
 
 
 # ---------------------------------------------------------------------------
