@@ -20,71 +20,4 @@ import numpy as _np
 # resident; other allocators ignore it.
 _np.empty(16 << 20, dtype=_np.uint8)
 
-from .discrepancy import discrepancy_curve, extreme_discrepancy, star_discrepancy
-from .metrics import (
-    MetricsRecord,
-    area,
-    d1,
-    d1_to_ball,
-    grid_tolerance,
-    hausdorff,
-    moment_of_inertia,
-    perimeter_estimate,
-)
-from .partitions import (
-    Partition,
-    TRIVIAL,
-    alpha_refine,
-    interval_counts,
-    kakutani_level,
-    ud_ratio,
-)
-from .polygons import (
-    Ball,
-    ConvexPolygon,
-    ball_of_same_area,
-    load_polygon,
-    regular_polygon,
-    reflect_polygon,
-    save_polygon,
-    steiner_polygon,
-)
-from .process import (
-    BUILTIN_SEEDS,
-    CheckpointRecord,
-    ProcessConfig,
-    ProcessResult,
-    TraceRecord,
-    builtin_seed,
-    checkpoint_probe,
-    compare_sequences,
-    run_process,
-)
-from .rasters import (
-    AlignedRun,
-    GridSpec,
-    RasterSet,
-    annulus_fixture,
-    rasterize,
-    read_pgm,
-    steiner_raster,
-    write_pgm,
-)
-from .sequences import (
-    GAMMA,
-    DirectionAngle,
-    admissible_integers,
-    checkpoint_index,
-    fib,
-    gamma_radical_inverse,
-    is_admissible,
-    kf_point,
-    kf_points,
-    kronecker_point,
-    kronecker_points,
-    to_direction,
-    vdc_point,
-    vdc_points,
-)
-
 __version__ = "0.1.0"

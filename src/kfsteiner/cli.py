@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import os
 import sys
@@ -84,23 +83,14 @@ def _check_cells(flag, value, cells, runs):
     _check_budget(flag, value, cells * runs, PLANE_BYTES_PER_CELL, unit)
 
 
-def _check_plane_budget(seed, resolution, grid=None, runs=1):
+def _check_plane_budget(seed, resolution, runs=1):
     """Refuse a seed whose grid, in each of `runs` concurrent runs, would
-    not fit the memory budget, and a --grid for any seed but a builtin
-    raster seed, the only kind it sizes. A polygon builds no grid from
-    these flags: its frames draw at most 256² cells."""
-    if seed not in [f"builtin:{name}" for name in RASTER_SEEDS]:
-        if grid is not None:
-            raise SystemExit2(
-                f"--grid sets the grid of a builtin raster seed "
-                f"({', '.join(RASTER_SEEDS)}), not of {seed}"
-            )
-        if not seed.startswith("builtin:"):
-            _check_pgm_budget("--seed", seed, runs)
-    elif grid is None:
+    not fit the memory budget. A polygon builds no grid from --resolution:
+    its frames draw at most 256² cells."""
+    if seed in [f"builtin:{name}" for name in RASTER_SEEDS]:
         _check_cells("--resolution", resolution, resolution**2, runs)
-    else:
-        _check_cells("--grid", f"{grid.nx}x{grid.ny}:{grid.h:g}", grid.nx * grid.ny, runs)
+    elif not seed.startswith("builtin:"):
+        _check_pgm_budget("--seed", seed, runs)
 
 
 def _check_pgm_budget(flag, path, runs=1):
@@ -134,30 +124,11 @@ def _alpha_value(text):
         raise argparse.ArgumentTypeError(f"bad alpha {text!r}") from exc
 
 
-def _sequence_spec(args):
-    """The sequence of --kind with --base or --alpha applied. Each flag
-    belongs to one kind, and given with another kind, or --base below 2,
-    it is a usage error that names it."""
-    spec = parse_sequence_id(args.kind)
-    for flag, kind in (("base", "vdc"), ("alpha", "kronecker")):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if spec.kind != kind:
-            raise SystemExit2(
-                f"--{flag} sets the {kind} sequence, not --kind {args.kind}")
-        spec = dataclasses.replace(spec, **{flag: value})
-    if args.base is not None and args.base < 2:
-        raise SystemExit2(f"--base must be at least 2, got {args.base}")
-    return spec
-
-
 def cmd_seq(args):
     if args.n < 1:
         raise SystemExit2("--n must be at least 1")
     _check_budget("--n", args.n, args.n, SEQ_BYTES_PER_POINT)
-    spec = _sequence_spec(args)
-    xs = sequence_values(spec, args.n)
+    xs = sequence_values(args.kind, args.n)
     # each row is written as it is formatted, so no point costs a held line
     with _output(args.out) as fh:
         fh.write("k,x,theta\n")
@@ -211,8 +182,7 @@ def cmd_disc(args):
     if min(ns) < 2:
         raise SystemExit2("--ns sizes must be at least 2")
     _check_budget("--ns", max(ns), max(ns), DISC_BYTES_PER_POINT)
-    spec = _sequence_spec(args)
-    rows = discrepancy_curve(spec, ns, include_extreme=args.extreme)
+    rows = discrepancy_curve(args.kind, ns, include_extreme=args.extreme)
     lines = ["N,d_star,d_extreme,normalized"]
     for row in rows:
         lines.append(
@@ -232,18 +202,6 @@ def cmd_symmetrize(args):
     else:
         save_polygon(args.out, steiner_polygon(shape, theta))
     return 0
-
-
-def _parse_grid(text):
-    # WxH:h, e.g. 512x512:0.005
-    try:
-        dims, h = text.split(":")
-        nx, ny = dims.lower().split("x")
-        return GridSpec(nx=int(nx), ny=int(ny), h=float(h))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad grid spec {text!r}, expected WxH:h"
-        ) from exc
 
 
 def _frame_writer(outdir, resolution):
@@ -268,14 +226,14 @@ def cmd_process(args):
     if args.resolution < 1:
         raise SystemExit2("--resolution must be at least 1")
     _check_run_length(args)
-    _check_plane_budget(args.seed, args.resolution, args.grid)
+    _check_plane_budget(args.seed, args.resolution)
+    parse_sequence_id(args.kind)  # an unknown id fails before --out is made
     cfg = ProcessConfig(
         sequence=args.kind,
         seed=args.seed,
         steps=args.steps,
         cadence=args.cadence,
         resolution=args.resolution,
-        grid=args.grid,
         with_hausdorff=args.hausdorff,
         with_perimeter=args.perimeter,
     )
@@ -299,6 +257,9 @@ def cmd_compare(args):
     if len(ids) < 2:
         raise SystemExit2("--kinds must list at least two sequence ids")
     _check_plane_budget(args.seed, args.resolution, runs=min(args.jobs, len(ids)))
+    # an unknown id fails before --out is made or any run starts
+    for seq_id in ids:
+        parse_sequence_id(seq_id)
     os.makedirs(args.out, exist_ok=True)
     ids, rows = compare_sequences(
         args.seed,
@@ -324,12 +285,9 @@ def build_parser():
 
     p = sub.add_parser("seq", help="dump the first N points of a sequence")
     p.add_argument("--kind", required=True,
-                   help="kf | vdc | kronecker | constant:x | geomdecay:a:r | "
-                        "random[:seed] | file:PATH")
+                   help="kf | vdc[:base] | kronecker[:alpha] | constant:x | "
+                        "geomdecay:a:r | random[:seed] | file:PATH")
     p.add_argument("--n", type=int, required=True, help="number of points (>= 1)")
-    p.add_argument("--base", type=int, help="van der Corput base (default 2)")
-    p.add_argument("--alpha", type=_alpha_value,
-                   help="Kronecker multiplier; the literal 'gamma' is accepted")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_seq)
 
@@ -346,8 +304,6 @@ def build_parser():
     p = sub.add_parser("disc", help="discrepancy growth table")
     p.add_argument("--kind", required=True, help="sequence id (see seq)")
     p.add_argument("--ns", required=True, help="comma-separated sample sizes")
-    p.add_argument("--base", type=int, help="van der Corput base")
-    p.add_argument("--alpha", type=_alpha_value, help="Kronecker multiplier")
     p.add_argument("--extreme", action="store_true",
                    help="also compute the two-sided discrepancy (N <= 1e6)")
     p.add_argument("--out", help="output CSV path (default stdout)")
@@ -368,7 +324,6 @@ def build_parser():
     p.add_argument("--kind", required=True, help="sequence id (see seq)")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--cadence", type=int, default=1, help="record every k steps")
-    p.add_argument("--grid", type=_parse_grid, help="raster grid as WxH:h")
     p.add_argument("--resolution", type=int, default=512,
                    help="raster grid cells per axis for builtin seeds")
     p.add_argument("--hausdorff", action="store_true",

@@ -70,7 +70,6 @@ class ProcessConfig:
     steps: int
     cadence: int = 1
     resolution: int = 512
-    grid: GridSpec | None = None
     with_hausdorff: bool = False
     with_perimeter: bool = False
 
@@ -106,7 +105,7 @@ class CheckpointRecord:
     defect: float
 
 
-def builtin_seed(name, resolution=512, grid=None):
+def builtin_seed(name, resolution=512):
     """Construct one of the builtin seed fixtures.
 
     Polygon seeds: square (centered unit square), offset-square
@@ -126,7 +125,7 @@ def builtin_seed(name, resolution=512, grid=None):
             np.column_stack([0.64 * np.cos(ang), 0.32 * np.sin(ang)])
         )
     if name == "lshape":
-        g = grid or GridSpec.cover(math.sqrt(0.5), n=resolution)
+        g = GridSpec.cover(math.sqrt(0.5), n=resolution)
         a = rasterize(
             ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.0), (-0.5, 0.0)]), g
         )
@@ -135,12 +134,12 @@ def builtin_seed(name, resolution=512, grid=None):
         )
         return RasterSet(np.clip(a.occ + b.occ, 0.0, 1.0), g)
     if name == "two-component":
-        g = grid or GridSpec.cover(0.85, n=resolution)
+        g = GridSpec.cover(0.85, n=resolution)
         left = rasterize(regular_polygon(0.28, 96, center=(-0.55, 0.0)), g)
         right = rasterize(regular_polygon(0.28, 96, center=(0.55, 0.0)), g)
         return RasterSet(np.clip(left.occ + right.occ, 0.0, 1.0), g)
     if name == "annulus":
-        g = grid or GridSpec.cover(0.8, n=resolution)
+        g = GridSpec.cover(0.8, n=resolution)
         return annulus_fixture(0.45, 0.8, g)
     raise ValueError(
         f"unknown builtin seed {name!r}; available: {', '.join(BUILTIN_SEEDS)}"
@@ -162,10 +161,10 @@ def _read_set(path):
         ) from exc
 
 
-def load_seed(spec, resolution=512, grid=None):
+def load_seed(spec, resolution=512):
     """Resolve a seed spec: ``builtin:NAME``, a PGM file or a polygon file."""
     if spec.startswith("builtin:"):
-        return builtin_seed(spec[len("builtin:") :], resolution=resolution, grid=grid)
+        return builtin_seed(spec[len("builtin:") :], resolution=resolution)
     return _read_set(spec)
 
 
@@ -223,7 +222,7 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     """
     seq = parse_sequence_id(cfg.sequence)
     xs = sequence_values(seq, cfg.steps)
-    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    seed = load_seed(cfg.seed, resolution=cfg.resolution)
 
     wanted = set(int(s) for s in snapshot_steps)
     snapshots = {}
@@ -272,7 +271,7 @@ def checkpoint_probe(cfg):
                 f"expected gamma**{order}"
             )
 
-    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    seed = load_seed(cfg.seed, resolution=cfg.resolution)
     return [
         CheckpointRecord(order=orders[step], step=step,
                          theta=math.pi * GAMMA ** orders[step],

@@ -241,7 +241,7 @@ def test_criterion_10_determinism(tmp_path):
                   "--out", str(base / "seq.csv")])
         cli_main(["partition", "--alpha", "gamma", "--level", "18",
                   "--out", str(base / "part.csv")])
-        cli_main(["disc", "--kind", "vdc", "--base", "2", "--ns", "100,10000",
+        cli_main(["disc", "--kind", "vdc:2", "--ns", "100,10000",
                   "--extreme", "--out", str(base / "disc.csv")])
         cli_main(["process", "--seed", "builtin:annulus", "--kind", "kf",
                   "--steps", "25", "--cadence", "5", "--resolution", "128",

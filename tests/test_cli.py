@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kfsteiner
+from kfsteiner import cli, process
 from kfsteiner.cli import (
     DISC_BYTES_PER_POINT,
     MEMORY_BUDGET,
@@ -42,8 +44,7 @@ def test_seq_kf_golden(tmp_path):
 
 def test_seq_vdc(tmp_path):
     out = tmp_path / "v.csv"
-    assert main(["seq", "--kind", "vdc", "--base", "2", "--n", "4",
-                 "--out", str(out)]) == 0
+    assert main(["seq", "--kind", "vdc", "--n", "4", "--out", str(out)]) == 0
     xs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert xs == [0.5, 0.25, 0.75, 0.125]
 
@@ -74,43 +75,24 @@ def test_seq_overflowing_kronecker_alpha_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("alpha", ["inf", "nan"])
-def test_seq_non_finite_alpha_is_a_usage_error(alpha, tmp_path, capsys):
+@pytest.mark.parametrize("kind, message", [
+    ("vdc:1", "base must be >= 2"),
+    ("constant:2", "constant schedule value must lie in [0, 1]"),
+    ("geomdecay:0.5:1.5", "geomdecay needs start in [0, 1] and ratio in (0, 1)"),
+])
+def test_seq_parameter_out_of_range_fails_before_output(kind, message, tmp_path, capsys):
     out = tmp_path / "seq.csv"
-    with pytest.raises(SystemExit) as err:
-        main(["seq", "--kind", "kronecker", "--alpha", alpha, "--n", "3",
-              "--out", str(out)])
-    assert err.value.code == 2
-    assert "bad alpha" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["seq", "--kind", "kf", "--n", "3", "--base", "3"], "--base"),
-    (["seq", "--kind", "kronecker", "--n", "3", "--base", "2"], "--base"),
-    (["seq", "--kind", "vdc", "--n", "3", "--base", "1"], "--base"),
-    (["seq", "--kind", "vdc", "--n", "3", "--alpha", "0.3"], "--alpha"),
-    (["seq", "--kind", "random:3", "--n", "3", "--alpha", "gamma"], "--alpha"),
-    (["disc", "--kind", "kf", "--ns", "10", "--base", "3"], "--base"),
-    (["disc", "--kind", "vdc", "--ns", "10", "--base", "0"], "--base"),
-    (["disc", "--kind", "geomdecay:0.3:0.5", "--ns", "10", "--alpha", "0.3"], "--alpha"),
-], ids=["seq-base-kf", "seq-base-kronecker", "seq-base-1", "seq-alpha-vdc",
-        "seq-alpha-random", "disc-base-kf", "disc-base-0", "disc-alpha-geomdecay"])
-def test_sequence_flag_of_another_kind_is_a_usage_error(argv, flag, tmp_path, capsys):
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "usage error" in err and flag in err
+    assert main(["seq", "--kind", kind, "--n", "3", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_sequence_flags_of_their_own_kind_apply(tmp_path):
     out = tmp_path / "out.csv"
-    assert main(["seq", "--kind", "vdc", "--base", "3", "--n", "3", "--out", str(out)]) == 0
+    assert main(["seq", "--kind", "vdc:3", "--n", "3", "--out", str(out)]) == 0
     xs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert xs == pytest.approx([1 / 3, 2 / 3, 1 / 9], abs=1e-15)
-    assert main(["seq", "--kind", "kronecker", "--alpha", "0.25", "--n", "3",
-                 "--out", str(out)]) == 0
+    assert main(["seq", "--kind", "kronecker:0.25", "--n", "3", "--out", str(out)]) == 0
     xs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert xs == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
 
@@ -187,8 +169,8 @@ def test_disc_table(tmp_path):
 
 def test_disc_extreme_flag(tmp_path):
     out = tmp_path / "d.csv"
-    assert main(["disc", "--kind", "kronecker", "--alpha", "0.5", "--ns", "100",
-                 "--extreme", "--out", str(out)]) == 0
+    assert main(["disc", "--kind", "kronecker:0.5", "--ns", "100", "--extreme",
+                 "--out", str(out)]) == 0
     row = out.read_text().strip().splitlines()[1].split(",")
     assert float(row[1]) >= 0.49
     assert float(row[2]) >= float(row[1]) - 1e-12
@@ -257,8 +239,6 @@ OVER_BUDGET_RESOLUTION = math.isqrt(MEMORY_BUDGET // PLANE_BYTES_PER_CELL) + 1
 @pytest.mark.parametrize("argv, flag, message", [
     (["process", "--seed", "builtin:lshape", "--resolution", str(OVER_BUDGET_RESOLUTION)],
      "--resolution", f"({PLANE_BYTES_PER_CELL} B a cell)"),
-    (["process", "--seed", "builtin:annulus", "--grid", "100000x100000:0.01"],
-     "--grid", f"({PLANE_BYTES_PER_CELL} B a cell)"),
     (["compare", "--seed", "builtin:two-component", "--kinds", "kf,vdc,random",
       "--resolution", str(OVER_BUDGET_RESOLUTION)],
      "--resolution", f"({PLANE_BYTES_PER_CELL} B a cell)"),
@@ -266,7 +246,7 @@ OVER_BUDGET_RESOLUTION = math.isqrt(MEMORY_BUDGET // PLANE_BYTES_PER_CELL) + 1
     (["compare", "--seed", "builtin:lshape", "--kinds", "kf,vdc,random", "--jobs", "4",
       "--resolution", str(OVER_BUDGET_RESOLUTION * 3 // 5)],
      "--resolution", "cell in each of 3 concurrent runs"),
-], ids=["process-resolution", "process-grid", "compare", "compare-jobs"])
+], ids=["process-resolution", "compare", "compare-jobs"])
 def test_raster_grids_over_the_memory_budget_are_a_usage_error(argv, flag, message,
                                                                tmp_path, capsys):
     # refused before the seed is built, so the test allocates nothing
@@ -274,23 +254,6 @@ def test_raster_grids_over_the_memory_budget_are_a_usage_error(argv, flag, messa
     assert main(argv + kind + ["--steps", "2", "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert f"usage error: {flag} " in err and message in err and "memory budget" in err
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("kind", ["builtin", "polygon-file", "pgm-file"])
-def test_grid_for_a_seed_it_does_not_size_is_a_usage_error(kind, tmp_path, capsys):
-    seed = "builtin:square"
-    if kind == "polygon-file":
-        seed = tmp_path / "sq.txt"
-        seed.write_text("0 0\n1 0\n1 1\n0 1\n")
-    elif kind == "pgm-file":
-        seed = tmp_path / "ball.pgm"
-        write_pgm(seed, rasterize(Ball(0.6), GridSpec.cover(1.0, n=16)))
-    code = main(["process", "--seed", str(seed), "--kind", "kf", "--steps", "2",
-                 "--grid", "4x4:0.01", "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "usage error: --grid sets the grid of a builtin raster seed" in (
-        capsys.readouterr().err)
     assert not (tmp_path / "run").exists()
 
 
@@ -535,20 +498,6 @@ def test_process_pgm_sample_above_maxval_names_the_file(tmp_path, capsys):
     assert f"error: {seed}: sample 11 outside 0..10" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cellsize", ["inf", "nan", "-inf"])
-def test_process_non_finite_grid_is_a_usage_error(cellsize, tmp_path, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(SystemExit) as err:
-            main(["process", "--seed", "builtin:lshape", "--kind", "kf",
-                  "--steps", "3", "--grid", f"64x64:{cellsize}",
-                  "--out", str(tmp_path / "run")])
-    assert err.value.code == 2
-    assert "bad grid spec" in capsys.readouterr().err
-    assert caught == []
-    assert not (tmp_path / "run").exists()
-
-
 def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
     seed = tmp_path / "blob.img"
     seed.write_bytes(b"\xfa\x00\x01\x02junk")
@@ -557,6 +506,40 @@ def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {seed}: neither a P2/P5 PGM raster nor a polygon text file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["process", "--seed", "builtin:square", "--kind", "bogus"],
+    ["compare", "--seed", "builtin:lshape", "--kinds", "kf,bogus", "--resolution", "64"],
+], ids=["process", "compare"])
+def test_unknown_sequence_id_fails_before_any_run_or_output(argv, tmp_path, capsys,
+                                                            monkeypatch):
+    runs = []
+
+    def record(cfg, **kwargs):
+        runs.append(cfg.sequence)
+
+    monkeypatch.setattr(cli, "run_process", record)
+    monkeypatch.setattr(process, "run_process", record)
+    outdir = tmp_path / "run"
+    assert main(argv + ["--steps", "8", "--out", str(outdir)]) == 1
+    assert "error: unknown sequence id 'bogus'" in capsys.readouterr().err
+    assert runs == []
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["partition", "--alpha", "gamma", "--level", "-1"], "--level"),
+    (["disc", "--kind", "kf", "--ns", "x,1"], "--ns"),
+    (["disc", "--kind", "kf", "--ns", ","], "--ns"),
+    (["compare", "--seed", "builtin:square", "--kinds", "kf", "--steps", "2"], "--kinds"),
+], ids=["partition-level", "disc-ns-word", "disc-ns-empty", "compare-one-kind"])
+def test_malformed_size_or_list_is_a_usage_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()
 
 
 def test_compare_writes_csv(tmp_path):
@@ -585,3 +568,17 @@ def test_help_on_every_subcommand(capsys):
             parser.parse_args([cmd, "--help"])
         assert err.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+def test_every_readme_command_line_parses():
+    # the README's Command line block runs nothing here: each of its
+    # kfsteiner lines, with continuations joined, must parse
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line.split() for line in block.splitlines() if line.startswith("kfsteiner ")]
+    assert {words[1] for words in lines} == {
+        "seq", "partition", "disc", "symmetrize", "process", "compare"}
+    parser = build_parser()
+    for words in lines:
+        assert parser.parse_args(words[1:]).command == words[1]

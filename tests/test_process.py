@@ -249,7 +249,7 @@ def test_every_builtin_seed_moves_toward_the_ball(name):
 def _looped_process(cfg, snapshot_steps):
     """(records, snapshots, callback calls, final set) of a run."""
     xs = sequence_values(cfg.sequence, cfg.steps)
-    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    seed = load_seed(cfg.seed, resolution=cfg.resolution)
     driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
     current = seed
 
@@ -291,7 +291,7 @@ def _looped_checkpoints(cfg):
     while checkpoint_index(k) <= cfg.steps:
         probe[checkpoint_index(k)] = k
         k += 1
-    seed = load_seed(cfg.seed, resolution=cfg.resolution, grid=cfg.grid)
+    seed = load_seed(cfg.seed, resolution=cfg.resolution)
     driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
     current = seed
     out = []

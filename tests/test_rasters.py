@@ -155,6 +155,17 @@ def test_axis_aligned_idempotent_exactly():
     assert np.array_equal(once.occ, twice.occ)
 
 
+def test_negative_axis_angles_are_the_axis_symmetrals_bit_for_bit():
+    # fmod keeps the sign: -pi/2 is folded onto pi/2 by adding pi, and
+    # -pi leaves -0.0, the horizontal axis
+    rs = random_raster(np.random.default_rng(5), GridSpec.cover(1.2, n=48))
+    vertical = steiner_raster(rs, math.pi / 2).occ
+    horizontal = steiner_raster(rs, 0.0).occ
+    assert not np.array_equal(vertical, horizontal)
+    assert np.array_equal(steiner_raster(rs, -math.pi / 2).occ, vertical)
+    assert np.array_equal(steiner_raster(rs, -math.pi).occ, horizontal)
+
+
 def test_disk_fixed_point_any_direction(unit_grid_256):
     disk = rasterize(Ball(1.0), unit_grid_256)
     for theta in (0.3, 1.1, 2.7):

@@ -144,6 +144,13 @@ def test_vdc_examples():
             assert vdc_point(n, b) == pytest.approx(oracle(n, b), abs=1e-15)
 
 
+def test_vdc_base_below_two_is_refused():
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        vdc_points(3, base=1)
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        vdc_point(1, base=1)
+
+
 def oracle_vdc_points(count, base):
     """The digit loop vdc_points ran before it divided into preallocated
     arrays: a remainder and a quotient array per digit, until all are 0."""
