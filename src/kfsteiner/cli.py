@@ -30,13 +30,7 @@ from .process import (
     trace_csv,
 )
 from .rasters import GridSpec, RasterSet, _pgm_size, rasterize, steiner_raster, write_pgm
-from .sequences import (
-    GAMMA,
-    _parse_alpha,
-    parse_sequence_id,
-    sequence_values,
-    to_direction,
-)
+from .sequences import GAMMA, _parse_alpha, sequence_values, to_direction
 
 
 class SystemExit2(Exception):
@@ -53,8 +47,9 @@ MEMORY_BUDGET = 2 << 30
 #: formatted).
 SEQ_BYTES_PER_POINT = 26
 #: Peak bytes per point of `disc`, set by vdc: 24.0 measured at 10 million
-#: points and 24.3 at a million with --extreme; 16-17 for kf and kronecker
-#: and at most 22.5 for random (1, 3 and 10 million points).
+#: points with or without --extreme and 24.3 at a million with it; 16-17
+#: for kf and kronecker and at most 22.5 for random (1, 3 and 10 million
+#: points).
 DISC_BYTES_PER_POINT = 26
 #: Peak bytes per interval of `partition` at its last level: at most 35.8
 #: measured (golden levels 29-33, alpha 0.5 at levels 20-21 and 0.3 at
@@ -115,6 +110,13 @@ def _output(out):
 def _write(text, out):
     with _output(out) as fh:
         fh.write(text)
+
+
+def _out_file(outdir, name):
+    """Path of the file `name` in `outdir`, which is made here, when its
+    first file is written, so no input error leaves it behind."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
 
 
 def _alpha_value(text):
@@ -196,7 +198,7 @@ def cmd_disc(args):
 def cmd_symmetrize(args):
     _check_pgm_budget("--in", args.infile)
     shape = _read_set(args.infile)
-    theta = args.theta if args.theta is not None else to_direction(args.x).theta
+    theta = args.theta if args.theta is not None else to_direction(args.x)
     if isinstance(shape, RasterSet):
         write_pgm(args.out, steiner_raster(shape, theta), binary=not args.ascii)
     else:
@@ -206,7 +208,7 @@ def cmd_symmetrize(args):
 
 def _frame_writer(outdir, resolution):
     def callback(step, current):
-        path = os.path.join(outdir, f"frame_{step}.pgm")
+        path = _out_file(outdir, f"frame_{step}.pgm")
         if isinstance(current, RasterSet):
             write_pgm(path, current)
         else:
@@ -216,18 +218,20 @@ def _frame_writer(outdir, resolution):
     return callback
 
 
-def _check_run_length(args):
+def _check_run_flags(args):
     for flag, value in (("--steps", args.steps), ("--cadence", args.cadence)):
         if value < 1:
             raise SystemExit2(f"{flag} must be at least 1, got {value}")
+    # --out is made only at the first file written, so check it before the run
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise SystemExit2(f"--out {args.out} is not a directory")
 
 
 def cmd_process(args):
     if args.resolution < 1:
         raise SystemExit2("--resolution must be at least 1")
-    _check_run_length(args)
+    _check_run_flags(args)
     _check_plane_budget(args.seed, args.resolution)
-    parse_sequence_id(args.kind)  # an unknown id fails before --out is made
     cfg = ProcessConfig(
         sequence=args.kind,
         seed=args.seed,
@@ -237,13 +241,11 @@ def cmd_process(args):
         with_hausdorff=args.hausdorff,
         with_perimeter=args.perimeter,
     )
-    os.makedirs(args.out, exist_ok=True)
     callback = None
     if args.frames:
         callback = _frame_writer(args.out, min(args.resolution, 256))
     result = run_process(cfg, callback=callback)
-    path = os.path.join(args.out, "trace.csv")
-    _write(trace_csv(result.records), path)
+    _write(trace_csv(result.records), _out_file(args.out, "trace.csv"))
     return 0
 
 
@@ -252,15 +254,11 @@ def cmd_compare(args):
         raise SystemExit2("--resolution must be at least 1")
     if args.jobs < 1:
         raise SystemExit2("--jobs must be at least 1")
-    _check_run_length(args)
+    _check_run_flags(args)
     ids = [tok for tok in args.kinds.split(",") if tok]
     if len(ids) < 2:
         raise SystemExit2("--kinds must list at least two sequence ids")
     _check_plane_budget(args.seed, args.resolution, runs=min(args.jobs, len(ids)))
-    # an unknown id fails before --out is made or any run starts
-    for seq_id in ids:
-        parse_sequence_id(seq_id)
-    os.makedirs(args.out, exist_ok=True)
     ids, rows = compare_sequences(
         args.seed,
         ids,
@@ -269,7 +267,7 @@ def cmd_compare(args):
         resolution=args.resolution,
         jobs=args.jobs,
     )
-    _write(compare_csv(ids, rows), os.path.join(args.out, "compare.csv"))
+    _write(compare_csv(ids, rows), _out_file(args.out, "compare.csv"))
     return 0
 
 
@@ -305,7 +303,7 @@ def build_parser():
     p.add_argument("--kind", required=True, help="sequence id (see seq)")
     p.add_argument("--ns", required=True, help="comma-separated sample sizes")
     p.add_argument("--extreme", action="store_true",
-                   help="also compute the two-sided discrepancy (N <= 1e6)")
+                   help="also compute the two-sided discrepancy")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_disc)
 

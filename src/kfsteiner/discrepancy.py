@@ -22,11 +22,7 @@ __all__ = [
     "star_discrepancy",
     "extreme_discrepancy",
     "discrepancy_curve",
-    "EXTREME_CAP",
 ]
-
-#: Largest sample size for which the two-sided discrepancy is computed.
-EXTREME_CAP = 1_000_000
 
 
 def _validated(points):
@@ -86,10 +82,6 @@ def star_discrepancy(points):
 def _extreme_sorted(pts, d_star):
     """Two-sided discrepancy of a validated, sorted sample with star discrepancy d_star."""
     n = len(pts)
-    if n > EXTREME_CAP:
-        raise ValueError(
-            f"two-sided discrepancy limited to N <= {EXTREME_CAP}, got {n}"
-        )
     # The value grid is the runs of equal values of [0, pts, 1]. The run of
     # value v gives lead = v - #{x < v}/N, the lead of its first point, and
     # lag = #{x <= v}/N - v, the lag of its last point; the values 0 and 1
@@ -133,7 +125,7 @@ def extreme_discrepancy(points):
     return _extreme_sorted(pts, _star_sorted(pts))
 
 
-def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
+def discrepancy_curve(spec, ns, include_extreme=False):
     """Discrepancy growth table for a sequence generator.
 
     Returns one row per N in `ns`: a dict with keys ``N``, ``d_star``,
@@ -155,7 +147,7 @@ def discrepancy_curve(spec, ns, include_extreme=False, extreme_cap=EXTREME_CAP):
         sample.sort()
         d_star = _star_sorted(sample)
         d_ext = None
-        if include_extreme and n <= extreme_cap:
+        if include_extreme:
             d_ext = _extreme_sorted(sample, d_star)
         rows.append(
             {

@@ -53,7 +53,6 @@ from .polygons import (
     # polygons.disk_intersection_area span reads 0 and the disk parts'
     # time sits in metrics.measure (ROADMAP item 1)
     disk_intersection_area,
-    hausdorff,
 )
 from .rasters import RasterSet
 
@@ -63,7 +62,6 @@ __all__ = [
     "moment_of_inertia",
     "d1",
     "d1_to_ball",
-    "hausdorff",
     "perimeter_estimate",
     "grid_tolerance",
     "measure",

@@ -95,8 +95,8 @@ _SLICED_MERGE_STOPS = 64
 
 
 def as_theta(direction):
-    """Angle in radians from a DirectionAngle or a bare number."""
-    theta = float(getattr(direction, "theta", direction))
+    """Angle in radians of a direction, checked to be finite."""
+    theta = float(direction)
     if not math.isfinite(theta):
         raise ValueError(f"direction angle is {theta}, not a finite number")
     return theta

@@ -74,6 +74,7 @@ class ProcessConfig:
     with_perimeter: bool = False
 
     def __post_init__(self):
+        parse_sequence_id(self.sequence)  # a bad id fails before any run
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.cadence < 1:
@@ -220,8 +221,7 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     are invariant under that frame rotation, and d1_to_ball compares
     every step against the run's one ball of the seed's area.
     """
-    seq = parse_sequence_id(cfg.sequence)
-    xs = sequence_values(seq, cfg.steps)
+    xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution)
 
     wanted = set(int(s) for s in snapshot_steps)
@@ -255,10 +255,9 @@ def checkpoint_probe(cfg):
     a column of intervals centred on the midline, whose ends and row
     edges are exact, so the plane is symmetric bit for bit.
     """
-    seq = parse_sequence_id(cfg.sequence)
-    if seq.kind != "kf":
+    if parse_sequence_id(cfg.sequence).kind != "kf":
         raise ValueError("checkpoint probing requires the kf sequence")
-    xs = sequence_values(seq, cfg.steps)
+    xs = sequence_values(cfg.sequence, cfg.steps)
     orders = {}
     k = 1
     while checkpoint_index(k) <= cfg.steps:

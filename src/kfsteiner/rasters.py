@@ -610,20 +610,16 @@ def _rasterize_intervals(grid, half, matrix):
     return _rasterize_polygon(loop @ matrix.T, grid)
 
 
-def steiner_raster(rs, direction, report=False):
+def steiner_raster(rs, direction):
     """Symmetral of a raster set with respect to a direction.
 
     Every column along the direction becomes the interval centred on the
     origin line whose length is the column's mass. Axis-aligned
     directions read the column sums. Any other direction is one step of
-    an AlignedRun on the raster, drawn in the world frame. With
-    report=True returns (result, info) where info carries the relative
-    mass drift of the column masses, a rounding error that the scale
-    absorbs (see AlignedRun.mass_drift).
+    an AlignedRun on the raster, drawn in the world frame.
     """
     theta = as_theta(direction)
     grid = rs.grid
-    info = {"mass_drift": 0.0}
     out = np.zeros((grid.ny, grid.nx))
 
     mod = math.fmod(theta, math.pi)
@@ -634,12 +630,8 @@ def steiner_raster(rs, direction, report=False):
     elif mod <= 1e-12 or math.pi - mod <= 1e-12:
         _fill_intervals(out.T, _interval_lengths(rs.occ.sum(axis=1), grid.nx))
     else:
-        run = AlignedRun(rs).apply(theta)
-        out, info["mass_drift"] = run.world_raster().occ, run.mass_drift
-    result = rs.with_occ(out)
-    if report:
-        return result, info
-    return result
+        out = AlignedRun(rs).apply(theta).world_raster().occ
+    return rs.with_occ(out)
 
 
 class AlignedRun:

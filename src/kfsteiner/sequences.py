@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "GAMMA",
-    "DirectionAngle",
     "SequenceSpec",
     "fib",
     "is_admissible",
@@ -217,37 +216,32 @@ def kronecker_points(count, alpha=GAMMA):
     return np.mod(np.arange(1, count + 1, dtype=float) * alpha, 1.0)
 
 
-@dataclass(frozen=True)
-class DirectionAngle:
-    """Planar direction given by an angle in [0, pi]."""
-
-    theta: float
-
-    @property
-    def vector(self):
-        return (math.cos(self.theta), math.sin(self.theta))
-
-
 def to_direction(x):
-    """Map x in [0, 1] to the direction with angle pi * x."""
+    """Angle pi * x of the direction that x in [0, 1] stands for."""
     x = float(x)
     if math.isnan(x) or not 0.0 <= x <= 1.0:
         raise ValueError(f"sequence value must lie in [0, 1], got {x}")
-    return DirectionAngle(math.pi * x)
+    return math.pi * x
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Parsed description of a point-sequence generator."""
+    """A parsed sequence id: its kind and that kind's checked parameters."""
 
     kind: str
-    base: int = 2
-    alpha: float = GAMMA
-    value: float = 0.5
-    start: float = 0.5
-    ratio: float = 0.9
-    seed: int = 0
-    path: str = ""
+    params: tuple = ()
+
+
+def _checked(convert, ok, rule):
+    """A parameter reader: `convert` the text, then refuse a value failing `ok`."""
+
+    def read(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {value!r}")
+        return value
+
+    return read
 
 
 def _parse_alpha(text):
@@ -259,90 +253,103 @@ def _parse_alpha(text):
     return alpha
 
 
-def parse_sequence_id(text):
-    """Parse a compact generator id.
-
-    Accepted forms: ``kf``, ``vdc`` / ``vdc2`` / ``vdc:3``,
-    ``kronecker`` / ``kronecker:0.3`` / ``kronecker:gamma``,
-    ``constant:0.4``, ``geomdecay:0.9:0.85``, ``random`` / ``random:7``,
-    ``file:PATH``.
-    """
-    text = text.strip()
-    if text.startswith("file:"):
-        return SequenceSpec(kind="file", path=text[5:])
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    if head == "kf":
-        return SequenceSpec(kind="kf")
-    if head.startswith("vdc"):
-        suffix = head[3:]
-        base = int(rest) if rest else (int(suffix) if suffix else 2)
-        return SequenceSpec(kind="vdc", base=base)
-    if head == "kronecker":
-        alpha = _parse_alpha(rest) if rest else GAMMA
-        return SequenceSpec(kind="kronecker", alpha=alpha)
-    if head == "constant":
-        return SequenceSpec(kind="constant", value=float(rest) if rest else 0.5)
-    if head == "geomdecay":
-        parts = rest.split(":") if rest else []
-        start = float(parts[0]) if len(parts) > 0 and parts[0] else 0.9
-        ratio = float(parts[1]) if len(parts) > 1 else 0.9
-        return SequenceSpec(kind="geomdecay", start=start, ratio=ratio)
-    if head == "random":
-        return SequenceSpec(kind="random", seed=int(rest) if rest else 0)
-    raise ValueError(f"unknown sequence id {text!r}")
+def _kronecker_values(count, alpha):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = kronecker_points(count, alpha=alpha)
+    if not np.all(np.isfinite(vals)):  # k * alpha overflowed
+        raise ValueError(
+            f"kronecker alpha {alpha!r} is too large: k * alpha "
+            f"overflows within the first {count} values"
+        )
+    return vals
 
 
-def _load_schedule(path):
+def _schedule_values(count, path):
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
                 vals.append(float(line))
-    return np.asarray(vals)
+    if len(vals) < count:
+        raise ValueError(
+            f"schedule file {path!r} has {len(vals)} values, need {count}"
+        )
+    vals = np.asarray(vals[:count])
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
+        raise ValueError(f"schedule file {path!r} has values outside [0, 1]")
+    return vals
+
+
+_GEOMDECAY_RULE = "geomdecay needs start in [0, 1] and ratio in (0, 1)"
+
+#: Every sequence kind: the reader and the default of each parameter, in
+#: the order the id lists them (a default of None makes the parameter
+#: required), and the function of the count and the parameters that gives
+#: the kind's values.
+_KINDS = {
+    "kf": ((), kf_points),
+    "vdc": (((_checked(int, lambda b: b >= 2, "base must be >= 2"), 2),),
+            vdc_points),
+    "kronecker": (((_parse_alpha, GAMMA),), _kronecker_values),
+    "constant": (
+        ((_checked(float, lambda v: 0.0 <= v <= 1.0,
+                   "constant schedule value must lie in [0, 1]"), 0.5),),
+        lambda count, value: np.full(count, value),
+    ),
+    "geomdecay": (
+        ((_checked(float, lambda s: 0.0 <= s <= 1.0, _GEOMDECAY_RULE), 0.9),
+         (_checked(float, lambda r: 0.0 < r < 1.0, _GEOMDECAY_RULE), 0.9)),
+        lambda count, start, ratio: start * ratio ** np.arange(count, dtype=float),
+    ),
+    "random": (
+        ((_checked(int, lambda s: s >= 0, "seed must be >= 0"), 0),),
+        lambda count, seed: np.random.default_rng(seed).random(count),
+    ),
+    "file": (((str, None),), _schedule_values),
+}
+
+
+def parse_sequence_id(text):
+    """Parse and check a sequence id: ``kind[:param[:param]]``.
+
+    Kinds and their parameters (defaults in brackets): ``kf``;
+    ``vdc[:base]`` [2], also spelt ``vdcBASE``, with an integer base >= 2;
+    ``kronecker[:alpha]`` [gamma], a finite alpha or ``gamma``;
+    ``constant[:x]`` [0.5], x in [0, 1]; ``geomdecay[:start[:ratio]]``
+    [0.9, 0.9], start in [0, 1] and ratio in (0, 1); ``random[:seed]``
+    [0], an integer seed >= 0; ``file:PATH``, whose path is the rest of
+    the id. An unknown kind, an extra or empty field or a value out of
+    range raises ValueError naming the whole id.
+    """
+    text = text.strip()
+    head, colon, rest = text.partition(":")
+    kind = head.lower()
+    fields = rest.split(":") if colon else []
+    if kind == "file":  # the path may hold colons
+        fields = [rest] if colon else []
+    elif kind.startswith("vdc") and kind != "vdc":  # vdcBASE spells vdc:BASE
+        kind, fields = "vdc", [kind[3:]] + fields
+    if kind not in _KINDS:
+        raise ValueError(f"unknown sequence id {text!r}")
+    params = _KINDS[kind][0]
+    try:
+        if len(fields) > len(params):
+            raise ValueError(f"too many fields for {kind}")
+        if "" in fields:
+            raise ValueError("empty field")
+        values = [read(field) for (read, _), field in zip(params, fields)]
+        values += [default for _, default in params[len(fields):]]
+        if None in values:
+            raise ValueError(f"missing field for {kind}")
+    except ValueError as exc:
+        raise ValueError(f"sequence id {text!r}: {exc}") from None
+    return SequenceSpec(kind, tuple(values))
 
 
 def sequence_values(spec, count):
-    """First `count` values of the generator described by `spec`.
-
-    `spec` may be a SequenceSpec or a compact id string.
-    """
-    if isinstance(spec, str):
-        spec = parse_sequence_id(spec)
+    """First `count` values of the sequence that the id `spec` names."""
+    spec = parse_sequence_id(spec)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if spec.kind == "kf":
-        return kf_points(count)
-    if spec.kind == "vdc":
-        return vdc_points(count, base=spec.base)
-    if spec.kind == "kronecker":
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = kronecker_points(count, alpha=spec.alpha)
-        if not np.all(np.isfinite(vals)):  # k * alpha overflowed
-            raise ValueError(
-                f"kronecker alpha {spec.alpha!r} is too large: k * alpha "
-                f"overflows within the first {count} values"
-            )
-        return vals
-    if spec.kind == "constant":
-        if not 0.0 <= spec.value <= 1.0:
-            raise ValueError("constant schedule value must lie in [0, 1]")
-        return np.full(count, float(spec.value))
-    if spec.kind == "geomdecay":
-        if not 0.0 <= spec.start <= 1.0 or not 0.0 < spec.ratio < 1.0:
-            raise ValueError("geomdecay needs start in [0, 1] and ratio in (0, 1)")
-        return spec.start * spec.ratio ** np.arange(count, dtype=float)
-    if spec.kind == "random":
-        return np.random.default_rng(spec.seed).random(count)
-    if spec.kind == "file":
-        vals = _load_schedule(spec.path)
-        if len(vals) < count:
-            raise ValueError(
-                f"schedule file {spec.path!r} has {len(vals)} values, need {count}"
-            )
-        vals = vals[:count]
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails too
-            raise ValueError(f"schedule file {spec.path!r} has values outside [0, 1]")
-        return vals
-    raise ValueError(f"unknown sequence kind {spec.kind!r}")
+    return _KINDS[spec.kind][1](count, *spec.params)

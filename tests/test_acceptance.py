@@ -19,7 +19,7 @@ from kfsteiner.metrics import d1, grid_tolerance, moment_of_inertia
 from kfsteiner.partitions import TRIVIAL, alpha_refine, interval_counts
 from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
 from kfsteiner.process import ProcessConfig, builtin_seed, run_process
-from kfsteiner.rasters import GridSpec, rasterize, steiner_raster
+from kfsteiner.rasters import AlignedRun, GridSpec, rasterize, steiner_raster
 from kfsteiner.sequences import (
     GAMMA,
     checkpoint_index,
@@ -161,9 +161,10 @@ def test_criterion_07_raster_invariants():
     for i in range(30):
         rs = random_raster(rng, grid)
         theta = rng.random() * math.pi
-        res, info = steiner_raster(rs, theta, report=True)
+        run = AlignedRun(rs).apply(theta)
+        res = run.world_raster()
         assert abs(res.mass() - rs.mass()) <= 1e-9 * rs.mass(), f"set {i}"
-        assert abs(info["mass_drift"]) <= 0.01, f"set {i}"
+        assert abs(run.mass_drift) <= 0.01, f"set {i}"
         assert moment_of_inertia(res) <= moment_of_inertia(rs) + grid_tolerance(rs)
 
     for i in range(100):

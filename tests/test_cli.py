@@ -115,6 +115,21 @@ def test_nonpositive_steps_or_cadence_is_a_usage_error(argv, flag, tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["process", "--seed", "builtin:square", "--kind", "kf"],
+    ["compare", "--seed", "builtin:square", "--kinds", "kf,vdc2"],
+], ids=["process", "compare"])
+def test_out_naming_a_file_is_a_usage_error_before_any_run(argv, tmp_path, capsys,
+                                                           monkeypatch):
+    runs = []
+    monkeypatch.setattr(process, "_walk", lambda seed, xs: runs.append(xs))
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(argv + ["--steps", "2", "--out", str(out)]) == 2
+    assert f"usage error: --out {out} is not a directory" in capsys.readouterr().err
+    assert runs == [] and out.read_text() == "keep"
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # only `compare --jobs N` with N > 1 needs concurrent.futures.process
     src = os.path.dirname(os.path.dirname(kfsteiner.__file__))
@@ -508,22 +523,47 @@ def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
     assert f"error: {seed}: neither a P2/P5 PGM raster nor a polygon text file" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["process", "--seed", "builtin:square", "--kind", "bogus"],
-    ["compare", "--seed", "builtin:lshape", "--kinds", "kf,bogus", "--resolution", "64"],
-], ids=["process", "compare"])
-def test_unknown_sequence_id_fails_before_any_run_or_output(argv, tmp_path, capsys,
-                                                            monkeypatch):
+@pytest.mark.parametrize("argv, message", [
+    (["process", "--seed", "builtin:square", "--kind", "bogus"],
+     "unknown sequence id 'bogus'"),
+    (["compare", "--seed", "builtin:lshape", "--kinds", "kf,bogus", "--resolution", "64"],
+     "unknown sequence id 'bogus'"),
+    (["process", "--seed", "builtin:square", "--kind", "vdc:1"],
+     "sequence id 'vdc:1': base must be >= 2"),
+    (["compare", "--seed", "builtin:square", "--kinds", "kf,random:-1"],
+     "sequence id 'random:-1': seed must be >= 0"),
+    (["process", "--seed", "builtin:square", "--kind", "file:{missing}"], "{missing}"),
+    (["compare", "--seed", "builtin:square", "--kinds", "file:{missing},kf"], "{missing}"),
+    (["process", "--seed", "builtin:lshape", "--kind", "kronecker:1e308",
+      "--resolution", "64", "--frames"], "kronecker alpha 1e+308"),
+    (["process", "--seed", "{polygon}", "--kind", "kf", "--frames"],
+     "{polygon}: neither a P2/P5 PGM raster nor a polygon text file"),
+    (["compare", "--seed", "{polygon}", "--kinds", "kf,vdc"],
+     "{polygon}: neither a P2/P5 PGM raster nor a polygon text file"),
+], ids=["process", "compare", "process-vdc-base", "compare-random-seed",
+        "process-missing-schedule", "compare-missing-schedule",
+        "process-kronecker-overflow", "process-malformed-polygon",
+        "compare-malformed-polygon"])
+def test_unknown_sequence_id_fails_before_any_run_or_output(argv, message, tmp_path,
+                                                            capsys, monkeypatch):
+    # a bad id, schedule file, alpha or seed file stops the command before
+    # its first step and before --out is made
     runs = []
+    walk = process._walk
 
-    def record(cfg, **kwargs):
-        runs.append(cfg.sequence)
+    def record(seed, xs):
+        runs.append(len(xs))
+        return walk(seed, xs)
 
-    monkeypatch.setattr(cli, "run_process", record)
-    monkeypatch.setattr(process, "run_process", record)
+    monkeypatch.setattr(process, "_walk", record)
+    polygon = tmp_path / "seed.txt"
+    polygon.write_text("0 0\n1 0\nnot a vertex\n")
+    files = {"missing": tmp_path / "missing.txt", "polygon": polygon}
+    argv = [arg.format(**files) for arg in argv]
     outdir = tmp_path / "run"
     assert main(argv + ["--steps", "8", "--out", str(outdir)]) == 1
-    assert "error: unknown sequence id 'bogus'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**files) in err
     assert runs == []
     assert not outdir.exists()
 

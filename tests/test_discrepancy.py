@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kfsteiner import discrepancy
 from kfsteiner.discrepancy import (
-    EXTREME_CAP,
     discrepancy_curve,
     extreme_discrepancy,
     star_discrepancy,
@@ -134,11 +133,6 @@ def test_curve_rejects_bad_sizes():
         discrepancy_curve("nonsense", [10])
 
 
-def test_extreme_cap_enforced():
-    with pytest.raises(ValueError):
-        extreme_discrepancy(np.linspace(0, 1, 1_000_001))
-
-
 def test_extreme_invariant_raises_even_without_assert(monkeypatch):
     # a star discrepancy above the two-sided one breaks the sandwich; the
     # check must be an explicit raise, which python -O does not strip
@@ -150,15 +144,12 @@ def test_extreme_invariant_raises_even_without_assert(monkeypatch):
 @pytest.mark.parametrize("spec", ["kf", "vdc:3", "random:5", "kronecker:0.5"])
 def test_curve_columns_equal_the_public_functions(spec):
     ns = [2, 3, 10, 377, 1000, 4181]
-    rows = discrepancy_curve(spec, ns, include_extreme=True, extreme_cap=1000)
+    rows = discrepancy_curve(spec, ns, include_extreme=True)
     pts = sequence_values(spec, max(ns))
     for row in rows:
         n = row["N"]
         assert row["d_star"] == star_discrepancy(pts[:n])
-        if n <= 1000:
-            assert row["d_extreme"] == extreme_discrepancy(pts[:n])
-        else:
-            assert row["d_extreme"] is None
+        assert row["d_extreme"] == extreme_discrepancy(pts[:n])
 
 
 def test_curve_checks_the_sandwich_against_its_star_column(monkeypatch):
@@ -166,12 +157,6 @@ def test_curve_checks_the_sandwich_against_its_star_column(monkeypatch):
     with pytest.raises(AssertionError, match="fell below the star"):
         discrepancy_curve("kf", [10], include_extreme=True)
     assert discrepancy_curve("kf", [10])[0]["d_star"] == 1.0
-
-
-def test_curve_rejects_an_extreme_cap_above_the_module_cap():
-    with pytest.raises(ValueError, match="limited to N"):
-        discrepancy_curve("kf", [EXTREME_CAP + 1], include_extreme=True,
-                          extreme_cap=EXTREME_CAP + 1)
 
 
 def extreme_by_search(points):

@@ -18,12 +18,17 @@ from kfsteiner.metrics import (
     d1,
     d1_to_ball,
     grid_tolerance,
-    hausdorff,
     measure,
     moment_of_inertia,
     perimeter_estimate,
 )
-from kfsteiner.polygons import Ball, ConvexPolygon, ball_hausdorff, regular_polygon
+from kfsteiner.polygons import (
+    Ball,
+    ConvexPolygon,
+    ball_hausdorff,
+    hausdorff,
+    regular_polygon,
+)
 from kfsteiner.rasters import GridSpec, RasterSet, rasterize, steiner_raster
 
 CENTERED_SQUARE = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])

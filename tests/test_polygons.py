@@ -12,7 +12,7 @@ from conftest import (
     oracle_hausdorff,
     random_convex_polygon,
 )
-from kfsteiner.metrics import d1_to_ball, hausdorff, measure
+from kfsteiner.metrics import d1_to_ball, measure
 from kfsteiner.polygons import (
     COLLINEAR_REL_TOL,
     SIMPLIFY_AREA_FRACTION,
@@ -25,6 +25,7 @@ from kfsteiner.polygons import (
     ball_hausdorff,
     ball_of_same_area,
     disk_intersection_area,
+    hausdorff,
     load_polygon,
     reflect_polygon,
     regular_polygon,

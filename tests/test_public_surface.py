@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -17,6 +18,18 @@ def test_every_all_entry_resolves_and_the_package_root_re_exports_nothing():
     imports = [ast.unparse(node) for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports == ["import numpy as _np"]
+
+
+def test_every_class_and_function_in_all_is_defined_in_its_module():
+    # a name is imported from the module that defines it, never from a re-export
+    for info in pkgutil.iter_modules(kfsteiner.__path__):
+        mod = importlib.import_module(f"kfsteiner.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == mod.__name__, (
+                    f"{mod.__name__}.__all__ lists {name} from {obj.__module__}"
+                )
 
 
 def test_no_module_checks_an_invariant_with_assert():

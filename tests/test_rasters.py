@@ -189,9 +189,10 @@ def test_mass_exact_after_renormalization(unit_grid_128, rng):
     for _ in range(10):
         rs = random_raster(rng, unit_grid_128)
         theta = rng.random() * math.pi
-        out, info = steiner_raster(rs, theta, report=True)
+        run = AlignedRun(rs).apply(theta)
+        out = run.world_raster()
         assert abs(out.mass() - rs.mass()) <= 1e-9 * max(rs.mass(), 1.0)
-        assert abs(info["mass_drift"]) <= 0.01
+        assert abs(run.mass_drift) <= 0.01
 
 
 def test_quarter_turn_world_raster_keeps_the_mass():
@@ -242,10 +243,11 @@ def test_monotonicity_nested_oblique_within_tolerance(unit_grid_128):
         np.maximum(small.occ, random_raster(rng, unit_grid_128).occ), unit_grid_128
     )
     theta = 1.3
-    s_small, info_s = steiner_raster(small, theta, report=True)
-    s_big, info_b = steiner_raster(big, theta, report=True)
+    run_s = AlignedRun(small).apply(theta)
+    run_b = AlignedRun(big).apply(theta)
+    s_small, s_big = run_s.world_raster(), run_b.world_raster()
     # cellwise containment up to the discretization tolerance
-    slack = 2.0 * max(abs(info_s["mass_drift"]), abs(info_b["mass_drift"])) + 0.35
+    slack = 2.0 * max(abs(run_s.mass_drift), abs(run_b.mass_drift)) + 0.35
     assert np.all(s_small.occ <= s_big.occ + slack)
     # and the areas are ordered exactly
     assert s_small.area() <= s_big.area() + 1e-9
@@ -482,8 +484,7 @@ def test_run_mass_drift_is_rounding_and_is_steiner_rasters(name):
     # a first oblique step from the seed is steiner_raster's step
     for theta in (0.3, 1.1, 2.2, 3.3):
         first = AlignedRun(seed).apply(theta)
-        out, info = steiner_raster(seed, theta, report=True)
-        assert info["mass_drift"] == first.mass_drift, f"theta {theta}"
+        out = steiner_raster(seed, theta)
         assert np.array_equal(out.occ, first.world_raster().occ), f"theta {theta}"
 
 
@@ -492,8 +493,8 @@ def test_oblique_symmetral_mass_drift_is_rounding(unit_grid_128):
         rng = np.random.default_rng(seed)
         rs = random_raster(rng, unit_grid_128)
         for theta in (0.3, 1.0, 2.2, rng.random() * math.pi):
-            _, info = steiner_raster(rs, theta, report=True)
-            assert abs(info["mass_drift"]) <= 1e-12, f"seed {seed}, theta {theta}"
+            run = AlignedRun(rs).apply(theta)
+            assert abs(run.mass_drift) <= 1e-12, f"seed {seed}, theta {theta}"
 
 
 @st.composite

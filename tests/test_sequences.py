@@ -18,6 +18,7 @@ from kfsteiner.sequences import (
     kf_points,
     kronecker_point,
     kronecker_points,
+    SequenceSpec,
     parse_sequence_id,
     sequence_values,
     to_direction,
@@ -191,14 +192,10 @@ def test_kronecker_examples():
 
 
 def test_to_direction():
-    d0 = to_direction(0.0)
-    assert d0.theta == 0.0 and d0.vector == (1.0, 0.0)
-    dh = to_direction(0.5)
-    assert dh.theta == pytest.approx(math.pi / 2)
-    assert abs(dh.vector[0]) < 1e-12 and dh.vector[1] == pytest.approx(1.0)
-    dg = to_direction(G)
-    assert dg.theta == pytest.approx(math.pi * G)
-    assert math.hypot(*dg.vector) == pytest.approx(1.0, abs=1e-12)
+    assert to_direction(0.0) == 0.0
+    assert to_direction(0.5) == math.pi * 0.5
+    assert to_direction(G) == math.pi * G
+    assert to_direction(1) == math.pi
     for bad in (-0.1, 1.2, float("nan")):
         with pytest.raises(ValueError):
             to_direction(bad)
@@ -254,17 +251,71 @@ def test_schedule_file_values_must_lie_in_the_unit_interval(value, tmp_path):
 
 
 def test_parse_sequence_ids():
-    assert parse_sequence_id("kf").kind == "kf"
-    assert parse_sequence_id("vdc2").base == 2
-    assert parse_sequence_id("vdc:3").base == 3
-    assert parse_sequence_id("kronecker").alpha == pytest.approx(G)
-    assert parse_sequence_id("kronecker:0.25").alpha == 0.25
-    assert parse_sequence_id("kronecker:gamma").alpha == pytest.approx(G)
-    assert parse_sequence_id("constant:0.4").value == 0.4
-    spec = parse_sequence_id("geomdecay:0.8:0.7")
-    assert (spec.start, spec.ratio) == (0.8, 0.7)
+    assert parse_sequence_id("kf") == SequenceSpec("kf", ())
+    assert parse_sequence_id("vdc") == SequenceSpec("vdc", (2,))
+    assert parse_sequence_id("vdc2") == SequenceSpec("vdc", (2,))
+    assert parse_sequence_id("vdc:3") == SequenceSpec("vdc", (3,))
+    assert parse_sequence_id("kronecker") == SequenceSpec("kronecker", (G,))
+    assert parse_sequence_id("kronecker:0.25") == SequenceSpec("kronecker", (0.25,))
+    assert parse_sequence_id("kronecker:gamma") == SequenceSpec("kronecker", (G,))
+    assert parse_sequence_id("constant:0.4") == SequenceSpec("constant", (0.4,))
+    assert parse_sequence_id("geomdecay:0.8:0.7") == SequenceSpec("geomdecay", (0.8, 0.7))
+    assert parse_sequence_id("geomdecay:0.8") == SequenceSpec("geomdecay", (0.8, 0.9))
+    assert parse_sequence_id("random:7") == SequenceSpec("random", (7,))
+    assert parse_sequence_id("file:a:b.txt") == SequenceSpec("file", ("a:b.txt",))
     with pytest.raises(ValueError):
         parse_sequence_id("nonsense")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("geomdecay:0.5:0.5:9", "too many fields for geomdecay"),
+    ("vdc3:5", "too many fields for vdc"),
+    ("constant:", "empty field"),
+    ("kf:7", "too many fields for kf"),
+    ("vdc:abc", "invalid literal"),
+    ("random:x", "invalid literal"),
+    ("vdc:1", "base must be >= 2"),
+    ("constant:2", "constant schedule value must lie in [0, 1]"),
+    ("random:-1", "seed must be >= 0"),
+    ("geomdecay:0.5:1.5", "geomdecay needs start in [0, 1] and ratio in (0, 1)"),
+    ("geomdecay:1.5", "geomdecay needs start in [0, 1] and ratio in (0, 1)"),
+    ("geomdecay::0.5", "empty field"),
+    ("kronecker:0.3:9", "too many fields for kronecker"),
+    ("kronecker:nan", "alpha must be finite"),
+    ("file", "missing field for file"),
+    ("file:", "empty field"),
+])
+def test_malformed_sequence_id_is_refused_by_name(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_sequence_id(text)
+    assert str(info.value).startswith(f"sequence id {text!r}: ")
+    assert message in str(info.value)
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        sequence_values(text, 3)
+
+
+def test_every_documented_id_gives_its_generator_bit_for_bit(tmp_path):
+    sched = tmp_path / "sched.txt"
+    sched.write_text("# a schedule\n0.5\n0.25  # comment\n\n0.125\n1\n0\n")
+    explicit = {
+        "kf": kf_points,
+        "vdc": lambda n: vdc_points(n, 2),
+        "vdc2": lambda n: vdc_points(n, 2),
+        "vdc:3": lambda n: vdc_points(n, 3),
+        "kronecker": lambda n: kronecker_points(n, G),
+        "kronecker:gamma": lambda n: kronecker_points(n, G),
+        "kronecker:0.3": lambda n: kronecker_points(n, 0.3),
+        "constant:0.4": lambda n: np.full(n, 0.4),
+        "geomdecay:0.3:0.5": lambda n: 0.3 * 0.5 ** np.arange(n, dtype=float),
+        "random": lambda n: np.random.default_rng(0).random(n),
+        "random:7": lambda n: np.random.default_rng(7).random(n),
+        f"file:{sched}": lambda n: np.array([0.5, 0.25, 0.125, 1.0, 0.0])[:n],
+    }
+    for text, generator in explicit.items():
+        for n in (0, 1, 5) if text.startswith("file:") else (0, 1, 5, 1000):
+            got = sequence_values(text, n)
+            assert got.dtype == np.float64, text
+            assert np.array_equal(got, generator(n)), (text, n)
 
 
 def test_sequence_values_deterministic():
