@@ -620,14 +620,17 @@ def load_polygon(path):
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: expected 'x y' per line, got {raw!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least 3 vertices")
     v = np.asarray(rows)

@@ -351,8 +351,9 @@ def _disk_fraction(grid, r):
     circular segment between the edge and its arc, r**2 / 2 * (phi -
     sin(phi)) for an arc of angle phi. Consecutive points bound an arc
     inside one cell, so the polygon goes through _rasterize_polygon and
-    each segment is added to the cell that holds the middle of its arc:
-    cells the circle misses come out exactly 0.0 or 1.0.
+    each segment is added to the cell that holds it (the cell of a point
+    between the middles of its chord and its arc): cells the circle
+    misses come out exactly 0.0 or 1.0.
     """
     _check_bbox(grid, -r, r, -r, r)
     xe, ye = grid.x_edges(), grid.y_edges()
@@ -366,8 +367,12 @@ def _disk_fraction(grid, r):
     angle = angle[order]
     phi = np.diff(angle, append=angle[0] + 2.0 * math.pi)
     mid = angle + 0.5 * phi
-    j = np.floor((r * np.cos(mid) - xe[0]) / grid.h).astype(np.int64)
-    i = np.floor((r * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
+    # a point inside each segment, halfway from its chord to its arc: the
+    # arc's own midpoint lies on the grid line that the circle touches
+    # there, and would name the cell beyond it
+    inner = 0.5 * r * (1.0 + np.cos(0.5 * phi))
+    j = np.floor((inner * np.cos(mid) - xe[0]) / grid.h).astype(np.int64)
+    i = np.floor((inner * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
     occ = _rasterize_polygon(np.column_stack([x[order], y[order]]), grid)
     segment = 0.5 * (r / grid.h) ** 2 * (phi - np.sin(phi))
     i, j = np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)

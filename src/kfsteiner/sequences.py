@@ -267,10 +267,13 @@ def _kronecker_values(count, alpha):
 def _schedule_values(count, path):
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                vals.append(float(line))
+                try:
+                    vals.append(float(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(vals) < count:
         raise ValueError(
             f"schedule file {path!r} has {len(vals)} values, need {count}"

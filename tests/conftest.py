@@ -1,10 +1,33 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from kfsteiner.polygons import ConvexPolygon, regular_polygon
 from kfsteiner.rasters import GridSpec, RasterSet, rasterize
+
+# the same examples on every run, and no example database on disk: a
+# bound is judged on fixed cases, and a run writes no .hypothesis/. Even
+# without a database Hypothesis caches the constants of local modules in
+# its home directory; one under the null device cannot be made, so that
+# cache is skipped and the constants are read from the source each run.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+set_hypothesis_home_dir(os.devnull)
+
+
+U = 2.0**-53  # the unit roundoff: exact oracles bound errors by c * U * scale
+
+
+def as_integers(values):
+    """Floats, exact rationals, as integers over one power of two: (ints, den)."""
+    values = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
 
 def convex_hull(points):

@@ -534,6 +534,8 @@ def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
      "sequence id 'random:-1': seed must be >= 0"),
     (["process", "--seed", "builtin:square", "--kind", "file:{missing}"], "{missing}"),
     (["compare", "--seed", "builtin:square", "--kinds", "file:{missing},kf"], "{missing}"),
+    (["process", "--seed", "builtin:square", "--kind", "file:{schedule}"],
+     "{schedule}:3: could not convert string to float: 'abc'"),
     (["process", "--seed", "builtin:lshape", "--kind", "kronecker:1e308",
       "--resolution", "64", "--frames"], "kronecker alpha 1e+308"),
     (["process", "--seed", "{polygon}", "--kind", "kf", "--frames"],
@@ -541,7 +543,7 @@ def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
     (["compare", "--seed", "{polygon}", "--kinds", "kf,vdc"],
      "{polygon}: neither a P2/P5 PGM raster nor a polygon text file"),
 ], ids=["process", "compare", "process-vdc-base", "compare-random-seed",
-        "process-missing-schedule", "compare-missing-schedule",
+        "process-missing-schedule", "compare-missing-schedule", "process-bad-schedule",
         "process-kronecker-overflow", "process-malformed-polygon",
         "compare-malformed-polygon"])
 def test_unknown_sequence_id_fails_before_any_run_or_output(argv, message, tmp_path,
@@ -558,7 +560,9 @@ def test_unknown_sequence_id_fails_before_any_run_or_output(argv, message, tmp_p
     monkeypatch.setattr(process, "_walk", record)
     polygon = tmp_path / "seed.txt"
     polygon.write_text("0 0\n1 0\nnot a vertex\n")
-    files = {"missing": tmp_path / "missing.txt", "polygon": polygon}
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("0.5\n# a comment\nabc\n")
+    files = {"missing": tmp_path / "missing.txt", "polygon": polygon, "schedule": schedule}
     argv = [arg.format(**files) for arg in argv]
     outdir = tmp_path / "run"
     assert main(argv + ["--steps", "8", "--out", str(outdir)]) == 1

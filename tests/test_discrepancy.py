@@ -1,9 +1,11 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import as_integers
 from kfsteiner import discrepancy
 from kfsteiner.discrepancy import (
     discrepancy_curve,
@@ -216,15 +218,40 @@ def test_extreme_of_sorted_samples_equals_the_binary_search_formulation(samples)
         assert discrepancy._extreme_sorted(pts, d_star) == extreme_by_search(pts)
 
 
-def star_sorted_whole(pts):
-    """_star_sorted as two N-length passes: the oracle for the blocked one."""
+def exact_discrepancies(points):
+    """(star, two-sided) discrepancy of the sample, exact, as Fractions.
+
+    With the points integers over den, N den times each lead x_i - i / N,
+    lag (i + 1) / N - x_i, value and count is an integer. The star
+    discrepancy is the largest lead or lag; the two-sided one the largest
+    excess #[v, w] / N - (w - v) or deficit (w - v) - #(v, w) / N over the
+    values v < w of 0, the points and 1, by running maxima over v.
+    """
+    pts = np.sort(np.asarray(points, dtype=float))
     n = len(pts)
-    steps = np.arange(n + 1, dtype=float)
-    steps /= n
-    gap = steps[1:] - pts
-    over = gap.max()
-    np.subtract(pts, steps[:-1], out=gap)
-    return float(max(over, gap.max()))
+    ints, den = as_integers(np.r_[0.0, pts, 1.0])
+    x = np.array(ints, dtype=object) * n
+    i = np.arange(n + 1, dtype=object) * den
+    star = max((x[1:-1] - i[:-1]).max(), (i[1:] - x[1:-1]).max())
+    # the runs of equal values, each with #{x < v} and #{x <= v}
+    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    v = x[first]
+    lead = v - np.maximum(first - 1, 0).astype(object) * den
+    lag = np.minimum(np.r_[first[1:], n + 2] - 1, n).astype(object) * den - v
+    best = max(0, (lag[1:] + np.maximum.accumulate(lead)[:-1]).max(),
+               (lead[1:] + np.maximum.accumulate(lag)[:-1]).max())
+    return Fraction(star, n * den), Fraction(best, n * den)
+
+
+#: Largest gap between a float discrepancy and the exact one, in units of
+#: 2**-53: two roundings in a lead or lag (i / N, the difference), one in
+#: the two-sided sum. The largest measured over this file's cases: 1.07.
+DISCREPANCY_ULPS = 5
+
+
+def assert_discrepancy_is_exact(got, want):
+    gap = abs(Fraction(got) - want)
+    assert gap <= Fraction(DISCREPANCY_ULPS, 2**53), (got, float(want), float(gap * 2**53))
 
 
 # few distinct values, so samples carry ties, 0.0 and 1.0
@@ -238,18 +265,20 @@ tied_samples = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(tied_samples, st.sampled_from([1, 2, 3, 7, 1 << 15]))
 def test_blocked_star_is_bit_identical_to_whole_passes(points, block):
+    # a maximum is exact, so any block size gives the same bits, within
+    # DISCREPANCY_ULPS of the exact star discrepancy
     pts = np.sort(np.asarray(points, dtype=float))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrepancy, "STAR_BLOCK", block)
         got = discrepancy._star_sorted(pts)
-    assert got == star_sorted_whole(pts)
+    assert got == discrepancy._star_sorted(pts)
+    assert_discrepancy_is_exact(got, exact_discrepancies(pts)[0])
 
 
 def test_star_temporaries_are_bounded():
     # the whole-sample passes held two float arrays of N + 1 entries,
     # 16 MB at a million points
     pts = np.sort(sequence_values("kf", 10**6))
-    assert discrepancy._star_sorted(pts) == star_sorted_whole(pts)
     tracemalloc.start()
     try:
         discrepancy._star_sorted(pts)
@@ -259,39 +288,16 @@ def test_star_temporaries_are_bounded():
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
-def extreme_sorted_whole(pts):
-    """_extreme_sorted over whole-sample lead and lag arrays, compressed
-    to the runs of equal values: the oracle for the blocked one. Returns
-    the two-sided discrepancy and whether one run holds both maxima."""
-    n = len(pts)
-    counts, lead, lag = np.arange(n + 1, dtype=float), np.empty(n + 2), np.empty(n + 2)
-    lead[0] = lead[-1] = lag[0] = lag[-1] = 0.0
-    np.divide(counts[:n], n, out=lead[1:-1])
-    np.subtract(pts, lead[1:-1], out=lead[1:-1])
-    np.divide(counts[1 : n + 1], n, out=lag[1:-1])
-    np.subtract(lag[1:-1], pts, out=lag[1:-1])
-    if pts[0] == 0.0 or pts[-1] == 1.0 or np.any(pts[1:] == pts[:-1]):
-        ext = np.concatenate([[0.0], pts, [1.0]])
-        first = np.flatnonzero(np.concatenate([[True], ext[1:] != ext[:-1]]))
-        lead, lag = lead[first], lag[np.append(first[1:], n + 2) - 1]
-    a, b = int(np.argmax(lead)), int(np.argmax(lag))
-    if a != b:
-        best = lead[a] + lag[b]
-    else:
-        best = max(lead[a] + np.delete(lag, a).max(),
-                   np.delete(lead, a).max() + lag[a])
-    return float(max(best, 0.0)), a == b
-
-
 @settings(max_examples=300, deadline=None)
 @given(tied_samples, st.sampled_from([1, 2, 3, 7, 1 << 15]))
 def test_blocked_extreme_is_bit_identical_to_whole_arrays(points, block):
     pts = np.sort(np.asarray(points, dtype=float))
-    d_star = star_sorted_whole(pts)
+    d_star = discrepancy._star_sorted(pts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrepancy, "STAR_BLOCK", block)
         got = discrepancy._extreme_sorted(pts, d_star)
-    assert got == extreme_sorted_whole(pts)[0]
+    assert got == discrepancy._extreme_sorted(pts, d_star)
+    assert_discrepancy_is_exact(got, exact_discrepancies(pts)[1])
 
 
 STAR_BLOCK = discrepancy.STAR_BLOCK
@@ -309,7 +315,9 @@ def test_blocked_extreme_at_block_edges(n, kind):
     else:
         pts = rng.random(n)
     pts = np.sort(pts)
-    assert discrepancy._extreme_sorted(pts, 0.0) == extreme_sorted_whole(pts)[0]
+    star, two_sided = exact_discrepancies(pts)
+    assert_discrepancy_is_exact(discrepancy._star_sorted(pts), star)
+    assert_discrepancy_is_exact(discrepancy._extreme_sorted(pts, 0.0), two_sided)
 
 
 def planted_same_run(n):
@@ -331,12 +339,12 @@ def planted_same_run(n):
 ])
 def test_blocked_extreme_when_one_run_holds_both_maxima(pts, block):
     pts = np.sort(np.asarray(pts, dtype=float))
-    want, same_run = extreme_sorted_whole(pts)
-    assert same_run
+    star, want = exact_discrepancies(pts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrepancy, "STAR_BLOCK", block)
-        assert discrepancy._extreme_sorted(pts, star_sorted_whole(pts)) == want
-    assert extreme_discrepancy(pts) == want == extreme_by_search(pts)
+        got = discrepancy._extreme_sorted(pts, discrepancy._star_sorted(pts))
+    assert_discrepancy_is_exact(got, want)
+    assert extreme_discrepancy(pts) == got == extreme_by_search(pts)
 
 
 def test_extreme_temporaries_are_bounded():

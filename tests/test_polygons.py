@@ -1,12 +1,16 @@
+import bisect
 import math
 import pickle
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    U,
+    as_integers,
     assert_matches_oracle,
     convex_hull,
     oracle_hausdorff,
@@ -257,17 +261,16 @@ def test_polygon_file_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         load_polygon(bad)
 
+    token = tmp_path / "token.txt"
+    token.write_text("# a comment\n0 0\n1 x\n0 1\n")
+    with pytest.raises(ValueError) as err:
+        load_polygon(token)
+    assert str(err.value) == f"{token}:3: could not convert string to float: 'x'"
+
 
 # ---------------------------------------------------------------------------
-# The row-major kernels as they were before the vertices became two
-# contiguous columns, kept as oracles: the column kernels must give the
-# same bits.
+# the constructor's checks, written on a row-major array
 # ---------------------------------------------------------------------------
-
-
-def oracle_shoelace(v):
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def oracle_validate(vertices):
@@ -283,7 +286,7 @@ def oracle_validate(vertices):
     edges = np.roll(v, -1, axis=0) - v
     if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * span):
         raise ValueError("repeated consecutive vertices")
-    if oracle_shoelace(v) <= 0.0:
+    if 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])) <= 0.0:
         raise ValueError("vertices must be ordered counterclockwise")
     nxt = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
@@ -292,111 +295,196 @@ def oracle_validate(vertices):
     return v
 
 
-def oracle_moment(v):
-    p = np.ascontiguousarray(v)
-    q = np.roll(p, -1, axis=0)
-    cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    terms = (p * p).sum(axis=1) + (p * q).sum(axis=1) + (q * q).sum(axis=1)
-    return float(np.sum(cross * terms) / 12.0)
+# ---------------------------------------------------------------------------
+# Exact oracles: each kernel within c * U * scale of the exact value of what
+# it computes. A polygon's float coordinates are integers over one power of
+# two, so shoelace sums, moments and cross products are exact in Python
+# integers; a square root or an arctan takes 40-digit Decimal.
+# ---------------------------------------------------------------------------
+
+#: c of each bound, with the largest ratio measured here in brackets. The
+#: scales: area sum(|x yn| + |xn y|) / 2 over the edges p -> q [1.6]; moment
+#: sum((|x yn| + |xn y|)(|p|^2 + |p.q| + |q|^2)) / 12 [2.5]; a chord the
+#: frame's largest |y| [3.4]; perimeter itself [1.9]; ball_hausdorff max(r,
+#: |p|) + max (|x yn| + |xn y| + |x xn| + |y yn|) / |q - p|, the distance to
+#: a short edge's line being ill conditioned [0.6]; a step's vertices their
+#: largest |coordinate| [4.4], its area the area's [4.3 of 4 AREA_ULPS];
+#: disk_intersection_area and d1_to_ball pi r**2 [5.6, 6.8].
+AREA_ULPS, MOMENT_ULPS, CHORD_ULPS, PERIMETER_ULPS = 4, 8, 8, 4
+BALL_HAUSDORFF_ULPS, STEP_ULPS, DISK_ULPS = 2, 8, 16
 
 
-def oracle_disk_intersection_area(v, radius):
-    """The per-edge form disk_intersection_area had before the segment
-    form: two arctans on every edge. It no longer gives the same bits;
-    test_disk_intersection_matches_decimal_oracle measures both."""
-    if radius <= 0.0:
-        return 0.0
-    p = np.ascontiguousarray(v)
-    q = np.roll(p, -1, axis=0)
-    d = q - p
-    a = (d * d).sum(axis=1)
-    b = (p * d).sum(axis=1)
-    c = (p * p).sum(axis=1) - radius**2
-    disc = b * b - a * c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.clip(np.where(a > 0.0, (-b - root) / a, 0.0), 0.0, 1.0)
-        t1 = np.clip(np.where(a > 0.0, (-b + root) / a, 0.0), 0.0, 1.0)
-    miss = disc <= 0.0
-    t0 = np.where(miss, 0.0, t0)
-    t1 = np.where(miss, 0.0, t1)
-    entry = p + t0[:, None] * d
-    exit_ = p + t1[:, None] * d
-
-    def _sector(u, w):
-        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-        dot = (u * w).sum(axis=1)
-        return 0.5 * radius**2 * np.arctan2(cross, dot)
-
-    straight = 0.5 * (entry[:, 0] * exit_[:, 1] - entry[:, 1] * exit_[:, 0])
-    total = _sector(p, entry) + straight + _sector(exit_, q)
-    return float(np.sum(total))
+def exact_edges(v):
+    """(x, y, xn, yn, den): the ends p and q of every edge, integers over den."""
+    ints, den = as_integers(np.transpose(v))
+    x, y = ints[: len(v)], ints[len(v):]
+    return x, y, x[1:] + x[:1], y[1:] + y[:1], den
 
 
-def oracle_chain_envelope(chain, span, take_min):
-    x = chain[:, 0]
-    y = chain[:, 1]
-    new = np.empty(len(x), dtype=bool)
-    new[0] = True
-    new[1:] = np.diff(x) > 1e-12 * span
-    starts = np.nonzero(new)[0]
-    gx = x[starts]
-    gy = np.minimum.reduceat(y, starts) if take_min else np.maximum.reduceat(y, starts)
-    return gx, gy
+def assert_within(got, exact, ulps, scale, what=""):
+    """|got - exact| <= ulps * U * scale, exact a number or an integer
+    fraction (num, den): in floats where the gap is clearly inside (the
+    float of exact rounds once), exactly elsewhere."""
+    near = exact[0] / exact[1] if isinstance(exact, tuple) else float(exact)
+    if abs(got - near) * (1 + 4 * U) + 4 * U * abs(got) <= ulps * U * scale:
+        return
+    gap = abs(Fraction(got) - (Fraction(*exact) if isinstance(exact, tuple) else Fraction(exact)))
+    assert gap <= Fraction(ulps * U) * Fraction(scale), (what, float(gap) / (U * scale))
 
 
-def oracle_chord_profile(v):
-    m = len(v)
-    order = np.lexsort((v[:, 1], v[:, 0]))
-    i_lo, i_hi = int(order[0]), int(order[-1])
-    idx = (np.arange(m) + i_lo) % m
-    vr = v[idx]
-    j = int(np.nonzero(idx == i_hi)[0][0])
-    lower = vr[: j + 1]
-    upper = np.concatenate([vr[j:], vr[:1]])[::-1]
-
-    xs = np.unique(v[:, 0])
-    span = xs[-1] - xs[0]
-    if span <= 0.0:
-        raise ValueError("polygon collapses to a vertical segment in this frame")
-    keep = np.empty(len(xs), dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(xs) > 1e-12 * span
-    xs = xs[keep]
-
-    lo_x, lo_y = oracle_chain_envelope(lower, span, take_min=True)
-    up_x, up_y = oracle_chain_envelope(upper, span, take_min=False)
-    lo = np.interp(xs, lo_x, lo_y)
-    up = np.interp(xs, up_x, up_y)
-    return xs, np.maximum(up - lo, 0.0)
+def exact_area(edges):
+    x, y, xn, yn, den = edges
+    return Fraction(sum(a * d - b * c for a, b, c, d in zip(x, y, xn, yn)), 2 * den * den)
 
 
-#: Largest gap allowed between disk_intersection_area and the per-edge
-#: form, relative to pi r**2. Against the decimal oracle the per-edge form
-#: errs by up to 2.0e-15 of the area on the saturated kf polygon, the
-#: segment form by 9e-17; over 20000 polygons of the strategy below the
-#: two differ by at most 1.1e-15 of pi r**2.
-PER_EDGE_FORM_RTOL = 4e-15
+def edge_floats(v):
+    """(x, y, xn, yn, |x yn| + |xn y|) of every edge p -> q, in floats."""
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return x, y, xn, yn, np.abs(x * yn) + np.abs(xn * y)
 
 
-def assert_kernels_match_oracles(poly, thetas):
-    v = np.ascontiguousarray(poly.vertices)
-    assert np.array_equal(oracle_validate(v), poly.vertices)
-    assert poly.area() == oracle_shoelace(v)
-    assert _shoelace(poly.vertices) == oracle_shoelace(v)
-    assert poly.moment_about_origin() == oracle_moment(v)
-    r_eq = math.sqrt(poly.area() / math.pi)
-    for r in (0.0, 0.05, 0.5 * r_eq, r_eq, 1.5 * r_eq, 2.0 * poly.circumradius()):
-        gap = disk_intersection_area(poly, r) - oracle_disk_intersection_area(v, r)
-        assert abs(gap) <= PER_EDGE_FORM_RTOL * math.pi * r * r
+def assert_area_and_moment_exact(poly):
+    v = poly.vertices
+    edges = x, y, xn, yn, den = exact_edges(v)
+    moment = Fraction(sum((a * d - b * c) * (a * a + b * b + a * c + b * d + c * c + d * d)
+                          for a, b, c, d in zip(x, y, xn, yn)), 12 * den**4)
+    x, y, xn, yn, products = edge_floats(v)
+    radii = x * x + y * y + np.abs(x * xn + y * yn) + xn * xn + yn * yn
+    assert_within(poly.area(), exact_area(edges), AREA_ULPS, 0.5 * products.sum(), "area")
+    assert_within(poly.moment_about_origin(), moment, MOMENT_ULPS,
+                  (products * radii).sum() / 12.0, "moment")
+
+
+def exact_contains_origin(v, edges):
+    """Whether the origin is in the polygon, by the exact signs of
+    cross(p, q); None when a nonzero one is within the float test's
+    rounding of zero."""
+    x, y, xn, yn, den = edges
+    crosses = [a * d - b * c for a, b, c, d in zip(x, y, xn, yn)]
+    px, py = np.abs(v[:, 0]), np.abs(v[:, 1])
+    slack = 4 * U * ((px + np.roll(px, -1)) * py + (py + np.roll(py, -1)) * px) * den * den
+    if any(c and abs(c) <= s for c, s in zip(crosses, slack.tolist())):
+        return None
+    return min(crosses) >= 0
+
+
+def exact_ball_hausdorff(edges):
+    """r -> the Hausdorff distance from the polygon to the origin ball of
+    radius r in 40 digits: max(R - r, r - h, 0), R the largest |p| and h
+    the least support value, the distance from the origin to the nearest
+    edge line when the origin is inside and minus its distance to the
+    polygon when outside."""
+    x, y, xn, yn, den = edges
+    segments = list(zip(x, y, xn, yn))
+    if min(a * d - b * c for a, b, c, d in segments) >= 0:
+        # the nearest edge line is among those within 1e-9 of it in floats
+        px, py, qx, qy = np.transpose(segments).astype(float) / den
+        line = np.abs(px * qy - py * qx) / np.hypot(qx - px, qy - py)
+        near = min(Fraction((a * d - b * c) ** 2, (c - a) ** 2 + (d - b) ** 2)
+                   for a, b, c, d in (segments[k] for k in np.flatnonzero(line <= line.min() * (1 + 1e-9))))
+    else:
+        def dist2(a, b, c, d):
+            t = min(max(Fraction(-a * (c - a) - b * (d - b), (c - a) ** 2 + (d - b) ** 2), 0), 1)
+            return (a + t * (c - a)) ** 2 + (b + t * (d - b)) ** 2
+        near = -min(dist2(*e) for e in segments)
+    far = max(a * a + b * b for a, b in zip(x, y))
+
+    def distance(r):
+        with localcontext() as ctx:
+            ctx.prec = ORACLE_DIGITS + 10
+            h = Decimal(abs(near.numerator)).sqrt() / Decimal(near.denominator).sqrt() / den
+            return max(Decimal(far).sqrt() / den - Decimal(r),
+                       Decimal(r) - h.copy_sign(Decimal(near.numerator or 1)), Decimal(0))
+    return distance
+
+
+def exact_perimeter(edges):
+    x, y, xn, yn, den = edges
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS + 10
+        return sum(Decimal((c - a) ** 2 + (d - b) ** 2).sqrt()
+                   for a, b, c, d in zip(x, y, xn, yn)) / den
+
+
+def polygon_chains(v):
+    """The lower and upper boundary of a convex polygon, as (xs, ys) with xs
+    ascending: its vertices from a leftmost to a rightmost one,
+    counterclockwise and clockwise. A vertex within 1e-12 of the span in x
+    of the one before it joins that one's point with the least (lower) or
+    greatest (upper) y: chords are taken to that tolerance, and exactly at
+    a vertical edge this is the boundary itself."""
+    m, x, y = len(v), v[:, 0], v[:, 1]
+    i_lo, i_hi = int(np.argmin(x)), int(np.argmax(x))
+    chains = []
+    for step, pick in ((1, np.minimum), (-1, np.maximum)):
+        chain = (i_lo + step * np.arange((step * (i_hi - i_lo)) % m + 1)) % m
+        starts = np.flatnonzero(np.r_[True, np.diff(x[chain]) > 1e-12 * np.ptp(x)])
+        chains.append((x[chain][starts].tolist(), pick.reduceat(y[chain], starts).tolist()))
+    return chains
+
+
+def exact_chord(chain, x):
+    """A chain's y at x by exact interpolation, as integers (num, den); its
+    end value past an end."""
+    xs, ys = chain
+    k = bisect.bisect_left(xs, x)
+    if k in (0, len(xs)) or xs[k] == x:
+        return ys[min(k, len(xs) - 1)].as_integer_ratio()
+    (x0, x1, y0, y1, x), den = as_integers([xs[k - 1], xs[k], ys[k - 1], ys[k], x])
+    return y0 * (x1 - x0) + (x - x0) * (y1 - y0), (x1 - x0) * den
+
+
+def assert_chord_profile_exact(frame, sample=None):
+    """_chord_profile: every vertex x once, ascending, without those within
+    1e-12 of the span of the one before (as the chains join them), and
+    each chord within CHORD_ULPS of the exact one there; on a large
+    polygon at `sample` breakpoints spread evenly."""
+    xs, ell = _chord_profile(frame)
+    unique = np.unique(frame[:, 0])
+    assert np.array_equal(xs, unique[np.r_[True, np.diff(unique) > 1e-12 * np.ptp(unique)]])
+    lower, upper = polygon_chains(frame)
+    picks = range(len(xs)) if sample is None else np.linspace(0, len(xs) - 1, sample).astype(int)
+    scale = np.abs(frame[:, 1]).max()
+    for i in picks:
+        (a, b), (c, d) = exact_chord(upper, xs[i]), exact_chord(lower, xs[i])
+        # the kernel clips a chord that rounds below zero
+        assert_within(ell[i], (max(a * d - b * c, 0), b * d), CHORD_ULPS, scale, ("chord", i))
+    return xs, ell
+
+
+def assert_step_exact(poly, theta, area=True):
+    """steiner_polygon: the polygon of +-ell / 2 over the breakpoints of the
+    frame's chord profile that the point-by-point run rule keeps, less a
+    top end of zero chord, turned back and scaled to the input's exact
+    area (within the rounding of float areas)."""
+    rot = _rotation(0.5 * math.pi - theta)
+    xs, ell = _chord_profile(poly.vertices @ rot.T)
+    xs, ell = oracle_simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * poly.area())
+    half = 0.5 * ell
+    tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
+    top = [k for k in range(len(xs))[::-1] if half[k] > tiny or 0 < k < len(xs) - 1]
+    want = np.r_[np.c_[xs, -half], np.c_[xs[top], half[top]]]
+    out = steiner_polygon(poly, theta)
+    back = out.vertices @ rot.T  # rounded by both turns
+    assert back.shape == want.shape
+    # the scale, fitted here, is checked by the area below
+    gap = np.abs(back - np.sum(back * want) / np.sum(want * want) * want).max()
+    assert gap <= STEP_ULPS * U * np.abs(back).max(), gap / (U * np.abs(back).max())
+    if area:
+        assert_within(poly.area(), exact_area(exact_edges(out.vertices)), 4 * AREA_ULPS,
+                      0.5 * edge_floats(out.vertices)[4].sum(), "step area")
+    return out
+
+
+def assert_kernels_match_oracles(poly, thetas, sample=None):
+    assert np.array_equal(oracle_validate(poly.vertices), poly.vertices)
+    # the constructor takes the bits of _shoelace from its edge columns
+    assert _shoelace(poly.vertices) == poly.area()
+    assert_area_and_moment_exact(poly)
     for theta in thetas:
         # the frame steiner_polygon hands to the chord profile
-        rot = _rotation(0.5 * math.pi - theta)
-        frame = poly.vertices @ rot.T
-        xs, ell = _chord_profile(frame)
-        want_xs, want_ell = oracle_chord_profile(frame)
-        assert np.array_equal(xs, want_xs)
-        assert np.array_equal(ell, want_ell)
+        assert_chord_profile_exact(poly.vertices @ _rotation(0.5 * math.pi - theta).T, sample)
 
 
 @st.composite
@@ -444,7 +532,7 @@ def reflected_oracle(poly, theta):
 def test_symmetry_defect_is_the_gap_to_the_reflected_set(poly, theta):
     for p in (poly, steiner_polygon(poly, theta)):
         assert_matches_oracle(symmetry_defect(p, theta),
-                              oracle_hausdorff(p, reflected_oracle(p, theta), 0.05))
+                              oracle_hausdorff(p, reflected_oracle(p, theta), math.inf))
 
 
 @st.composite
@@ -490,7 +578,7 @@ def test_column_kernels_match_oracles_on_saturated_polygon(saturated_kf_polygon)
     poly = saturated_kf_polygon
     assert len(poly) >= 40_000
     thetas = [math.pi * float(x) for x in sequence_values("kf", 41)[-3:]]
-    assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
+    assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi], sample=1000)
 
 
 @pytest.mark.parametrize("theta", [0.5 * math.pi, 0.0])
@@ -500,11 +588,7 @@ def test_chord_profile_on_axis_aligned_square(theta):
     rot = _rotation(0.5 * math.pi - theta)
     frame = ConvexPolygon(CENTERED_SQUARE).vertices @ rot.T
     for k in range(4):
-        v = np.roll(frame, k, axis=0)
-        xs, ell = _chord_profile(v)
-        want_xs, want_ell = oracle_chord_profile(v)
-        assert np.array_equal(xs, want_xs)
-        assert np.array_equal(ell, want_ell)
+        xs, ell = assert_chord_profile_exact(np.roll(frame, k, axis=0))
     assert np.array_equal(ell, [1.0, 1.0])
 
 
@@ -515,16 +599,11 @@ def test_chord_profile_on_axis_aligned_square(theta):
 ])
 def test_chord_profile_with_shared_extreme_x(verts):
     for k in range(len(verts)):
-        v = np.roll(ConvexPolygon(verts).vertices, k, axis=0)
-        xs, ell = _chord_profile(v)
-        want_xs, want_ell = oracle_chord_profile(np.ascontiguousarray(v))
-        assert np.array_equal(xs, want_xs)
-        assert np.array_equal(ell, want_ell)
+        assert_chord_profile_exact(np.roll(ConvexPolygon(verts).vertices, k, axis=0))
 
 
 # ---------------------------------------------------------------------------
-# A whole step and the edge kernels as they were with np.roll and row-major
-# frames, kept as oracles: the step must give the same bits.
+# a whole step, and the edge kernels of the polygon metrics
 # ---------------------------------------------------------------------------
 
 
@@ -551,97 +630,28 @@ def oracle_simplify_profile(xs, ell, eps_area):
     return xs, ell
 
 
-def oracle_profile_polygon(xs, ell):
-    half = 0.5 * ell
-    tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
-    bottom = np.column_stack([xs, -half])
-    top = np.column_stack([xs, half])[::-1]
-    if half[-1] <= tiny:
-        top = top[1:]
-    if half[0] <= tiny:
-        top = top[:-1]
-    return np.concatenate([bottom, top])
-
-
-def oracle_steiner_polygon(poly, theta):
-    """steiner_polygon on row-major arrays, from the oracles above."""
-    v = np.ascontiguousarray(poly.vertices)
-    area0 = oracle_shoelace(v)
-    rot = _rotation(0.5 * math.pi - theta)
-    xs, ell = oracle_chord_profile(v @ rot.T)
-    xs, ell = oracle_simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * area0)
-    out = oracle_profile_polygon(xs, ell) @ rot
-    return oracle_validate(out * math.sqrt(area0 / oracle_shoelace(out)))
-
-
-def oracle_perimeter(v):
-    e = np.roll(v, -1, axis=0) - v
-    return float(np.hypot(e[:, 0], e[:, 1]).sum())
-
-
-def oracle_contains_origin(v):
-    d = np.roll(v, -1, axis=0) - v
-    return bool(np.all(d[:, 0] * -v[:, 1] - d[:, 1] * -v[:, 0] >= 0.0))
-
-
-def oracle_ball_hausdorff(v, radius):
-    p = np.ascontiguousarray(v)
-    q = np.roll(p, -1, axis=0)
-    hi = float(np.hypot(p[:, 0], p[:, 1]).max())
-    e = q - p
-    if oracle_contains_origin(p):
-        cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-        lo = float((np.abs(cross) / np.hypot(e[:, 0], e[:, 1])).min())
-    else:
-        t = np.clip(-(p[:, 0] * e[:, 0] + p[:, 1] * e[:, 1])
-                    / (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]), 0.0, 1.0)
-        lo = -float(np.hypot(p[:, 0] + t * e[:, 0], p[:, 1] + t * e[:, 1]).min())
-    return max(hi - radius, radius - lo, 0.0)
-
-
-def oracle_polygon_hausdorff(a, b):
-    """The support-function gap of polygons.hausdorff, with np.roll."""
-    def normals(v):
-        e = np.roll(v, -1, axis=0) - v
-        length = np.hypot(e[:, 0], e[:, 1])
-        nx, ny = e[:, 1] / length, -e[:, 0] / length
-        return nx, ny, np.arctan2(ny, nx)
-
-    def support(angles, t):
-        order = np.argsort(angles, kind="stable")
-        return order[np.searchsorted(angles[order], t) % len(angles)]
-
-    va, vb = np.ascontiguousarray(a.vertices), np.ascontiguousarray(b.vertices)
-    ax, ay, a_ang = normals(va)
-    bx, by, b_ang = normals(vb)
-    ang = np.concatenate([a_ang, b_ang])
-    order = np.argsort(ang, kind="stable")
-    ang = ang[order]
-    u = np.column_stack([np.concatenate([ax, bx]), np.concatenate([ay, by])])[order]
-    w = np.roll(u, -1, axis=0)
-    end = np.append(ang[1:], ang[0] + 2.0 * math.pi)
-    d = va[support(a_ang, end)] - vb[support(b_ang, end)]
-    dx, dy = d[:, 0], d[:, 1]
-    gap = np.maximum(np.abs(dx * u[:, 0] + dy * u[:, 1]),
-                     np.abs(dx * w[:, 0] + dy * w[:, 1]))
-    inner = (u[:, 0] * dy - u[:, 1] * dx) * (dx * w[:, 1] - dy * w[:, 0]) > 0.0
-    return float(np.where(inner, np.hypot(dx, dy), gap).max())
-
-
-def assert_steps_match_oracles(poly, thetas):
-    v = np.ascontiguousarray(poly.vertices)
-    assert poly.perimeter() == oracle_perimeter(v)
-    assert poly.contains_origin() == oracle_contains_origin(v)
-    r_eq = math.sqrt(poly.area() / math.pi)
+def assert_steps_match_oracles(poly, thetas, large=False):
+    """The edge kernels and a step in each direction against the exact
+    oracles; on a large polygon without the perimeter and the sampled
+    Hausdorff oracle, which take seconds there, and with one step's area."""
+    v = poly.vertices
+    edges = exact_edges(v)
+    if not large:
+        assert_within(poly.perimeter(), exact_perimeter(edges), PERIMETER_ULPS, poly.perimeter())
+    inside = exact_contains_origin(v, edges)
+    assert inside is None or poly.contains_origin() == inside
+    x, y, xn, yn, products = edge_floats(v)
+    conditioning = ((products + np.abs(x * xn) + np.abs(y * yn)) / np.hypot(xn - x, yn - y)).max()
+    distance, r_eq = exact_ball_hausdorff(edges), math.sqrt(poly.area() / math.pi)
     for r in (0.5 * r_eq, r_eq, 2.0 * r_eq):
-        assert ball_hausdorff(poly, r) == oracle_ball_hausdorff(v, r)
+        assert_within(ball_hausdorff(poly, r), distance(r), BALL_HAUSDORFF_ULPS,
+                      max(r, poly.circumradius()) + conditioning, "ball_hausdorff")
     for theta in thetas:
-        rot = _rotation(0.5 * math.pi - theta)
-        # the frame steiner_polygon takes and the one the oracle takes
-        assert np.array_equal((rot @ poly.vertices.T).T, v @ rot.T)
-        out = steiner_polygon(poly, theta)
-        assert np.array_equal(out.vertices, oracle_steiner_polygon(poly, theta))
-        assert hausdorff(poly, out) == oracle_polygon_hausdorff(poly, out)
+        out = assert_step_exact(poly, theta, area=not large or theta == thetas[0])
+        if not large:
+            # the sampled oracle takes its maxima at vertices, which it
+            # always samples: the vertices alone lose nothing
+            assert_matches_oracle(hausdorff(poly, out), oracle_hausdorff(poly, out, math.inf))
 
 
 @settings(max_examples=200, deadline=None)
@@ -659,80 +669,35 @@ def test_steps_match_roll_oracles_on_saturated_ellipse():
     for theta in xs[:25]:
         poly = steiner_polygon(poly, theta)
     assert len(poly) >= 50_000
-    assert_steps_match_oracles(poly, xs[25:] + [0.0, 0.5 * math.pi])
+    assert_steps_match_oracles(poly, xs[25:] + [0.0, 0.5 * math.pi], large=True)
 
 
 # ---------------------------------------------------------------------------
-# The moment and the disk parts as they were before they shared one pass
-# over the edges, kept as oracles: measure, moment_about_origin, d1_to_ball
-# and disk_intersection_area must give their bits.
+# measure, moment_about_origin, d1_to_ball and disk_intersection_area read
+# one pass over the edges
 # ---------------------------------------------------------------------------
 
 
-def oracle_disk_parts(v, r):
-    """(turn, segments) of the segment form of the disk intersection, each
-    edge column formed from a row-major array with np.roll."""
-    if r <= 0.0:
-        return 0.0, 0.0
-    r2 = r * r
-    p = np.ascontiguousarray(v)
-    q = np.roll(p, -1, axis=0)
-    x, y, xn, yn = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
-    side = x * yn - y * xn
-    near = x * x + y * y <= r2
-    inner = near & np.roll(near, -1)
-    whole = np.flatnonzero(inner)
-    dx, dy = xn - x, yn - y
-    a = dx * dx + dy * dy
-    disc = r2 * a - side * side
-    k = np.flatnonzero((disc > 0.0) & ~inner)
-    px, py, qx, qy, dx, dy, a = x[k], y[k], xn[k], yn[k], dx[k], dy[k], a[k]
-    root = np.sqrt(disc[k])
-    t = np.clip((-root - (px * dx + py * dy)) / a, 0.0, 1.0)
-    s = np.clip(((qx * dx + qy * dy) - root) / a, 0.0, 1.0)
-    ex, ey = px + t * dx, py + t * dy
-    fx, fy = qx - s * dx, qy - s * dy
-    cross = np.concatenate([side[whole], np.copysign(ex * fy - ey * fx, side[k])])
-    dot = np.concatenate([x[whole] * xn[whole] + y[whole] * yn[whole],
-                          ex * fx + ey * fy])
-    seg = 0.5 * (r2 * np.arctan2(cross, dot) - cross)
-    seg[whole.size:][t + s >= 1.0] = 0.0
-    if side.min() > 0.0:
-        return None, float(np.sum(seg))
-    dot = x * xn + y * yn
-    on = (side == 0.0) & (dot <= 0.0)
-    angle = float(np.sum(np.arctan2(side[~on], dot[~on])))
-    if on.any():
-        seg[np.isin(np.concatenate([whole, k]), np.flatnonzero(on))] = 0.0
-    else:
-        angle = 2.0 * math.pi * round(angle / (2.0 * math.pi))
-    return angle, float(np.sum(seg))
-
-
-def oracle_disk_area(v, r):
-    turn, segments = oracle_disk_parts(v, r)
-    if turn is None:
-        return math.pi * (r * r) - segments
-    return 0.5 * (r * r) * turn - segments
-
-
-def oracle_polygon_d1(v, a):
-    r = math.sqrt(a / math.pi)
-    turn, segments = oracle_disk_parts(v, r)
-    if turn is None:
-        return 2.0 * segments
-    return 2.0 * (a - (0.5 * (r * r) * turn - segments))
-
-
-def assert_edge_pass_matches_oracles(poly):
-    v = np.ascontiguousarray(poly.vertices)
-    a = poly.area()
+def assert_edge_pass_matches_oracles(poly, disk=True):
+    """measure has the bits of each functional, the moment is exact within
+    MOMENT_ULPS, and d1 and the disk areas are within DISK_ULPS of 40
+    digits (unless not disk: on a large polygon that oracle takes
+    seconds)."""
     record = measure(poly)
-    assert record.mu == poly.moment_about_origin() == oracle_moment(v)
-    assert record.d1_to_ball == d1_to_ball(poly) == oracle_polygon_d1(v, a)
-    r_eq = math.sqrt(a / math.pi)
-    for r in (0.0, 0.5 * r_eq, r_eq, 2.0 * poly.circumradius()):
-        assert disk_intersection_area(poly, r) == oracle_disk_area(v, r)
+    assert record.mu == poly.moment_about_origin()
+    assert record.d1_to_ball == d1_to_ball(poly)
+    assert_area_and_moment_exact(poly)
+    assert disk_intersection_area(poly, 0.0) == 0.0
+    r_eq = math.sqrt(poly.area() / math.pi)
+    for r in (0.5 * r_eq, r_eq, 2.0 * poly.circumradius()) if disk else ():
+        inside = decimal_disk_intersection_area(poly.vertices, r)
+        area = math.pi * r * r
+        assert_within(disk_intersection_area(poly, r), inside, DISK_ULPS, area, ("disk", r))
+        if r == r_eq:
+            with localcontext() as ctx:
+                ctx.prec = ORACLE_DIGITS + 10
+                want = 2 * (DECIMAL_PI * Decimal(r) ** 2 - inside)
+            assert_within(record.d1_to_ball, want, DISK_ULPS, area, "d1")
 
 
 def moved_copies(poly):
@@ -775,7 +740,7 @@ def test_one_edge_pass_on_the_paths_off_winding_one(verts):
 
 def test_one_edge_pass_on_the_saturated_polygon(saturated_kf_polygon):
     assert len(saturated_kf_polygon) >= 40_000
-    assert_edge_pass_matches_oracles(saturated_kf_polygon)
+    assert_edge_pass_matches_oracles(saturated_kf_polygon, disk=False)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 1000, 1001])
@@ -822,9 +787,9 @@ ORACLE_DIGITS = 40
 #: Bound on the error of disk_intersection_area against the decimal
 #: oracle, relative to pi r**2: a few units in the last place of the disk
 #: area. The largest error over the cases below is 2.0e-16, with the
-#: polygon inside the disk. The per-edge form (oracle_disk_intersection_area)
-#: errs by 2.6e-6 with the origin 5e-13 off a vertex, where its chord end
-#: p + 1 * (q - p) misses q, and by at most 2.6e-16 elsewhere.
+#: polygon inside the disk. The per-edge form this kernel replaced erred by
+#: 2.6e-6 with the origin 5e-13 off a vertex, where its chord end
+#: p + 1 * (q - p) missed q, and by at most 2.6e-16 elsewhere.
 DISK_AREA_RTOL = 5e-16
 
 
@@ -859,6 +824,11 @@ def decimal_angle(ux, uy, wx, wy, pi):
     return angle if y >= 0 else -angle
 
 
+with localcontext() as ctx:
+    ctx.prec = ORACLE_DIGITS + 10
+    DECIMAL_PI = 4 * decimal_atan(Decimal(1))
+
+
 def decimal_disk_intersection_area(vertices, radius):
     """Area of the polygon inside the origin disk, in Decimal arithmetic.
 
@@ -870,7 +840,7 @@ def decimal_disk_intersection_area(vertices, radius):
     """
     with localcontext() as ctx:
         ctx.prec = ORACLE_DIGITS + 10
-        pi = 4 * decimal_atan(Decimal(1))
+        pi = DECIMAL_PI
         r2 = Decimal(radius) ** 2
         zero, one = Decimal(0), Decimal(1)
         pts = [(Decimal(x), Decimal(y)) for x, y in np.asarray(vertices).tolist()]
@@ -953,6 +923,6 @@ def test_polygon_d1_is_twice_the_segments_outside(kf_iterate_2k):
         inside = decimal_disk_intersection_area(poly.vertices, r)
         with localcontext() as ctx:
             ctx.prec = ORACLE_DIGITS + 10
-            want = 2 * (4 * decimal_atan(Decimal(1)) * Decimal(r) ** 2 - inside)
+            want = 2 * (DECIMAL_PI * Decimal(r) ** 2 - inside)
         err = abs(Decimal(d1_to_ball(poly)) - want)
         assert err <= Decimal(D1_SEGMENTS_RTOL * a), (len(poly), float(err / want))

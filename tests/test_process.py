@@ -241,73 +241,26 @@ def test_every_builtin_seed_moves_toward_the_ball(name):
 
 
 # ---------------------------------------------------------------------------
-# one loop per backend, as run_process and checkpoint_probe were written
-# before both ran through one loop: the oracle for that loop
+# the shared loop against the seed stepped by hand
 # ---------------------------------------------------------------------------
 
 
-def _looped_process(cfg, snapshot_steps):
-    """(records, snapshots, callback calls, final set) of a run."""
+def _stepped_by_hand(cfg):
+    """(step, x, theta, frame, world set, reflection defect as a function)
+    of an AlignedRun of a raster seed, or of steiner_polygon steps."""
     xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution)
-    driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
+    run = AlignedRun(seed) if isinstance(seed, RasterSet) else None
+    yield 0, None, None, seed, seed, None
     current = seed
-
-    def frame():
-        return driver.frame_raster() if driver is not None else current
-
-    def world():
-        return driver.world_raster() if driver is not None else current
-
-    records, snapshots, calls = [], {}, []
-
-    def record(step, x, theta):
-        rec = measure(frame(), with_hausdorff=cfg.with_hausdorff,
-                      with_perimeter=cfg.with_perimeter)
-        records.append(TraceRecord(step=step, x=x, theta=theta, metrics=rec))
-        calls.append((step, world()))
-
-    record(0, None, None)
-    if 0 in snapshot_steps:
-        snapshots[0] = world()
-    for k in range(1, cfg.steps + 1):
-        x = float(xs[k - 1])
+    for k, x in enumerate(map(float, xs), start=1):
         theta = math.pi * x
-        if driver is not None:
-            driver.apply(theta)
+        if run is not None:
+            run.apply(theta)
+            yield k, x, theta, run.frame_raster(), run.world_raster(), run.reflection_defect
         else:
             current = steiner_polygon(current, theta)
-        if k in snapshot_steps:
-            snapshots[k] = world()
-        if k % cfg.cadence == 0 or k == cfg.steps:
-            record(k, x, theta)
-    return records, snapshots, calls, world()
-
-
-def _looped_checkpoints(cfg):
-    xs = sequence_values(cfg.sequence, cfg.steps)
-    probe = {}
-    k = 1
-    while checkpoint_index(k) <= cfg.steps:
-        probe[checkpoint_index(k)] = k
-        k += 1
-    seed = load_seed(cfg.seed, resolution=cfg.resolution)
-    driver = AlignedRun(seed) if isinstance(seed, RasterSet) else None
-    current = seed
-    out = []
-    for step in range(1, max(probe) + 1):
-        theta = math.pi * float(xs[step - 1])
-        if driver is not None:
-            driver.apply(theta)
-        else:
-            current = steiner_polygon(current, theta)
-        if step in probe:
-            defect = (driver.reflection_defect() if driver is not None
-                      else symmetry_defect(current, theta))
-            out.append(CheckpointRecord(order=probe[step], step=step,
-                                        theta=math.pi * GAMMA ** probe[step],
-                                        defect=defect))
-    return out
+            yield k, x, theta, current, current, lambda p=current, t=theta: symmetry_defect(p, t)
 
 
 def _same_set(a, b):
@@ -328,16 +281,25 @@ def test_shared_loop_equals_the_per_backend_loops(seed, steps, resolution):
     calls = []
     res = run_process(cfg, snapshot_steps=wanted,
                       callback=lambda k, s: calls.append((k, s)))
-    records, snapshots, ref_calls, final = _looped_process(cfg, wanted)
-    assert list(res.records) == records
-    assert sorted(res.snapshots) == sorted(snapshots) == list(wanted)
-    for k in wanted:
-        assert _same_set(res.snapshots[k], snapshots[k]), k
-    assert [k for k, _ in calls] == [k for k, _ in ref_calls]
-    for (k, got), (_, want) in zip(calls, ref_calls):
-        assert _same_set(got, want), k
-    assert _same_set(res.final, final)
-    assert checkpoint_probe(cfg) == _looped_checkpoints(cfg)
+    recorded = [k for k in range(steps + 1) if k % cfg.cadence == 0 or k == steps]
+    assert [rec.step for rec in res.records] == [k for k, _ in calls] == recorded
+    assert sorted(res.snapshots) == list(wanted)
+    records, called = iter(res.records), iter(calls)
+    checkpoints = {checkpoint_index(k): k for k in range(1, 12)}
+    probe = iter(checkpoint_probe(cfg))
+    for k, x, theta, frame, world, defect in _stepped_by_hand(cfg):
+        if k in recorded:
+            metrics = measure(frame, with_hausdorff=True, with_perimeter=True)
+            assert next(records) == TraceRecord(step=k, x=x, theta=theta, metrics=metrics)
+            assert _same_set(next(called)[1], world), k
+        if k in wanted:
+            assert _same_set(res.snapshots[k], world), k
+        if k in checkpoints:
+            assert next(probe) == CheckpointRecord(
+                order=checkpoints[k], step=k, theta=math.pi * GAMMA ** checkpoints[k],
+                defect=defect())
+    assert _same_set(res.final, world)
+    assert next(probe, None) is None
 
 
 # ---------------------------------------------------------------------------

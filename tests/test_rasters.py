@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import convex_hull, random_convex_polygon, random_raster
+from conftest import U, as_integers, convex_hull, random_convex_polygon, random_raster
 from kfsteiner import rasters
 from kfsteiner.metrics import (
     d1,
@@ -15,7 +16,14 @@ from kfsteiner.metrics import (
     measure,
     perimeter_estimate,
 )
-from kfsteiner.polygons import Ball, ConvexPolygon, regular_polygon, steiner_polygon
+from kfsteiner.polygons import (
+    Ball,
+    ConvexPolygon,
+    _reflection,
+    _rotation,
+    regular_polygon,
+    steiner_polygon,
+)
 from kfsteiner.process import builtin_seed
 from kfsteiner.rasters import (
     AlignedRun,
@@ -409,17 +417,6 @@ def raster_sets(draw):
     return RasterSet(occ, grid)
 
 
-def _rotation(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _reflection(angle):
-    ux, uy = math.cos(angle), math.sin(angle)
-    return np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
-                     [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
-
-
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
 
 
@@ -685,125 +682,136 @@ def test_plain_perimeter_holds_less_than_a_plane():
 
 
 # ---------------------------------------------------------------------------
-# signed-area polygon rasterizer against per-cell clipping oracles
+# the signed-area rasterizer and the column masses against one exact sweep
 # ---------------------------------------------------------------------------
+#
+# Floats are exact rationals: a case's coordinates are integers over one
+# power of two, an edge crosses a grid line at a parameter that is a ratio
+# of integers, and the area a boundary sweeps in a column strip or a cell
+# is exact. The kernels must come within c * U * scale of it, and keep the
+# bits where they are exact: a cell that no edge enters reads +0.0 or 1.0.
+
+#: c of each bound, with the largest ratio measured here in brackets. The
+#: scale of a column mass: |w| (|u_a| + |u_b|) (|v_a| + |v_b|) summed over
+#: the pieces a -> b in it and its two neighbours (rounding moves piece
+#: ends across lines), in grid units from the left edge [0.94]; of a cell:
+#: max(nx, ny) + 2, its largest grid coordinate and prefix sum [1.6]; of a
+#: disk's cell that plus r / h, as (r / h)**2 (phi - sin(phi)) cancels [1.5].
+COLUMN_MASS_ULPS, COVERAGE_ULPS, DISK_COVERAGE_ULPS = 4, 3, 4
 
 
-def _clip_rect(pts, x0, x1, y0, y1):
-    """Sutherland-Hodgman clip of a polygon (list of xy pairs) to a rectangle."""
-    for fixed, keep_le, coord in (
-        (x0, False, 0),
-        (x1, True, 0),
-        (y0, False, 1),
-        (y1, True, 1),
-    ):
-        if not pts:
-            return pts
-        out = []
-        n = len(pts)
-        for i in range(n):
-            cur = pts[i]
-            nxt = pts[(i + 1) % n]
-            c_in = cur[coord] <= fixed if keep_le else cur[coord] >= fixed
-            n_in = nxt[coord] <= fixed if keep_le else nxt[coord] >= fixed
-            if c_in:
-                out.append(cur)
-            if c_in != n_in:
-                t = (fixed - cur[coord]) / (nxt[coord] - cur[coord])
-                out.append(
-                    (
-                        cur[0] + t * (nxt[0] - cur[0]),
-                        cur[1] + t * (nxt[1] - cur[1]),
-                    )
-                )
-        pts = out
-    return pts
+def exact_sweep(p, q, w, grid, cells=False):
+    """The mass in cells of each column strip that the edges p -> q with
+    weights w bound, or with cells the covered fraction of each cell:
+    ((approx, slack, terms), scales or entered), each value in floats within
+    slack of exact and as integer fractions terms(k), with the columns'
+    COLUMN_MASS_ULPS scales or the cells that an edge enters. Strips run
+    between x0 + j h and y0 + i h, (x0, y0) the grid's lower-left corner,
+    and pieces off the grid count in the first or last one. By Green's
+    theorem a counterclockwise loop bounds -integral of v du, and its part
+    in row i of a column -integral of (clip(v, y_i, y_i+1) - y_i) du."""
+    p, q = np.reshape(p, (-1, 2)), np.reshape(q, (-1, 2))
+    m = len(p)
+    ints, den = as_integers(np.r_[p.T.ravel(), q.T.ravel(), np.broadcast_to(w, (m,)),
+                                  -grid.half_width, -grid.half_height, grid.h])
+    x0, y0, h = ints[-3:]
+    lines = ([x0 + j * h for j in range(1, grid.nx)],
+             [y0 + i * h for i in range(1, grid.ny)] if cells else [])
+    # grid units, for the scales only
+    gu, gv = ((p[:, 0] + grid.half_width) / grid.h).tolist(), (p[:, 1] / grid.h).tolist()
+    gdu, gdv = ((q[:, 0] - p[:, 0]) / grid.h).tolist(), ((q[:, 1] - p[:, 1]) / grid.h).tolist()
+    gw = np.abs(np.broadcast_to(w, (m,))).tolist()
+    own, above, scales, entered = {}, {}, np.zeros(grid.nx), set()
+    for e, (a_u, a_v, b_u, b_v, wt) in enumerate(zip(*(ints[k * m:(k + 1) * m] for k in range(5)))):
+        du, dv = b_u - a_u, b_v - a_v
+        if du == 0 and cells:  # sweeps nothing, but enters its cells
+            j = min(max((a_u - x0) // h, 0), grid.nx - 1)
+            rows = sorted(min(max((v - y0) // h, 0), grid.ny - 1) for v in (a_v, b_v))
+            entered.update((i, j) for i in range(rows[0], rows[1] + 1))
+        if du == 0 or wt == 0:
+            continue
+        # the point at t = tau / big_t along the edge: big_t is a common
+        # denominator of the parameters of its crossings
+        big_t, taus = du * (dv or 1), {0, du * (dv or 1)}
+        for at, a, b, scale in zip(lines, (a_u, a_v), (b_u, b_v), (dv or 1, du)):
+            crossed = at[bisect.bisect_right(at, min(a, b)):bisect.bisect_left(at, max(a, b))]
+            taus.update((line - a) * scale for line in crossed)
+        taus = sorted(taus, reverse=big_t < 0)
+        for t0, t1 in zip(taus, taus[1:]):
+            mid = (2 * big_t * (a_u - x0) + (t0 + t1) * du, 2 * big_t * (a_v - y0) + (t0 + t1) * dv)
+            key = (min(max(mid[1] // (2 * big_t * h), 0), grid.ny - 1) if cells else 0,
+                   min(max(mid[0] // (2 * big_t * h), 0), grid.nx - 1))
+            # -w du times the integrals over t of v - y_row and of 1, in cells
+            base = y0 + key[0] * h if cells else 0
+            own.setdefault(key, []).append((
+                -wt * du * (2 * big_t * (t1 - t0) * (a_v - base) + dv * (t1 * t1 - t0 * t0)),
+                2 * big_t * big_t * den * h * h))
+            if cells:
+                above.setdefault(key, []).append((-wt * du * (t1 - t0), big_t * den * h))
+                entered.add(key)
+            else:
+                s0, s1 = t0 / big_t, t1 / big_t
+                scales[key[1]] += gw[e] * (abs(gu[e] + s0 * gdu[e]) + abs(gu[e] + s1 * gdu[e])) * (
+                    abs(gv[e] + s0 * gdv[e]) + abs(gv[e] + s1 * gdv[e]))
+    if not cells:
+        approx, slack = np.transpose([fsum_slack(own.get((0, j), [])) for j in range(grid.nx)])
+        # rounding moves piece ends across a line into the next column
+        return (approx, slack, lambda j: own.get((0, j), [])), np.convolve(scales, np.ones(3))[1:-1]
+    approx, slack = np.zeros((grid.ny, grid.nx)), np.zeros((grid.ny, grid.nx))
+    for j in {j for _, j in own}:
+        run, top = [], grid.ny  # what the pieces above sweep
+        for i in sorted((i for i, k in own if k == j), reverse=True):
+            approx[i + 1:top, j], slack[i + 1:top, j] = fsum_slack(run)
+            approx[i, j], slack[i, j] = fsum_slack(own[(i, j)] + run)
+            run, top = run + above[(i, j)], i
+        approx[:top, j], slack[:top, j] = fsum_slack(run)
+
+    def terms(k):
+        i, j = divmod(k, grid.nx)
+        return own.get((i, j), []) + [t for r in range(i + 1, grid.ny) for t in above.get((r, j), [])]
+    inside = np.zeros((grid.ny, grid.nx), dtype=bool)
+    inside[tuple(np.transpose(list(entered) or np.empty((0, 2), int)))] = True
+    return (approx, slack, terms), inside
 
 
-def _poly_area(pts):
-    if len(pts) < 3:
-        return 0.0
-    arr = np.asarray(pts)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+def fsum_slack(parts):
+    """The integer fractions' sum in floats, and a bound on its error: each
+    fraction rounds by at most U of itself, and fsum rounds its sum once."""
+    near = [n / d for n, d in parts]
+    total = math.fsum(near)
+    return total, 2 * U * (math.fsum(map(abs, near)) + abs(total))
 
 
-def _edge_cells(grid, p, q):
-    """Indices (i, j) of the cells an edge passes through."""
-    xe, ye = grid.x_edges(), grid.y_edges()
-    ts = [0.0, 1.0]
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx != 0.0:
-        t = (xe - p[0]) / dx
-        ts.extend(t[(t > 0.0) & (t < 1.0)])
-    if dy != 0.0:
-        t = (ye - p[1]) / dy
-        ts.extend(t[(t > 0.0) & (t < 1.0)])
-    ts = np.unique(ts)
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    mx = p[0] + mid * dx
-    my = p[1] + mid * dy
-    jj = np.clip(((mx - xe[0]) / grid.h).astype(int), 0, grid.nx - 1)
-    ii = np.clip(((my - ye[0]) / grid.h).astype(int), 0, grid.ny - 1)
-    return ii, jj
+def assert_all_within(got, sweep, ulps, scale, what):
+    """|got - exact| <= ulps * U * scale for every entry of an exact sweep:
+    in floats where the gap is clearly inside, exactly elsewhere."""
+    approx, slack, terms = sweep
+    got, bound = np.ravel(got), ulps * U * np.ravel(np.broadcast_to(scale, np.shape(approx)))
+    gap = np.abs(got - np.ravel(approx))
+    for k in np.flatnonzero(gap * (1 + 4 * U) + np.ravel(slack) + 4 * U * np.abs(got) > bound):
+        exact = abs(Fraction(got[k]) - sum(Fraction(n, d) for n, d in terms(k)))
+        assert exact <= Fraction(bound[k]), (what, k, float(exact) / (U * bound[k] / ulps))
 
 
-def clipped_coverage(poly, grid):
-    """Polygon coverage from corner tests, edge walks and per-cell clipping.
-
-    Returns the coverage and the mask of the cells that were clipped;
-    every other cell is exactly 0.0 or 1.0 from its corners.
-    """
-    v = poly.vertices
-    xe, ye = grid.x_edges(), grid.y_edges()
-
-    # classify grid corners: inside the convex polygon or not
-    p = v
-    q = np.roll(v, -1, axis=0)
-    gx = xe[None, :]
-    gy = ye[:, None]
-    inside = np.ones((grid.ny + 1, grid.nx + 1), dtype=bool)
-    for k in range(len(v)):
-        ex, ey = q[k, 0] - p[k, 0], q[k, 1] - p[k, 1]
-        inside &= (ex * (gy - p[k, 1]) - ey * (gx - p[k, 0])) >= 0.0
-    corner_count = (
-        inside[:-1, :-1].astype(np.int8)
-        + inside[:-1, 1:]
-        + inside[1:, :-1]
-        + inside[1:, 1:]
-    )
-
-    boundary = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for k in range(len(v)):
-        ii, jj = _edge_cells(grid, p[k], q[k])
-        boundary[ii, jj] = True
-    partial = boundary | ((corner_count > 0) & (corner_count < 4))
-
-    occ = np.zeros((grid.ny, grid.nx))
-    occ[(corner_count == 4) & ~partial] = 1.0
-
-    cell_area = grid.h**2
-    verts = [tuple(row) for row in v]
-    for i, j in zip(*np.nonzero(partial)):
-        clipped = _clip_rect(verts, xe[j], xe[j + 1], ye[i], ye[i + 1])
-        occ[i, j] = min(1.0, _poly_area(clipped) / cell_area)
-    return occ, partial
+def assert_coverage_exact(v, grid):
+    """_rasterize_polygon within COVERAGE_ULPS of the exact coverage, and a
+    cell away from those an edge enters exactly +0.0 or 1.0 (a vertex that
+    rounding puts off a grid line leaves a sliver of some U there)."""
+    got = rasters._rasterize_polygon(v, grid)
+    want, entered = exact_sweep(v, np.roll(v, -1, axis=0), 1.0, grid, cells=True)
+    assert_all_within(got, want, COVERAGE_ULPS, max(grid.nx, grid.ny) + 2, "coverage")
+    away = got[~near(entered)]
+    assert np.all((away == 0.0) | (away == 1.0)) and not np.signbit(away).any()
 
 
-def fraction_coverage(poly, grid, rows, cols):
-    """Coverage of the cells (rows[k], cols[k]) from exact rational clipping
-    of the float vertices and grid edges."""
-    verts = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
-    xe = [Fraction(x) for x in grid.x_edges()]
-    ye = [Fraction(y) for y in grid.y_edges()]
-    occ = []
-    for i, j in zip(rows, cols):
-        pts = _clip_rect(verts, xe[j], xe[j + 1], ye[i], ye[i + 1])
-        doubled = sum(
-            a[0] * b[1] - b[0] * a[1] for a, b in zip(pts, pts[1:] + pts[:1])
-        )
-        occ.append(abs(doubled) / 2 / ((xe[j + 1] - xe[j]) * (ye[i + 1] - ye[i])))
-    return np.array(occ, dtype=float)
+def assert_column_masses_exact(p, q, w, grid, theta=0.0):
+    """_column_masses of the edges turned by theta, within COLUMN_MASS_ULPS
+    of the exact masses of the turned edges."""
+    p, q = p @ _rotation(theta).T, q @ _rotation(theta).T
+    got = rasters._column_masses(p, q, w, grid)
+    want, scales = exact_sweep(p, q, w, grid)
+    assert got.shape == (grid.nx,)
+    assert_all_within(got, want, COLUMN_MASS_ULPS, scales, "column mass")
 
 
 @st.composite
@@ -872,39 +880,15 @@ def near(mask):
 
 @settings(max_examples=400, deadline=None)
 @given(polygons_on_grids())
-def test_polygon_coverage_matches_clipping_oracle(case):
+def test_polygon_coverage_matches_the_exact_sweep(case):
     poly, grid = case
-    got = rasterize(poly, grid).occ
-    want, clipped = clipped_coverage(poly, grid)
-    assert np.abs(got - want).max() <= 1e-12
-    # cells away from the boundary are exactly empty or exactly full; an
-    # edge through a grid corner may leave an ulp-long piece in a diagonal
-    # neighbour of a clipped cell, with a coverage near 1e-30
-    away = ~near(clipped)
-    assert np.array_equal(got[away], want[away])
+    assert_coverage_exact(poly.vertices, grid)
 
 
-@settings(max_examples=60, deadline=None)
-@given(polygons_on_grids(max_cells=10))
-def test_polygon_coverage_matches_exact_rational_clipping(case):
-    # grid coordinates below 16 carry rounding under 16 * 2**-53 each;
-    # 1e-13 per cell leaves a wide margin above the float error
-    poly, grid = case
-    got = rasterize(poly, grid).occ
-    rows, cols = np.indices(got.shape).reshape(2, -1)
-    assert np.abs(got[rows, cols] - fraction_coverage(poly, grid, rows, cols)).max() <= 1e-13
-
-
-def test_fine_grid_coverage_matches_exact_rational_clipping():
-    # on 512 cells the per-cell clipping oracle is about 3e-12 off exact;
-    # grid coordinates below 512 round by under 512 * 2**-53 (5.7e-14), and
-    # 2e-13 allows a few such roundings per cell
+def test_fine_grid_coverage_matches_the_exact_sweep():
     grid = GridSpec.cover(math.sqrt(0.5), n=512)
     poly = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.0), (-0.5, 0.0)])
-    got = rasterize(poly, grid).occ
-    rows, cols = np.nonzero((got > 0.0) & (got < 1.0))
-    exact = fraction_coverage(poly, grid, rows, cols)
-    assert np.abs(got[rows, cols] - exact).max() <= 2e-13
+    assert_coverage_exact(poly.vertices, grid)
 
 
 def test_saturated_polygon_area_is_exact():
@@ -984,6 +968,40 @@ def _decimal_disk_coverage(grid, r, cells):
     return out
 
 
+def assert_disk_fraction_exact(got, grid, r, touching=True):
+    """A disk's coverage within DISK_COVERAGE_ULPS of 50 digits, with the
+    cells the circle misses or covers exactly 0.0 or 1.0 and no -0.0; with
+    touching, also the cells it only touches at a point, whose coverage
+    is exactly 0 or 1 (a circle tangent to a grid line may leave 1e-29
+    in the cells beyond it)."""
+    xe, ye = grid.x_edges(), grid.y_edges()
+    # nearest and farthest point of every cell from the origin; cells that
+    # float arithmetic places clearly inside or outside need no oracle
+    near_x = np.maximum(np.maximum(xe[:-1], -xe[1:]), 0.0)[None, :]
+    near_y = np.maximum(np.maximum(ye[:-1], -ye[1:]), 0.0)[:, None]
+    far_x = np.maximum(np.abs(xe[:-1]), np.abs(xe[1:]))[None, :]
+    far_y = np.maximum(np.abs(ye[:-1]), np.abs(ye[1:]))[:, None]
+    inside = np.hypot(far_x, far_y) < r * (1.0 - 1e-9)
+    outside = np.hypot(near_x, near_y) > r * (1.0 + 1e-9)
+    band = np.argwhere(~inside & ~outside)
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS + 10
+        covered = _decimal_disk_coverage(grid, r, band)
+    want = np.where(inside, 1.0, 0.0)
+    want[band[:, 0], band[:, 1]] = [float(c) for c in covered]
+    full, empty = inside.copy(), outside.copy()
+    if touching:
+        full[band[:, 0], band[:, 1]] = [c == 1 for c in covered]
+        empty[band[:, 0], band[:, 1]] = [c == 0 for c in covered]
+    scale = max(grid.nx, grid.ny) + 2 + r / grid.h
+    gap = np.abs(got - want).max() if got.size else 0.0
+    # want rounds each exact value once, within U of 1
+    assert gap <= (DISK_COVERAGE_ULPS + 1) * U * scale, gap / (U * scale)
+    assert np.all(got[full] == 1.0)
+    assert np.all(got[empty] == 0.0)
+    assert not np.signbit(got).any()
+
+
 @pytest.mark.parametrize(
     "grid, r",
     [
@@ -994,37 +1012,14 @@ def _decimal_disk_coverage(grid, r, cells):
         (GridSpec(nx=5, ny=5, h=1.0), 0.3),
         # through the grid corners (0.75, 1) and (1, 0.75): 0.75**2 + 1 == 1.25**2
         (GridSpec(nx=16, ny=16, h=0.25), 1.25),
+        # tangent to the lines x = +-2.5 and y = +-2.5 at the middle of an arc
+        (GridSpec(nx=15, ny=15, h=1.0), 2.5),
     ],
     ids=["lshape-512", "unit-area-512", "odd-31", "even-32", "in-one-cell",
-         "through-corners"],
+         "through-corners", "tangent"],
 )
 def test_disk_fraction_matches_decimal_oracle(grid, r):
-    got = rasters._disk_fraction(grid, r)
-    xe, ye = grid.x_edges(), grid.y_edges()
-    # nearest and farthest point of every cell from the origin; cells that
-    # float arithmetic places clearly inside or outside need no oracle
-    near_x = np.maximum(np.maximum(xe[:-1], -xe[1:]), 0.0)[None, :]
-    near_y = np.maximum(np.maximum(ye[:-1], -ye[1:]), 0.0)[:, None]
-    far_x = np.maximum(np.abs(xe[:-1]), np.abs(xe[1:]))[None, :]
-    far_y = np.maximum(np.abs(ye[:-1]), np.abs(ye[1:]))[:, None]
-    near = np.hypot(near_x, near_y)
-    far = np.hypot(far_x, far_y)
-    inside = far < r * (1.0 - 1e-9)
-    outside = near > r * (1.0 + 1e-9)
-    band = np.argwhere(~inside & ~outside)
-    with localcontext() as ctx:
-        ctx.prec = ORACLE_DIGITS + 10
-        covered = _decimal_disk_coverage(grid, r, band)
-    want = np.where(inside, 1.0, 0.0)
-    want[band[:, 0], band[:, 1]] = [float(c) for c in covered]
-    full = inside.copy()
-    full[band[:, 0], band[:, 1]] = [c == 1 for c in covered]
-    empty = outside.copy()
-    empty[band[:, 0], band[:, 1]] = [c == 0 for c in covered]
-    assert np.abs(got - want).max() <= 1e-12
-    assert np.all(got[full] == 1.0)
-    assert np.all(got[empty] == 0.0)
-    assert not np.signbit(got).any()
+    assert_disk_fraction_exact(rasters._disk_fraction(grid, r), grid, r)
 
 
 def test_disk_that_does_not_fit_the_grid_raises():
@@ -1036,115 +1031,29 @@ def test_disk_that_does_not_fit_the_grid_raises():
 
 
 # ---------------------------------------------------------------------------
-# the kernels keep the bits of their reference forms
+# grid edges, turned column masses and ball tables
 # ---------------------------------------------------------------------------
-#
-# The references are the straightforward forms of the column-mass, grid-edge
-# and coverage kernels: full-grid planes, (N, 2) point arrays, one zero-weight
-# connector piece between consecutive edges, and np.add.at accumulation. The
-# kernels in rasters work on 1-D columns and on the support box only, and
-# must give the same bits, signed zeros included.
 
 
-def same_bits(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    return got.shape == want.shape and np.array_equal(
-        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64))
-
-
-def reference_grid_crossings(p, q, axis):
-    lo = np.floor(np.minimum(p[:, axis], q[:, axis])) + 1.0
-    hi = np.ceil(np.maximum(p[:, axis], q[:, axis])) - 1.0
-    count = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
-    edge = np.repeat(np.arange(len(p)), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    line = lo[edge] + (np.arange(len(edge)) - first)
-    t = (line - p[edge, axis]) / (q[edge, axis] - p[edge, axis])
-    pts = p[edge] + t[:, None] * (q[edge] - p[edge])
-    pts[:, axis] = line
-    return edge, pts
-
-
-def reference_rasterize_polygon(v, grid):
-    p = (v - (grid.x_edges()[0], grid.y_edges()[0])) / grid.h + (0.0, 1.0)
-    q = np.roll(p, -1, axis=0)
-    cross_u, at_u = reference_grid_crossings(p, q, 0)
-    cross_v, at_v = reference_grid_crossings(p, q, 1)
-    edge = np.concatenate([np.arange(len(p)), cross_u, cross_v])
-    pts = np.concatenate([p, at_u, at_v])
-    key = np.sign(q - p)[edge] * pts
-    a = np.column_stack([pts[np.lexsort((key[:, k], edge)), k] for k in (0, 1)])
-    b = np.roll(a, -1, axis=0)
-    lo = np.floor(np.minimum(a, b)).astype(np.int64)
-    j = np.clip(lo[:, 0], 0, grid.nx - 1)
-    i = np.clip(lo[:, 1] - 1, 0, grid.ny - 1)
-    dv = b[:, 1] - a[:, 1]
-    full = np.zeros((grid.ny, grid.nx + 1))
-    np.add.at(full, (i, j + 1), dv)
-    cell = np.zeros((grid.ny, grid.nx))
-    np.add.at(cell, (i, j), dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])))
-    return np.clip(0.0 - (np.cumsum(full[:, :-1], axis=1) + cell), 0.0, 1.0)
-
-
-def reference_disk_fraction(grid, r):
+def assert_raster_edges_exact(occ, grid):
+    """_raster_edges, in any order: every unit side of the grid across which
+    occ, with zeros around it, jumps, weighted by the jump rounded once;
+    horizontal sides left to right with the value above minus the value
+    below, vertical ones upwards with the value on the left minus the
+    value on the right."""
+    p, q, w = rasters._raster_edges(occ, grid)
     xe, ye = grid.x_edges(), grid.y_edges()
-    xs, ys = xe[np.abs(xe) < r], ye[np.abs(ye) < r]
-    at_x = np.sqrt((r - xs) * (r + xs))
-    at_y = np.sqrt((r - ys) * (r + ys))
-    x = np.concatenate([[r], xs, xs, at_y, -at_y])
-    y = np.concatenate([[0.0], at_x, -at_x, ys, ys])
-    angle = np.arctan2(y, x)
-    order = np.argsort(angle)
-    angle = angle[order]
-    phi = np.diff(angle, append=angle[0] + 2.0 * math.pi)
-    mid = angle + 0.5 * phi
-    j = np.floor((r * np.cos(mid) - xe[0]) / grid.h).astype(np.int64)
-    i = np.floor((r * np.sin(mid) - ye[0]) / grid.h).astype(np.int64)
-    occ = reference_rasterize_polygon(np.column_stack([x[order], y[order]]), grid)
-    segment = 0.5 * (r / grid.h) ** 2 * (phi - np.sin(phi))
-    np.add.at(occ, (np.clip(i, 0, grid.ny - 1), np.clip(j, 0, grid.nx - 1)), segment)
-    return np.clip(occ, 0.0, 1.0, out=occ)
-
-
-def reference_column_masses(p, q, w, grid):
-    origin = (grid.x_edges()[0], 0.0)
-    a, b = (p - origin) / grid.h, (q - origin) / grid.h
-    back = a[:, 0] > b[:, 0]
-    a[back], b[back] = b[back], a[back]
-    w = np.where(back, -1.0, 1.0) * w
-    edge, at = reference_grid_crossings(a, b, 0)
-    count = np.bincount(edge, minlength=len(a)) + 2
-    start = np.cumsum(count) - count
-    pts = np.empty((count.sum(), 2))
-    pts[start] = a
-    pts[start + count - 1] = b
-    pts[np.arange(len(edge)) + 2 * edge + 1] = at
-    weight = np.repeat(w, count)
-    weight[start + count - 1] = 0.0  # the connector to the next edge's start
-    lo, hi = pts[:-1], pts[1:]
-    area = weight[:-1] * (lo[:, 0] - hi[:, 0]) * (lo[:, 1] + hi[:, 1]) * 0.5
-    col = np.clip(np.floor(0.5 * (lo[:, 0] + hi[:, 0])), 0, grid.nx - 1)
-    return np.bincount(col.astype(np.int64), weights=area, minlength=grid.nx)
-
-
-def reference_raster_edges(occ, grid):
-    xe, ye = grid.x_edges(), grid.y_edges()
-    rise = np.diff(occ, axis=0, prepend=0.0, append=0.0)
-    i, j = np.nonzero(rise)
-    fall = np.diff(occ, axis=1, prepend=0.0, append=0.0)
-    k, m = np.nonzero(fall)
-    p = np.column_stack([np.r_[xe[j], xe[m]], np.r_[ye[i], ye[k]]])
-    q = np.column_stack([np.r_[xe[j + 1], xe[m]], np.r_[ye[i], ye[k + 1]]])
-    return p, q, np.r_[rise[i, j], -fall[k, m]]
+    z = np.pad(occ, 1)
+    rise = z[1:, 1:-1] - z[:-1, 1:-1]  # at y_i: row i minus row i - 1
+    fall = z[1:-1, :-1] - z[1:-1, 1:]  # at x_j: column j - 1 minus column j
+    (i, j), (k, m) = np.nonzero(rise), np.nonzero(fall)
+    want = zip(np.r_[xe[j], xe[m]], np.r_[ye[i], ye[k]], np.r_[xe[j + 1], xe[m]],
+               np.r_[ye[i], ye[k + 1]], np.r_[rise[i, j], fall[k, m]])
+    assert sorted(zip(*p.T, *q.T, w)) == sorted(want) and np.all(w != 0.0)
+    return p, q, w
 
 
 turns = st.one_of(angles, st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.25 * math.pi]))
-
-
-def assert_column_masses_keep_their_bits(p, q, w, grid, theta):
-    turn = _rotation(theta).T
-    got = rasters._column_masses(p @ turn, q @ turn, w, grid)
-    assert same_bits(got, reference_column_masses(p @ turn, q @ turn, w, grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1159,7 +1068,7 @@ def test_column_masses_of_turned_staircases_keep_their_bits(rs, theta, steps):
         except ValueError:
             break
     p = rasters._staircase(rs.grid, half)
-    assert_column_masses_keep_their_bits(p, np.roll(p, -1, axis=0), 1.0, rs.grid, theta)
+    assert_column_masses_exact(p, np.roll(p, -1, axis=0), 1.0, rs.grid, theta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1168,10 +1077,8 @@ def test_raster_edges_keep_their_bits(rs, signed_zeros, theta):
     occ = rs.occ.copy()
     if signed_zeros:
         occ[occ == 0.0] = -0.0
-    got, want = rasters._raster_edges(occ, rs.grid), reference_raster_edges(occ, rs.grid)
-    for name, a, b in zip("pqw", got, want):
-        assert same_bits(a, b), name
-    assert_column_masses_keep_their_bits(*got, rs.grid, theta)
+    p, q, w = assert_raster_edges_exact(occ, rs.grid)
+    assert_column_masses_exact(p, q, w, rs.grid, theta)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -1179,7 +1086,8 @@ def test_raster_edges_of_an_all_zero_plane_are_none(zero):
     grid = GridSpec(nx=7, ny=5, h=0.3)
     p, q, w = rasters._raster_edges(np.full((5, 7), zero), grid)
     assert p.shape == q.shape == (0, 2) and w.shape == (0,)
-    assert same_bits(rasters._column_masses(p, q, w, grid), np.zeros(7))
+    masses = rasters._column_masses(p, q, w, grid)
+    assert np.array_equal(masses, np.zeros(7)) and not np.signbit(masses).any()
 
 
 @st.composite
@@ -1217,22 +1125,18 @@ def framed_polygons(draw):
 @given(framed_polygons(), turns)
 def test_pieces_clipped_to_the_first_or_last_column_keep_their_bits(case, theta):
     v, grid = case
-    assert same_bits(rasters._rasterize_polygon(v, grid),
-                     reference_rasterize_polygon(v, grid))
+    assert_coverage_exact(v, grid)
     # turned, the polygon leaves the grid, and the column masses clip its
     # pieces into the first and last columns
-    assert_column_masses_keep_their_bits(v, np.roll(v, -1, axis=0), 1.0, grid, theta)
+    assert_column_masses_exact(v, np.roll(v, -1, axis=0), 1.0, grid, theta)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rotated_polygons())
 def test_rotated_polygons_keep_their_bits(case):
     v, grid = case
-    assert same_bits(rasters._rasterize_polygon(v, grid),
-                     reference_rasterize_polygon(v, grid))
-    q = np.roll(v, -1, axis=0)
-    assert same_bits(rasters._column_masses(v, q, 1.0, grid),
-                     reference_column_masses(v, q, 1.0, grid))
+    assert_coverage_exact(v, grid)
+    assert_column_masses_exact(v, np.roll(v, -1, axis=0), 1.0, grid)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1243,9 +1147,10 @@ def test_disks_and_ball_tables_keep_their_bits(nx, ny, h, fraction):
     area = math.pi * (fraction * 0.5 * min(nx, ny) * h) ** 2
     r = math.sqrt(area / math.pi)
     ball, prefix = rasters._ball_table(grid, area)
-    assert same_bits(ball, reference_disk_fraction(grid, r))
-    assert same_bits(prefix[1:], np.cumsum(ball, axis=0))
-    assert same_bits(prefix[0], np.zeros(nx))
+    assert_disk_fraction_exact(ball, grid, r, touching=False)
+    # the prefix sums are np.cumsum of the ball, bit for bit
+    assert np.array_equal(prefix[1:].view(np.int64), np.cumsum(ball, axis=0).view(np.int64))
+    assert np.array_equal(prefix[0].view(np.int64), np.zeros(nx).view(np.int64))
 
 
 def test_first_run_step_scans_the_support_box_only():
