@@ -16,7 +16,7 @@ import os
 import sys
 
 from .discrepancy import discrepancy_curve
-from .partitions import _refinement_levels, interval_counts, length_classes
+from .partitions import MAX_INTERVALS, _refinement_levels, interval_counts, length_classes
 from .polygons import save_polygon, steiner_polygon
 from .process import (
     BUILTIN_SEEDS,
@@ -293,7 +293,7 @@ def build_parser():
     p.add_argument("--alpha", type=_alpha_value, required=True,
                    help="splitting ratio in (0, 1); 'gamma' accepted")
     p.add_argument("--level", type=int, required=True, help="final refinement level")
-    p.add_argument("--max-intervals", type=int, default=10_000_000)
+    p.add_argument("--max-intervals", type=int, default=MAX_INTERVALS)
     p.add_argument("--dump-breakpoints", metavar="PATH",
                    help="also write the final level's breakpoints, one per line")
     p.add_argument("--out", help="output CSV path (default stdout)")

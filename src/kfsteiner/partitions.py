@@ -40,6 +40,9 @@ MAX_INTERVALS = 10_000_000
 #: Relative tolerance of the length classes of length_classes.
 _CLASS_TOL = 1e-9
 
+#: Absolute tolerance of the two golden lengths in interval_counts.
+_COUNT_TOL = 1e-10
+
 
 def _maximal_mask(lengths):
     lmax = lengths.max()
@@ -159,7 +162,7 @@ def kakutani_level(alpha, n, max_intervals=MAX_INTERVALS):
     return part
 
 
-def interval_counts(partition, level, tol=1e-10):
+def interval_counts(partition, level):
     """Classify the intervals of a golden-ratio partition at the given level.
 
     Returns (t, l, s): total intervals, intervals of length GAMMA**level,
@@ -169,9 +172,9 @@ def interval_counts(partition, level, tol=1e-10):
     lengths = partition.lengths
     # one deviation array serves both lengths, so two float arrays are held
     dev = np.subtract(lengths, GAMMA**level)
-    is_long = np.abs(dev, out=dev) <= tol
+    is_long = np.abs(dev, out=dev) <= _COUNT_TOL
     np.subtract(lengths, GAMMA ** (level + 1), out=dev)
-    is_short = np.abs(dev, out=dev) <= tol
+    is_short = np.abs(dev, out=dev) <= _COUNT_TOL
     bad = ~(is_long | is_short)
     if np.any(bad):
         raise ValueError(

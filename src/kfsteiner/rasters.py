@@ -33,17 +33,14 @@ Every other raster (a seed, a steiner_raster output, a PGM, anything
 built by with_occ) has its perimeter measured on its plane, as the
 half-level isoline of its occupancy (see metrics.perimeter_estimate).
 
-A step and a run's set-up cost what their data costs, and every bit is
-that of the plain full-grid forms. _column_masses works on the four 1-D
-columns of the edges' ends and writes each edge's pieces straight into
-start and end columns, with no piece between consecutive edges. The
-seed's grid edges are read from its support box, a polygon is rasterized
-over the rows and columns its pieces touch, and the ball's column prefix
-sums are added up row by row over its support box. Measured on the 512²
-lshape on one core of a 2-core VM, against those forms: the column
-masses of a 1296-vertex staircase 201 -> 81 us, a whole step 284 -> 140
-us, the seed's grid edges 2.4 -> 0.53 ms, the comparison ball 3.7 -> 1.6
-ms, a world draw 1.8 -> 1.2 ms.
+A step and a run's set-up cost what their data costs. Both raster
+kernels cut edges at grid lines with one cutter, _cut, which writes each
+edge's pieces in order along it, edge after edge: _column_masses cuts
+once, at the vertical lines, and _rasterize_polygon cuts those pieces
+again at the horizontal ones. The seed's grid edges are read from its
+support box, a polygon is rasterized over the rows and columns its
+pieces touch, and the ball's column prefix sums are added up row by row
+over its support box.
 """
 
 from __future__ import annotations
@@ -269,37 +266,60 @@ def _check_bbox(grid, xmin, xmax, ymin, ymax):
         )
 
 
-def _grid_crossings(p, q, axis):
-    """Every crossing of the edges p -> q with an integer line of one axis.
+def _forward(a0, a1, b0, b1):
+    """The edges (a0, b0) -> (a1, b1) run towards +a, as (a0, a1, b0, b1),
+    and the sign of each: -1.0 where an edge was turned round."""
+    back = a0 > a1
+    return (np.where(back, a1, a0), np.where(back, a0, a1),
+            np.where(back, b1, b0), np.where(back, b0, b1), np.where(back, -1.0, 1.0))
 
-    Returns the edge index and the point of each crossing strictly inside
-    an edge, with the crossed coordinate set to the exact integer.
-    """
-    lo = np.floor(np.minimum(p[:, axis], q[:, axis])) + 1.0
-    hi = np.ceil(np.maximum(p[:, axis], q[:, axis])) - 1.0
-    count = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
-    edge = np.repeat(np.arange(len(p)), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    line = lo[edge] + (np.arange(len(edge)) - first)
-    t = (line - p[edge, axis]) / (q[edge, axis] - p[edge, axis])
-    pts = p[edge] + t[:, None] * (q[edge] - p[edge])
-    pts[:, axis] = line
-    return edge, pts
+
+def _cut(a0, a1, b0, b1):
+    """The edges (a0, b0) -> (a1, b1), with a0 <= a1, cut at every integer
+    a strictly inside them: the start and end of every piece, as (sa, ea,
+    sb, eb), in order along each edge and edge after edge, and each edge's
+    piece count. A cut's a is the exact integer, its b is interpolated."""
+    lo = np.floor(a0) + 1.0
+    count = np.maximum(np.ceil(a1) - lo, 0.0).astype(np.int64)
+    before = np.cumsum(count) - count  # cuts of the earlier edges
+    edge = np.repeat(np.arange(len(count)), count)
+    line = np.arange(len(edge), dtype=float) + np.repeat(lo - before, count)
+    t = (line - a0[edge]) / (a1[edge] - a0[edge])
+    at = b0[edge] + t * (b1[edge] - b0[edge])
+    # edge e has count[e] + 1 pieces, from first[e] to first[e] + count[e];
+    # its cut k ends piece first[e] + k and starts the next one
+    first = before + np.arange(len(count))
+    ends = np.arange(len(edge)) + edge
+    n = len(count) + len(edge)
+    sa, ea, sb, eb = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    sa[first], sb[first] = a0, b0
+    ea[first + count], eb[first + count] = a1, b1
+    ea[ends], eb[ends] = line, at
+    sa[ends + 1], sb[ends + 1] = line, at
+    return sa, ea, sb, eb, count + 1
 
 
 def _rasterize_polygon(v, grid):
     """Covered fraction of every cell of the polygon with the vertices v,
     by signed-area accumulation.
 
-    The edges are split at every grid line they cross, so each piece
-    lies in one cell. In grid units a piece with vertical extent dv and
-    mean column coordinate u in cell (i, j) sweeps dv * (j + 1 - u) of
-    its own cell and dv of every cell to its right in row i. The vertices
-    run counterclockwise, so the left boundary goes down and adds
-    coverage while the right boundary goes up and removes it. A cell's
-    coverage is minus the sum of its in-cell terms and of the full-cell
-    terms of the pieces to its left, a prefix sum along the row; cells
-    that no edge enters read +0.0, as in np.zeros.
+    The edges are cut at the vertical grid lines and their pieces at the
+    horizontal ones (see _cut), so each piece lies in one cell. In grid
+    units a piece with vertical extent dv and mean column coordinate u in
+    cell (i, j) sweeps dv * (j + 1 - u) of its own cell and dv of every
+    cell to its right in row i. The vertices run counterclockwise, so the
+    left boundary goes down and adds coverage while the right boundary
+    goes up and removes it. A cell's coverage is minus the sum of its
+    in-cell terms and of the full-cell terms of the pieces to its left, a
+    prefix sum along the row; cells that no edge enters read +0.0, as in
+    np.zeros.
+
+    No piece crosses a grid line: each pass places its cuts from the
+    pieces' own rounded ends, so a piece of the first pass lies between
+    two vertical lines k and k + 1 and one of the second between two
+    horizontal ones. Within such a piece with k >= 1 the difference of its
+    two u values is exact (Sterbenz), so a u interpolated on it cannot
+    leave [k, k + 1]; in column 0 the index clip absorbs a one-ulp step.
 
     The terms are summed, and the prefix sums taken, over the box of the
     rows and columns the pieces touch only, in the order of the pieces.
@@ -312,26 +332,20 @@ def _rasterize_polygon(v, grid):
     # out exactly 0.0 or 1.0
     p = (v - (grid.x_edges()[0], grid.y_edges()[0])) / grid.h + (0.0, 1.0)
     q = np.roll(p, -1, axis=0)
-    cross_u, at_u = _grid_crossings(p, q, 0)
-    cross_v, at_v = _grid_crossings(p, q, 1)
-    edge = np.concatenate([np.arange(len(p)), cross_u, cross_v])
-    pts = np.concatenate([p, at_u, at_v])
-    # each coordinate is ordered along its edge on its own, so both are
-    # monotone and no piece crosses a grid line, even where two crossings
-    # near a grid corner round out of order
-    key = np.sign(q - p)[edge] * pts
-    a = np.column_stack([pts[np.lexsort((key[:, k], edge)), k] for k in (0, 1)])
-    b = np.roll(a, -1, axis=0)
-    lo = np.floor(np.minimum(a, b)).astype(np.int64)
-    j = np.clip(lo[:, 0], 0, grid.nx - 1)
-    i = np.clip(lo[:, 1] - 1, 0, grid.ny - 1)
-    dv = b[:, 1] - a[:, 1]
+    # a piece's dv takes the signs of both turns towards +u and +v
+    u0, u1, v0, v1, sign_u = _forward(p[:, 0], q[:, 0], p[:, 1], q[:, 1])
+    su, eu, sv, ev, pieces = _cut(u0, u1, v0, v1)
+    v0, v1, u0, u1, sign_v = _forward(sv, ev, su, eu)
+    sv, ev, su, eu, pieces_v = _cut(v0, v1, u0, u1)
+    dv = np.repeat(np.repeat(sign_u, pieces) * sign_v, pieces_v) * (ev - sv)
+    j = np.clip(np.floor(np.minimum(su, eu)).astype(np.int64), 0, grid.nx - 1)
+    i = np.clip(np.floor(sv).astype(np.int64) - 1, 0, grid.ny - 1)
     # bincount adds in input order from +0.0, as np.add.at into np.zeros
     i0, j0 = int(i.min()), int(j.min())
     rows, cols = int(i.max()) + 1 - i0, int(j.max()) + 1 - j0
     at = (i - i0) * (cols + 1) + (j - j0)
     full = np.bincount(at + 1, dv, rows * (cols + 1)).reshape(rows, cols + 1)
-    cell = np.bincount(at, dv * (j + 1 - 0.5 * (a[:, 0] + b[:, 0])), rows * (cols + 1))
+    cell = np.bincount(at, dv * (j + 1 - 0.5 * (su + eu)), rows * (cols + 1))
     cell = cell.reshape(rows, cols + 1)[:, :-1]
     out = np.zeros((grid.ny, grid.nx))
     box = out[i0 : i0 + rows, j0 : j0 + cols]
@@ -440,38 +454,14 @@ def _column_masses(p, q, w, grid):
     piece is added to its column strip; pieces off the grid count in the
     first or last column.
 
-    The kernel works on the four 1-D columns of the edges' ends. Each
-    edge's pieces are written straight into start and end columns, in
-    order along the edge and edge after edge, so the sums run in the
-    order of the boundary.
+    The edges are run towards +u and cut in one pass (see _cut), so the
+    sums run in the order of the boundary.
     """
     x0, h = -grid.half_width, grid.h  # grid.x_edges()[0], bit for bit
-    pu, pv = (p[:, 0] - x0) / h, p[:, 1] / h
-    qu, qv = (q[:, 0] - x0) / h, q[:, 1] / h
-    # run every edge towards +u, so its crossings come in order along it
-    back = pu > qu
-    u0, u1 = np.where(back, qu, pu), np.where(back, pu, qu)
-    v0, v1 = np.where(back, qv, pv), np.where(back, pv, qv)
-    w = np.where(back, -1.0, 1.0) * w
-    # the vertical grid lines strictly inside each edge (see _grid_crossings)
-    lo = np.floor(u0) + 1.0
-    count = np.maximum(np.ceil(u1) - lo, 0.0).astype(np.int64)
-    before = np.cumsum(count) - count  # crossings of the earlier edges
-    edge = np.repeat(np.arange(len(count)), count)
-    line = np.arange(len(edge), dtype=float) + np.repeat(lo - before, count)
-    t = (line - u0[edge]) / (u1[edge] - u0[edge])
-    cross_v = v0[edge] + t * (v1[edge] - v0[edge])
-    # edge e has count[e] + 1 pieces, from first[e] to first[e] + count[e];
-    # its crossing k ends piece first[e] + k and starts the next one
-    first = before + np.arange(len(count))
-    ends = np.arange(len(edge)) + edge
-    n = len(count) + len(edge)
-    su, sv, eu, ev = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    su[first], sv[first] = u0, v0
-    eu[first + count], ev[first + count] = u1, v1
-    eu[ends], ev[ends] = line, cross_v
-    su[ends + 1], sv[ends + 1] = line, cross_v
-    area = np.repeat(w, count + 1) * (su - eu) * (sv + ev) * 0.5
+    u0, u1, v0, v1, sign = _forward((p[:, 0] - x0) / h, (q[:, 0] - x0) / h,
+                                    p[:, 1] / h, q[:, 1] / h)
+    su, eu, sv, ev, pieces = _cut(u0, u1, v0, v1)
+    area = np.repeat(sign * w, pieces) * (su - eu) * (sv + ev) * 0.5
     col = np.clip(np.floor(0.5 * (su + eu)), 0, grid.nx - 1)
     return np.bincount(col.astype(np.int64), weights=area, minlength=grid.nx)
 
@@ -683,13 +673,14 @@ class AlignedRun:
         if delta == 0.0:
             half = _interval_lengths(self._seed.sum(axis=0), grid.ny)
         else:
+            turn = _rotation(delta).T
             if old is None:
                 p, q, w = _raster_edges(self._seed, grid)
+                p, q = p @ turn, q @ turn
             else:
-                p = _staircase(grid, old)
+                p = _staircase(grid, old) @ turn
                 q, w = np.roll(p, -1, axis=0), 1.0
-            turn = _rotation(delta).T
-            mass = _column_masses(p @ turn, q @ turn, w, grid)
+            mass = _column_masses(p, q, w, grid)
             if self.target_mass > 0.0:
                 self.mass_drift = float(
                     (mass.sum() - self.target_mass) / self.target_mass)
@@ -784,7 +775,9 @@ def write_pgm(path, rs, binary=True):
 
 
 def _pgm_header(fh, path):
-    """(binary, nx, ny, maxval) of the PGM open in fh at its start.
+    """(binary, nx, ny, maxval, meta) of the PGM open in fh at its start,
+    meta the first match of _META_RE on a comment line of the header, or
+    None.
 
     The header is read byte by byte up to the whitespace that ends
     maxval, so fh is left at the first sample and no sample is read. A
@@ -796,13 +789,13 @@ def _pgm_header(fh, path):
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a P2/P5 PGM file")
     # tokenize: width, height, maxval; a '#' before a token starts a comment
-    tokens = []
+    tokens, meta = [], None
     c = fh.read(1)
     while len(tokens) < 3:
         if c.isspace():
             c = fh.read(1)
         elif c == b"#":
-            fh.readline()
+            meta = meta or _META_RE.search(c + fh.readline())
             c = fh.read(1)
         else:
             tok = bytearray()
@@ -823,7 +816,7 @@ def _pgm_header(fh, path):
         raise ValueError(f"{path}: image size {nx}x{ny} has no cells")
     if not 1 <= maxval <= PGM_MAXVAL:
         raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
-    return magic == b"P5", nx, ny, maxval
+    return magic == b"P5", nx, ny, maxval, meta
 
 
 def _pgm_size(path):
@@ -833,25 +826,24 @@ def _pgm_size(path):
         if fh.read(2) not in (b"P2", b"P5"):
             return None
         fh.seek(0)
-        _, nx, ny, _ = _pgm_header(fh, path)
+        _, nx, ny, _, _ = _pgm_header(fh, path)
     return nx, ny
 
 
 def read_pgm(path):
     """Read a P2 or P5 PGM written by write_pgm (or any plain grayscale PGM).
 
-    Without the geometry comment the grid defaults to cell size 1. A
-    center within 1e-9 cells of the origin reads as the origin. A
-    geometry the comment gives that GridSpec refuses, a center that is
+    Without the geometry comment in the header the grid defaults to cell
+    size 1. A center within 1e-9 cells of the origin reads as the origin.
+    A geometry the comment gives that GridSpec refuses, a center that is
     not finite or lies farther off, or a sample outside 0..maxval, raises
     naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     head = io.BytesIO(data)
-    binary, nx, ny, maxval = _pgm_header(head, path)
+    binary, nx, ny, maxval, meta = _pgm_header(head, path)
     pos = head.tell()
-    meta = _META_RE.search(data[: min(len(data), 4096)])
     if binary:
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
         count = (len(data) - pos) // dtype.itemsize

@@ -1,7 +1,8 @@
-"""Print a sha256 digest per kernel group and per CLI output file, on fixed
-seeded inputs, so that two checkouts compare bit for bit (the tests judge
-kernels only within bounds of exact oracles). pytest does not collect this
-file; run it as python tests/bitcheck.py > after.txt.
+"""Print a sha256 digest per kernel group (per kernel for the rasters) and
+per CLI output file, on fixed seeded inputs, so that two checkouts compare
+bit for bit (the tests judge kernels only within bounds of exact oracles).
+pytest does not collect this file; run it as python tests/bitcheck.py >
+after.txt.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conftest import random_convex_polygon  # noqa: E402
 from kfsteiner import cli, discrepancy, partitions, polygons, rasters  # noqa: E402
 from kfsteiner.metrics import measure  # noqa: E402
-from kfsteiner.process import BUILTIN_SEEDS, builtin_seed  # noqa: E402
+from kfsteiner.process import BUILTIN_SEEDS, RASTER_SEEDS, builtin_seed  # noqa: E402
 from kfsteiner.sequences import sequence_values  # noqa: E402
 
 KF = [math.pi * float(x) for x in sequence_values("kf", 40)]
@@ -62,19 +63,35 @@ def polygon_kernels():
 
 
 def raster_kernels():
+    """Each raster kernel's outputs on one set of seeded inputs, and the
+    world draws of turned staircases, by name."""
     rng = np.random.default_rng(3)
+    cases = []
     for k in range(40):
         n = int(rng.integers(4, 64))
         grid = rasters.GridSpec(nx=n, ny=n, h=float(rng.choice([0.05, 0.1, 0.37, 1.0])))
         v = polygons_of(100 + k, 1)[0].vertices * (0.1 * n * grid.h)
-        turn = polygons._rotation(0.7 * k).T
-        yield rasters._rasterize_polygon(v, grid)
-        yield rasters._column_masses(v @ turn, np.roll(v, -1, axis=0) @ turn, 1.0, grid)
-        yield rasters._ball_table(grid, math.pi * ((0.05 + 0.9 * rng.random()) * 0.5 * n * grid.h) ** 2)
+        area = math.pi * ((0.05 + 0.9 * rng.random()) * 0.5 * n * grid.h) ** 2
         occ = rng.random((n, n))
         occ[occ < 0.4] = 0.0 if k % 2 else -0.0
-        p, q, w = rasters._raster_edges(occ, grid)
-        yield p, q, w, rasters._column_masses(p @ turn, q @ turn, w, grid)
+        cases.append((grid, v, polygons._rotation(0.7 * k).T, area, occ))
+    edges = [rasters._raster_edges(occ, grid) for grid, *_, occ in cases]
+    masses = []
+    for (grid, v, turn, _, _), (p, q, w) in zip(cases, edges):
+        masses.append(rasters._column_masses(v @ turn, np.roll(v, -1, axis=0) @ turn, 1.0, grid))
+        masses.append(rasters._column_masses(p @ turn, q @ turn, w, grid))
+    draws = []
+    for name in RASTER_SEEDS:
+        run = rasters.AlignedRun(builtin_seed(name, resolution=512))
+        for theta in KF[:12]:
+            draws.append(run.apply(theta).world_raster().occ)
+    return {
+        "_rasterize_polygon": [rasters._rasterize_polygon(v, grid) for grid, v, *_ in cases],
+        "_column_masses": masses,
+        "_raster_edges": edges,
+        "_ball_table": [rasters._ball_table(grid, area) for grid, _, _, area, _ in cases],
+        "world_draws": draws,
+    }
 
 
 def one_dimensional_kernels():
@@ -124,9 +141,10 @@ def cli_outputs(tmp):
 
 
 def main():
-    for name, kernels in (("polygons", polygon_kernels), ("rasters", raster_kernels),
-                          ("one-dimensional", one_dimensional_kernels)):
-        print(f"kernels.{name} {digest(kernels())}", flush=True)
+    print(f"kernels.polygons {digest(polygon_kernels())}", flush=True)
+    for name, outputs in raster_kernels().items():
+        print(f"kernels.rasters.{name} {digest(outputs)}", flush=True)
+    print(f"kernels.one-dimensional {digest(one_dimensional_kernels())}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in cli_outputs(Path(tmp)):
             print(f"{name} {hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)

@@ -331,6 +331,18 @@ def test_pgm_defaults_without_metadata(tmp_path):
     assert rs.occ[0, 0] == 1.0 and rs.occ[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("data", [
+    # samples whose bytes spell a geometry comment
+    b"P5\n23 1\n255\n# cellsize=2 ox=0 oy=0 ",
+    # a geometry comment after the samples
+    b"P5\n2 1\n255\n\x00\xff\n# cellsize=3 ox=0 oy=0\n",
+], ids=["in-samples", "after-samples"])
+def test_pgm_geometry_comes_from_the_header_only(tmp_path, data):
+    path = tmp_path / "bare.pgm"
+    path.write_bytes(data)
+    assert read_pgm(path).grid.h == 1.0
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_pgm_center_must_be_the_origin(tmp_path, binary):
     h = 0.1
@@ -1137,6 +1149,17 @@ def test_rotated_polygons_keep_their_bits(case):
     v, grid = case
     assert_coverage_exact(v, grid)
     assert_column_masses_exact(v, np.roll(v, -1, axis=0), 1.0, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raster_sets(), angles)
+def test_turned_staircases_match_the_exact_sweep(rs, theta):
+    # the non-convex loops a world draw rasterizes, whose connector edges
+    # run there and back, at half size so that every turn fits the grid
+    g = rs.grid
+    loop = 0.5 * rasters._staircase(g, rasters._interval_lengths(rs.occ.sum(axis=0), g.ny))
+    assume(len(loop) and np.hypot(*loop.T).max() < min(g.half_width, g.half_height))
+    assert_coverage_exact(loop @ _rotation(theta).T, g)
 
 
 @settings(max_examples=100, deadline=None)
