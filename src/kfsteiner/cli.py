@@ -22,6 +22,7 @@ from .process import (
     BUILTIN_SEEDS,
     RASTER_SEEDS,
     ProcessConfig,
+    _csv,
     _fmt,
     _read_set,
     compare_csv,
@@ -147,7 +148,7 @@ def cmd_partition(args):
     _check_budget("--max-intervals", args.max_intervals, args.max_intervals,
                   PARTITION_BYTES_PER_INTERVAL, "interval")
     golden = abs(args.alpha - GAMMA) <= 1e-15
-    lines = ["level,t,l,s"]
+    rows = []
     levels = _refinement_levels(
         args.alpha, args.level, args.max_intervals,
         "level {level} exceeds the cap of {cap} intervals",
@@ -164,8 +165,8 @@ def cmd_partition(args):
                 long_n, short_n = classes[0][1], classes[1][1]
             else:
                 long_n = short_n = None
-        lines.append(f"{level},{t},{_fmt(long_n)},{_fmt(short_n)}")
-    _write("\n".join(lines) + "\n", args.out)
+        rows.append((level, t, long_n, short_n))
+    _write(_csv(("level", "t", "l", "s"), rows), args.out)
     if args.dump_breakpoints:
         # each line is written as it is formatted, so no breakpoint costs a held line
         with _output(args.dump_breakpoints) as fh:
@@ -184,14 +185,9 @@ def cmd_disc(args):
     if min(ns) < 2:
         raise SystemExit2("--ns sizes must be at least 2")
     _check_budget("--ns", max(ns), max(ns), DISC_BYTES_PER_POINT)
+    cols = ("N", "d_star", "d_extreme", "normalized")
     rows = discrepancy_curve(args.kind, ns, include_extreme=args.extreme)
-    lines = ["N,d_star,d_extreme,normalized"]
-    for row in rows:
-        lines.append(
-            f"{row['N']},{_fmt(row['d_star'])},{_fmt(row['d_extreme'])},"
-            f"{_fmt(row['normalized'])}"
-        )
-    _write("\n".join(lines) + "\n", args.out)
+    _write(_csv(cols, ([row[c] for c in cols] for row in rows)), args.out)
     return 0
 
 
@@ -208,12 +204,11 @@ def cmd_symmetrize(args):
 
 def _frame_writer(outdir, resolution):
     def callback(step, current):
-        path = _out_file(outdir, f"frame_{step}.pgm")
-        if isinstance(current, RasterSet):
-            write_pgm(path, current)
-        else:
+        # the frame is drawn before --out is made, so a failed draw leaves nothing
+        if not isinstance(current, RasterSet):
             grid = GridSpec.cover(max(current.circumradius(), 1e-9), n=resolution)
-            write_pgm(path, rasterize(current, grid))
+            current = rasterize(current, grid)
+        write_pgm(_out_file(outdir, f"frame_{step}.pgm"), current)
 
     return callback
 

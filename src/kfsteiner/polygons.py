@@ -23,32 +23,6 @@ of edges short in both coordinates. The disk intersection behind d1 is
 w pi r**2 minus a sum of circular segments, w the winding number about
 the origin, so only edges whose line meets the disk take an arctan, and
 an edge with both ends in the disk is its own chord.
-
-A step copies little. The next vertex's coordinates come from _next, two
-slice copies instead of np.roll. The frame (rot @ vertices.T).T has
-contiguous columns and the bits of vertices @ rot.T; the two chains are
-slices of it, and a chain whose x values are all apart is used as it
-is. The output is built as one column-major array, turned back, scaled
-in place and copied once by the constructor. Measured at 60k vertices
-on one core of a 2-core Xeon VM, medians of five processes alternating
-with the np.roll versions: steiner_polygon 10.2 -> 5.5 ms, constructor
-1.2 -> 0.8 ms, disk intersection 1.8 -> 1.7 ms, second moment 0.94 ->
-0.82 ms, metrics.measure 2.9 -> 2.7 ms.
-
-A saturated step makes each per-edge pass once. The merge keeps every
-other point of each run of removable ones, and near the ball only a
-handful of about 60k points are not removable: a pass with fewer than
-_SLICED_MERGE_STOPS of them takes the runs between them as slices.
-_edge_terms forms the edge columns cross(p, q), |p|**2 and p.q once;
-metrics.measure reads the second moment (_moment) and the disk parts
-from one set of them, and moment_about_origin and
-disk_intersection_area call the same kernels. The constructor takes its
-shoelace from the next-vertex columns of its edge checks, and its
-finiteness check from the four extremes of its span. Every bit is kept.
-Measured at 60k vertices on one core of a 2-core VM about twice as fast
-as the one above, medians of five processes alternating with the
-kernels before: metrics.measure 1.45 -> 1.05 ms, the merge 0.62 -> 0.37
-ms, the constructor 0.45 -> 0.45 ms, steiner_polygon 2.35 -> 2.18 ms.
 """
 
 from __future__ import annotations
@@ -80,6 +54,11 @@ COLLINEAR_REL_TOL = 1e-9
 
 # Areas below this are treated as degenerate input.
 DEGENERATE_AREA = 1e-12
+
+# load_polygon refuses a coordinate larger than this in magnitude: the
+# second moment grows as |v|**4, so every functional of a polygon within
+# it stays finite (about 1e240 at most).
+MAX_COORDINATE = 1e60
 
 # A chord-profile breakpoint is merged when dropping it cuts less than
 # this fraction of the polygon area. Small enough that a 200-step
@@ -205,7 +184,9 @@ class ConvexPolygon:
         short = np.flatnonzero((np.abs(ex) <= tiny) & (np.abs(ey) <= tiny))
         if np.any(np.hypot(ex[short], ey[short]) <= tiny):
             raise ValueError("repeated consecutive vertices")
-        if area <= 0.0:
+        if area == 0.0:
+            raise ValueError("degenerate polygon with zero area")
+        if area < 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
         cross = ex * _next(ey) - ey * _next(ex)
         if np.any(cross < -COLLINEAR_REL_TOL * span * span):
@@ -469,11 +450,6 @@ def disk_intersection_area(poly, radius):
     polygon covers the angle its other edges subtend about the origin
     (pi on an edge, the interior angle at a vertex). That sum is then
     taken as it is, and the chords through the origin add no segment.
-
-    At 60k vertices this errs by about 1e-16 of the area against a
-    40-digit oracle and takes a quarter to a third of the time of the
-    per-edge form it replaced, which took two arctans on every edge and
-    erred by 2e-15.
     """
     r = float(radius)
     if not math.isfinite(r):
@@ -616,7 +592,10 @@ def load_polygon(path):
     """Read a polygon from a text file, one "x y" pair per line.
 
     Lines starting with '#' (or trailing '#' comments) are ignored.
-    Clockwise input is reoriented with a warning.
+    Clockwise input is reoriented with a warning. A line that is not two
+    numbers of magnitude at most MAX_COORDINATE raises naming the file and
+    the line; an area below DEGENERATE_AREA, or a polygon that
+    ConvexPolygon refuses, raises naming the file.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -626,15 +605,23 @@ def load_polygon(path):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"{path}: expected 'x y' per line, got {raw!r}")
+                raise ValueError(f"{path}:{lineno}: expected 'x y' per line, got {raw!r}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):  # NaN fails too
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite and at most "
+                                 f"{MAX_COORDINATE:g} in magnitude, got {raw!r}")
+            rows.append((x, y))
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least 3 vertices")
     v = np.asarray(rows)
-    if _shoelace(v) < 0.0:
+    area = _shoelace(v)
+    if abs(area) < DEGENERATE_AREA:
+        raise ValueError(f"{path}: degenerate polygon with area {abs(area)!r}, "
+                         f"below {DEGENERATE_AREA:g}")
+    if area < 0.0:
         warnings.warn(f"{path}: clockwise vertex order, reorienting to CCW")
         v = v[::-1]
     try:

@@ -16,7 +16,7 @@ about that line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .rasters import (
     AlignedRun,
     GridSpec,
     RasterSet,
+    _pgm_size,
     annulus_fixture,
     rasterize,
     read_pgm,
@@ -148,25 +149,36 @@ def builtin_seed(name, resolution=512):
 
 
 def _read_set(path):
-    """A P2/P5 PGM raster or a polygon text file, told apart by the first
-    two bytes of the file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic in (b"P2", b"P5"):
+    """A P2/P5 PGM raster or a polygon text file, told apart by the PGM
+    magic at the start of the file."""
+    if _pgm_size(path) is not None:
         return read_pgm(path)
     try:
         return load_polygon(path)
-    except ValueError as exc:
+    except UnicodeDecodeError:
         raise ValueError(
-            f"{path}: neither a P2/P5 PGM raster nor a polygon text file ({exc})"
-        ) from exc
+            f"{path}: neither a P2/P5 PGM raster nor a polygon text file") from None
 
 
 def load_seed(spec, resolution=512):
-    """Resolve a seed spec: ``builtin:NAME``, a PGM file or a polygon file."""
+    """Resolve a seed spec: ``builtin:NAME``, a PGM file or a polygon file.
+
+    A raster seed whose ball of equal area, the run's comparison ball,
+    does not fit its grid raises naming the file, before any step.
+    """
     if spec.startswith("builtin:"):
         return builtin_seed(spec[len("builtin:") :], resolution=resolution)
-    return _read_set(spec)
+    seed = _read_set(spec)
+    if isinstance(seed, RasterSet):
+        g = seed.grid
+        radius = math.sqrt(seed.area() / math.pi)
+        if radius > min(g.half_width, g.half_height):
+            raise ValueError(
+                f"{spec}: the ball of the seed's area, radius {radius:.6g}, exceeds "
+                f"the grid's half extents ({g.half_width:.6g}, {g.half_height:.6g}); "
+                "pad the raster"
+            )
+    return seed
 
 
 class PolygonRun:
@@ -337,33 +349,22 @@ def _fmt(value):
     return f"{value:.15g}"
 
 
-def trace_csv(records):
-    lines = ["step,x,theta,area,mu,d1_to_ball,hausdorff,perimeter"]
-    for rec in records:
-        m = rec.metrics
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rec.step,
-                    rec.x,
-                    rec.theta,
-                    m.area,
-                    m.mu,
-                    m.d1_to_ball,
-                    m.hausdorff_to_ball,
-                    m.perimeter,
-                )
-            )
-        )
+def _csv(header, rows):
+    """A CSV table: the header's names, then one line of _fmt values per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def trace_csv(records):
+    return _csv(
+        ("step", "x", "theta", "area", "mu", "d1_to_ball", "hausdorff", "perimeter"),
+        ((r.step, r.x, r.theta, *astuple(r.metrics)) for r in records),
+    )
 
 
 def compare_csv(ids, rows):
     cols = ["step"]
     for sid in ids:
         cols.extend([f"d1_to_ball:{sid}", f"mu:{sid}"])
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv(cols, ([row[c] for c in cols] for row in rows))

@@ -67,6 +67,10 @@ __all__ = [
 
 PGM_MAXVAL = 65535
 
+#: The cell sizes read_pgm accepts: h**2 and h**4, the scales of a raster's
+#: area and second moment, stay normal floats.
+PGM_CELL_SIZES = (1e-60, 1e60)
+
 #: GridSpec.cover widens the content radius by the larger of COVER_PAD
 #: and COVER_PAD_CELLS / n, so coarse grids still get margin cells.
 COVER_PAD = 0.10
@@ -777,17 +781,17 @@ def write_pgm(path, rs, binary=True):
 def _pgm_header(fh, path):
     """(binary, nx, ny, maxval, meta) of the PGM open in fh at its start,
     meta the first match of _META_RE on a comment line of the header, or
-    None.
+    None; None for a file that does not start with the P2 or P5 magic.
 
-    The header is read byte by byte up to the whitespace that ends
-    maxval, so fh is left at the first sample and no sample is read. A
-    magic other than P2 or P5, a token that is not an integer, a header
-    that ends early, an empty image or a maxval outside 1..PGM_MAXVAL
-    raises naming the file.
+    This is the one reader of the magic. The header is read byte by byte
+    up to the whitespace that ends maxval, so fh is left at the first
+    sample and no sample is read. A token that is not an integer, a
+    header that ends early, an empty image or a maxval outside
+    1..PGM_MAXVAL raises naming the file.
     """
     magic = fh.read(2)
     if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a P2/P5 PGM file")
+        return None
     # tokenize: width, height, maxval; a '#' before a token starts a comment
     tokens, meta = [], None
     c = fh.read(1)
@@ -823,11 +827,8 @@ def _pgm_size(path):
     """(nx, ny) of the PGM file at path, from its header alone, or None
     when the file does not start with a P2/P5 magic."""
     with open(path, "rb") as fh:
-        if fh.read(2) not in (b"P2", b"P5"):
-            return None
-        fh.seek(0)
-        _, nx, ny, _, _ = _pgm_header(fh, path)
-    return nx, ny
+        header = _pgm_header(fh, path)
+    return None if header is None else header[1:3]
 
 
 def read_pgm(path):
@@ -835,14 +836,17 @@ def read_pgm(path):
 
     Without the geometry comment in the header the grid defaults to cell
     size 1. A center within 1e-9 cells of the origin reads as the origin.
-    A geometry the comment gives that GridSpec refuses, a center that is
-    not finite or lies farther off, or a sample outside 0..maxval, raises
-    naming the file.
+    A cell size outside PGM_CELL_SIZES, a center that is not finite or
+    lies farther off, or a sample outside 0..maxval, raises naming the
+    file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     head = io.BytesIO(data)
-    binary, nx, ny, maxval, meta = _pgm_header(head, path)
+    header = _pgm_header(head, path)
+    if header is None:
+        raise ValueError(f"{path}: not a P2/P5 PGM file")
+    binary, nx, ny, maxval, meta = header
     pos = head.tell()
     if binary:
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
@@ -865,6 +869,9 @@ def read_pgm(path):
         h, cx, cy = float(h), float(cx), float(cy)
         if not all(map(math.isfinite, (h, cx, cy))):
             raise ValueError(f"cell size and center must be finite, got {h}, ({cx}, {cy})")
+        lo, hi = PGM_CELL_SIZES
+        if not lo <= h <= hi:
+            raise ValueError(f"cell size {h!r} outside {lo:g}..{hi:g}")
         grid = GridSpec(nx=nx, ny=ny, h=h)
         if max(abs(cx), abs(cy)) > _GEOMETRY_TOL * h:
             raise ValueError(f"grid center ({cx:.6g}, {cy:.6g}) is not the origin")

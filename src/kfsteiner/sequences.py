@@ -212,8 +212,18 @@ def kronecker_point(n, alpha=GAMMA):
 
 
 def kronecker_points(count, alpha=GAMMA):
-    """First `count` fractional parts of n * alpha."""
-    return np.mod(np.arange(1, count + 1, dtype=float) * alpha, 1.0)
+    """First `count` fractional parts of n * alpha. An alpha for which
+    n * alpha is not finite within them raises."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"kronecker alpha must be finite, got {alpha!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.mod(np.arange(1, count + 1, dtype=float) * alpha, 1.0)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(
+            f"kronecker alpha {alpha!r} is too large: k * alpha "
+            f"overflows within the first {count} values"
+        )
+    return vals
 
 
 def to_direction(x):
@@ -253,17 +263,6 @@ def _parse_alpha(text):
     return alpha
 
 
-def _kronecker_values(count, alpha):
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = kronecker_points(count, alpha=alpha)
-    if not np.all(np.isfinite(vals)):  # k * alpha overflowed
-        raise ValueError(
-            f"kronecker alpha {alpha!r} is too large: k * alpha "
-            f"overflows within the first {count} values"
-        )
-    return vals
-
-
 def _schedule_values(count, path):
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -294,7 +293,7 @@ _KINDS = {
     "kf": ((), kf_points),
     "vdc": (((_checked(int, lambda b: b >= 2, "base must be >= 2"), 2),),
             vdc_points),
-    "kronecker": (((_parse_alpha, GAMMA),), _kronecker_values),
+    "kronecker": (((_parse_alpha, GAMMA),), kronecker_points),
     "constant": (
         ((_checked(float, lambda v: 0.0 <= v <= 1.0,
                    "constant schedule value must lie in [0, 1]"), 0.5),),

@@ -120,11 +120,13 @@ def cli_outputs(tmp):
         "seq-vdc3": "seq --kind vdc:3 --n 5000",
         "seq-kronecker": "seq --kind kronecker:0.25 --n 5000",
         "partition": f"partition --alpha gamma --level 20 --dump-breakpoints {tmp}/breakpoints.txt",
+        "partition-alpha": "partition --alpha 0.3 --level 30",
         "disc-kf": "disc --kind kf --ns 10,1000,65537 --extreme",
         "disc-vdc": "disc --kind vdc --ns 10,1000,65537 --extreme",
         "symmetrize-polygon": f"symmetrize --in {hexagon} --theta 0.3",
         "symmetrize-pgm": f"symmetrize --in {pgm} --x 0.61",
         "symmetrize-ascii": f"symmetrize --in {pgm} --theta 2.2 --ascii",
+        "compare": "compare --seed builtin:square --kinds kf,vdc2,kronecker --steps 20 --cadence 5",
     }
     for seed in (hexagon, pgm, *(f"builtin:{name}" for name in BUILTIN_SEEDS)):
         runs[f"process-{Path(str(seed).replace(':', '-')).name}"] = (

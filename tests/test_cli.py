@@ -1,12 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kfsteiner
 from kfsteiner import cli, process
@@ -20,7 +24,7 @@ from kfsteiner.cli import (
     main,
 )
 from kfsteiner.polygons import Ball, load_polygon
-from kfsteiner.rasters import GridSpec, rasterize, read_pgm, write_pgm
+from kfsteiner.rasters import GridSpec, RasterSet, rasterize, read_pgm, write_pgm
 from kfsteiner.sequences import GAMMA
 
 
@@ -539,9 +543,9 @@ def test_process_binary_non_pgm_seed_names_the_file(tmp_path, capsys):
     (["process", "--seed", "builtin:lshape", "--kind", "kronecker:1e308",
       "--resolution", "64", "--frames"], "kronecker alpha 1e+308"),
     (["process", "--seed", "{polygon}", "--kind", "kf", "--frames"],
-     "{polygon}: neither a P2/P5 PGM raster nor a polygon text file"),
+     "{polygon}:3: expected 'x y' per line, got 'not a vertex\\n'"),
     (["compare", "--seed", "{polygon}", "--kinds", "kf,vdc"],
-     "{polygon}: neither a P2/P5 PGM raster nor a polygon text file"),
+     "{polygon}:3: expected 'x y' per line, got 'not a vertex\\n'"),
 ], ids=["process", "compare", "process-vdc-base", "compare-random-seed",
         "process-missing-schedule", "compare-missing-schedule", "process-bad-schedule",
         "process-kronecker-overflow", "process-malformed-polygon",
@@ -570,6 +574,155 @@ def test_unknown_sequence_id_fails_before_any_run_or_output(argv, message, tmp_p
     assert err.startswith("error: ") and message.format(**files) in err
     assert runs == []
     assert not outdir.exists()
+
+
+def run_recording_warnings(argv):
+    """(exit code, stderr, RuntimeWarnings) of main(argv), every warning
+    recorded rather than raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def square_file(path, side):
+    half = 0.5 * side
+    corners = ((-half, -half), (half, -half), (half, half), (-half, half))
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in corners))
+
+
+def block_pgm(path, h, full=False):
+    """A 32x32 PGM at cell size h: all ones, or an 8x8 block of them in the middle."""
+    occ = np.ones((32, 32)) if full else np.pad(np.ones((8, 8)), 12)
+    write_pgm(path, RasterSet(occ, GridSpec(nx=32, ny=32, h=h)))
+
+
+#: Seed files without a finite, nonzero measure that fits their grid: the
+#: file's name, its writer and the refusal that follows its path.
+BAD_SEEDS = {
+    "square-1e80": ("s.txt", lambda p: square_file(p, 1e80),
+                    ":1: coordinates must be finite and at most 1e+60 in magnitude"),
+    "square-1e308": ("s.txt", lambda p: square_file(p, 1e308),
+                     ":1: coordinates must be finite and at most 1e+60 in magnitude"),
+    "square-1e-7": ("s.txt", lambda p: square_file(p, 1e-7),
+                    ": degenerate polygon with area 9.999999999999998e-15, below 1e-12"),
+    "triangle-1e-200": ("s.txt", lambda p: p.write_text("1e-200 1e-200\n3e-200 1e-200\n"
+                                                        "2e-200 3e-200\n"),
+                        ": degenerate polygon with area 0.0, below 1e-12"),
+    "pgm-cellsize-1e300": ("s.pgm", lambda p: block_pgm(p, 1e300),
+                           ": cell size 1e+300 outside 1e-60..1e+60"),
+    "pgm-cellsize-1e-300": ("s.pgm", lambda p: block_pgm(p, 1e-300),
+                            ": cell size 1e-300 outside 1e-60..1e+60"),
+    "pgm-ball-off-grid": ("s.pgm", lambda p: block_pgm(p, 0.1, full=True),
+                          ": the ball of the seed's area, radius 1.80541, exceeds the "
+                          "grid's half extents (1.6, 1.6)"),
+}
+
+
+@pytest.mark.parametrize("command", ["process", "compare"])
+@pytest.mark.parametrize("name", list(BAD_SEEDS))
+def test_seed_without_a_finite_measure_is_refused_naming_the_file(name, command, tmp_path):
+    filename, write, message = BAD_SEEDS[name]
+    seed, outdir = tmp_path / filename, tmp_path / "run"
+    write(seed)
+    argv = {"process": ["process", "--kind", "kf", "--frames"],
+            "compare": ["compare", "--kinds", "kf,vdc"]}[command]
+    code, err, runtime = run_recording_warnings(
+        argv + ["--seed", str(seed), "--steps", "3", "--out", str(outdir)])
+    assert code == 1
+    assert err.startswith(f"error: {seed}{message}") and err.count("\n") == 1
+    assert err.count(str(seed)) == 1
+    assert not outdir.exists()
+    assert runtime == []
+
+
+@pytest.mark.parametrize("filename, write", [
+    ("s.txt", lambda p: square_file(p, 1e40)),
+    ("s.txt", lambda p: square_file(p, 1e-5)),
+    ("s.pgm", lambda p: block_pgm(p, 1e-6)),
+    ("s.pgm", lambda p: block_pgm(p, 1e6)),
+], ids=["square-1e40", "square-1e-5", "pgm-cellsize-1e-6", "pgm-cellsize-1e6"])
+def test_seed_near_the_bounds_runs_cleanly(filename, write, tmp_path):
+    seed, outdir = tmp_path / filename, tmp_path / "run"
+    write(seed)
+    code, err, runtime = run_recording_warnings(
+        ["process", "--seed", str(seed), "--kind", "kf", "--steps", "3", "--frames",
+         "--perimeter", "--hausdorff", "--out", str(outdir)])
+    assert (code, err, runtime) == (0, "", [])
+    lines = (outdir / "trace.csv").read_text().splitlines()
+    assert len(lines) == 5
+    assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(",") if v)
+
+
+#: The scales of the property test's polygons: below DEGENERATE_AREA at
+#: 1e-7 and below, past MAX_COORDINATE at 1e80 and above.
+POLYGON_SCALES = (1e-200, 1e-7, 1.0, 1e40, 1e80, 1e308)
+MALFORMED_LINES = ("vertex", "nan 0", "0 inf", "0.5", "1 2 3")
+
+
+@st.composite
+def polygon_files(draw):
+    """Text of a polygon seed file of at most 8 lines: the vertices of a
+    convex n-gon at one of POLYGON_SCALES, as they are, shifted, reversed,
+    with one vertex repeated or with one malformed line added."""
+    n = draw(st.sampled_from(range(9)))
+    scale = draw(st.sampled_from(POLYGON_SCALES))
+    phase = draw(st.floats(0.0, 1.0))
+    edit = draw(st.sampled_from(("none", "shift", "reverse", "repeat", "malformed")))
+    sx, sy = draw(st.sampled_from(((0.3, -0.2), (4.0, 3.0)))) if edit == "shift" else (0, 0)
+    # Python floats: a shift at 1e308 overflows to inf, which the file spells
+    angles = [2.0 * math.pi * (k + phase) / max(n, 3) for k in range(n)]
+    pts = [(scale * (math.cos(a) + sx), scale * (0.5 * math.sin(a) + sy)) for a in angles]
+    if edit == "reverse":
+        pts.reverse()
+    elif edit == "repeat" and pts:
+        k = draw(st.integers(0, len(pts) - 1))
+        pts.insert(k, pts[k])
+    lines = [f"{x!r} {y!r}" for x, y in pts]
+    if edit == "malformed":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_LINES)))
+    return "".join(line + "\n" for line in lines[:8])
+
+
+def finite_numbers(path):
+    """Whether every number in a CSV table or polygon file is finite."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        text = text.split("\n", 1)[1]
+    values = [v for line in text.splitlines() if not line.startswith("#")
+              for v in line.replace(",", " ").split()]
+    return bool(values) and all(math.isfinite(float(v)) for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygon_files())
+def test_polygon_seed_file_runs_cleanly_or_fails_naming_the_file(text):
+    # every polygon file either runs to finite numbers or stops at once with
+    # one line naming it, and no run warns or leaves output behind
+    with tempfile.TemporaryDirectory() as tmp:
+        seed, out = Path(tmp) / "seed.txt", Path(tmp) / "out"
+        seed.write_text(text)
+        runs = [
+            (["process", "--seed", str(seed), "--kind", "kf", "--steps", "2", "--frames",
+              "--perimeter", "--hausdorff", "--out", str(out)], out / "trace.csv"),
+            (["symmetrize", "--in", str(seed), "--theta", "0.3", "--out", str(out)], out),
+        ]
+        for argv, table in runs:
+            code, err, runtime = run_recording_warnings(argv)
+            assert runtime == []
+            if code == 0:
+                assert err == "" and finite_numbers(table)
+                if out.is_dir():
+                    for path in out.iterdir():
+                        path.unlink()
+                    out.rmdir()
+                else:
+                    out.unlink()
+            else:
+                assert code == 1
+                assert err.startswith(f"error: {seed}") and err.count("\n") == 1
+                assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -58,6 +58,10 @@ def test_constructor_validation():
         ConvexPolygon([(0, 0), (1, 0), (0, np.inf)])
     with pytest.raises(ValueError, match="zero extent"):
         ConvexPolygon([(0.3, 0.7)] * 3)
+    # a zero area is degenerate, not clockwise: collinear, or underflowed
+    for flat in ([(0, 0), (1, 0), (2, 0)], [(1e-200, 1e-200), (3e-200, 1e-200), (2e-200, 3e-200)]):
+        with pytest.raises(ValueError, match="^degenerate polygon with zero area$"):
+            ConvexPolygon(flat)
     with pytest.raises(ValueError, match="shape"):
         ConvexPolygon([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     # near-collinear vertices are tolerated
@@ -286,7 +290,10 @@ def oracle_validate(vertices):
     edges = np.roll(v, -1, axis=0) - v
     if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * span):
         raise ValueError("repeated consecutive vertices")
-    if 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])) <= 0.0:
+    area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+    if area == 0.0:
+        raise ValueError("degenerate polygon with zero area")
+    if area < 0.0:
         raise ValueError("vertices must be ordered counterclockwise")
     nxt = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
