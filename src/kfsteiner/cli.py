@@ -194,6 +194,8 @@ def cmd_disc(args):
 def cmd_symmetrize(args):
     _check_pgm_budget("--in", args.infile)
     shape = _read_set(args.infile)
+    if args.ascii and not isinstance(shape, RasterSet):
+        raise SystemExit2(f"--ascii needs a PGM raster; {args.infile} is a polygon")
     theta = args.theta if args.theta is not None else to_direction(args.x)
     if isinstance(shape, RasterSet):
         write_pgm(args.out, steiner_raster(shape, theta), binary=not args.ascii)
@@ -308,7 +310,7 @@ def build_parser():
     group.add_argument("--theta", type=float, help="direction angle in radians")
     group.add_argument("--x", type=float, help="sequence value; theta = pi * x")
     p.add_argument("--out", required=True, help="output file (same format)")
-    p.add_argument("--ascii", action="store_true", help="write P2 instead of P5")
+    p.add_argument("--ascii", action="store_true", help="write P2, not P5; PGM only")
     p.set_defaults(func=cmd_symmetrize)
 
     p = sub.add_parser("process", help="run a symmetrization process")

@@ -22,7 +22,6 @@ __all__ = [
     "alpha_refine",
     "kakutani_level",
     "interval_counts",
-    "ud_ratio",
 ]
 
 #: Relative tolerance for deciding which intervals tie for the maximum length.
@@ -204,15 +203,3 @@ def length_classes(partition):
         classes.append((float(lengths[start:end].mean()), end - start))
         start = end
     return classes
-
-
-def ud_ratio(partition, interval):
-    """Fraction of the partition's intervals contained in [a, b]."""
-    a, b = interval
-    if not 0.0 <= a < b <= 1.0:
-        raise ValueError(f"need 0 <= a < b <= 1, got ({a}, {b})")
-    bp = partition.breakpoints
-    lo = int(np.searchsorted(bp, a, side="left"))
-    hi = int(np.searchsorted(bp, b, side="right")) - 1
-    contained = max(0, hi - lo)
-    return contained / partition.n_intervals

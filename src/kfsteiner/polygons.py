@@ -36,14 +36,11 @@ import numpy as np
 __all__ = [
     "ConvexPolygon",
     "Ball",
-    "ball_of_same_area",
     "regular_polygon",
     "steiner_polygon",
-    "reflect_polygon",
     "disk_intersection_area",
     "ball_hausdorff",
     "hausdorff",
-    "symmetry_defect",
     "load_polygon",
     "save_polygon",
 ]
@@ -85,13 +82,6 @@ def _rotation(angle):
     """Matrix of the counterclockwise rotation by `angle` radians."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-def _reflection(theta):
-    """Matrix of the reflection across the line orthogonal to angle theta."""
-    ux, uy = math.cos(theta), math.sin(theta)
-    return np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
-                     [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
 
 
 def _next(a):
@@ -247,13 +237,6 @@ class Ball:
         return math.pi * self.radius**2
 
 
-def ball_of_same_area(area):
-    """Origin-centered ball with the given area."""
-    if not 0.0 <= area < math.inf:
-        raise ValueError(f"area must be finite and nonnegative, got {area}")
-    return Ball(math.sqrt(area / math.pi))
-
-
 def regular_polygon(radius, n=128, center=(0.0, 0.0)):
     """Regular n-gon inscribed in the circle of the given radius."""
     ang = 2.0 * math.pi * np.arange(n) / n
@@ -402,21 +385,6 @@ def steiner_polygon(poly, direction):
     out = (rot.T @ _profile_polygon(xs, ell).T).T
     out *= math.sqrt(area0 / _shoelace(out))
     return ConvexPolygon(out)
-
-
-def reflect_polygon(poly, direction):
-    """Reflect across the line through the origin orthogonal to `direction`."""
-    mat = _reflection(as_theta(direction))
-    return ConvexPolygon((poly.vertices @ mat.T)[::-1])
-
-
-def symmetry_defect(poly, direction):
-    """Hausdorff distance between the polygon and its reflection.
-
-    The reflection is across the line orthogonal to `direction`; for a
-    polygon symmetric about that line the defect is floating-point noise.
-    """
-    return hausdorff(poly, reflect_polygon(poly, direction))
 
 
 # ---------------------------------------------------------------------------

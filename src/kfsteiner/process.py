@@ -4,13 +4,10 @@ A run is fully determined by its configuration: the direction sequence,
 the seed (builtin fixture or file), the step count, and the recording
 cadence. Polygon seeds use the exact chord backend (PolygonRun); raster
 seeds use the occupancy-grid backend (rasters.AlignedRun). Both backends
-run through one step loop, `_walk`, which run_process and
-checkpoint_probe share. A recorded step hands metrics.measure the run's
-frame raster and nothing else: a raster run's rasters carry what their
-functionals need, the comparison ball included. Checkpoint probing
-verifies that at the enumerated checkpoint steps the applied direction
-is pi * gamma**k and measures the reflection defect of the current set
-about that line.
+run through one step loop, `_walk`, whose one caller is run_process. A
+recorded step hands metrics.measure the run's frame raster and nothing
+else: a raster run's rasters carry what their functionals need, the
+comparison ball included.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from .polygons import (
     load_polygon,
     regular_polygon,
     steiner_polygon,
-    symmetry_defect,
 )
 from .rasters import (
     AlignedRun,
@@ -37,18 +33,16 @@ from .rasters import (
     rasterize,
     read_pgm,
 )
-from .sequences import GAMMA, checkpoint_index, parse_sequence_id, sequence_values
+from .sequences import parse_sequence_id, sequence_values
 
 __all__ = [
     "ProcessConfig",
     "TraceRecord",
     "ProcessResult",
-    "CheckpointRecord",
     "BUILTIN_SEEDS",
     "builtin_seed",
     "load_seed",
     "run_process",
-    "checkpoint_probe",
     "compare_sequences",
     "trace_csv",
     "compare_csv",
@@ -57,9 +51,6 @@ __all__ = [
 #: The builtin seeds of the raster backend; the others are polygons.
 RASTER_SEEDS = ("lshape", "two-component", "annulus")
 BUILTIN_SEEDS = ("square", "offset-square", "ellipse") + RASTER_SEEDS
-
-#: Largest gap allowed between a checkpoint value and gamma**order.
-CHECKPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,14 +88,6 @@ class ProcessResult:
     final: object
     records: tuple
     snapshots: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CheckpointRecord:
-    order: int
-    step: int
-    theta: float
-    defect: float
 
 
 def builtin_seed(name, resolution=512):
@@ -182,20 +165,17 @@ def load_seed(spec, resolution=512):
 
 
 class PolygonRun:
-    """Exact chord symmetrals of one polygon, with AlignedRun's methods.
+    """Exact chord symmetrals of one polygon, with AlignedRun's methods
+    `apply`, `frame_raster` and `world_raster`.
 
     The polygon keeps no frame: both accessors return it.
     """
 
     def __init__(self, poly):
         self.poly = poly
-        # angle of the last applied direction; before the first step the
-        # seed's frame 0, direction pi/2, as in AlignedRun (a row flip)
-        self.theta = math.pi / 2
 
     def apply(self, direction):
         self.poly = steiner_polygon(self.poly, direction)
-        self.theta = direction
         return self
 
     def frame_raster(self):
@@ -203,14 +183,11 @@ class PolygonRun:
 
     world_raster = frame_raster
 
-    def reflection_defect(self):
-        """Vertex mismatch against the reflection about the last direction."""
-        return symmetry_defect(self.poly, self.theta)
-
 
 def _walk(seed, xs):
     """Yield (0, None, None, run), then (k, x, theta, run) after step k,
-    theta = pi * x; `run` is one AlignedRun or PolygonRun throughout."""
+    theta = pi * x; `run` is one AlignedRun or PolygonRun throughout.
+    run_process, its one caller, records and snapshots from it."""
     run = AlignedRun(seed) if isinstance(seed, RasterSet) else PolygonRun(seed)
     yield 0, None, None, run
     for k, x in enumerate(xs, start=1):
@@ -253,43 +230,6 @@ def run_process(cfg, snapshot_steps=(), callback=None):
                 callback(k, run.world_raster())
     return ProcessResult(final=run.world_raster(), records=tuple(records),
                          snapshots=snapshots)
-
-
-def checkpoint_probe(cfg):
-    """Verify checkpoint directions and measure reflection defects.
-
-    Only meaningful for the golden-ratio sequence: at the enumerated
-    checkpoint steps the applied value is gamma**k, so the freshly
-    symmetrized set should be symmetric about the line orthogonal to
-    that direction. The defect is the vertex mismatch (polygon) or the
-    d1 distance to the reflected set (raster, measured exactly in the
-    aligned frame). A raster's defect is exactly 0.0: its frame plane is
-    a column of intervals centred on the midline, whose ends and row
-    edges are exact, so the plane is symmetric bit for bit.
-    """
-    if parse_sequence_id(cfg.sequence).kind != "kf":
-        raise ValueError("checkpoint probing requires the kf sequence")
-    xs = sequence_values(cfg.sequence, cfg.steps)
-    orders = {}
-    k = 1
-    while checkpoint_index(k) <= cfg.steps:
-        orders[checkpoint_index(k)] = k
-        k += 1
-    for p, order in orders.items():
-        if abs(float(xs[p - 1]) - GAMMA**order) > CHECKPOINT_TOL:
-            raise AssertionError(
-                f"checkpoint {order}: value at step {p} is {xs[p - 1]!r}, "
-                f"expected gamma**{order}"
-            )
-
-    seed = load_seed(cfg.seed, resolution=cfg.resolution)
-    return [
-        CheckpointRecord(order=orders[step], step=step,
-                         theta=math.pi * GAMMA ** orders[step],
-                         defect=run.reflection_defect())
-        for step, _, _, run in _walk(seed, xs[: max(orders)])
-        if step in orders
-    ]
 
 
 def _records(cfg):

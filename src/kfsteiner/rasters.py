@@ -733,21 +733,6 @@ class AlignedRun:
             self._table = _ball_table(self.grid, self.target_mass * self.grid.h**2)
         return self._table
 
-    def reflection_defect(self):
-        """d1 between the set and its reflection across the line
-        orthogonal to the last applied direction; exact in this frame
-        (the direction is vertical, so the reflection is a row flip).
-
-        After a step it is 0.0 without drawing the plane: every column is
-        an interval from mid - half to mid + half, both exact, as are the
-        row edges, so the plane is symmetric about its midline bit for bit.
-        Before the first step the seed's plane is compared with its flip.
-        """
-        if self._lengths is not None:
-            return 0.0
-        occ = self._seed
-        return float(np.abs(occ - occ[::-1, :]).sum() * self.grid.h**2)
-
 
 # ---------------------------------------------------------------------------
 # PGM input/output

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from kfsteiner.polygons import ConvexPolygon, regular_polygon
+from kfsteiner.polygons import ConvexPolygon, hausdorff, regular_polygon
 from kfsteiner.rasters import GridSpec, RasterSet, rasterize
 
 # the same examples on every run, and no example database on disk: a
@@ -105,6 +105,21 @@ def oracle_hausdorff(a, b, spacing):
 
 def assert_matches_oracle(d, oracle):
     assert abs(d - oracle) <= ORACLE_REL_TOL * max(1.0, oracle)
+
+
+def reflected_oracle(poly, theta):
+    """The polygon reflected point by point, v - 2 (v.u) u, reordered CCW:
+    its mirror image across the line orthogonal to the angle theta."""
+    u = np.array([math.cos(theta), math.sin(theta)])
+    v = np.ascontiguousarray(poly.vertices)
+    return ConvexPolygon((v - 2.0 * np.outer(v @ u, u))[::-1])
+
+
+def mirror_gap(poly, theta):
+    """Exact Hausdorff distance between a polygon and its mirror image
+    across the line orthogonal to theta; rounding for a Steiner symmetral
+    in the direction theta, which is symmetric about that line."""
+    return hausdorff(poly, reflected_oracle(poly, theta))
 
 
 def random_raster(rng, grid, max_disks=3):

@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 
-from conftest import random_convex_polygon, random_raster
+from conftest import mirror_gap, random_convex_polygon, random_raster
 from kfsteiner.cli import main as cli_main
 from kfsteiner.discrepancy import star_discrepancy
 from kfsteiner.metrics import d1, grid_tolerance, moment_of_inertia
 from kfsteiner.partitions import TRIVIAL, alpha_refine, interval_counts
-from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
+from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon
 from kfsteiner.process import ProcessConfig, builtin_seed, run_process
 from kfsteiner.rasters import AlignedRun, GridSpec, rasterize, steiner_raster
 from kfsteiner.sequences import (
@@ -136,7 +136,7 @@ def test_criterion_06_polygon_invariants():
         theta = rng.random() * math.pi
         out = steiner_polygon(poly, theta)
         assert abs(out.area() - poly.area()) <= 1e-9 * poly.area(), f"pair {i}"
-        assert symmetry_defect(out, theta) <= 1e-9, f"pair {i}"
+        assert mirror_gap(out, theta) <= 1e-9, f"pair {i}"
         assert (
             out.moment_about_origin() <= poly.moment_about_origin() + 1e-9
         ), f"pair {i}"

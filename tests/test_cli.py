@@ -385,6 +385,18 @@ def test_symmetrize_rejects_both_angles(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_symmetrize_ascii_on_a_polygon_is_a_usage_error(tmp_path, capsys):
+    # --ascii picks the PGM encoding; a polygon result has none to pick
+    src = tmp_path / "sq.txt"
+    src.write_text("0 0\n1 0\n1 1\n0 1\n")
+    out = tmp_path / "o.txt"
+    assert main(["symmetrize", "--in", str(src), "--x", "0.5", "--ascii",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --ascii needs a PGM raster; {src} is a polygon\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

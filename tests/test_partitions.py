@@ -16,7 +16,6 @@ from kfsteiner.partitions import (
     interval_counts,
     kakutani_level,
     length_classes,
-    ud_ratio,
 )
 from kfsteiner.sequences import GAMMA, fib, kf_points
 
@@ -146,13 +145,13 @@ def test_length_classes_on_every_level_close_where_the_walk_does(alpha, levels):
         assert length_classes(part) == length_classes_by_walk(part.lengths)
 
 
-def test_ud_ratio_examples():
-    assert ud_ratio(TRIVIAL, (0.0, 1.0)) == 1.0
-    r = ud_ratio(kakutani_level(G, 10), (0.0, 0.5))
-    assert abs(r - 0.5) < 0.05
-    assert ud_ratio(kakutani_level(0.5, 8), (0.0, 0.25)) == 0.25
-    with pytest.raises(ValueError):
-        ud_ratio(TRIVIAL, (0.5, 0.2))
+def contained_fraction(partition, a, b):
+    """Fraction of the partition's intervals inside [a, b]: the intervals
+    [bp[i], bp[i + 1]] with lo <= i < hi."""
+    bp = partition.breakpoints
+    lo = np.searchsorted(bp, a, side="left")
+    hi = np.searchsorted(bp, b, side="right") - 1
+    return max(0, hi - lo) / partition.n_intervals
 
 
 @pytest.mark.parametrize("alpha", [0.3, G, 0.5, 0.7])
@@ -164,7 +163,7 @@ def test_ud_ratio_converges_on_dyadic_intervals(alpha):
     errors = []
     for _ in range(100_000):
         part = alpha_refine(part, alpha)
-        err = max(abs(ud_ratio(part, iv) - (iv[1] - iv[0])) for iv in intervals)
+        err = max(abs(contained_fraction(part, a, b) - (b - a)) for a, b in intervals)
         errors.append(err)
         if part.n_intervals >= 10_000:
             break

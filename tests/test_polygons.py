@@ -13,6 +13,7 @@ from conftest import (
     as_integers,
     assert_matches_oracle,
     convex_hull,
+    mirror_gap,
     oracle_hausdorff,
     random_convex_polygon,
 )
@@ -27,15 +28,12 @@ from kfsteiner.polygons import (
     _shoelace,
     _simplify_profile,
     ball_hausdorff,
-    ball_of_same_area,
     disk_intersection_area,
     hausdorff,
     load_polygon,
-    reflect_polygon,
     regular_polygon,
     save_polygon,
     steiner_polygon,
-    symmetry_defect,
 )
 from kfsteiner.process import builtin_seed
 from kfsteiner.sequences import sequence_values
@@ -93,12 +91,7 @@ def test_area_perimeter_moment():
     assert tri.area() == pytest.approx(0.5)
 
 
-def test_ball_of_same_area():
-    assert ball_of_same_area(math.pi).radius == pytest.approx(1.0)
-    assert ball_of_same_area(1.0).radius == pytest.approx(0.5641895835477563)
-    assert ball_of_same_area(0.0).radius == 0.0
-    with pytest.raises(ValueError):
-        ball_of_same_area(-1.0)
+def test_ball_radius_must_be_nonnegative():
     with pytest.raises(ValueError):
         Ball(-0.5)
 
@@ -107,8 +100,6 @@ def test_ball_of_same_area():
 def test_non_finite_radius_or_area_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         Ball(bad)
-    with pytest.raises(ValueError, match="finite"):
-        ball_of_same_area(bad)
     with pytest.raises(ValueError, match="finite"):
         disk_intersection_area(ConvexPolygon(CENTERED_SQUARE), bad)
 
@@ -145,7 +136,7 @@ def test_ball_polygon_fixed_point_on_axes():
     ball = regular_polygon(0.7, 64)
     for k in (0, 9, 32, 41):
         out = steiner_polygon(ball, k * math.pi / 64)
-        assert symmetry_defect(out, k * math.pi / 64) < 1e-12
+        assert mirror_gap(out, k * math.pi / 64) < 1e-12
         assert hausdorff(ball, out) < 1e-9
 
 
@@ -172,7 +163,7 @@ def test_random_suite_area_symmetry_idempotence_moment(rng):
         # area preservation
         assert abs(out.area() - poly.area()) <= 1e-9 * poly.area()
         # symmetry about the line orthogonal to the direction
-        assert symmetry_defect(out, theta) <= 1e-9
+        assert mirror_gap(out, theta) <= 1e-9
         # moment never increases
         assert out.moment_about_origin() <= poly.moment_about_origin() + 1e-9
         # idempotence
@@ -192,15 +183,6 @@ def test_moment_equality_for_symmetric_input(rng):
         assert out.moment_about_origin() == pytest.approx(
             ball.moment_about_origin(), rel=1e-12
         )
-
-
-def test_reflect_polygon():
-    tri = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
-    out = reflect_polygon(tri, math.pi / 2)  # across the x axis
-    want = np.array([(0, 0), (1, 0), (0, -1)])
-    got = out.vertices[np.lexsort((out.vertices[:, 1], out.vertices[:, 0]))]
-    want = want[np.lexsort((want[:, 1], want[:, 0]))]
-    assert np.abs(got - want).max() < 1e-12
 
 
 def test_disk_intersection_against_segment_oracle():
@@ -525,21 +507,6 @@ def convex_polygons(draw):
 @given(convex_polygons(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=4))
 def test_column_kernels_match_row_major_oracles(poly, thetas):
     assert_kernels_match_oracles(poly, thetas + [0.0, 0.5 * math.pi])
-
-
-def reflected_oracle(poly, theta):
-    """The polygon reflected point by point, v - 2 (v.u) u, reordered CCW."""
-    u = np.array([math.cos(theta), math.sin(theta)])
-    v = np.ascontiguousarray(poly.vertices)
-    return ConvexPolygon((v - 2.0 * np.outer(v @ u, u))[::-1])
-
-
-@settings(max_examples=200, deadline=None)
-@given(convex_polygons(), st.floats(0.0, math.pi))
-def test_symmetry_defect_is_the_gap_to_the_reflected_set(poly, theta):
-    for p in (poly, steiner_polygon(poly, theta)):
-        assert_matches_oracle(symmetry_defect(p, theta),
-                              oracle_hausdorff(p, reflected_oracle(p, theta), math.inf))
 
 
 @st.composite

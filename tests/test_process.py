@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mirror_gap
 from kfsteiner.metrics import d1_to_ball, grid_tolerance, measure
-from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon, symmetry_defect
+from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon
 from kfsteiner.process import (
     BUILTIN_SEEDS,
-    CheckpointRecord,
     ProcessConfig,
     TraceRecord,
-    _walk,
     builtin_seed,
-    checkpoint_probe,
     compare_csv,
     compare_sequences,
     load_seed,
@@ -26,7 +24,7 @@ from kfsteiner.rasters import (
     rasterize,
     write_pgm,
 )
-from kfsteiner.sequences import GAMMA, checkpoint_index, sequence_values
+from kfsteiner.sequences import sequence_values
 
 
 def test_config_validation():
@@ -89,36 +87,6 @@ def test_raster_lshape_run_improves():
     areas = [rec.metrics.area for rec in res.records]
     assert max(areas) - min(areas) <= 1e-9 * areas[0]
     assert res.records[-1].metrics.d1_to_ball < res.records[0].metrics.d1_to_ball
-
-
-def test_checkpoint_probe_polygon():
-    cfg = ProcessConfig(sequence="kf", seed="builtin:offset-square", steps=40)
-    records = checkpoint_probe(cfg)
-    orders = [rec.order for rec in records]
-    assert orders == [1, 2, 3, 4, 5, 6, 7, 8]
-    steps = [rec.step for rec in records]
-    assert steps == [1, 2, 3, 5, 8, 13, 21, 34]
-    for rec in records:
-        assert rec.theta == pytest.approx(math.pi * GAMMA**rec.order, abs=1e-12)
-        assert rec.defect <= 1e-9
-
-
-def test_checkpoint_probe_raster():
-    for seed in ("builtin:annulus", "builtin:lshape"):
-        cfg = ProcessConfig(
-            sequence="kf", seed=seed, steps=34, cadence=34, resolution=128
-        )
-        records = checkpoint_probe(cfg)
-        assert [rec.order for rec in records] == [1, 2, 3, 4, 5, 6, 7, 8], seed
-        # an interval plane is symmetric about its midline by construction
-        for rec in records:
-            assert rec.defect == 0.0, f"{seed} order {rec.order}"
-
-
-def test_checkpoint_probe_requires_kf():
-    cfg = ProcessConfig(sequence="vdc2", seed="builtin:square", steps=10)
-    with pytest.raises(ValueError):
-        checkpoint_probe(cfg)
 
 
 def test_constant_schedule_plateaus():
@@ -219,17 +187,6 @@ def test_load_seed_polygon_file(tmp_path):
     assert isinstance(seed, ConvexPolygon)
 
 
-def test_polygon_reflection_defect_before_the_first_step(tmp_path):
-    # Step 0 reads the defect of the row flip (direction pi/2), as
-    # AlignedRun does, instead of failing on an unset direction.
-    path = tmp_path / "poly.txt"
-    path.write_text("0 0\n1 0\n1 1\n0 1\n")
-    for seed, want in [("builtin:square", 0.0), (str(path), 1.0)]:
-        k, _, _, run = next(_walk(load_seed(seed), []))
-        assert k == 0
-        assert run.reflection_defect() == pytest.approx(want, abs=1e-15), seed
-
-
 @pytest.mark.parametrize("name", BUILTIN_SEEDS)
 def test_every_builtin_seed_moves_toward_the_ball(name):
     cfg = ProcessConfig(
@@ -246,21 +203,22 @@ def test_every_builtin_seed_moves_toward_the_ball(name):
 
 
 def _stepped_by_hand(cfg):
-    """(step, x, theta, frame, world set, reflection defect as a function)
-    of an AlignedRun of a raster seed, or of steiner_polygon steps."""
+    """(step, x, theta, frame, world set) of an AlignedRun of a raster
+    seed, or of steiner_polygon steps."""
     xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution)
     run = AlignedRun(seed) if isinstance(seed, RasterSet) else None
-    yield 0, None, None, seed, seed, None
+    yield 0, None, None, seed, seed
     current = seed
     for k, x in enumerate(map(float, xs), start=1):
         theta = math.pi * x
         if run is not None:
             run.apply(theta)
-            yield k, x, theta, run.frame_raster(), run.world_raster(), run.reflection_defect
+            yield k, x, theta, run.frame_raster(), run.world_raster()
         else:
             current = steiner_polygon(current, theta)
-            yield k, x, theta, current, current, lambda p=current, t=theta: symmetry_defect(p, t)
+            assert mirror_gap(current, theta) <= 1e-9, k
+            yield k, x, theta, current, current
 
 
 def _same_set(a, b):
@@ -285,21 +243,14 @@ def test_shared_loop_equals_the_per_backend_loops(seed, steps, resolution):
     assert [rec.step for rec in res.records] == [k for k, _ in calls] == recorded
     assert sorted(res.snapshots) == list(wanted)
     records, called = iter(res.records), iter(calls)
-    checkpoints = {checkpoint_index(k): k for k in range(1, 12)}
-    probe = iter(checkpoint_probe(cfg))
-    for k, x, theta, frame, world, defect in _stepped_by_hand(cfg):
+    for k, x, theta, frame, world in _stepped_by_hand(cfg):
         if k in recorded:
             metrics = measure(frame, with_hausdorff=True, with_perimeter=True)
             assert next(records) == TraceRecord(step=k, x=x, theta=theta, metrics=metrics)
             assert _same_set(next(called)[1], world), k
         if k in wanted:
             assert _same_set(res.snapshots[k], world), k
-        if k in checkpoints:
-            assert next(probe) == CheckpointRecord(
-                order=checkpoints[k], step=k, theta=math.pi * GAMMA ** checkpoints[k],
-                defect=defect())
     assert _same_set(res.final, world)
-    assert next(probe, None) is None
 
 
 # ---------------------------------------------------------------------------

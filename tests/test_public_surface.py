@@ -53,3 +53,43 @@ def test_every_call_site_the_benchmark_traces_resolves(monkeypatch):
     assert targets
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def _private_definitions(tree):
+    """The module-level functions, classes and constants whose names start
+    with one underscore, with the node that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used_in_src():
+    # a private name that only tests reach is dead code that tests keep alive
+    src = Path(kfsteiner.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            # a bare name is read in the module itself or in a module that
+            # imports it from there; `module._name` may be read anywhere
+            readers = [tree] + [
+                other for other in trees.values()
+                if any(isinstance(node, ast.ImportFrom) and node.module == module
+                       and any(alias.name == name for alias in node.names)
+                       for node in ast.walk(other))]
+            uses = [node for reader in readers for node in ast.walk(reader)
+                    if id(node) not in inside
+                    and isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load)]
+            uses += [node for other in trees.values() for node in ast.walk(other)
+                     if isinstance(node, ast.Attribute) and node.attr == name]
+            assert uses, f"kfsteiner.{module}.{name} is used nowhere in src"

@@ -19,7 +19,6 @@ from kfsteiner.metrics import (
 from kfsteiner.polygons import (
     Ball,
     ConvexPolygon,
-    _reflection,
     _rotation,
     regular_polygon,
     steiner_polygon,
@@ -227,7 +226,11 @@ def test_symmetry_of_output(unit_grid_128, rng):
     for theta in (math.pi / 2, 0.6, 2.2):
         rs = random_raster(rng, unit_grid_128)
         out = steiner_raster(rs, theta)
-        mirror = full_grid_pull(out.occ, out.grid, _reflection(theta))
+        # the reflection across the line orthogonal to the angle theta
+        ux, uy = math.cos(theta), math.sin(theta)
+        flip = np.array([[1.0 - 2.0 * ux * ux, -2.0 * ux * uy],
+                         [-2.0 * ux * uy, 1.0 - 2.0 * uy * uy]])
+        mirror = full_grid_pull(out.occ, out.grid, flip)
         defect = d1(out, out.with_occ(mirror))
         assert defect <= grid_tolerance(out), f"theta={theta}"
 
@@ -637,25 +640,12 @@ def test_frame_and_world_rasters_are_read_only_snapshots_of_their_step():
 @pytest.mark.parametrize("name, n", [("lshape", 128), ("two-component", 127),
                                      ("annulus", 96)])
 def test_stepped_frame_plane_is_its_row_flip(name, n):
-    # reflection_defect after a step returns 0.0 without drawing the plane,
-    # because the drawn plane equals its row flip bit for bit
-    run = _stepped_run(name, n, 5)
-    plane = 8 * run.grid.nx * run.grid.ny
-    tracemalloc.start()
-    try:
-        peak = _traced_peak(lambda: run.reflection_defect())
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * plane, f"reflection_defect peak {peak / plane:.2f} planes"
-    assert run.reflection_defect() == 0.0
-    occ = run.frame_raster().occ
+    # every column is an interval from mid - half to mid + half, both
+    # exact, as are the row edges, so the drawn plane is symmetric about
+    # its midline bit for bit
+    occ = _stepped_run(name, n, 5).frame_raster().occ
     assert occ.any()
     assert np.array_equal(occ, occ[::-1, :])
-    # before a step the seed's plane is compared with its flip
-    seed = builtin_seed(name, resolution=n)
-    want = float(np.abs(seed.occ - seed.occ[::-1, :]).sum() * seed.grid.h**2)
-    assert want > 0.0
-    assert AlignedRun(seed).reflection_defect() == want
 
 
 def test_world_raster_plane_cannot_be_edited_behind_its_profile():
