@@ -24,6 +24,7 @@ from .process import (
     ProcessConfig,
     _csv,
     _fmt,
+    _naming,
     _read_set,
     compare_csv,
     compare_sequences,
@@ -197,10 +198,11 @@ def cmd_symmetrize(args):
     if args.ascii and not isinstance(shape, RasterSet):
         raise SystemExit2(f"--ascii needs a PGM raster; {args.infile} is a polygon")
     theta = args.theta if args.theta is not None else to_direction(args.x)
-    if isinstance(shape, RasterSet):
-        write_pgm(args.out, steiner_raster(shape, theta), binary=not args.ascii)
-    else:
-        save_polygon(args.out, steiner_polygon(shape, theta))
+    with _naming(args.infile):
+        if isinstance(shape, RasterSet):
+            write_pgm(args.out, steiner_raster(shape, theta), binary=not args.ascii)
+        else:
+            save_polygon(args.out, steiner_polygon(shape, theta))
     return 0
 
 

@@ -23,11 +23,16 @@ a steiner_raster output, a PGM) is measured on its plane, as the length
 of the 0.5-level isoline of its bilinear occupancy: marching squares
 over the cells that the isoline crosses.
 
-A polygon's measure forms its edge columns once (polygons._edge_terms)
-and takes the second moment and the disk parts behind d1 from them, the
-bits of moment_about_origin and d1_to_ball. The Hausdorff distance to
-the ball and the perimeter read the same columns and share the edge
-lengths, the bits of ball_hausdorff and perimeter().
+A polygon's area is its own: the shoelace sum of a plain polygon, the
+trapezoid sum of a symmetral's section profile. measure forms the edge
+columns that its second moment and disk parts sum once
+(ConvexPolygon._halves): a plain polygon's edges, or the upper half of a
+symmetral's profile, whose sums are doubled. It takes the second moment
+and the disk parts behind d1 from them, the bits of moment_about_origin
+and d1_to_ball, without drawing a symmetral's vertices. The Hausdorff
+distance to the ball and the perimeter read the edge columns of the
+drawn vertices and share the edge lengths, the bits of ball_hausdorff
+and perimeter().
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .polygons import (
     _edge_lengths,
     _edge_terms,
     _moment,
-    # never called here: d1 takes _disk_parts of the shared edge terms.
+    # never called here: d1 takes _disk_parts of the polygon's _halves.
     # perfbench/worker.py patches this name, so its
     # polygons.disk_intersection_area span reads 0 and the disk parts'
     # time sits in metrics.measure (ROADMAP item 1)
@@ -81,7 +86,8 @@ class MetricsRecord:
 
 
 def area(obj):
-    """Lebesgue measure: shoelace for polygons, mass * h**2 for rasters."""
+    """Lebesgue measure: shoelace for plain polygons, the profile's
+    trapezoid sum for symmetrals, mass * h**2 for rasters."""
     if isinstance(obj, ConvexPolygon):
         return obj.area()
     if isinstance(obj, RasterSet):
@@ -150,7 +156,7 @@ def d1_to_ball(obj):
     cells.
     """
     if isinstance(obj, ConvexPolygon):
-        return _polygon_d1_to_ball(_edge_terms(obj.vertices), obj.area())
+        return _polygon_d1_to_ball(*obj._halves(), obj.area())
     if isinstance(obj, RasterSet):
         return _raster_d1_to_ball(obj, _interval_cells_of(obj))
     raise TypeError(f"no d1_to_ball for {type(obj).__name__}")
@@ -179,18 +185,20 @@ def _intervals_to_ball(cells, ball, prefix):
     return float((outside + full + ends).sum())
 
 
-def _polygon_d1_to_ball(terms, a):
-    """Exact d1 of a polygon of area a, given by its polygons._edge_terms,
-    to the origin ball of that area.
+def _polygon_d1_to_ball(terms, copies, a):
+    """Exact d1 of a polygon of area a, given by its
+    ConvexPolygon._halves (terms, copies), to the origin ball of that
+    area.
 
     d1 is 2 (a - |P & B|). Where the polygon winds once about the origin
     |P & B| is pi r**2 minus the circular segments of B outside P, and
     pi r**2 = a, so d1 is twice that sum of segments rather than the
-    difference of two near-equal areas. a itself carries the rounding of
-    its shoelace sum, up to about 2e-15 a at 60k vertices.
+    difference of two near-equal areas: for a symmetral, four times the
+    segments of its profile's upper half. a itself carries the rounding
+    of its sum, up to about 2e-15 a at 60k vertices.
     """
     r = math.sqrt(a / math.pi)
-    turn, segments = _disk_parts(terms, r)
+    turn, segments = _disk_parts(terms, copies, r)
     if turn is None:
         return 2.0 * segments
     return 2.0 * (a - (0.5 * (r * r) * turn - segments))
@@ -297,10 +305,11 @@ def measure(obj, with_hausdorff=False, with_perimeter=False):
     perim = None
     if isinstance(obj, ConvexPolygon):
         # one pass over the edges serves the moment and the disk parts
-        terms = _edge_terms(obj.vertices)
-        mu = _moment(terms)
-        dball = _polygon_d1_to_ball(terms, a)
+        terms, copies = obj._halves()
+        mu = copies * _moment(terms)
+        dball = _polygon_d1_to_ball(terms, copies, a)
         if with_hausdorff or with_perimeter:
+            terms = _edge_terms(obj.vertices)
             lengths = _edge_lengths(terms)
         if with_hausdorff:
             haus = _ball_hausdorff(terms, lengths, math.sqrt(a / math.pi))

@@ -3,12 +3,23 @@
 The symmetral is computed in a rotated frame where the chosen direction
 is vertical. For a convex polygon the vertical chord length is a
 concave piecewise-linear function of the horizontal coordinate, so the
-output is the polygon bounded by plus/minus half that chord profile at
-the same breakpoints, rotated back. Breakpoints whose removal changes
-the area by less than a tiny fraction of the total are merged; without
-the merge the vertex count would double with every application. The
-result is rescaled about the origin so the area matches the input
-exactly, which keeps long composition chains drift-free.
+symmetral is the polygon {|y| <= l(x)/2} over the same breakpoints: its
+section profile. Breakpoints whose removal changes the area by less
+than a tiny fraction of the total are merged; without the merge the
+vertex count would double with every application. The profile is then
+rescaled about the origin, breakpoints and half-lengths alike, so that
+its area matches the input exactly, which keeps long composition chains
+drift-free.
+
+A symmetral is held as that profile and its frame angle. Its vertices
+are drawn, turned back to the world frame and through the constructor's
+checks, only when they are first read. Its area is the trapezoid sum of
+the profile, a sum over the held shape whose rounding is that of the
+breakpoints' differences, not of products of coordinates as in a
+shoelace sum; its second moment and disk parts are those of the
+profile's upper half, doubled. The next step turns the profile polygon
+into its frame directly, so a run's bits do not depend on what drew its
+vertices. A step whose profile has no finite, positive area raises.
 
 Vertices are stored column-major: the x and y coordinates are two
 contiguous arrays, and every per-vertex kernel (validation, shoelace,
@@ -17,8 +28,8 @@ columns as 1-D arrays instead of reducing over the length-2 axis.
 
 A polygon near its ball has about 60k vertices, and each per-vertex job
 is done once per step. The constructor's orientation check computes the
-shoelace area, and the polygon carries it: area() returns it, and the
-vertices cannot be rebound. The repeated-vertex check takes hypot only
+shoelace area, and a plain polygon carries it: area() returns it, and
+the vertices cannot be rebound. The repeated-vertex check takes hypot only
 of edges short in both coordinates. The disk intersection behind d1 is
 w pi r**2 minus a sum of circular segments, w the winding number about
 the origin, so only edges whose line meets the disk take an arctan, and
@@ -109,11 +120,34 @@ def _edge_columns(v):
 def _edge_terms(v):
     """The per-edge columns that the second moment, the disk parts and
     the Hausdorff distance share, for the edges p -> q of the polygon
-    with vertices v: (x, y, xn, yn, cross, p2, pq), where x, y are p's
-    coordinates, xn, yn q's, cross is cross(p, q), p2 is |p|**2 and pq is
-    p.q. |q|**2 is _next(p2), the same bits."""
+    with vertices v: (x, y, xn, yn, cross, p2, pq, q2), where x, y are
+    p's coordinates, xn, yn q's, cross is cross(p, q), p2 is |p|**2, pq is
+    p.q and q2 is |q|**2, _next(p2)."""
     x, y, xn, yn = _edge_columns(v)
-    return x, y, xn, yn, x * yn - y * xn, x * x + y * y, x * xn + y * yn
+    p2 = x * x + y * y
+    return x, y, xn, yn, x * yn - y * xn, p2, x * xn + y * yn, _next(p2)
+
+
+def _half_terms(xs, half):
+    """The _edge_terms columns of the upper half of the profile polygon
+    of breakpoints xs and half-lengths half, along the path from
+    (xs[-1], 0) up its right end, back over the chain (xs, half) and down
+    its left end to (xs[0], 0). An end of zero half-length is a point of
+    the chain, so no edge of the path has length zero. The edge along the
+    axis that closes the half is left out: cross(p, q) is zero on it, so
+    it adds nothing to the moment, and its turn about the origin is
+    _disk_parts' to add."""
+    px, py = [xs[::-1]], [half[::-1]]
+    if half[-1] > 0.0:
+        px.insert(0, xs[-1:])
+        py.insert(0, [0.0])
+    if half[0] > 0.0:
+        px.append(xs[:1])
+        py.append([0.0])
+    px, py = np.concatenate(px), np.concatenate(py)
+    p2 = px * px + py * py
+    x, y, xn, yn = px[:-1], py[:-1], px[1:], py[1:]
+    return x, y, xn, yn, x * yn - y * xn, p2[:-1], x * xn + y * yn, p2[1:]
 
 
 def _edge_lengths(columns):
@@ -134,8 +168,14 @@ def _contains_origin(columns):
 def _moment(terms):
     """Integral of x**2 + y**2 over the polygon of the _edge_terms terms:
     the sum over edges of cross(p, q) * (|p|^2 + p.q + |q|^2) / 12."""
-    _, _, _, _, cross, p2, pq = terms
-    return float(np.sum(cross * ((p2 + pq) + _next(p2))) / 12.0)
+    _, _, _, _, cross, p2, pq, q2 = terms
+    return float(np.sum(cross * ((p2 + pq) + q2)) / 12.0)
+
+
+def _profile_area(xs, half):
+    """Area of the profile polygon of breakpoints xs and half-lengths
+    half: the sum of its trapezoids dx * (half_i + half_i+1)."""
+    return float(np.sum(np.diff(xs) * (half[:-1] + half[1:])))
 
 
 class ConvexPolygon:
@@ -143,10 +183,12 @@ class ConvexPolygon:
 
     The vertex array is read-only and cannot be rebound, so the area the
     constructor computes for its orientation check stays the polygon's
-    area.
+    area. A symmetral that steiner_polygon returns holds its section
+    profile instead (see _symmetral) and draws its vertices, through the
+    constructor, when they are first read.
     """
 
-    __slots__ = ("_vertices", "_area")
+    __slots__ = ("_vertices", "_area", "_profile")
 
     def __init__(self, vertices):
         # column-major, so v[:, 0] and v[:, 1] are contiguous
@@ -184,17 +226,30 @@ class ConvexPolygon:
         v.setflags(write=False)
         self._vertices = v
         self._area = area
+        self._profile = None
 
     @property
     def vertices(self):
+        if self._vertices is None:
+            # the profile polygon turned back, checked and read-only
+            xs, half, phi = self._profile
+            try:
+                drawn = ConvexPolygon(_turn(_profile_polygon(xs, half), _rotation(phi).T))
+            except ValueError as exc:
+                raise ValueError(f"the symmetral's drawn vertices: {exc}") from exc
+            self._vertices = drawn._vertices
         return self._vertices
 
     def __reduce__(self):
         # a pickled copy goes through the constructor, so it is read-only too
-        return ConvexPolygon, (self._vertices,)
+        return ConvexPolygon, (self.vertices,)
 
     def __len__(self):
-        return len(self._vertices)
+        if self._profile is None:
+            return len(self._vertices)
+        # the vertices _profile_polygon draws: the top omits an end of zero
+        half = self._profile[1]
+        return 2 * len(half) - int(half[0] == 0.0) - int(half[-1] == 0.0)
 
     def __repr__(self):
         return f"ConvexPolygon({len(self)} vertices, area={self.area():.6g})"
@@ -205,13 +260,25 @@ class ConvexPolygon:
     def perimeter(self):
         return float(_edge_lengths(_edge_columns(self.vertices)).sum())
 
+    def _halves(self):
+        """(terms, copies): the _edge_terms columns that the second moment
+        and the disk parts sum, and how many mirror copies of them make up
+        the polygon. A plain polygon is one copy of its edges; a
+        symmetral is two of the upper half of its profile (_half_terms)."""
+        if self._profile is None:
+            return _edge_terms(self._vertices), 1
+        xs, half, _ = self._profile
+        return _half_terms(xs, half), 2
+
     def moment_about_origin(self):
         """Integral of x**2 + y**2 over the polygon, exact.
 
         Sum over edges of the apex-triangle second moment about the
-        origin: cross(p, q) * (|p|^2 + p.q + |q|^2) / 12.
+        origin: cross(p, q) * (|p|^2 + p.q + |q|^2) / 12; over the upper
+        half of a symmetral's profile, doubled.
         """
-        return _moment(_edge_terms(self.vertices))
+        terms, copies = self._halves()
+        return copies * _moment(terms)
 
     def circumradius(self):
         """Largest distance from the origin to a vertex."""
@@ -219,6 +286,20 @@ class ConvexPolygon:
 
     def contains_origin(self):
         return _contains_origin(_edge_columns(self.vertices))
+
+
+def _symmetral(xs, half, phi):
+    """The ConvexPolygon of the profile polygon of breakpoints xs and
+    half-lengths half, in the frame that the rotation by phi turns the
+    world into. It holds the profile, read-only, with its trapezoid area,
+    and draws no vertex until one is read."""
+    xs.setflags(write=False)
+    half.setflags(write=False)
+    poly = object.__new__(ConvexPolygon)
+    poly._vertices = None
+    poly._profile = (xs, half, phi)
+    poly._area = _profile_area(xs, half)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -347,15 +428,13 @@ def _simplify_profile(xs, ell, eps_area):
     return xs, ell
 
 
-def _profile_polygon(xs, ell):
-    """Polygon bounded by y = +/- ell(x)/2 over the breakpoints xs, as one
+def _profile_polygon(xs, half):
+    """Polygon bounded by y = +/- half(x) over the breakpoints xs, as one
     column-major (m, 2) array: the bottom from left to right, then the top
-    back, without the top ends that coincide with the bottom ones."""
-    half = 0.5 * ell
-    tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
+    back, without a top end of zero half-length, which is the bottom's."""
     n = len(xs)
-    first = 1 if half[0] <= tiny else 0
-    last = n - 1 if half[-1] <= tiny else n
+    first = 1 if half[0] == 0.0 else 0
+    last = n - 1 if half[-1] == 0.0 else n
     out = np.empty((n + last - first, 2), order="F")
     out[:n, 0] = xs
     np.negative(half, out=out[:n, 1])
@@ -364,27 +443,51 @@ def _profile_polygon(xs, ell):
     return out
 
 
+def _turn(v, rot):
+    """The points v, shape (m, 2), turned by the matrix rot: the bits of
+    v @ rot.T, in contiguous columns."""
+    return (rot @ v.T).T
+
+
+def _frame(poly, phi):
+    """The vertices of poly turned by phi, the frame in which
+    steiner_polygon takes the chord profile. A symmetral's are its
+    profile polygon turned by phi less its own frame angle, never its
+    drawn vertices, so a run's bits do not depend on what drew them."""
+    if poly._profile is None:
+        return _turn(poly.vertices, _rotation(phi))
+    xs, half, own = poly._profile
+    return _turn(_profile_polygon(xs, half), _rotation(phi - own))
+
+
 def steiner_polygon(poly, direction):
     """Symmetral of a convex polygon with respect to a direction.
 
     Every chord parallel to the direction is recentered on the line
     through the origin orthogonal to it. Exact up to breakpoint merging
-    below SIMPLIFY_AREA_FRACTION of the area; the output is rescaled
-    about the origin so its area equals the input area.
+    below SIMPLIFY_AREA_FRACTION of the area; the profile is rescaled
+    about the origin so its area equals the input area. An end chord
+    within 1e-12 of the profile's extent is taken as a point, as the
+    chord profile takes x values that close as one.
     """
     theta = as_theta(direction)
     area0 = poly.area()
     if area0 < DEGENERATE_AREA:
         raise ValueError(f"degenerate polygon with area {area0!r}")
-    rot = _rotation(0.5 * math.pi - theta)
-    # the same bits as poly.vertices @ rot.T, with contiguous columns
-    v = (rot @ poly.vertices.T).T
-    xs, ell = _chord_profile(v)
+    phi = 0.5 * math.pi - theta
+    xs, ell = _chord_profile(_frame(poly, phi))
     xs, ell = _simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * area0)
-    # the same bits as _profile_polygon(xs, ell) @ rot, column-major
-    out = (rot.T @ _profile_polygon(xs, ell).T).T
-    out *= math.sqrt(area0 / _shoelace(out))
-    return ConvexPolygon(out)
+    half = 0.5 * ell
+    tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
+    for end in (0, -1):
+        if half[end] <= tiny:
+            half[end] = 0.0
+    area = _profile_area(xs, half)
+    if not 0.0 < area < math.inf:
+        raise ValueError(f"the symmetral's section profile has area {area!r}, "
+                         "not a finite positive number")
+    scale = math.sqrt(area0 / area)
+    return _symmetral(xs * scale, half * scale, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -422,28 +525,29 @@ def disk_intersection_area(poly, radius):
     r = float(radius)
     if not math.isfinite(r):
         raise ValueError(f"radius must be finite, got {radius}")
-    turn, segments = _disk_parts(_edge_terms(poly.vertices), r)
+    turn, segments = _disk_parts(*poly._halves(), r)
     if turn is None:
         return math.pi * (r * r) - segments
     return 0.5 * (r * r) * turn - segments
 
 
-def _disk_parts(terms, r):
-    """(turn, segments) of the polygon of the _edge_terms terms and the
-    origin disk of radius r: the intersection area is
-    0.5 r**2 turn - segments, where turn is the angle the polygon covers
-    about the origin and segments is the sum of circular segments of
-    disk_intersection_area. turn is None when every cross(p, q) is
-    positive, so the polygon winds once about the origin (turn 2 pi) and
-    the disk outside it is exactly the segments. A disk of radius r <= 0
-    covers nothing: (0.0, 0.0)."""
+def _disk_parts(terms, copies, r):
+    """(turn, segments) of the polygon of which the _edge_terms terms are
+    one of `copies` mirror copies (ConvexPolygon._halves), and the origin
+    disk of radius r: the intersection area is 0.5 r**2 turn - segments,
+    where turn is the angle the polygon covers about the origin and
+    segments is the sum of circular segments of disk_intersection_area.
+    turn is None when every cross(p, q) is positive, so the polygon winds
+    once about the origin (turn 2 pi) and the disk outside it is exactly
+    the segments. The upper half of a profile, whose path runs from the
+    axis back to it, then turns by pi: its turn is a multiple of pi, not
+    of 2 pi. A disk of radius r <= 0 covers nothing: (0.0, 0.0)."""
     if r <= 0.0:
         return 0.0, 0.0
     r2 = r * r
-    x, y, xn, yn, side, p2, pq = terms
+    x, y, xn, yn, side, p2, pq, q2 = terms
     # an edge with both ends in the disk is its own chord
-    near = p2 <= r2
-    inner = near & _next(near)
+    inner = (p2 <= r2) & (q2 <= r2)
     whole = np.flatnonzero(inner)
     # another edge has a chord if its line meets the disk: from
     # e = p + t d to f = q - s d, where a clipped end is the vertex itself
@@ -463,15 +567,16 @@ def _disk_parts(terms, r):
     seg = 0.5 * (r2 * np.arctan2(cross, dot) - cross)
     seg[whole.size:][t + s >= 1.0] = 0.0  # the line meets the disk off the edge
 
-    if side.min() > 0.0:  # angles all positive can only sum to 2 pi
-        return None, float(np.sum(seg))
+    if side.min() > 0.0:  # angles all positive can only sum to 2 pi / copies
+        return None, copies * float(np.sum(seg))
     on = (side == 0.0) & (pq <= 0.0)  # origin on the closed edge
     angle = float(np.sum(np.arctan2(side[~on], pq[~on])))
     if on.any():
         seg[np.isin(np.concatenate([whole, k]), np.flatnonzero(on))] = 0.0
     else:
-        angle = 2.0 * math.pi * round(angle / (2.0 * math.pi))
-    return angle, float(np.sum(seg))
+        period = 2.0 * math.pi / copies
+        angle = period * round(angle / period)
+    return copies * angle, copies * float(np.sum(seg))
 
 
 def ball_hausdorff(poly, radius):

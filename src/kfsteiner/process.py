@@ -12,6 +12,7 @@ comparison ball included.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import astuple, dataclass, field
 
@@ -164,11 +165,23 @@ def load_seed(spec, resolution=512):
     return seed
 
 
+@contextlib.contextmanager
+def _naming(spec):
+    """Prefix a ValueError or an arithmetic error raised in the block
+    with the seed spec, as the errors of loading it name its file."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{spec}: {exc}") from exc
+
+
 class PolygonRun:
     """Exact chord symmetrals of one polygon, with AlignedRun's methods
     `apply`, `frame_raster` and `world_raster`.
 
-    The polygon keeps no frame: both accessors return it.
+    A symmetral carries its own frame, that of its section profile, and
+    every functional of the trace reads the profile: both accessors
+    return the polygon, and a step draws no vertices.
     """
 
     def __init__(self, poly):
@@ -209,6 +222,9 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     frame of the last direction between steps; the recorded functionals
     are invariant under that frame rotation, and d1_to_ball compares
     every step against the run's one ball of the seed's area.
+
+    A ValueError or an arithmetic error raised during the run names the
+    seed spec, as the errors of loading it do.
     """
     xs = sequence_values(cfg.sequence, cfg.steps)
     seed = load_seed(cfg.seed, resolution=cfg.resolution)
@@ -216,18 +232,19 @@ def run_process(cfg, snapshot_steps=(), callback=None):
     wanted = set(int(s) for s in snapshot_steps)
     snapshots = {}
     records = []
-    for k, x, theta, run in _walk(seed, xs):
-        if k in wanted:
-            snapshots[k] = run.world_raster()
-        if k % cfg.cadence == 0 or k == cfg.steps:
-            rec = _metrics.measure(
-                run.frame_raster(),
-                with_hausdorff=cfg.with_hausdorff,
-                with_perimeter=cfg.with_perimeter,
-            )
-            records.append(TraceRecord(step=k, x=x, theta=theta, metrics=rec))
-            if callback is not None:
-                callback(k, run.world_raster())
+    with _naming(cfg.seed):
+        for k, x, theta, run in _walk(seed, xs):
+            if k in wanted:
+                snapshots[k] = run.world_raster()
+            if k % cfg.cadence == 0 or k == cfg.steps:
+                rec = _metrics.measure(
+                    run.frame_raster(),
+                    with_hausdorff=cfg.with_hausdorff,
+                    with_perimeter=cfg.with_perimeter,
+                )
+                records.append(TraceRecord(step=k, x=x, theta=theta, metrics=rec))
+                if callback is not None:
+                    callback(k, run.world_raster())
     return ProcessResult(final=run.world_raster(), records=tuple(records),
                          snapshots=snapshots)
 

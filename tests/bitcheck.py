@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conftest import random_convex_polygon  # noqa: E402
 from kfsteiner import cli, discrepancy, partitions, polygons, rasters  # noqa: E402
-from kfsteiner.metrics import measure  # noqa: E402
+from kfsteiner.metrics import d1_to_ball, measure  # noqa: E402
 from kfsteiner.process import BUILTIN_SEEDS, RASTER_SEEDS, builtin_seed  # noqa: E402
 from kfsteiner.sequences import sequence_values  # noqa: E402
 
@@ -45,21 +45,36 @@ def polygons_of(seed, count):
             for k in range(count)]
 
 
-def polygon_kernels():
+def polygon_inputs():
+    """Seeded random polygons and two saturated symmetrals."""
     polys = polygons_of(1, 60) + [builtin_seed("square"), builtin_seed("ellipse")]
-    for theta in KF[:30]:  # and two saturated ones
+    for theta in KF[:30]:
         polys[-2:] = [polygons.steiner_polygon(poly, theta) for poly in polys[-2:]]
-    for k, poly in enumerate(polys):
+    return polys
+
+
+def polygon_kernels():
+    for k, poly in enumerate(polygon_inputs()):
         r_eq = math.sqrt(poly.area() / math.pi)
         yield poly.area(), poly.moment_about_origin(), poly.perimeter(), poly.contains_origin()
         for r in (0.5 * r_eq, r_eq, 2.0 * poly.circumradius()):
             yield polygons.disk_intersection_area(poly, r), polygons.ball_hausdorff(poly, r)
         yield measure(poly, with_hausdorff=True, with_perimeter=True)
         for theta in (0.0, 0.5 * math.pi, 0.3 + k, KF[k % 40]):
-            frame = (polygons._rotation(0.5 * math.pi - theta) @ poly.vertices.T).T
-            xs, ell = polygons._chord_profile(frame)
+            xs, ell = polygons._chord_profile(polygons._frame(poly, 0.5 * math.pi - theta))
             out = polygons.steiner_polygon(poly, theta)
             yield xs, ell, out.vertices, polygons.hausdorff(poly, out)
+
+
+def profile_kernels():
+    """The area, moment and d1 of symmetrals of the polygon inputs, read
+    from their profiles: none of them is drawn."""
+    for k, poly in enumerate(polygon_inputs()):
+        for theta in (0.0, 0.5 * math.pi, 0.3 + k, KF[k % 40]):
+            out = polygons.steiner_polygon(poly, theta)
+            yield out.area(), out.moment_about_origin(), d1_to_ball(out)
+            if out._vertices is not None:
+                raise SystemExit("a symmetral was drawn")
 
 
 def raster_kernels():
@@ -144,6 +159,7 @@ def cli_outputs(tmp):
 
 def main():
     print(f"kernels.polygons {digest(polygon_kernels())}", flush=True)
+    print(f"kernels.polygons.profile {digest(profile_kernels())}", flush=True)
     for name, outputs in raster_kernels().items():
         print(f"kernels.rasters.{name} {digest(outputs)}", flush=True)
     print(f"kernels.one-dimensional {digest(one_dimensional_kernels())}", flush=True)

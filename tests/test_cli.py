@@ -484,6 +484,37 @@ def test_process_frames_of_a_polygon_keep_its_area(tmp_path):
         assert abs(rs.area() - 1.0) <= bound, f"frame {step}"
 
 
+@pytest.mark.parametrize("seed", ["builtin:ellipse", "builtin:offset-square"])
+def test_polygon_trace_does_not_depend_on_drawing(seed, tmp_path):
+    # frames, Hausdorff distances and perimeters draw each symmetral's
+    # vertices; the area, mu and d1_to_ball columns read its profile alone
+    columns = []
+    for extra in ([], ["--frames", "--hausdorff", "--perimeter"]):
+        outdir = tmp_path / f"run{len(extra)}"
+        assert main(["process", "--seed", seed, "--kind", "kf", "--steps", "12",
+                     "--resolution", "64", "--out", str(outdir), *extra]) == 0
+        rows = (outdir / "trace.csv").read_text().splitlines()
+        assert rows[0].split(",")[3:6] == ["area", "mu", "d1_to_ball"]
+        columns.append([row.split(",")[3:6] for row in rows])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("centre, change", [(1e6, 1e-9), (1e8, 1e-7), (1e10, 1e-5)])
+def test_far_off_hexagon_keeps_its_area(centre, change, tmp_path):
+    # a symmetral's area is the trapezoid sum of its profile, whose
+    # breakpoints differ by the polygon's width: its rounding is that of
+    # the coordinates, ulp(centre) against the width, not their squares
+    seed, outdir = tmp_path / "hexagon.txt", tmp_path / "run"
+    seed.write_text("".join(
+        f"{centre + 0.5 * math.cos(a)!r} {0.5 * math.sin(a)!r}\n"
+        for a in 2.0 * math.pi * np.arange(6) / 6))
+    assert main(["process", "--seed", str(seed), "--kind", "kf", "--steps", "6",
+                 "--out", str(outdir)]) == 0
+    rows = (outdir / "trace.csv").read_text().splitlines()[1:]
+    areas = [float(row.split(",")[3]) for row in rows]
+    assert max(abs(a - areas[0]) for a in areas) <= change * areas[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["process", "--seed", "builtin:square", "--kind", "kf", "--steps", "2",
      "--resolution", "0"],

@@ -24,9 +24,13 @@ from kfsteiner.polygons import (
     Ball,
     ConvexPolygon,
     _chord_profile,
+    _frame,
+    _profile_area,
+    _profile_polygon,
     _rotation,
     _shoelace,
     _simplify_profile,
+    _symmetral,
     ball_hausdorff,
     disk_intersection_area,
     hausdorff,
@@ -444,15 +448,17 @@ def assert_chord_profile_exact(frame, sample=None):
 
 def assert_step_exact(poly, theta, area=True):
     """steiner_polygon: the polygon of +-ell / 2 over the breakpoints of the
-    frame's chord profile that the point-by-point run rule keeps, less a
-    top end of zero chord, turned back and scaled to the input's exact
-    area (within the rounding of float areas)."""
+    frame's chord profile that the point-by-point run rule keeps, an end
+    chord within 1e-12 of the extent taken as zero and a top end of zero
+    chord left out, turned back and scaled to the input's exact area
+    (within the rounding of float areas)."""
     rot = _rotation(0.5 * math.pi - theta)
-    xs, ell = _chord_profile(poly.vertices @ rot.T)
+    xs, ell = _chord_profile(_frame(poly, 0.5 * math.pi - theta))
     xs, ell = oracle_simplify_profile(xs, ell, SIMPLIFY_AREA_FRACTION * poly.area())
     half = 0.5 * ell
     tiny = 1e-12 * max(float(half.max()), xs[-1] - xs[0])
-    top = [k for k in range(len(xs))[::-1] if half[k] > tiny or 0 < k < len(xs) - 1]
+    half[[k for k in (0, -1) if half[k] <= tiny]] = 0.0
+    top = [k for k in range(len(xs))[::-1] if half[k] > 0.0 or 0 < k < len(xs) - 1]
     want = np.r_[np.c_[xs, -half], np.c_[xs[top], half[top]]]
     out = steiner_polygon(poly, theta)
     back = out.vertices @ rot.T  # rounded by both turns
@@ -468,12 +474,16 @@ def assert_step_exact(poly, theta, area=True):
 
 def assert_kernels_match_oracles(poly, thetas, sample=None):
     assert np.array_equal(oracle_validate(poly.vertices), poly.vertices)
-    # the constructor takes the bits of _shoelace from its edge columns
-    assert _shoelace(poly.vertices) == poly.area()
+    if poly._profile is None:
+        # the constructor takes the bits of _shoelace from its edge columns
+        assert _shoelace(poly.vertices) == poly.area()
+    else:
+        # a symmetral's area is the trapezoid sum of its profile
+        assert _profile_area(*poly._profile[:2]) == poly.area()
     assert_area_and_moment_exact(poly)
     for theta in thetas:
         # the frame steiner_polygon hands to the chord profile
-        assert_chord_profile_exact(poly.vertices @ _rotation(0.5 * math.pi - theta).T, sample)
+        assert_chord_profile_exact(_frame(poly, 0.5 * math.pi - theta), sample)
 
 
 @st.composite
@@ -715,6 +725,61 @@ def test_one_edge_pass_on_the_paths_off_winding_one(verts):
 def test_one_edge_pass_on_the_saturated_polygon(saturated_kf_polygon):
     assert len(saturated_kf_polygon) >= 40_000
     assert_edge_pass_matches_oracles(saturated_kf_polygon, disk=False)
+
+
+# ---------------------------------------------------------------------------
+# a symmetral's functionals from the upper half of its profile, against the
+# oracles of its profile polygon
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def concave_profiles(draw):
+    """(xs, half) of a concave, nonnegative section profile: ends pointed,
+    vertical or both vertical and equal (a rectangle, the symmetral of a
+    square), with the origin inside the breakpoints' range, outside it,
+    or at an end of it (on an end edge, or at the vertex of a pointed
+    end)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = draw(st.sampled_from(("pointed", "vertical", "one vertical", "rectangle")))
+    n = 2 if ends == "rectangle" else draw(st.integers(2, 30))
+    origin = draw(st.sampled_from(("inside", "outside", "left end", "right end")))
+    gaps = rng.uniform(0.05, 1.0, n - 1)
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    if origin == "inside":
+        xs -= rng.uniform(0.1, 0.9) * xs[-1]
+    elif origin == "outside":
+        xs += rng.uniform(0.5, 3.0) if rng.random() < 0.5 else -xs[-1] - rng.uniform(0.5, 3.0)
+    elif origin == "right end":
+        xs -= xs[-1]
+    # a concave bump, zero at both ends, on a line through the end heights
+    slopes = np.sort(rng.uniform(-2.0, 2.0, n - 1))[::-1]
+    bump = np.concatenate([[0.0], np.cumsum(slopes * gaps)])
+    t = (xs - xs[0]) / (xs[-1] - xs[0])
+    bump -= bump[-1] * t
+    left, right = {"pointed": (0.0, 0.0), "vertical": tuple(rng.uniform(0.1, 1.0, 2)),
+                   "one vertical": (0.0, rng.uniform(0.1, 1.0)),
+                   "rectangle": (0.5, 0.5)}[ends]
+    half = np.maximum(bump + left + (right - left) * t, 0.0)
+    half[0], half[-1] = left, right
+    assume(half.max() > 0.0)
+    return xs, half
+
+
+@settings(max_examples=300, deadline=None)
+@given(concave_profiles())
+def test_half_profile_kernels_match_the_profile_polygon_oracles(profile):
+    # area, moment and disk parts within the bounds of the exact oracles of
+    # the profile polygon, the drawn vertices at frame angle 0: the
+    # moment's apex triangles are exact, d1 and the disk areas are within
+    # DISK_ULPS of pi r**2 against 40 digits
+    xs, half = profile
+    poly = _symmetral(xs.copy(), half.copy(), 0.0)
+    assert poly._vertices is None
+    assert poly.area() == _profile_area(xs, half)
+    assert np.array_equal(poly.vertices, _profile_polygon(xs, half))
+    assert len(poly) == len(poly.vertices)
+    assert_edge_pass_matches_oracles(poly)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 1000, 1001])

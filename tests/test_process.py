@@ -8,6 +8,7 @@ from kfsteiner.metrics import d1_to_ball, grid_tolerance, measure
 from kfsteiner.polygons import Ball, ConvexPolygon, steiner_polygon
 from kfsteiner.process import (
     BUILTIN_SEEDS,
+    PolygonRun,
     ProcessConfig,
     TraceRecord,
     builtin_seed,
@@ -281,3 +282,21 @@ def test_world_raster_at_turn_zero_measures_as_the_frame_raster():
     run = AlignedRun(load_seed(cfg.seed, resolution=128)).apply(0.5 * math.pi)
     assert np.array_equal(res.final.occ, run.occ)
     assert measure(res.final) == res.records[-1].metrics
+
+
+def test_polygon_run_steps_draw_no_vertices():
+    # a step turns the last symmetral's profile into its frame, and the
+    # trace reads the profile: no symmetral of the run is drawn until its
+    # vertices are read, and then once, read-only
+    run = PolygonRun(builtin_seed("ellipse"))
+    held = []
+    for x in sequence_values("kf", 12):
+        run.apply(math.pi * float(x))
+        measure(run.frame_raster())
+        assert len(run.poly) > 0
+        held.append(run.poly)
+    assert [k for k, p in enumerate(held, start=1) if p._vertices is not None] == []
+    final = run.world_raster()
+    drawn = final.vertices
+    assert final.vertices is drawn and not drawn.flags.writeable
+    assert len(drawn) == len(final)

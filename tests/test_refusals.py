@@ -23,9 +23,37 @@ from kfsteiner.sequences import (
 
 
 def pgm_file(tmp_path, data):
-    path = tmp_path / "set.pgm"
+    path = tmp_path / "set"
     path.write_bytes(data)
     return path
+
+
+def polygon_file(tmp_path, *rows):
+    """A polygon text file of the given 'x y' rows."""
+    path = tmp_path / "set"
+    path.write_text("".join(f"{row}\n" for row in rows))
+    return str(path)
+
+
+def far_triangle(tmp_path):
+    """A triangle of height 1e-7 at 1e9 from the origin: its first
+    symmetral holds, and every chord of its second rounds to zero."""
+    return polygon_file(tmp_path, "1000000000 0", "1000000001 0", "1000000000.5 1e-07")
+
+
+def far_hexagon(tmp_path):
+    """The hexagon of radius 0.5 centred at (1e10, 0). Its symmetrals
+    hold, but drawn back at 1e10 from the origin their shoelace sum keeps
+    no digit of the area."""
+    return polygon_file(tmp_path, "10000000000.5 0", "10000000000.25 0.433012701892219",
+                        "9999999999.75 0.433012701892219", "9999999999.5 6.12323399573677e-17",
+                        "9999999999.75 -0.433012701892219", "10000000000.25 -0.433012701892219")
+
+
+def cli_call(*argv):
+    """The subcommand of argv as the cli runs it, its errors raised."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
 
 
 #: name: (call of tmp_path, the exception it raises, its message; {tmp}
@@ -75,11 +103,26 @@ REFUSALS = {
         "kronecker alpha must be finite, got nan"),
     "cli-partition-alpha-word": (
         lambda tmp: cli._alpha_value("x"), argparse.ArgumentTypeError, "bad alpha 'x'"),
+    "process-profile-area-zero-mid-run": (
+        lambda tmp: cli_call("process", "--seed", far_triangle(tmp), "--kind", "kf",
+                             "--steps", "6", "--out", str(tmp / "out")),
+        ValueError, "{tmp}: the symmetral's section profile has area 0.0, "
+                    "not a finite positive number"),
+    "compare-profile-area-zero-mid-run": (
+        lambda tmp: cli_call("compare", "--seed", far_triangle(tmp), "--kinds", "kf,vdc",
+                             "--steps", "6", "--out", str(tmp / "out")),
+        ValueError, "{tmp}: the symmetral's section profile has area 0.0, "
+                    "not a finite positive number"),
+    "symmetrize-drawn-vertices-far-off": (
+        lambda tmp: cli_call("symmetrize", "--in", far_hexagon(tmp), "--theta", "0.3",
+                             "--out", str(tmp / "out.txt")),
+        ValueError, "{tmp}: the symmetral's drawn vertices: "
+                    "vertices must be ordered counterclockwise"),
 }
 
 
 @pytest.mark.parametrize("name", list(REFUSALS))
 def test_refusal_raises_its_message(name, tmp_path):
     call, exc, message = REFUSALS[name]
-    with pytest.raises(exc, match=f"^{re.escape(message.format(tmp=tmp_path / 'set.pgm'))}$"):
+    with pytest.raises(exc, match=f"^{re.escape(message.format(tmp=tmp_path / 'set'))}$"):
         call(tmp_path)
