@@ -82,21 +82,24 @@ def _check_cells(flag, value, cells, runs):
 
 def _check_plane_budget(seed, resolution, runs=1):
     """Refuse a seed whose grid, in each of `runs` concurrent runs, would
-    not fit the memory budget. A polygon builds no grid from --resolution:
-    its frames draw at most 256² cells."""
+    not fit the memory budget, and return whether the seed is a raster.
+    A polygon builds no grid from --resolution: its frames draw at most
+    256² cells."""
     if seed in [f"builtin:{name}" for name in RASTER_SEEDS]:
         _check_cells("--resolution", resolution, resolution**2, runs)
-    elif not seed.startswith("builtin:"):
-        _check_pgm_budget("--seed", seed, runs)
+        return True
+    return not seed.startswith("builtin:") and _check_pgm_budget("--seed", seed, runs)
 
 
 def _check_pgm_budget(flag, path, runs=1):
     """Refuse a PGM file whose grid would not fit the memory budget, from
-    its header alone, before a sample is read. Other files pass."""
+    its header alone, before a sample is read, and return whether the
+    file is a PGM. Other files pass."""
     size = _pgm_size(path)
     if size is not None:
         nx, ny = size
         _check_cells(flag, f"{path} ({nx}x{ny} cells)", nx * ny, runs)
+    return size is not None
 
 
 @contextlib.contextmanager
@@ -206,13 +209,14 @@ def cmd_symmetrize(args):
     return 0
 
 
-def _frame_writer(outdir, resolution):
+def _frame_writer(outdir, resolution, written):
     def callback(step, current):
         # the frame is drawn before --out is made, so a failed draw leaves nothing
         if not isinstance(current, RasterSet):
             grid = GridSpec.cover(max(current.circumradius(), 1e-9), n=resolution)
             current = rasterize(current, grid)
-        write_pgm(_out_file(outdir, f"frame_{step}.pgm"), current)
+        written.append(_out_file(outdir, f"frame_{step}.pgm"))
+        write_pgm(written[-1], current)
 
     return callback
 
@@ -230,7 +234,8 @@ def cmd_process(args):
     if args.resolution < 1:
         raise SystemExit2("--resolution must be at least 1")
     _check_run_flags(args)
-    _check_plane_budget(args.seed, args.resolution)
+    if _check_plane_budget(args.seed, args.resolution) and args.hausdorff:
+        raise SystemExit2(f"--hausdorff needs a polygon seed; {args.seed} is a raster")
     cfg = ProcessConfig(
         sequence=args.kind,
         seed=args.seed,
@@ -240,10 +245,21 @@ def cmd_process(args):
         with_hausdorff=args.hausdorff,
         with_perimeter=args.perimeter,
     )
+    made, written = not os.path.exists(args.out), []
     callback = None
     if args.frames:
-        callback = _frame_writer(args.out, min(args.resolution, 256))
-    result = run_process(cfg, callback=callback)
+        callback = _frame_writer(args.out, min(args.resolution, 256), written)
+    try:
+        result = run_process(cfg, callback=callback)
+    except Exception:
+        # a failed run leaves no frame behind, nor an --out that it made
+        for path in written:  # the last may have failed before its file was made
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
     _write(trace_csv(result.records), _out_file(args.out, "trace.csv"))
     return 0
 
@@ -324,7 +340,8 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=512,
                    help="raster grid cells per axis for builtin seeds")
     p.add_argument("--hausdorff", action="store_true",
-                   help="also record the Hausdorff distance to the ball (polygon)")
+                   help="also record the Hausdorff distance to the ball; "
+                        "polygon seeds only")
     p.add_argument("--perimeter", action="store_true",
                    help="also record the perimeter diagnostic")
     p.add_argument("--frames", action="store_true",

@@ -25,14 +25,12 @@ over the cells that the isoline crosses.
 
 A polygon's area is its own: the shoelace sum of a plain polygon, the
 trapezoid sum of a symmetral's section profile. measure forms the edge
-columns that its second moment and disk parts sum once
-(ConvexPolygon._halves): a plain polygon's edges, or the upper half of a
-symmetral's profile, whose sums are doubled. It takes the second moment
-and the disk parts behind d1 from them, the bits of moment_about_origin
-and d1_to_ball, without drawing a symmetral's vertices. The Hausdorff
-distance to the ball and the perimeter read the edge columns of the
-drawn vertices and share the edge lengths, the bits of ball_hausdorff
-and perimeter().
+table of its other columns once (ConvexPolygon._halves): a plain
+polygon's edges, or the upper half of a symmetral's profile, whose sums
+are doubled. It takes the second moment, the disk parts behind d1, the
+Hausdorff distance to the ball and the perimeter from it, the bits of
+moment_about_origin, d1_to_ball, ball_hausdorff and perimeter(), and
+draws no symmetral's vertices.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from .polygons import (
     _ball_hausdorff,
     _disk_parts,
     _edge_lengths,
-    _edge_terms,
     _moment,
     # never called here: d1 takes _disk_parts of the polygon's _halves.
     # perfbench/worker.py patches this name, so its
@@ -304,17 +301,16 @@ def measure(obj, with_hausdorff=False, with_perimeter=False):
     haus = None
     perim = None
     if isinstance(obj, ConvexPolygon):
-        # one pass over the edges serves the moment and the disk parts
+        # one edge table serves every column
         terms, copies = obj._halves()
         mu = copies * _moment(terms)
         dball = _polygon_d1_to_ball(terms, copies, a)
         if with_hausdorff or with_perimeter:
-            terms = _edge_terms(obj.vertices)
             lengths = _edge_lengths(terms)
         if with_hausdorff:
             haus = _ball_hausdorff(terms, lengths, math.sqrt(a / math.pi))
         if with_perimeter:
-            perim = float(lengths.sum())
+            perim = copies * float(lengths.sum())
     else:
         # one pass over the intervals serves the moment and d1
         cells = _interval_cells_of(obj)

@@ -13,13 +13,16 @@ drift-free.
 
 A symmetral is held as that profile and its frame angle. Its vertices
 are drawn, turned back to the world frame and through the constructor's
-checks, only when they are first read. Its area is the trapezoid sum of
-the profile, a sum over the held shape whose rounding is that of the
+checks, only when they are first read: to be rasterized, written,
+pickled or compared with another polygon. Its area is the trapezoid sum
+of the profile, a sum over the held shape whose rounding is that of the
 breakpoints' differences, not of products of coordinates as in a
-shoelace sum; its second moment and disk parts are those of the
-profile's upper half, doubled. The next step turns the profile polygon
-into its frame directly, so a run's bits do not depend on what drew its
-vertices. A step whose profile has no finite, positive area raises.
+shoelace sum. Its other functionals read the profile's upper half
+(ConvexPolygon._halves), which no turn about the origin changes: its
+sums doubled, its extremes and origin test as they are. The next step
+turns the profile polygon into its frame directly, so a run's bits do
+not depend on what drew its vertices. A step whose profile has no
+finite, positive area raises.
 
 Vertices are stored column-major: the x and y coordinates are two
 contiguous arrays, and every per-vertex kernel (validation, shoelace,
@@ -110,20 +113,13 @@ def _shoelace(v):
     return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
-def _edge_columns(v):
-    """(x, y, xn, yn) for the edges p -> q of the polygon with vertices v:
-    p's coordinates and q's, the first four columns of _edge_terms."""
-    x, y = v[:, 0], v[:, 1]
-    return x, y, _next(x), _next(y)
-
-
 def _edge_terms(v):
-    """The per-edge columns that the second moment, the disk parts and
-    the Hausdorff distance share, for the edges p -> q of the polygon
-    with vertices v: (x, y, xn, yn, cross, p2, pq, q2), where x, y are
-    p's coordinates, xn, yn q's, cross is cross(p, q), p2 is |p|**2, pq is
-    p.q and q2 is |q|**2, _next(p2)."""
-    x, y, xn, yn = _edge_columns(v)
+    """The per-edge columns that every polygon functional reads, for the
+    edges p -> q of the polygon with vertices v: (x, y, xn, yn, cross,
+    p2, pq, q2), where x, y are p's coordinates, xn, yn q's, cross is
+    cross(p, q), p2 is |p|**2, pq is p.q and q2 is |q|**2, _next(p2)."""
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = _next(x), _next(y)
     p2 = x * x + y * y
     return x, y, xn, yn, x * yn - y * xn, p2, x * xn + y * yn, _next(p2)
 
@@ -136,7 +132,8 @@ def _half_terms(xs, half):
     the chain, so no edge of the path has length zero. The edge along the
     axis that closes the half is left out: cross(p, q) is zero on it, so
     it adds nothing to the moment, and its turn about the origin is
-    _disk_parts' to add."""
+    _disk_parts' to add; it is no edge of the polygon. The path's last
+    point starts no edge, so a maximum over points reads both ends."""
     px, py = [xs[::-1]], [half[::-1]]
     if half[-1] > 0.0:
         px.insert(0, xs[-1:])
@@ -150,17 +147,16 @@ def _half_terms(xs, half):
     return x, y, xn, yn, x * yn - y * xn, p2[:-1], x * xn + y * yn, p2[1:]
 
 
-def _edge_lengths(columns):
-    """|q - p| of every edge, from the _edge_columns (or _edge_terms)
-    columns."""
-    x, y, xn, yn = columns[:4]
+def _edge_lengths(terms):
+    """|q - p| of every edge of the _edge_terms terms."""
+    x, y, xn, yn = terms[:4]
     return np.hypot(xn - x, yn - y)
 
 
-def _contains_origin(columns):
-    """Whether the origin lies in the polygon of the _edge_columns (or
-    _edge_terms) columns, its boundary included."""
-    x, y, xn, yn = columns[:4]
+def _contains_origin(terms):
+    """Whether the origin lies in the polygon of the _edge_terms terms,
+    its boundary included."""
+    x, y, xn, yn = terms[:4]
     dx, dy = xn - x, yn - y
     return bool(np.all(dx * -y - dy * -x >= 0.0))
 
@@ -258,11 +254,12 @@ class ConvexPolygon:
         return self._area
 
     def perimeter(self):
-        return float(_edge_lengths(_edge_columns(self.vertices)).sum())
+        terms, copies = self._halves()
+        return copies * float(_edge_lengths(terms).sum())
 
     def _halves(self):
-        """(terms, copies): the _edge_terms columns that the second moment
-        and the disk parts sum, and how many mirror copies of them make up
+        """(terms, copies): the _edge_terms columns that every functional
+        but the area reads, and how many mirror copies of them make up
         the polygon. A plain polygon is one copy of its edges; a
         symmetral is two of the upper half of its profile (_half_terms)."""
         if self._profile is None:
@@ -281,11 +278,13 @@ class ConvexPolygon:
         return copies * _moment(terms)
 
     def circumradius(self):
-        """Largest distance from the origin to a vertex."""
-        return float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
+        """Largest distance from the origin to a vertex: to an end of an
+        edge of _halves."""
+        _, _, _, _, _, p2, _, q2 = self._halves()[0]
+        return math.sqrt(max(float(p2.max()), float(q2.max())))
 
     def contains_origin(self):
-        return _contains_origin(_edge_columns(self.vertices))
+        return _contains_origin(self._halves()[0])
 
 
 def _symmetral(xs, half, phi):
@@ -588,15 +587,15 @@ def ball_hausdorff(poly, radius):
     inside, and minus the distance from the origin to the closest edge
     when it is outside.
     """
-    terms = _edge_terms(poly.vertices)
+    terms, _ = poly._halves()
     return _ball_hausdorff(terms, _edge_lengths(terms), radius)
 
 
 def _ball_hausdorff(terms, lengths, radius):
-    """ball_hausdorff of the polygon of the _edge_terms terms, whose edge
-    lengths (_edge_lengths) are lengths."""
-    px, py, qx, qy, cross = terms[:5]
-    hi = float(np.hypot(px, py).max())
+    """ball_hausdorff of the polygon whose ConvexPolygon._halves terms
+    are terms, with their _edge_lengths lengths."""
+    px, py, qx, qy, cross, p2, _, q2 = terms
+    hi = math.sqrt(max(float(p2.max()), float(q2.max())))
     if _contains_origin(terms):
         lo = float((np.abs(cross) / lengths).min())
     else:

@@ -695,11 +695,6 @@ class AlignedRun:
         self.frame = target
         return self
 
-    @property
-    def occ(self):
-        """The plane of the current frame raster, read-only."""
-        return self.frame_raster().occ
-
     def frame_raster(self):
         """The set in the current frame: the seed's plane, read-only,
         before a step, and the run's half-lengths after one, which later

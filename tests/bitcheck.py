@@ -67,12 +67,15 @@ def polygon_kernels():
 
 
 def profile_kernels():
-    """The area, moment and d1 of symmetrals of the polygon inputs, read
-    from their profiles: none of them is drawn."""
+    """The functionals of symmetrals of the polygon inputs, read from
+    their profiles: none of them is drawn."""
     for k, poly in enumerate(polygon_inputs()):
         for theta in (0.0, 0.5 * math.pi, 0.3 + k, KF[k % 40]):
             out = polygons.steiner_polygon(poly, theta)
+            r_eq = math.sqrt(out.area() / math.pi)
             yield out.area(), out.moment_about_origin(), d1_to_ball(out)
+            yield out.perimeter(), out.circumradius(), out.contains_origin()
+            yield tuple(polygons.ball_hausdorff(out, r) for r in (0.5 * r_eq, r_eq, 2.0 * r_eq))
             if out._vertices is not None:
                 raise SystemExit("a symmetral was drawn")
 
@@ -144,9 +147,11 @@ def cli_outputs(tmp):
         "compare": "compare --seed builtin:square --kinds kf,vdc2,kronecker --steps 20 --cadence 5",
     }
     for seed in (hexagon, pgm, *(f"builtin:{name}" for name in BUILTIN_SEEDS)):
+        # --hausdorff is a usage error on a raster seed
+        raster = seed == pgm or str(seed).removeprefix("builtin:") in RASTER_SEEDS
         runs[f"process-{Path(str(seed).replace(':', '-')).name}"] = (
             f"process --seed {seed} --kind kf --steps 12 --resolution 96 "
-            "--frames --perimeter --hausdorff")
+            "--frames --perimeter" + ("" if raster else " --hausdorff"))
     for name, argv in runs.items():
         out = tmp / name
         with contextlib.redirect_stdout(io.StringIO()):

@@ -72,7 +72,7 @@ def _gaps_to_the_exact_symmetrals(poly, thetas, n):
         poly = steiner_polygon(poly, theta)
         run.apply(theta)
         exact = _rasterize_polygon(poly.vertices @ _rotation(run.frame).T, grid)
-        gaps.append(float(np.abs(run.occ - exact).sum() * grid.h**2))
+        gaps.append(float(np.abs(run.frame_raster().occ - exact).sum() * grid.h**2))
     return seed, gaps
 
 

@@ -26,6 +26,7 @@ from kfsteiner.cli import (
 from kfsteiner.polygons import Ball, load_polygon
 from kfsteiner.rasters import GridSpec, RasterSet, rasterize, read_pgm, write_pgm
 from kfsteiner.sequences import GAMMA
+from test_refusals import far_hexagon
 
 
 def run_cli(args, capsys=None):
@@ -397,6 +398,22 @@ def test_symmetrize_ascii_on_a_polygon_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["builtin:lshape", "header.pgm"])
+def test_process_hausdorff_on_a_raster_seed_is_a_usage_error(seed, tmp_path, capsys):
+    # a raster run has no Hausdorff distance to fill the column with; the
+    # seed is told apart from its name or its PGM header, so a file with no
+    # samples is refused by the flag, before it is read
+    if seed.endswith(".pgm"):
+        seed = tmp_path / seed
+        seed.write_bytes(b"P5\n4 4\n255\n")
+    out = tmp_path / "run"
+    assert main(["process", "--seed", str(seed), "--kind", "kf", "--steps", "2",
+                 "--resolution", "64", "--hausdorff", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --hausdorff needs a polygon seed; {seed} is a raster\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -635,9 +652,9 @@ def square_file(path, side):
     path.write_text("".join(f"{x!r} {y!r}\n" for x, y in corners))
 
 
-def block_pgm(path, h, full=False):
-    """A 32x32 PGM at cell size h: all ones, or an 8x8 block of them in the middle."""
-    occ = np.ones((32, 32)) if full else np.pad(np.ones((8, 8)), 12)
+def block_pgm(path, h, side=8):
+    """A 32x32 PGM at cell size h: a side x side block of ones in the middle."""
+    occ = np.pad(np.ones((side, side)), 16 - side // 2)
     write_pgm(path, RasterSet(occ, GridSpec(nx=32, ny=32, h=h)))
 
 
@@ -657,7 +674,7 @@ BAD_SEEDS = {
                            ": cell size 1e+300 outside 1e-60..1e+60"),
     "pgm-cellsize-1e-300": ("s.pgm", lambda p: block_pgm(p, 1e-300),
                             ": cell size 1e-300 outside 1e-60..1e+60"),
-    "pgm-ball-off-grid": ("s.pgm", lambda p: block_pgm(p, 0.1, full=True),
+    "pgm-ball-off-grid": ("s.pgm", lambda p: block_pgm(p, 0.1, side=32),
                           ": the ball of the seed's area, radius 1.80541, exceeds the "
                           "grid's half extents (1.6, 1.6)"),
 }
@@ -680,6 +697,40 @@ def test_seed_without_a_finite_measure_is_refused_naming_the_file(name, command,
     assert runtime == []
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("s.pgm", ["--steps", "5"]),
+    ("set", ["--steps", "3"]),
+], ids=["pgm-block-leaves-its-grid", "far-hexagon-frame-drawn"])
+def test_run_failing_mid_run_leaves_no_frames(name, argv, tmp_path):
+    # a 24x24 block at h = 0.1 fits its grid at load, and its first
+    # staircase leaves the grid's inscribed disk; the far hexagon's frame
+    # at step 2 is refused by the constructor. Frames 0 and 1 were written
+    seed, outdir = tmp_path / name, tmp_path / "run"
+    if name.endswith(".pgm"):
+        block_pgm(seed, 0.1, side=24)
+    else:
+        far_hexagon(tmp_path)
+    code, err, _ = run_recording_warnings(
+        ["process", "--seed", str(seed), "--kind", "kf", "--frames", *argv,
+         "--out", str(outdir)])
+    assert code == 1
+    assert err.startswith(f"error: {seed}: ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_far_hexagon_runs_with_hausdorff_and_perimeter(tmp_path):
+    # every column of a symmetral's trace reads its profile, which holds
+    # the hexagon's digits at 1e10 from the origin; its drawn vertices do not
+    seed, outdir = far_hexagon(tmp_path), tmp_path / "run"
+    assert main(["process", "--seed", seed, "--kind", "kf", "--steps", "3",
+                 "--hausdorff", "--perimeter", "--out", str(outdir)]) == 0
+    rows = (outdir / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        values = row.split(",")[3:]
+        assert len(values) == 5 and all(math.isfinite(float(v)) for v in values), row
+
+
 @pytest.mark.parametrize("filename, write", [
     ("s.txt", lambda p: square_file(p, 1e40)),
     ("s.txt", lambda p: square_file(p, 1e-5)),
@@ -689,9 +740,10 @@ def test_seed_without_a_finite_measure_is_refused_naming_the_file(name, command,
 def test_seed_near_the_bounds_runs_cleanly(filename, write, tmp_path):
     seed, outdir = tmp_path / filename, tmp_path / "run"
     write(seed)
+    polygon = ["--hausdorff"] if filename.endswith(".txt") else []
     code, err, runtime = run_recording_warnings(
         ["process", "--seed", str(seed), "--kind", "kf", "--steps", "3", "--frames",
-         "--perimeter", "--hausdorff", "--out", str(outdir)])
+         "--perimeter", *polygon, "--out", str(outdir)])
     assert (code, err, runtime) == (0, "", [])
     lines = (outdir / "trace.csv").read_text().splitlines()
     assert len(lines) == 5

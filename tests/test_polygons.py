@@ -614,22 +614,31 @@ def oracle_simplify_profile(xs, ell, eps_area):
     return xs, ell
 
 
-def assert_steps_match_oracles(poly, thetas, large=False):
-    """The edge kernels and a step in each direction against the exact
-    oracles; on a large polygon without the perimeter and the sampled
-    Hausdorff oracle, which take seconds there, and with one step's area."""
-    v = poly.vertices
+def assert_edge_functionals_match_oracles(poly, v, perimeter=True):
+    """The perimeter (unless not perimeter: on a large polygon its oracle
+    takes seconds), the origin test, the circumradius and ball_hausdorff
+    of poly against the exact oracles of the polygon of vertices v. The
+    circumradius is the distance to the ball of radius 0."""
     edges = exact_edges(v)
-    if not large:
+    if perimeter:
         assert_within(poly.perimeter(), exact_perimeter(edges), PERIMETER_ULPS, poly.perimeter())
     inside = exact_contains_origin(v, edges)
     assert inside is None or poly.contains_origin() == inside
     x, y, xn, yn, products = edge_floats(v)
     conditioning = ((products + np.abs(x * xn) + np.abs(y * yn)) / np.hypot(xn - x, yn - y)).max()
     distance, r_eq = exact_ball_hausdorff(edges), math.sqrt(poly.area() / math.pi)
+    assert_within(poly.circumradius(), distance(0.0), BALL_HAUSDORFF_ULPS,
+                  poly.circumradius() + conditioning, "circumradius")
     for r in (0.5 * r_eq, r_eq, 2.0 * r_eq):
         assert_within(ball_hausdorff(poly, r), distance(r), BALL_HAUSDORFF_ULPS,
                       max(r, poly.circumradius()) + conditioning, "ball_hausdorff")
+
+
+def assert_steps_match_oracles(poly, thetas, large=False):
+    """The edge kernels and a step in each direction against the exact
+    oracles; on a large polygon without the perimeter and the sampled
+    Hausdorff oracle, which take seconds there, and with one step's area."""
+    assert_edge_functionals_match_oracles(poly, poly.vertices, perimeter=not large)
     for theta in thetas:
         out = assert_step_exact(poly, theta, area=not large or theta == thetas[0])
         if not large:
@@ -769,12 +778,14 @@ def concave_profiles(draw):
 @settings(max_examples=300, deadline=None)
 @given(concave_profiles())
 def test_half_profile_kernels_match_the_profile_polygon_oracles(profile):
-    # area, moment and disk parts within the bounds of the exact oracles of
-    # the profile polygon, the drawn vertices at frame angle 0: the
-    # moment's apex triangles are exact, d1 and the disk areas are within
-    # DISK_ULPS of pi r**2 against 40 digits
+    # every functional within the bounds of the exact oracles of the
+    # profile polygon, the drawn vertices at frame angle 0: the moment's
+    # apex triangles are exact, d1 and the disk areas are within DISK_ULPS
+    # of pi r**2 against 40 digits. The perimeter, the origin test, the
+    # circumradius and the distance to the ball draw nothing
     xs, half = profile
     poly = _symmetral(xs.copy(), half.copy(), 0.0)
+    assert_edge_functionals_match_oracles(poly, _profile_polygon(xs, half))
     assert poly._vertices is None
     assert poly.area() == _profile_area(xs, half)
     assert np.array_equal(poly.vertices, _profile_polygon(xs, half))

@@ -280,19 +280,19 @@ def test_world_raster_at_turn_zero_measures_as_the_frame_raster():
                         resolution=128)
     res = run_process(cfg)
     run = AlignedRun(load_seed(cfg.seed, resolution=128)).apply(0.5 * math.pi)
-    assert np.array_equal(res.final.occ, run.occ)
+    assert np.array_equal(res.final.occ, run.frame_raster().occ)
     assert measure(res.final) == res.records[-1].metrics
 
 
 def test_polygon_run_steps_draw_no_vertices():
-    # a step turns the last symmetral's profile into its frame, and the
-    # trace reads the profile: no symmetral of the run is drawn until its
-    # vertices are read, and then once, read-only
+    # a step turns the last symmetral's profile into its frame, and every
+    # column of the trace reads the profile: no symmetral of the run is
+    # drawn until its vertices are read, and then once, read-only
     run = PolygonRun(builtin_seed("ellipse"))
     held = []
     for x in sequence_values("kf", 12):
         run.apply(math.pi * float(x))
-        measure(run.frame_raster())
+        measure(run.frame_raster(), with_hausdorff=True, with_perimeter=True)
         assert len(run.poly) > 0
         held.append(run.poly)
     assert [k for k, p in enumerate(held, start=1) if p._vertices is not None] == []

@@ -558,18 +558,18 @@ def test_run_steps_write_their_staircase_or_refuse_the_grid(rs, thetas):
             assert "grid" in str(exc), f"step {step}"
             break
         # the plane holds intervals, so its column sums are their lengths
-        half = run.occ.sum(axis=0) / 2.0
+        frame = run.frame_raster().occ.copy()
+        half = frame.sum(axis=0) / 2.0
         staircase = rasters._rasterize_intervals(rs.grid, half, np.eye(2))
-        assert np.abs(run.occ - staircase).max() <= 1e-12, f"step {step}"
+        assert np.abs(frame - staircase).max() <= 1e-12, f"step {step}"
         world = run.world_raster()  # raises if the rotated staircase leaves the grid
         assert abs(world.mass() - run.target_mass) <= 1e-9 * run.target_mass, (
             f"step {step}"
         )
         if run.target_mass == 0.0:
-            assert not run.occ.any() and not world.occ.any(), f"step {step}"
+            assert not frame.any() and not world.occ.any(), f"step {step}"
         # a repeated direction changes nothing
-        frame = run.occ.copy()
-        assert np.array_equal(run.apply(theta).occ, frame), f"step {step}"
+        assert np.array_equal(run.apply(theta).frame_raster().occ, frame), f"step {step}"
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +615,10 @@ def _stepped_run(name, n, steps):
 def test_frame_and_world_rasters_are_read_only_snapshots_of_their_step():
     run = _stepped_run("lshape", 128, 3)
     frame, world = run.frame_raster(), run.world_raster()
-    step3 = run.occ.copy()
+    step3 = run.frame_raster().occ.copy()
     world3 = run.world_raster().occ.copy()
     run.apply(math.pi * 0.3).apply(math.pi * 0.71)
-    assert not np.array_equal(run.occ, step3)
+    assert not np.array_equal(run.frame_raster().occ, step3)
     # drawn only now, after two more steps, both still hold step 3
     assert np.array_equal(frame.occ, step3)
     assert np.array_equal(world.occ, world3)
